@@ -1,30 +1,24 @@
 """Q-systems over a finite abelian group and their simple bimodules.
 
 An (untwisted) Q-system is a subgroup H.  A simple H-K bimodule is a coset
-of H+K together with a character of H∩K; it is realized concretely as an
-induced module whose basis is indexed by the coset, with monomial left/right
-actions.  Composition (``fuse``) is computed by the averaging-idempotent
-trace formula over exact cyclotomic numbers; ``float_oracle_fuse`` repeats
-the computation in complex floating point as an independent cross-check.
+of H+K together with a character of H∩K.  Composition (``fuse``) reads the
+relative tensor product off the closed-form Mackey rule for module categories
+over Vec_G (Ostrik's (H, ψ) classification, untwisted abelian case), in
+integers and Fractions only.  The tests compare it with an independent
+floating-point trace computation over explicit induced modules.
 """
 
 from __future__ import annotations
 
-import cmath
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
-from .cyclotomic import CyclotomicNumber, as_integer, root_of_unity
 from .errors import (
     InternalConsistencyError,
     InvalidCompositionError,
     InvalidInputError,
-    OracleFailureError,
     ResourceLimitError,
     UnsupportedFeatureError,
 )
@@ -44,8 +38,6 @@ from .groups import (
 )
 
 DEFAULT_FUSION_ORDER_BOUND = 16
-
-FLOAT_ORACLE_TOLERANCE = 1e-6
 
 
 class CompletenessWarning(UserWarning):
@@ -86,9 +78,6 @@ def qsystems(G: FiniteAbelianGroup, bound: int | None = None) -> list[QSystem]:
             stacklevel=2,
         )
     return [QSystem(H) for H in subs]
-
-
-representative_set = qsystems
 
 
 def _require_untwisted(*qs: QSystem) -> None:
@@ -154,78 +143,6 @@ def dual(S: SimpleBimodule) -> SimpleBimodule:
     )
 
 
-@dataclass
-class ExplicitBimoduleModel:
-    """A concrete graded unitary model of a simple bimodule.
-
-    ``basis[i]`` is the chosen section pair (h, k) over the grading value
-    ``grading[i]``; actions are monomial: ``left_action[h][i] = (j, theta)``
-    sends basis vector i to e^(2*pi*i*theta) times basis vector j.
-    """
-
-    bimodule: SimpleBimodule
-    base_point: tuple
-    basis: tuple[tuple[tuple, tuple], ...]
-    grading: tuple[tuple, ...]
-    left_action: dict
-    right_action: dict
-
-
-def realize(S: SimpleBimodule, base_point: tuple | None = None) -> ExplicitBimoduleModel:
-    """Build the induced-module model of S.
-
-    The basis is indexed by the grading values (the coset members); the
-    section picks, for each grading value, the lexicographically least pair
-    (h, k) with h + base_point + k equal to that value.  The pair (t, -t)
-    with t in H∩K then acts by the scalar character(t) on every basis vector.
-    """
-    _require_untwisted(S.source, S.target)
-    G = S.group
-    H, K = S.source.subgroup, S.target.subgroup
-    chi = S.character
-    if base_point is None:
-        base_point = S.coset.rep
-    elif base_point not in S.coset.members:
-        raise InvalidInputError(f"base point {base_point} is not in the coset")
-
-    grading = S.coset.members  # sorted; the grading map is a bijection
-    index = {g: i for i, g in enumerate(grading)}
-    section = {}
-    for gamma in grading:
-        delta = G.sub(gamma, base_point)
-        for h in H.elements:  # ascending, so the first hit is lex-least in (h, k)
-            k = G.sub(delta, h)
-            if K.contains(k):
-                section[gamma] = (h, k)
-                break
-
-    left_action = {}
-    for a in H.elements:
-        maps = []
-        for gamma in grading:
-            gamma2 = G.add(a, gamma)
-            t = G.sub(G.add(a, section[gamma][0]), section[gamma2][0])
-            maps.append((index[gamma2], chi(t)))
-        left_action[a] = tuple(maps)
-    right_action = {}
-    for b in K.elements:
-        maps = []
-        for gamma in grading:
-            gamma2 = G.add(gamma, b)
-            t = G.sub(section[gamma][0], section[gamma2][0])
-            maps.append((index[gamma2], chi(t)))
-        right_action[b] = tuple(maps)
-
-    return ExplicitBimoduleModel(
-        bimodule=S,
-        base_point=base_point,
-        basis=tuple(section[g] for g in grading),
-        grading=grading,
-        left_action=left_action,
-        right_action=right_action,
-    )
-
-
 def _composable(S1: SimpleBimodule, S2: SimpleBimodule) -> None:
     if S1.target != S2.source:
         raise InvalidCompositionError(
@@ -233,179 +150,62 @@ def _composable(S1: SimpleBimodule, S2: SimpleBimodule) -> None:
         )
 
 
-def _tensor_fixed_phases(m1, m2, t, k, G):
-    """Yield (point, phase) for the diagonal of (left_t ∘ right_-t) ∘ (r1_k ⊗ l2_-k).
-
-    Points are pairs of basis indices of the two factor models; only points
-    the composite maps to themselves are yielded.
-    """
-    r1 = m1.right_action[k]
-    l2 = m2.left_action[G.neg(k)]
-    lt = m1.left_action[t]
-    rt = m2.right_action[G.neg(t)]
-    n1 = len(m1.grading)
-    n2 = len(m2.grading)
-    for i1 in range(n1):
-        a1, ph1 = r1[i1]
-        b1, ph4 = lt[a1]
-        if b1 != i1:
-            continue
-        for i2 in range(n2):
-            a2, ph2 = l2[i2]
-            b2, ph3 = rt[a2]
-            if b2 == i2:
-                yield (i1, i2), (ph1 + ph2 + ph3 + ph4) % 1
-
-
-def fuse(
-    S1: SimpleBimodule,
-    S2: SimpleBimodule,
-    *,
-    base_point1: tuple | None = None,
-    base_point2: tuple | None = None,
-) -> dict[SimpleBimodule, int]:
+def fuse(S1: SimpleBimodule, S2: SimpleBimodule) -> dict[SimpleBimodule, int]:
     """The relative tensor product S1 ⊗_K S2 as a multiplicity dict.
 
-    Realizes both factors, averages over the middle subgroup K (the
-    idempotent e = |K|^-1 Σ_k right_k ⊗ left_-k), and reads off the
-    multiplicity of each candidate (coset, character) from character-projected
-    traces on graded components.  All arithmetic is exact; a non-integer or
-    negative multiplicity aborts rather than rounding.
+    For an H-K bimodule S1 = (c1, χ1) and a K-L bimodule S2 = (c2, χ2) the
+    Mackey rule gives S1 ⊗_K S2 = m · Σ (d, ψ): d runs over the cosets of H+L
+    inside c1+c2+(H+K+L), ψ over the characters of H∩L that agree with χ1+χ2
+    on H∩K∩L, and m = |H||K||L||H∩K∩L| / (|H∩K||K∩L||H+K+L||H∩L|).  A
+    non-integral m or a change of total dimension aborts rather than rounding.
     """
     _composable(S1, S2)
     G = S1.group
-    E = G.exponent
     H = S1.source.subgroup
     K = S1.target.subgroup
     L = S2.target.subgroup
-    m1 = realize(S1, base_point1)
-    m2 = realize(S2, base_point2)
-
+    HK = subgroup_intersection(H, K)
     HL = subgroup_intersection(H, L)
+    HKL = subgroup_intersection(HK, L)
+    span = subgroup_sum(subgroup_sum(H, K), L)
     sum_HL = subgroup_sum(H, L)
-    degree = {}
-    for i1, g1 in enumerate(m1.grading):
-        for i2, g2 in enumerate(m2.grading):
-            degree[(i1, i2)] = G.add(g1, g2)
-    target_cosets = sorted(
-        {coset_of(G, sum_HL, g) for g in degree.values()}, key=lambda c: c.rep
+
+    mult, rem = divmod(
+        H.order * K.order * L.order * HKL.order,
+        HK.order * subgroup_intersection(K, L).order * span.order * HL.order,
     )
-    coset_index = {}
-    for idx, c in enumerate(target_cosets):
-        for g in c.members:
-            coset_index[g] = idx
-
-    # trace of (left_t ∘ right_-t) ∘ e on each degree-g3 component, g3 = coset rep
-    inv_K = Fraction(1, K.order)
-    traces: dict[tuple, list[CyclotomicNumber]] = {
-        t: [CyclotomicNumber.zero(E) for _ in target_cosets] for t in HL.elements
-    }
-    for t in HL.elements:
-        acc: list[dict[Fraction, Fraction]] = [dict() for _ in target_cosets]
-        for k in K.elements:
-            for point, theta in _tensor_fixed_phases(m1, m2, t, k, G):
-                g3_idx = coset_index[degree[point]]
-                if degree[point] != target_cosets[g3_idx].rep:
-                    continue  # the trace is taken on the canonical component only
-                acc[g3_idx][theta] = acc[g3_idx].get(theta, Fraction(0)) + inv_K
-        for idx, phase_sums in enumerate(acc):
-            total = CyclotomicNumber.zero(E)
-            for theta, coeff in phase_sums.items():
-                total = total + root_of_unity(theta, E) * coeff
-            traces[t][idx] = total
-
-    chars3 = dual_characters(HL)
-    inv_HL = Fraction(1, HL.order)
-    result: Counter[SimpleBimodule] = Counter()
-    for idx, coset3 in enumerate(target_cosets):
-        for chi3 in chars3:
-            total = CyclotomicNumber.zero(E)
-            for t in HL.elements:
-                total = total + root_of_unity((-chi3(t)) % 1, E) * traces[t][idx]
-            total = total * inv_HL
-            mult = as_integer(total)
-            if mult is None:
-                raise InternalConsistencyError(
-                    f"non-integer multiplicity for {S1} ⊗ {S2} at coset {coset3.rep}"
-                )
-            if mult < 0:
-                raise InternalConsistencyError(
-                    f"negative multiplicity {mult} for {S1} ⊗ {S2}"
-                )
-            if mult:
-                result[SimpleBimodule(S1.source, S2.target, coset3, chi3)] = mult
-
-    expected_dim = S1.dimension * S2.dimension // K.order
-    got_dim = sum(m * s.dimension for s, m in result.items())
-    if got_dim != expected_dim:
+    if rem or mult < 1:
         raise InternalConsistencyError(
-            f"dimension mismatch fusing {S1} ⊗ {S2}: {got_dim} != {expected_dim}"
+            f"multiplicity of {S1} ⊗ {S2} is not a positive integer"
         )
-    return dict(result)
 
+    base = G.add(S1.coset.rep, S2.coset.rep)
+    cosets = []
+    covered: set[tuple] = set()
+    for x in span.elements:
+        g = G.add(base, x)
+        if g not in covered:
+            coset = coset_of(G, sum_HL, g)
+            covered.update(coset.members)
+            cosets.append(coset)
+    phases = {t: (S1.character(t) + S2.character(t)) % 1 for t in HKL.elements}
+    chars = [
+        psi for psi in dual_characters(HL)
+        if all(psi(t) == phase for t, phase in phases.items())
+    ]
+    result = {
+        SimpleBimodule(S1.source, S2.target, coset, psi): mult
+        for coset in cosets
+        for psi in chars
+    }
 
-def float_oracle_fuse(S1: SimpleBimodule, S2: SimpleBimodule) -> dict[SimpleBimodule, int]:
-    """Independent floating-point rerun of `fuse` (numpy matrices, tolerance 1e-6)."""
-    _composable(S1, S2)
-    G = S1.group
-    K = S1.target.subgroup
-    H = S1.source.subgroup
-    L = S2.target.subgroup
-    m1 = realize(S1)
-    m2 = realize(S2)
-    n1, n2 = len(m1.grading), len(m2.grading)
-
-    HL = subgroup_intersection(H, L)
-    sum_HL = subgroup_sum(H, L)
-    points = [(i1, i2) for i1 in range(n1) for i2 in range(n2)]
-    degree = {p: G.add(m1.grading[p[0]], m2.grading[p[1]]) for p in points}
-    target_cosets = sorted(
-        {coset_of(G, sum_HL, g) for g in degree.values()}, key=lambda c: c.rep
-    )
-
-    def phase(theta: Fraction) -> complex:
-        return cmath.exp(2j * cmath.pi * float(theta))
-
-    result: Counter[SimpleBimodule] = Counter()
-    chars3 = dual_characters(HL)
-    for coset3 in target_cosets:
-        g3 = coset3.rep
-        comp = [p for p in points if degree[p] == g3]
-        pos = {p: i for i, p in enumerate(comp)}
-        dim = len(comp)
-        e_mat = np.zeros((dim, dim), dtype=complex)
-        for k in K.elements:
-            r1 = m1.right_action[k]
-            l2 = m2.left_action[G.neg(k)]
-            for (i1, i2) in comp:
-                a1, ph1 = r1[i1]
-                a2, ph2 = l2[i2]
-                e_mat[pos[(a1, a2)], pos[(i1, i2)]] += phase(ph1 + ph2)
-        e_mat /= K.order
-        stacked = {}
-        for t in HL.elements:
-            lt = m1.left_action[t]
-            rt = m2.right_action[G.neg(t)]
-            m_t = np.zeros((dim, dim), dtype=complex)
-            for (i1, i2) in comp:
-                b1, ph4 = lt[i1]
-                b2, ph3 = rt[i2]
-                m_t[pos[(b1, b2)], pos[(i1, i2)]] = phase(ph3 + ph4)
-            stacked[t] = m_t @ e_mat
-        for chi3 in chars3:
-            tr = sum(
-                phase((-chi3(t)) % 1) * np.trace(stacked[t]) for t in HL.elements
-            ) / HL.order
-            mult = round(tr.real)
-            if abs(tr.real - mult) > FLOAT_ORACLE_TOLERANCE or abs(tr.imag) > FLOAT_ORACLE_TOLERANCE:
-                raise OracleFailureError(
-                    f"trace {tr} did not resolve to an integer for {S1} ⊗ {S2}"
-                )
-            if mult < 0:
-                raise OracleFailureError(f"negative multiplicity {mult} for {S1}{S2}")
-            if mult:
-                result[SimpleBimodule(S1.source, S2.target, coset3, chi3)] = mult
-    return dict(result)
+    got_dim = sum(m * s.dimension for s, m in result.items())
+    if got_dim * K.order != S1.dimension * S2.dimension:
+        raise InternalConsistencyError(
+            f"dimension mismatch fusing {S1} ⊗ {S2}: "
+            f"{got_dim} != {S1.dimension} * {S2.dimension} / {K.order}"
+        )
+    return result
 
 
 @dataclass(frozen=True)

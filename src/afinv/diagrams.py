@@ -29,7 +29,7 @@ from .bimodules import (
     qsystems,
     simple_bimodules,
 )
-from .errors import InternalConsistencyError, InvalidInputError, UnsupportedFeatureError
+from .errors import InternalConsistencyError, InvalidInputError
 from .groups import FiniteAbelianGroup
 from .k0 import (
     K0Description,
@@ -52,21 +52,18 @@ __all__ = [
     "hom_basis",
     "object_diagram",
     "morphism_matrices",
-    "pointed_class",
     "compute_invariant",
 ]
 
 
 @lru_cache(maxsize=None)
-def _fuse_cached(S1: SimpleBimodule, S2: SimpleBimodule):
-    return tuple(sorted(((str(s), s, m) for s, m in fuse(S1, S2).items())))
+def _fuse_cached(S1: SimpleBimodule, S2: SimpleBimodule) -> dict[SimpleBimodule, int]:
+    """``fuse`` memoized; every caller shares the returned dict, so none may mutate it."""
+    return fuse(S1, S2)
 
 
 def _fuse_multiplicity(S1: SimpleBimodule, S2: SimpleBimodule, target: SimpleBimodule) -> int:
-    for _, s, m in _fuse_cached(S1, S2):
-        if s == target:
-            return m
-    return 0
+    return _fuse_cached(S1, S2).get(target, 0)
 
 
 @dataclass(frozen=True)
@@ -347,7 +344,7 @@ def _check_fusion_consistency(inv: InvariantData) -> None:
             if X.target != Y.source:
                 continue
             total = Fraction(0)
-            for _, Z, m in _fuse_cached(X, Y):
+            for Z, m in _fuse_cached(X, Y).items():
                 qz = defined.get(Z)
                 if qz is None:
                     break
@@ -358,20 +355,6 @@ def _check_fusion_consistency(inv: InvariantData) -> None:
                         f"multiplier table violates fusion: "
                         f"{bimodule_label(X)} ∘ {bimodule_label(Y)}: {total} != {qx * qy}"
                     )
-
-
-def pointed_class(d: EnrichedBratteliDiagram) -> Fraction:
-    """The class of the level-0 generator in the identified unit object."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", CompletenessWarning)
-        unit = qsystems(d.group)[0]
-    sys0, desc = _object_description(d, unit)
-    if not isinstance(desc, RankOneForm):
-        raise UnsupportedFeatureError(
-            "the unit object was not rank-one identified; no rational pointed class"
-        )
-    _, w = _tail_and_pushed_weights(d, sys0)
-    return value_map(desc, 0, w)
 
 
 def unit_localization(inv: InvariantData) -> ScaledLocalization | None:

@@ -80,10 +80,17 @@ def _expect(doc, key, kind):
     return value
 
 
+def _is_int(x) -> bool:
+    # bool subclasses int in Python, but JSON true/false are not numbers
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _element(G: FiniteAbelianGroup, raw) -> tuple[int, ...]:
     if not isinstance(raw, list) or len(raw) != G.rank:
         raise InvalidInputError(f"element {raw!r} does not match the group rank")
-    return G.reduce(tuple(int(x) for x in raw))
+    if not all(_is_int(x) for x in raw):
+        raise InvalidInputError(f"element {raw!r} must be a list of integers")
+    return G.reduce(tuple(raw))
 
 
 # -- groups and subgroups ---------------------------------------------------
@@ -94,7 +101,7 @@ def group_to_json(G: FiniteAbelianGroup) -> dict:
 
 def group_from_json(doc) -> FiniteAbelianGroup:
     factors = _expect(doc, "cyclic_factors", list)
-    if not factors or not all(isinstance(n, int) and n >= 1 for n in factors):
+    if not factors or not all(_is_int(n) and n >= 1 for n in factors):
         raise InvalidInputError("cyclic_factors must be a nonempty list of positive ints")
     return make_group(factors)
 

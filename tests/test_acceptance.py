@@ -14,7 +14,6 @@ from afinv.bimodules import (
     QSystem,
     bimodule_label,
     dual,
-    float_oracle_fuse,
     fuse,
     fusion_table,
     identity_bimodule,
@@ -27,6 +26,7 @@ from afinv.diagrams import morphism_matrices
 from afinv.groups import make_group, subgroups
 from afinv.k0 import RankOneForm, mat_vec, value_map
 
+from fuse_oracle import float_oracle_fuse
 from z4_tables import ALL_TABLES, cell_multiset
 
 FAMILY_ORDER = ("1-1", "1-2", "1-3", "2-1", "2-2", "2-3", "3-1", "3-2", "3-3")

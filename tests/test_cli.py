@@ -2,10 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 import types
 
 import pytest
 
+import afinv
 from afinv.bimodules import identity_bimodule, qsystems
 from afinv.cli import main
 from afinv.diagrams import EnrichedBratteliDiagram
@@ -271,6 +275,44 @@ def test_missing_and_malformed_files(files, capsys):
     assert code == 1 and err.startswith("error:")
     code, _, err = run(capsys, "qsystems", files["bad"])
     assert code == 1 and "not valid JSON" in err
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        pytest.param(lambda d: d["edge"][0]["bimodule"].update(coset_rep=["a"]), id="string"),
+        pytest.param(lambda d: d["vertex"].update(generators=[[[1]]]), id="nested-list"),
+        pytest.param(lambda d: d["edge"][0]["bimodule"].update(coset_rep=[0.5]), id="float"),
+        # the one-edge Z/1 diagram, valid once the factor is 1 instead of true
+        pytest.param(
+            lambda d: d.update(
+                group={"cyclic_factors": [True]}, edge=d["edge"][:1], generator_weights=[1]
+            ),
+            id="bool-factor",
+        ),
+        pytest.param(lambda d: d["edge"][0]["bimodule"].update(coset_rep=[True]), id="bool"),
+    ],
+)
+def test_non_integer_elements_are_input_errors(mutate, tmp_path, z4_diagrams, capsys):
+    doc = diagram_to_json(z4_diagrams["F"])
+    mutate(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "invariant", str(path))
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_cli_imports_no_numpy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(afinv.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import afinv.cli, sys; print('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_group_order_bound(files, capsys):

@@ -20,14 +20,9 @@ from afinv.diagrams import (
     hom_basis,
     morphism_matrices,
     object_diagram,
-    pointed_class,
     unit_localization,
 )
-from afinv.errors import (
-    InternalConsistencyError,
-    InvalidInputError,
-    UnsupportedFeatureError,
-)
+from afinv.errors import InternalConsistencyError, InvalidInputError
 from afinv.groups import make_group
 from afinv.k0 import (
     DirectSumForm,
@@ -180,9 +175,8 @@ def test_pointed_class_indicator_weights(z4_reps):
     G = EnrichedBratteliDiagram.homogeneous(
         Q2, {b: 1 for b in simple_bimodules(Q2, Q2)}, generator_weights=(1, 0)
     )
-    assert pointed_class(F) == Fraction(1, 4)
-    assert pointed_class(G) == Fraction(1, 2)
     assert compute_invariant(F).pointed == Fraction(1, 4)
+    assert compute_invariant(G).pointed == Fraction(1, 2)
 
 
 def test_multipliers_do_not_depend_on_weights(z4_reps, z4_simples, z4_invariants):
@@ -230,7 +224,6 @@ def test_two_level_invariant(two_level_diagram):
     assert all(isinstance(desc, RankOneForm) for desc in inv.objects)
     # weights (1,1,1,1) push through the prefix to (2,2) at the tail start
     assert inv.pointed == 2
-    assert pointed_class(two_level_diagram) == 2
 
 
 def test_morphism_matrices_cover_every_explicit_level(two_level_diagram, z4_simples):
@@ -258,8 +251,6 @@ def test_identity_action_objects_split(identity_diagram, z4_reps):
     # without a rank-one unit the pointed class stays a raw weight vector
     assert inv.pointed == (1, 1, 1, 1)
     assert unit_localization(inv) is None
-    with pytest.raises(UnsupportedFeatureError):
-        pointed_class(identity_diagram)
 
 
 def test_unit_localization_of_translation_action(z4_invariants):
