@@ -1,3 +1,12 @@
+"""Roots of unity as the package keeps them: exact Q/Z phases of characters.
+
+A character value theta in [0, 1) stands for the root of unity e^(2*pi*i*theta).
+The Mackey rule in `afinv.bimodules.fuse` counts characters in this exact
+form, and the float oracle in `tests/fuse_oracle.py` embeds them into the
+complex numbers and projects with character sums.  These tests pin the
+root-of-unity facts both routes rest on.
+"""
+
 import cmath
 from fractions import Fraction
 
@@ -5,108 +14,85 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from afinv.cyclotomic import (
-    CyclotomicNumber,
-    as_integer,
-    cyclotomic_polynomial,
-    root_of_unity,
-)
 from afinv.errors import InvalidInputError
+from afinv.groups import Character, Subgroup, dual_characters, make_group
+
+from fuse_oracle import FLOAT_ORACLE_TOLERANCE
 
 
-@pytest.mark.parametrize(
-    "e,coeffs",
-    [
-        (1, (-1, 1)),
-        (2, (1, 1)),
-        (3, (1, 1, 1)),
-        (4, (1, 0, 1)),
-        (6, (1, -1, 1)),
-        (8, (1, 0, 0, 0, 1)),
-        (9, (1, 0, 0, 1, 0, 0, 1)),
-        (12, (1, 0, -1, 0, 1)),
-    ],
-)
-def test_cyclotomic_polynomials(e, coeffs):
-    assert cyclotomic_polynomial(e) == coeffs
+def cyclic(e):
+    """The whole of Z/e as a subgroup, with its generator."""
+    G = make_group(e)
+    return Subgroup.generated(G, [(1 % e,)])
 
 
-def test_product_of_cyclotomics_is_x_n_minus_1():
-    # prod_{d | 12} Phi_d = x^12 - 1, checked by polynomial multiplication
-    prod = [Fraction(1)]
-    for d in (1, 2, 3, 4, 6, 12):
-        phi = cyclotomic_polynomial(d)
-        out = [Fraction(0)] * (len(prod) + len(phi) - 1)
-        for i, a in enumerate(prod):
-            for j, b in enumerate(phi):
-                out[i + j] += a * b
-        prod = out
-    expected = [Fraction(0)] * 13
-    expected[0], expected[12] = Fraction(-1), Fraction(1)
-    assert prod == expected
+def character_at_generator(H, theta):
+    """The character of the cyclic group H = Z/e sending the generator to theta."""
+    e = H.order
+    return Character.from_values(H, {(k,): k * theta for k in range(e)})
 
 
-def test_fourth_root_squares_to_minus_one():
-    i = root_of_unity(Fraction(1, 4), 4)
-    minus_one = CyclotomicNumber.from_rational(Fraction(-1), 4)
-    assert i * i == minus_one
-    assert i * i * i * i == CyclotomicNumber.from_rational(Fraction(1), 4)
-    assert root_of_unity(Fraction(0), 4) == CyclotomicNumber.from_rational(Fraction(1), 4)
-    assert root_of_unity(Fraction(1, 2), 4) == minus_one
+def embed(theta):
+    return cmath.exp(2j * cmath.pi * float(theta))
 
 
 @pytest.mark.parametrize("e", range(2, 13))
 def test_root_sums_vanish(e):
-    total = CyclotomicNumber.zero(e)
-    for k in range(e):
-        total = total + root_of_unity(Fraction(k, e), e)
-    assert total.is_zero()
+    H = cyclic(e)
+    chars = dual_characters(H)
+    # the generator character takes each e-th root of unity exactly once
+    primitive = character_at_generator(H, Fraction(1, e))
+    assert sorted(primitive.values) == [Fraction(k, e) for k in range(e)]
+    for chi in chars[1:]:
+        total = sum(embed(chi(g)) for g in H.elements)
+        assert abs(total) < FLOAT_ORACLE_TOLERANCE
+    assert abs(sum(embed(chars[0](g)) for g in H.elements) - e) < FLOAT_ORACLE_TOLERANCE
+
+
+def test_fourth_root_squares_to_minus_one():
+    H = cyclic(4)
+    i = character_at_generator(H, Fraction(1, 4))
+    minus_one = character_at_generator(H, Fraction(1, 2))
+    assert i.product(i) == minus_one
+    assert i.product(i).product(i).product(i).is_trivial()
+    assert i((0,)) == 0
+    assert i((2,)) == Fraction(1, 2)
 
 
 def test_mixed_order_arithmetic_lifts():
-    z2 = root_of_unity(Fraction(1, 2), 2)
-    z3 = root_of_unity(Fraction(1, 3), 3)
-    assert z2 * z3 == root_of_unity(Fraction(5, 6), 6)
-    assert (z2 + z3).order == 6
-
-
-def test_as_integer():
-    assert as_integer(CyclotomicNumber.from_rational(Fraction(7), 4)) == 7
-    assert as_integer(root_of_unity(Fraction(1, 4), 4)) is None
-    assert as_integer(CyclotomicNumber.from_rational(Fraction(1, 2), 6)) is None
-    # a disguised integer: z + conj(z) + 1 for z a sixth root is 2
-    z = root_of_unity(Fraction(1, 6), 6)
-    w = root_of_unity(Fraction(5, 6), 6)
-    one = CyclotomicNumber.from_rational(Fraction(1), 6)
-    assert as_integer(z + w + one) == 2
+    H = cyclic(6)
+    z2 = character_at_generator(H, Fraction(1, 2))
+    z3 = character_at_generator(H, Fraction(1, 3))
+    z6 = z2.product(z3)
+    assert z6 == character_at_generator(H, Fraction(5, 6))
+    # the product has order 6: only the sixth multiple sends the generator to 0
+    assert [(k * z6((1,))) % 1 == 0 for k in range(1, 7)] == [False] * 5 + [True]
 
 
 def test_denominator_must_divide_order():
+    H = cyclic(4)
     with pytest.raises(InvalidInputError):
-        root_of_unity(Fraction(1, 3), 4)
+        character_at_generator(H, Fraction(1, 3))
 
 
 def test_complex_embedding():
     for e in (3, 4, 5, 8, 12):
-        for k in range(e):
-            z = root_of_unity(Fraction(k, e), e)
-            expected = cmath.exp(2j * cmath.pi * k / e)
-            assert abs(z.complex_value() - expected) < 1e-9
+        H = cyclic(e)
+        for j in range(e):
+            chi = character_at_generator(H, Fraction(j, e))
+            for k in range(e):
+                expected = cmath.exp(2j * cmath.pi * j * k / e)
+                assert abs(embed(chi((k,))) - expected) < 1e-9
 
 
+Z24 = cyclic(24)
+Z24_CHARACTERS = {chi((1,)): chi for chi in dual_characters(Z24)}
 thetas = st.integers(min_value=0, max_value=23).map(lambda k: Fraction(k, 24))
 
 
 @given(thetas, thetas)
 @settings(max_examples=200)
 def test_root_of_unity_is_a_homomorphism(a, b):
-    za = root_of_unity(a, 24)
-    zb = root_of_unity(b, 24)
-    assert za * zb == root_of_unity((a + b) % 1, 24)
-
-
-@given(thetas, st.fractions(min_value=-5, max_value=5), st.fractions(min_value=-5, max_value=5))
-@settings(max_examples=100)
-def test_scalar_linearity(theta, p, q):
-    z = root_of_unity(theta, 24)
-    assert z * p + z * q == z * (p + q)
+    za = Z24_CHARACTERS[a]
+    zb = Z24_CHARACTERS[b]
+    assert za.product(zb) == Z24_CHARACTERS[(a + b) % 1]
