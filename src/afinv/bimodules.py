@@ -19,7 +19,6 @@ from .errors import (
     InternalConsistencyError,
     InvalidCompositionError,
     InvalidInputError,
-    ResourceLimitError,
     UnsupportedFeatureError,
 )
 from .groups import (
@@ -31,13 +30,10 @@ from .groups import (
     coset_of,
     coset_space,
     dual_characters,
-    schur_trivial,
     subgroup_intersection,
     subgroup_sum,
     subgroups,
 )
-
-DEFAULT_FUSION_ORDER_BOUND = 16
 
 
 class CompletenessWarning(UserWarning):
@@ -62,15 +58,15 @@ class QSystem:
         return f"Q({self.subgroup})"
 
 
-def qsystems(G: FiniteAbelianGroup, bound: int | None = None) -> list[QSystem]:
+def qsystems(G: FiniteAbelianGroup) -> list[QSystem]:
     """The canonical representative set: one untwisted Q-system per subgroup.
 
     The trivial Q-system (the monoidal unit) is always index 0.  A warning is
     issued when some subgroup admits nontrivial cocycle classes, since the
     returned list is then not a complete set of Q-system representatives.
     """
-    subs = subgroups(G) if bound is None else subgroups(G, bound)
-    if any(not schur_trivial(H) for H in subs):
+    subs = subgroups(G)
+    if any(not H.is_cyclic() for H in subs):
         warnings.warn(
             "some subgroups are non-cyclic: twisted Q-system classes exist "
             "but are not enumerated",
@@ -234,7 +230,8 @@ class FusionTable:
 
 
 @lru_cache(maxsize=None)
-def _fusion_table_cached(G: FiniteAbelianGroup) -> FusionTable:
+def fusion_table(G: FiniteAbelianGroup) -> FusionTable:
+    """The full composition table; quadratic in the simple count."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CompletenessWarning)
         reps = qsystems(G)
@@ -252,15 +249,6 @@ def _fusion_table_cached(G: FiniteAbelianGroup) -> FusionTable:
             entry = tuple(sorted((index[s], m) for s, m in out.items()))
             products.append(((i, j), entry))
     return FusionTable(G, tuple(simples), tuple(products))
-
-
-def fusion_table(G: FiniteAbelianGroup, bound: int = DEFAULT_FUSION_ORDER_BOUND) -> FusionTable:
-    """The full composition table; quadratic in the simple count, so bounded."""
-    if G.order > bound:
-        raise ResourceLimitError(
-            f"group order {G.order} exceeds the fusion-table bound {bound}"
-        )
-    return _fusion_table_cached(G)
 
 
 @lru_cache(maxsize=None)

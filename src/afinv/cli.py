@@ -5,9 +5,12 @@ bimodules, printing composition tables, computing the invariant of a diagram,
 comparing two diagrams, running the crossed-product consistency oracle, and
 identifying a single stationary matrix.
 
-Exit codes: 0 success (or verdict "equivalent"), 1 bad input or refused
-resource bounds, 2 internal consistency failure or a failed oracle,
-3 verdict "inequivalent", 4 verdict "unknown".
+Exit codes: 0 success (or verdict "equivalent"), 1 bad input, a usage error
+or a refused resource bound, 2 internal consistency failure or a failed
+oracle, 3 verdict "inequivalent", 4 verdict "unknown".
+
+The CLI alone bounds the order of the groups it reads (``--max-group-order``);
+the library functions take no bounds.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .errors import (
     ResourceLimitError,
     UnsupportedFeatureError,
 )
-from .groups import DEFAULT_GROUP_ORDER_BOUND
 from .k0 import (
     DirectSumForm,
     RankOneForm,
@@ -43,6 +45,11 @@ from .k0 import (
 )
 
 __all__ = ["main"]
+
+# The group-order bounds the CLI admits by default.  A fusion table is
+# quadratic in the simple count, so it gets the smaller one.
+DEFAULT_ORDER_BOUND = 512
+FUSION_TABLE_ORDER_BOUND = 16
 
 
 def _load_json(path: str):
@@ -65,18 +72,27 @@ def _emit(args, doc, lines) -> None:
             print(line)
 
 
-def _group_name(G) -> str:
-    return " x ".join(f"Z/{n}" for n in G.cyclic_factors)
+def _admit(args, G) -> None:
+    """Refuse a group above the subcommand's order bound, before any work on it."""
+    if G.order > args.max_group_order:
+        raise ResourceLimitError(
+            f"group order {G.order} exceeds the bound {args.max_group_order}"
+        )
 
 
 def _load_group(args, path: str):
     G = ser.group_from_json(_load_json(path))
-    bound = args.max_group_order or DEFAULT_GROUP_ORDER_BOUND
-    if G.order > bound:
-        raise ResourceLimitError(
-            f"group order {G.order} exceeds the bound {bound}"
-        )
+    _admit(args, G)
     return G
+
+
+def _load_diagram(args, path: str):
+    doc = _load_json(path)
+    # Admit the group before diagram_from_json builds any subgroup of it; a
+    # document without a group object is left for the parser to reject.
+    if isinstance(doc, dict) and isinstance(doc.get("group"), dict):
+        _admit(args, ser.group_from_json(doc["group"]))
+    return ser.diagram_from_json(doc)
 
 
 def _fmt_terms(labels, terms) -> str:
@@ -99,14 +115,11 @@ def _render_columns(header, rows) -> list[str]:
 
 def _cmd_fusion_table(args) -> int:
     G = _load_group(args, args.group)
-    if args.max_group_order:
-        table = fusion_table(G, bound=args.max_group_order)
-    else:
-        table = fusion_table(G)
+    table = fusion_table(G)
     labels = table.labels()
     doc = ser.fusion_table_to_json(table)
 
-    lines = [f"simple bimodules of Hilb({_group_name(G)}): {len(labels)}"]
+    lines = [f"simple bimodules of Hilb({G}): {len(labels)}"]
     for mi, mid in enumerate(qsystems(G)):
         rows_of = [i for i, s in enumerate(table.simples) if s.target == mid]
         cols_of = [j for j, s in enumerate(table.simples) if s.source == mid]
@@ -128,7 +141,7 @@ def _cmd_qsystems(args) -> int:
     G = _load_group(args, args.group)
     reps = qsystems(G)
     entries = []
-    lines = [f"Q-systems of Hilb({_group_name(G)}): {len(reps)}"]
+    lines = [f"Q-systems of Hilb({G}): {len(reps)}"]
     for k, q in enumerate(reps):
         H = q.subgroup
         entries.append(
@@ -199,15 +212,9 @@ def _describe_object(label, desc, scale) -> str:
 
 
 def _cmd_invariant(args) -> int:
-    d = ser.diagram_from_json(_load_json(args.diagram))
-    bound = args.max_group_order or DEFAULT_GROUP_ORDER_BOUND
-    if d.group.order > bound:
-        raise ResourceLimitError(
-            f"group order {d.group.order} exceeds the bound {bound}"
-        )
-    inv = compute_invariant(d)
+    inv = compute_invariant(_load_diagram(args, args.diagram))
     doc = ser.invariant_to_json(inv)
-    lines = [f"invariant over Hilb({_group_name(inv.group)})", "objects:"]
+    lines = [f"invariant over Hilb({inv.group})", "objects:"]
     for k, label in enumerate(inv.labels):
         lines.append(_describe_object(label, inv.objects[k], inv.scales[k]))
     lines.append("multipliers:")
@@ -225,16 +232,8 @@ def _cmd_invariant(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    d1 = ser.diagram_from_json(_load_json(args.first))
-    d2 = ser.diagram_from_json(_load_json(args.second))
-    bound = args.max_group_order or DEFAULT_GROUP_ORDER_BOUND
-    for d in (d1, d2):
-        if d.group.order > bound:
-            raise ResourceLimitError(
-                f"group order {d.group.order} exceeds the bound {bound}"
-            )
-    inv1 = compute_invariant(d1)
-    inv2 = compute_invariant(d2)
+    inv1 = compute_invariant(_load_diagram(args, args.first))
+    inv2 = compute_invariant(_load_diagram(args, args.second))
     verdict = compare(inv1, inv2, se_lag=args.se_lag, se_entries=args.se_entries)
     doc = ser.verdict_to_json(verdict)
     lines = [f"verdict: {verdict.status}"]
@@ -255,7 +254,7 @@ def _cmd_oracle(args) -> int:
     G = _load_group(args, args.group)
     reps = qsystems(G)
     pairs = []
-    lines = [f"crossed-product oracle over Hilb({_group_name(G)})"]
+    lines = [f"crossed-product oracle over Hilb({G})"]
     all_ok = True
     for i, P in enumerate(reps):
         for j, Q in enumerate(reps):
@@ -296,18 +295,41 @@ def _cmd_k0(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on the input-error exit code 1, not 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _order_bound(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
+def _add_order_bound(p, default: int) -> None:
+    # Declared per subparser: argparse shares a parent parser's actions
+    # between subparsers, so one default set there would leak into all.
+    p.add_argument(
+        "--max-group-order", type=_order_bound, default=default, metavar="N",
+        help=f"refuse groups with more than N elements (default {default})",
+    )
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("text", "json"), default="text",
         help="output format (default: text)",
     )
-    common.add_argument(
-        "--max-group-order", type=int, default=0, metavar="N",
-        help=f"refuse groups with more than N elements (default {DEFAULT_GROUP_ORDER_BOUND})",
-    )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="afinv",
         description="Exact invariants of AF-actions of pointed fusion categories.",
     )
@@ -316,11 +338,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fusion-table", parents=[common],
                        help="all simple bimodules and their compositions")
     p.add_argument("group", help="group JSON file (or - for stdin)")
+    _add_order_bound(p, FUSION_TABLE_ORDER_BOUND)
     p.set_defaults(handler=_cmd_fusion_table)
 
     p = sub.add_parser("qsystems", parents=[common],
                        help="representative Q-systems of the category")
     p.add_argument("group")
+    _add_order_bound(p, DEFAULT_ORDER_BOUND)
     p.set_defaults(handler=_cmd_qsystems)
 
     p = sub.add_parser("bimodules", parents=[common],
@@ -330,11 +354,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="1-based index of the source Q-system")
     p.add_argument("--target", type=int, required=True, metavar="J",
                    help="1-based index of the target Q-system")
+    _add_order_bound(p, DEFAULT_ORDER_BOUND)
     p.set_defaults(handler=_cmd_bimodules)
 
     p = sub.add_parser("invariant", parents=[common],
                        help="compute the pointed invariant of a diagram")
     p.add_argument("diagram")
+    _add_order_bound(p, DEFAULT_ORDER_BOUND)
     p.set_defaults(handler=_cmd_invariant)
 
     p = sub.add_parser("compare", parents=[common],
@@ -345,11 +371,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="probe bounded shift equivalence up to this lag")
     p.add_argument("--se-entries", type=int, default=0, metavar="E",
                    help="entry bound for the shift-equivalence probe")
+    _add_order_bound(p, DEFAULT_ORDER_BOUND)
     p.set_defaults(handler=_cmd_compare)
 
     p = sub.add_parser("oracle", parents=[common],
                        help="cross-check simple counts against crossed products")
     p.add_argument("group")
+    _add_order_bound(p, DEFAULT_ORDER_BOUND)
     p.set_defaults(handler=_cmd_oracle)
 
     p = sub.add_parser("k0", parents=[common],

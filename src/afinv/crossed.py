@@ -31,7 +31,6 @@ __all__ = [
     "crossed_product_blocks",
     "k0_rank",
     "TwistedGroupAlgebra",
-    "twisted_group_algebra",
 ]
 
 
@@ -145,7 +144,3 @@ class TwistedGroupAlgebra:
     def center_dimension(self) -> int:
         """For abelian H the center is spanned by the u_h with regular h."""
         return sum(1 for h in self.subgroup.elements if self.is_regular(h))
-
-
-def twisted_group_algebra(H: Subgroup, mu: CocycleTable) -> TwistedGroupAlgebra:
-    return TwistedGroupAlgebra(H, mu)

@@ -49,7 +49,6 @@ __all__ = [
     "EnrichedBratteliDiagram",
     "InductiveSystem",
     "InvariantData",
-    "hom_basis",
     "object_diagram",
     "morphism_matrices",
     "compute_invariant",
@@ -160,18 +159,16 @@ class InductiveSystem:
     tail: StationarySystem
 
 
-def hom_basis(P: QSystem, v: QSystem) -> list[SimpleBimodule]:
-    """The canonical Z-basis of D(v -> P): simple v-P bimodules in order."""
-    return simple_bimodules(v, P)
-
-
 def _level_bases(d: EnrichedBratteliDiagram, P: QSystem):
-    """Per explicit level: the concatenated hom bases with their vertex index."""
+    """Per explicit level: the concatenated hom bases with their vertex index.
+
+    The canonical Z-basis of D(v -> P) is the ordered list of simple v-P bimodules.
+    """
     out = []
     for level in d.levels:
         basis = []
         for vi, v in enumerate(level):
-            for s in hom_basis(P, v):
+            for s in simple_bimodules(v, P):
                 basis.append((vi, s))
         out.append(basis)
     return out
@@ -265,9 +262,7 @@ def _object_description(d, P):
     return sys, stationary_k0(tail)
 
 
-def compute_invariant(
-    d: EnrichedBratteliDiagram, check_consistency: bool = True
-) -> InvariantData:
+def compute_invariant(d: EnrichedBratteliDiagram) -> InvariantData:
     """Objects, morphism multipliers, and the pointed class, all exact."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CompletenessWarning)
@@ -314,8 +309,7 @@ def compute_invariant(
         morphisms=tuple(morphisms),
         pointed=pointed,
     )
-    if check_consistency:
-        _check_fusion_consistency(inv)
+    _check_fusion_consistency(inv)
     return inv
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import InvalidInputError
 
 __all__ = [
     "FiniteAbelianGroup",
@@ -26,15 +26,12 @@ __all__ = [
     "subgroups",
     "dual_characters",
     "coset_space",
-    "schur_trivial",
     "validate_2cocycle",
     "subgroup_sum",
     "subgroup_intersection",
 ]
 
 Element = tuple  # alias for readability; elements are tuples of ints
-
-DEFAULT_GROUP_ORDER_BOUND = 512
 
 
 @dataclass(frozen=True)
@@ -153,6 +150,7 @@ class Subgroup:
         return len(self.elements)
 
     def is_cyclic(self) -> bool:
+        """Whether H is cyclic, i.e. every 2-cocycle on H is a coboundary."""
         return any(self.group.element_order(a) == self.order for a in self.elements)
 
     def minimal_generators(self) -> tuple[Element, ...]:
@@ -208,16 +206,12 @@ def _subgroups_cached(group: FiniteAbelianGroup) -> tuple[Subgroup, ...]:
     return tuple(sorted(seen.values(), key=Subgroup.sort_key))
 
 
-def subgroups(group: FiniteAbelianGroup, bound: int = DEFAULT_GROUP_ORDER_BOUND) -> list[Subgroup]:
+def subgroups(group: FiniteAbelianGroup) -> list[Subgroup]:
     """All subgroups, sorted by (order, element list); the trivial one is first.
 
     >>> [H.order for H in subgroups(make_group([4]))]
     [1, 2, 4]
     """
-    if group.order > bound:
-        raise ResourceLimitError(
-            f"group order {group.order} exceeds the enumeration bound {bound}"
-        )
     return list(_subgroups_cached(group))
 
 
@@ -346,11 +340,6 @@ def coset_of(group: FiniteAbelianGroup, D: Subgroup, x: Element) -> Coset:
     """The coset x + D with canonical representative."""
     members = tuple(sorted(group.add(x, d) for d in D.elements))
     return Coset(members[0], members)
-
-
-def schur_trivial(H: Subgroup) -> bool:
-    """Whether every 2-cocycle on H is a coboundary (true iff H is cyclic)."""
-    return H.is_cyclic()
 
 
 @dataclass(frozen=True)

@@ -85,12 +85,23 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _expect_int(doc, key) -> int:
+    value = _expect(doc, key, None)
+    if not _is_int(value):
+        raise InvalidInputError(f"key {key!r} must be an integer")
+    return value
+
+
+def _ints(raw, what: str) -> tuple[int, ...]:
+    if not isinstance(raw, list) or not all(_is_int(x) for x in raw):
+        raise InvalidInputError(f"{what} must be a list of integers")
+    return tuple(raw)
+
+
 def _element(G: FiniteAbelianGroup, raw) -> tuple[int, ...]:
     if not isinstance(raw, list) or len(raw) != G.rank:
         raise InvalidInputError(f"element {raw!r} does not match the group rank")
-    if not all(_is_int(x) for x in raw):
-        raise InvalidInputError(f"element {raw!r} must be a list of integers")
-    return G.reduce(tuple(raw))
+    return G.reduce(_ints(raw, f"element {raw!r}"))
 
 
 # -- groups and subgroups ---------------------------------------------------
@@ -196,12 +207,10 @@ def fusion_table_from_json(doc) -> FusionTable:
             raise InvalidInputError(f"bad product key {key!r}") from exc
         if not (0 <= i < len(simples) and 0 <= j < len(simples)):
             raise InvalidInputError(f"product key {key!r} is out of range")
+        if not isinstance(terms, list):
+            raise InvalidInputError(f"product {key!r} must be a list of terms")
         parsed = tuple(
-            (
-                int(_expect(t, "index", int)),
-                int(_expect(t, "multiplicity", int)),
-            )
-            for t in terms
+            (_expect_int(t, "index"), _expect_int(t, "multiplicity")) for t in terms
         )
         products.append(((i, j), parsed))
     products.sort(key=lambda item: item[0])
@@ -218,13 +227,11 @@ def matrix_to_json(sys: StationarySystem) -> dict:
 
 
 def matrix_from_json(doc) -> StationarySystem:
-    rows = _expect(doc, "rows", list)
-    try:
-        matrix = tuple(tuple(int(x) for x in row) for row in rows)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError("matrix rows must be lists of integers") from exc
+    matrix = tuple(_ints(row, "matrix rows") for row in _expect(doc, "rows", list))
     labels = doc.get("labels")
     if labels is not None:
+        if not isinstance(labels, list):
+            raise InvalidInputError("matrix labels must be a list")
         labels = tuple(str(x) for x in labels)
     return StationarySystem(matrix, labels)
 
@@ -258,16 +265,15 @@ def k0_to_json(desc: K0Description) -> dict:
 
 
 def _json_to_matrix(doc) -> tuple[tuple[int, ...], ...]:
-    rows = _expect(doc, "matrix", list)
-    return tuple(tuple(int(x) for x in row) for row in rows)
+    return tuple(_ints(row, "matrix rows") for row in _expect(doc, "matrix", list))
 
 
 def _rank_one_from_json(doc) -> RankOneForm:
     return RankOneForm(
         matrix=_json_to_matrix(doc),
-        eigenvalue=int(_expect(doc, "eigenvalue", int)),
-        left_vector=tuple(int(x) for x in _expect(doc, "left_vector", list)),
-        prime_set=frozenset(int(p) for p in _expect(doc, "prime_set", list)),
+        eigenvalue=_expect_int(doc, "eigenvalue"),
+        left_vector=_ints(_expect(doc, "left_vector", None), "left_vector"),
+        prime_set=frozenset(_ints(_expect(doc, "prime_set", None), "prime_set")),
     )
 
 
@@ -280,12 +286,12 @@ def k0_from_json(doc) -> K0Description:
             matrix=_json_to_matrix(doc),
             blocks=tuple(_rank_one_from_json(b) for b in _expect(doc, "blocks", list)),
             partition=tuple(
-                tuple(int(i) for i in p) for p in _expect(doc, "partition", list)
+                _ints(p, "partition blocks") for p in _expect(doc, "partition", list)
             ),
         )
     if variant == "opaque":
         return OpaquePresentation(
-            matrix=_json_to_matrix(doc), rank=int(_expect(doc, "rank", int))
+            matrix=_json_to_matrix(doc), rank=_expect_int(doc, "rank")
         )
     raise InvalidInputError(f"unknown K0 description variant {variant!r}")
 
@@ -325,8 +331,10 @@ def diagram_to_json(d: EnrichedBratteliDiagram) -> dict:
 
 
 def _edge_from_json(G, doc, source=0, target=0) -> DiagramEdge:
+    if not isinstance(doc, dict):
+        raise InvalidInputError(f"edge {doc!r} must be an object")
     mult = doc.get("multiplicity", 1)
-    if not isinstance(mult, int):
+    if not _is_int(mult):
         raise InvalidInputError("edge multiplicity must be an integer")
     return DiagramEdge(
         source, target, bimodule_from_json(G, _expect(doc, "bimodule", dict)), mult
@@ -336,7 +344,7 @@ def _edge_from_json(G, doc, source=0, target=0) -> DiagramEdge:
 def diagram_from_json(doc) -> EnrichedBratteliDiagram:
     G = group_from_json(_expect(doc, "group", dict))
     weights = _expect(doc, "generator_weights", list)
-    if not all(isinstance(w, int) for w in weights):
+    if not all(_is_int(w) for w in weights):
         raise InvalidInputError("generator_weights must be integers")
     if "vertex" in doc:
         vertex = QSystem(subgroup_from_json(G, doc["vertex"]))
@@ -353,12 +361,7 @@ def diagram_from_json(doc) -> EnrichedBratteliDiagram:
         parsed = []
         for e in block:
             parsed.append(
-                _edge_from_json(
-                    G,
-                    e,
-                    int(_expect(e, "from", int)),
-                    int(_expect(e, "to", int)),
-                )
+                _edge_from_json(G, e, _expect_int(e, "from"), _expect_int(e, "to"))
             )
         blocks.append(tuple(parsed))
     return EnrichedBratteliDiagram(G, levels, tuple(blocks), tuple(weights))
@@ -425,7 +428,7 @@ def invariant_from_json(doc) -> InvariantData:
         morphisms.append((X, frac_from_str(raw) if raw is not None else None))
     pointed_raw = _expect(doc, "pointed", None)
     if isinstance(pointed_raw, list):
-        pointed = tuple(int(x) for x in pointed_raw)
+        pointed = _ints(pointed_raw, "pointed class vector")
     else:
         pointed = frac_from_str(pointed_raw)
     return InvariantData(

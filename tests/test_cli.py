@@ -43,7 +43,6 @@ def files(tmp_path, z4, z4_diagrams):
     trivdiag = EnrichedBratteliDiagram.homogeneous(Q, {identity_bimodule(Q): 1})
     put("trivdiag.json", diagram_to_json(trivdiag))
     put("mat.json", matrix_to_json(StationarySystem(((2, 2), (2, 2)))))
-    put("nonsquare.json", {"rows": [[1, 2]]})
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     paths["bad"] = str(bad)
@@ -55,6 +54,22 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(*argv):
+    """Run the CLI in a fresh interpreter, as a shell would."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(afinv.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "afinv.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+def write_json(tmp_path, name, doc) -> str:
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
 
 
 # ------------------------------------------------------------------- qsystems
@@ -261,10 +276,21 @@ def test_k0_identifies_matrix(files, capsys):
     assert json.loads(out)["variant"] == "rank-one"
 
 
-def test_k0_rejects_nonsquare(files, capsys):
-    code, _, err = run(capsys, "k0", "--matrix", files["nonsquare"])
+@pytest.mark.parametrize(
+    "doc",
+    [
+        pytest.param({"rows": [[1, 2]]}, id="nonsquare"),
+        pytest.param({"rows": [[1.5, 1], [1, 1]]}, id="float"),
+        pytest.param({"rows": [["3", 1], [1, 1]]}, id="string"),
+        pytest.param({"rows": [[True, 1], [1, 1]]}, id="bool"),
+        pytest.param({"rows": [[1, 1], [1, 1]], "labels": 5}, id="labels-not-a-list"),
+    ],
+)
+def test_k0_rejects_nonsquare(doc, tmp_path, capsys):
+    code, _, err = run(capsys, "k0", "--matrix", write_json(tmp_path, "m.json", doc))
     assert code == 1
-    assert err.startswith("error:")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 # ------------------------------------------------------------- error handling
@@ -275,6 +301,23 @@ def test_missing_and_malformed_files(files, capsys):
     assert code == 1 and err.startswith("error:")
     code, _, err = run(capsys, "qsystems", files["bad"])
     assert code == 1 and "not valid JSON" in err
+
+
+def _two_vertex_level(d, override):
+    """Recast F as one level of two trivial vertices, each looping to itself."""
+    loop = {"bimodule": d.pop("edge")[0]["bimodule"]}
+    d.update(
+        levels=[[d.pop("vertex")] * 2],
+        edges=[[{**loop, "from": 0, "to": 0}, {**loop, "from": 1, "to": 1, **override}]],
+        generator_weights=[1] * 8,
+    )
+
+
+def test_two_vertex_level_recast_is_valid(tmp_path, z4_diagrams, capsys):
+    doc = diagram_to_json(z4_diagrams["F"])
+    _two_vertex_level(doc, {})
+    code, _, err = run(capsys, "invariant", write_json(tmp_path, "two.json", doc))
+    assert code == 0, err
 
 
 @pytest.mark.parametrize(
@@ -291,6 +334,12 @@ def test_missing_and_malformed_files(files, capsys):
             id="bool-factor",
         ),
         pytest.param(lambda d: d["edge"][0]["bimodule"].update(coset_rep=[True]), id="bool"),
+        pytest.param(lambda d: d["edge"].append("x"), id="edge-not-an-object"),
+        pytest.param(lambda d: d["edge"][0].update(multiplicity=True), id="bool-multiplicity"),
+        pytest.param(lambda d: d.update(generator_weights=[True, 1, 1, 1]), id="bool-weight"),
+        # true would pass for index 1, which the two-vertex level has
+        pytest.param(lambda d: _two_vertex_level(d, {"from": True}), id="bool-from"),
+        pytest.param(lambda d: _two_vertex_level(d, {"to": True}), id="bool-to"),
     ],
 )
 def test_non_integer_elements_are_input_errors(mutate, tmp_path, z4_diagrams, capsys):
@@ -319,6 +368,79 @@ def test_group_order_bound(files, capsys):
     code, _, err = run(capsys, "qsystems", files["z4"], "--max-group-order", "3")
     assert code == 1
     assert "exceeds the bound 3" in err
+
+
+def test_group_order_flag_raises_the_default_bound(tmp_path, capsys):
+    z521 = write_json(tmp_path, "z521.json", {"cyclic_factors": [521]})
+    code, out, err = run(capsys, "qsystems", z521, "--max-group-order", "1000")
+    assert code == 0, err
+    assert "Q-systems of Hilb(Z/521): 2" in out
+
+
+@pytest.mark.parametrize("command", ["invariant", "compare"])
+def test_diagram_group_is_refused_before_any_bimodule_is_parsed(
+    command, tmp_path, capsys, monkeypatch
+):
+    # one G-G edge over Z/4000: parsing it would sum G with itself, 16 M additions
+    gens = [[1]]
+    doc = {
+        "group": {"cyclic_factors": [4000]},
+        "vertex": {"generators": gens},
+        "edge": [{"bimodule": {"source_generators": gens, "target_generators": gens,
+                               "coset_rep": [0], "character": {"theta": {}}}}],
+        "generator_weights": [1],
+    }
+    path = write_json(tmp_path, "big.json", doc)
+
+    def refuse(*args):
+        raise AssertionError("a bimodule was parsed before the group-order check")
+
+    monkeypatch.setattr("afinv.serialize.bimodule_from_json", refuse)
+    argv = [path] if command == "invariant" else [path, path]
+    code, _, err = run(capsys, command, *argv)
+    assert code == 1
+    assert "group order 4000 exceeds the bound 512" in err
+
+
+def test_fusion_table_default_bound_is_sixteen(tmp_path, capsys):
+    z17 = write_json(tmp_path, "z17.json", {"cyclic_factors": [17]})
+    code, _, err = run(capsys, "fusion-table", z17)
+    assert code == 1
+    assert "exceeds the bound 16" in err
+    code, out, err = run(capsys, "fusion-table", z17, "--max-group-order", "17")
+    assert code == 0, err
+    assert "simple bimodules of Hilb(Z/17): 36" in out
+
+
+def test_fusion_table_help_names_its_default(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fusion-table", "--help"])
+    assert exc.value.code == 0
+    assert "(default 16)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["qsystems"], id="missing-argument"),
+        pytest.param(["frobnicate"], id="unknown-subcommand"),
+        pytest.param(["qsystems", "z4", "--max-group-order", "abc"], id="non-integer-bound"),
+        pytest.param(["qsystems", "z4", "--max-group-order", "0"], id="zero-bound"),
+        pytest.param(["qsystems", "z4", "--max-group-order", "-5"], id="negative-bound"),
+        pytest.param(["k0", "--matrix", "mat", "--max-group-order", "5"], id="k0-takes-no-bound"),
+    ],
+)
+def test_usage_errors_exit_one(argv, files):
+    proc = run_process(*(files.get(a, a) for a in argv))
+    assert proc.returncode == 1
+    assert "usage:" in proc.stderr and "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_help_exits_zero():
+    proc = run_process("--help")
+    assert proc.returncode == 0
+    assert "usage: afinv" in proc.stdout
 
 
 def test_stdin_input(files, capsys, monkeypatch, z4):

@@ -12,11 +12,7 @@ import numpy as np
 import pytest
 
 from afinv.bimodules import QSystem, simple_bimodules
-from afinv.crossed import (
-    crossed_product_blocks,
-    k0_rank,
-    twisted_group_algebra,
-)
+from afinv.crossed import TwistedGroupAlgebra, crossed_product_blocks, k0_rank
 from afinv.errors import InvalidInputError
 from afinv.groups import CocycleTable, Subgroup, make_group, subgroups
 
@@ -134,7 +130,7 @@ def _numeric_center_dimension(alg) -> int:
 def test_nontrivially_twisted_klein_algebra_is_a_matrix_algebra():
     H = _klein_four_subgroup()
     mu = CocycleTable.from_function(H, lambda a, b: Fraction(a[1] * b[0], 2))
-    alg = twisted_group_algebra(H, mu)
+    alg = TwistedGroupAlgebra(H, mu)
     assert alg.dimension == 4
     assert alg.is_regular((0, 0))
     assert not alg.is_regular((1, 0))
@@ -144,7 +140,7 @@ def test_nontrivially_twisted_klein_algebra_is_a_matrix_algebra():
 
 def test_untwisted_algebra_is_commutative():
     H = _klein_four_subgroup()
-    alg = twisted_group_algebra(H, CocycleTable.trivial(H))
+    alg = TwistedGroupAlgebra(H, CocycleTable.trivial(H))
     assert alg.center_dimension() == 4
     assert _numeric_center_dimension(alg) == 4
 
@@ -152,11 +148,11 @@ def test_untwisted_algebra_is_commutative():
 def test_small_untwisted_algebras():
     G = make_group(4)
     order_two = Subgroup.generated(G, [(2,)])
-    alg = twisted_group_algebra(order_two, CocycleTable.trivial(order_two))
+    alg = TwistedGroupAlgebra(order_two, CocycleTable.trivial(order_two))
     assert alg.dimension == 2
     assert alg.center_dimension() == 2
     point = Subgroup.generated(G, [])
-    scalars = twisted_group_algebra(point, CocycleTable.trivial(point))
+    scalars = TwistedGroupAlgebra(point, CocycleTable.trivial(point))
     assert scalars.dimension == 1
     assert scalars.center_dimension() == 1
 
@@ -164,7 +160,7 @@ def test_small_untwisted_algebras():
 def test_twisted_products_carry_phases():
     H = _klein_four_subgroup()
     mu = CocycleTable.from_function(H, lambda a, b: Fraction(a[1] * b[0], 2))
-    alg = twisted_group_algebra(H, mu)
+    alg = TwistedGroupAlgebra(H, mu)
     assert alg.product((0, 1), (1, 0)) == ((1, 1), Fraction(1, 2))
     assert alg.product((1, 0), (0, 1)) == ((1, 1), Fraction(0))
 
@@ -174,4 +170,4 @@ def test_twisted_algebra_validates_its_cocycle():
     H = Subgroup.generated(G, [(1, 0), (0, 1)])
     other = Subgroup.generated(G, [(1, 0)])
     with pytest.raises(InvalidInputError):
-        twisted_group_algebra(H, CocycleTable.trivial(other))
+        TwistedGroupAlgebra(H, CocycleTable.trivial(other))

@@ -16,8 +16,8 @@ from afinv.diagrams import (
     EnrichedBratteliDiagram,
     InductiveSystem,
     _check_fusion_consistency,
+    _level_bases,
     compute_invariant,
-    hom_basis,
     morphism_matrices,
     object_diagram,
     unit_localization,
@@ -262,9 +262,9 @@ def test_unit_localization_of_translation_action(z4_invariants):
 
 def test_trivial_group_diagram_is_plain_integers():
     Q = qsystems(make_group(1))[0]
-    assert hom_basis(Q, Q) == simple_bimodules(Q, Q)
-    assert len(hom_basis(Q, Q)) == 1
     d = EnrichedBratteliDiagram.homogeneous(Q, {identity_bimodule(Q): 1})
+    assert _level_bases(d, Q) == [[(0, s) for s in simple_bimodules(Q, Q)]]
+    assert len(simple_bimodules(Q, Q)) == 1
     assert object_diagram(d, Q).matrix == ((1,),)
     inv = compute_invariant(d)
     (obj,) = inv.objects
@@ -331,9 +331,10 @@ def test_edge_validation(z4, z4_reps, z4_simples):
         EnrichedBratteliDiagram(z4, ((Q2,),), (), (1, 1))
 
 
-def test_hom_basis_matches_simple_bimodules(z4_reps):
+def test_hom_basis_matches_simple_bimodules(z4_reps, z4_diagrams):
     Q1, Q2, Q3 = z4_reps
-    assert hom_basis(Q2, Q3) == simple_bimodules(Q3, Q2)
-    assert [bimodule_label(s) for s in hom_basis(Q1, Q1)] == [
+    # the hom basis of D(v -> P) at the lone vertex v = Q3 of H
+    assert [s for _, s in _level_bases(z4_diagrams["H"], Q2)[0]] == simple_bimodules(Q3, Q2)
+    assert [bimodule_label(s) for s in simple_bimodules(Q1, Q1)] == [
         f"M_{{1-1,{g}}}" for g in range(4)
     ]

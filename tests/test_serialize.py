@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from afinv.bimodules import fusion_table, identity_bimodule, simple_bimodules
+from afinv.bimodules import fusion_table, identity_bimodule, qsystems, simple_bimodules
 from afinv.compare import Verdict, compare
 from afinv.diagrams import (
     DiagramEdge,
@@ -168,6 +168,49 @@ def test_rank_one_documents_carry_a_derived_scale():
 def test_unknown_k0_variant_is_rejected():
     with pytest.raises(InvalidInputError):
         k0_from_json({"variant": "mystery", "matrix": [[1]]})
+
+
+def _k0_doc(matrix):
+    return k0_to_json(stationary_k0(StationarySystem(matrix)))
+
+
+def _table_with_bool_multiplicity():
+    doc = through_json(fusion_table_to_json(fusion_table(make_group(2))))
+    doc["products"]["0,0"][0]["multiplicity"] = True
+    return doc
+
+
+def _invariant_with_bool_pointed():
+    Q1 = qsystems(make_group(4))[0]
+    inv = compute_invariant(
+        EnrichedBratteliDiagram.homogeneous(Q1, {identity_bimodule(Q1): 1})
+    )
+    return {**invariant_to_json(inv), "pointed": [True, 1, 1, 1]}
+
+
+@pytest.mark.parametrize(
+    "parse, build",
+    [
+        pytest.param(k0_from_json, lambda: {**_k0_doc(((2, 2), (2, 2))), "eigenvalue": True},
+                     id="bool-eigenvalue"),
+        pytest.param(k0_from_json, lambda: {**_k0_doc(((2, 2), (2, 2))), "left_vector": [1.5, 1]},
+                     id="float-left-vector"),
+        pytest.param(k0_from_json, lambda: {**_k0_doc(((2, 2), (2, 2))), "prime_set": ["2"]},
+                     id="string-prime"),
+        pytest.param(k0_from_json, lambda: {**_k0_doc(((2, 2), (2, 2))), "matrix": [["2", 2], [2, 2]]},
+                     id="string-matrix-entry"),
+        pytest.param(k0_from_json, lambda: {**_k0_doc(((4, 0), (0, 4))), "partition": [[0], [True]]},
+                     id="bool-partition-index"),
+        pytest.param(k0_from_json, lambda: {**_k0_doc(((1, 1), (0, 1))), "rank": True},
+                     id="bool-rank"),
+        pytest.param(fusion_table_from_json, _table_with_bool_multiplicity,
+                     id="bool-table-multiplicity"),
+        pytest.param(invariant_from_json, _invariant_with_bool_pointed, id="bool-pointed"),
+    ],
+)
+def test_integer_fields_take_only_json_integers(parse, build):
+    with pytest.raises(InvalidInputError):
+        parse(through_json(build()))
 
 
 # -------------------------------------------------------------------- diagrams
