@@ -66,9 +66,13 @@ def _orbits(G: FiniteAbelianGroup, K: Subgroup, H: Subgroup):
     while remaining:
         rep = min(remaining)
         seen = {}
+        covered: set = set()
         for h in H.elements:
-            c = coset_of(G, K, G.add(rep, h))
-            seen[c.rep] = c
+            x = G.add(rep, h)
+            if x not in covered:
+                c = coset_of(G, K, x)
+                covered.update(c.members)
+                seen[c.rep] = c
         orbit = tuple(seen[r] for r in sorted(seen))
         for r in seen:
             del remaining[r]
@@ -86,17 +90,17 @@ def crossed_product_blocks(
     stabilizer = None
     for orbit in _orbits(G, K, H):
         x = orbit[0].rep
-        stab_elements = [
-            h for h in H.elements if coset_of(G, K, G.add(x, h)) == orbit[0]
-        ]
-        stab = Subgroup.generated(G, stab_elements)
+        base = set(orbit[0].members)
+        # filtered from the sorted H.elements, so already a sorted subgroup
+        stab = Subgroup(G, tuple(h for h in H.elements if G.add(x, h) in base))
         if stabilizer is None:
             stabilizer = stab
+            characters = dual_characters(stab)
         elif stab != stabilizer:
             raise InternalConsistencyError("stabilizers differ across orbits")
         if len(orbit) * stab.order != H.order:
             raise InternalConsistencyError("orbit-stabilizer count is off")
-        for chi in dual_characters(stab):
+        for chi in characters:
             blocks.append(CrossedBlock(orbit[0], chi, len(orbit)))
     result = CrossedProductBlocks(G, K, H, tuple(blocks))
     expected = (G.order // K.order) * H.order

@@ -185,25 +185,53 @@ def make_group(cyclic_factors) -> FiniteAbelianGroup:
     return FiniteAbelianGroup(factors)
 
 
+def _cyclic_generators(group: FiniteAbelianGroup) -> list[Element]:
+    """One generator g of each nontrivial cyclic subgroup <g>, in lex order of g.
+
+    The multiples k*g with gcd(k, |g|) = 1 generate the same subgroup, so they
+    are marked and skipped; each cyclic subgroup is walked once.
+    """
+    gens = []
+    done = {group.zero()}
+    for g in group.elements():
+        if g in done:
+            continue
+        gens.append(g)
+        n = group.element_order(g)
+        x = g
+        for k in range(1, n + 1):
+            if math.gcd(k, n) == 1:
+                done.add(x)
+            x = group.add(x, g)
+    return gens
+
+
 @lru_cache(maxsize=None)
 def _subgroups_cached(group: FiniteAbelianGroup) -> tuple[Subgroup, ...]:
-    trivial = Subgroup.generated(group, [])
-    seen = {trivial.elements: trivial}
-    frontier = [trivial]
-    all_elements = group.elements()
+    # Every subgroup of a finite abelian group is a join of cyclic subgroups,
+    # so closing {0} under H -> H + <g> reaches the whole lattice.  H + <g> is
+    # the union of the cosets k*g + H for k below the first k with k*g in H.
+    gens = _cyclic_generators(group)
+    seen = {frozenset([group.zero()])}
+    frontier = list(seen)
     while frontier:
         new_frontier = []
-        for sub in frontier:
-            for g in all_elements:
-                if sub.contains(g):
+        for H in frontier:
+            for g in gens:
+                if g in H:
                     continue
-                # abelian closure of sub + <g> without a general fixpoint loop
-                bigger = Subgroup.generated(group, list(sub.minimal_generators()) + [g])
-                if bigger.elements not in seen:
-                    seen[bigger.elements] = bigger
-                    new_frontier.append(bigger)
+                joined = set(H)
+                shift = g
+                while shift not in H:
+                    joined.update(group.add(shift, h) for h in H)
+                    shift = group.add(shift, g)
+                joined = frozenset(joined)
+                if joined not in seen:
+                    seen.add(joined)
+                    new_frontier.append(joined)
         frontier = new_frontier
-    return tuple(sorted(seen.values(), key=Subgroup.sort_key))
+    found = [Subgroup(group, tuple(sorted(H))) for H in seen]
+    return tuple(sorted(found, key=Subgroup.sort_key))
 
 
 def subgroups(group: FiniteAbelianGroup) -> list[Subgroup]:
@@ -288,22 +316,25 @@ def dual_characters(H: Subgroup) -> list[Character]:
     """All characters of H, sorted by value table; the trivial character is first.
 
     Every character of a subgroup extends to the ambient group (Q/Z is
-    divisible), so restricting all ambient characters is exhaustive.
+    divisible), so restricting all ambient characters is exhaustive.  The
+    values are computed as integers over the common denominator E = exponent
+    of G: the ambient character with coefficients c takes e to
+    sum c_i * e_i * (E / n_i) mod E, over E.
     """
     G = H.group
-    seen: dict[tuple[Fraction, ...], Character] = {}
-    for coeffs in itertools.product(*(range(n) for n in G.cyclic_factors)):
-        values = tuple(
-            sum((Fraction(c * x, n) for c, x, n in zip(coeffs, e, G.cyclic_factors)),
-                start=Fraction(0)) % 1
-            for e in H.elements
-        )
-        if values not in seen:
-            seen[values] = Character(H, values)
-    chars = [seen[v] for v in sorted(seen)]
-    if len(chars) != H.order:
-        raise InvalidInputError(f"expected {H.order} characters, found {len(chars)}")
-    return chars
+    E = G.exponent
+    # each element of H as its integer weights e_i * (E / n_i)
+    weights = [
+        tuple(x * (E // n) for x, n in zip(e, G.cyclic_factors)) for e in H.elements
+    ]
+    tables = {
+        tuple(sum(c * w for c, w in zip(coeffs, ws)) % E for ws in weights)
+        for coeffs in itertools.product(*(range(n) for n in G.cyclic_factors))
+    }
+    if len(tables) != H.order:
+        raise InvalidInputError(f"expected {H.order} characters, found {len(tables)}")
+    phase = {v: Fraction(v, E) for v in set().union(*tables)}
+    return [Character(H, tuple(phase[v] for v in t)) for t in sorted(tables)]
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ can map those to its input-error exit code.  For every renderer here,
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .bimodules import QSystem, SimpleBimodule, FusionTable, bimodule_label
@@ -64,10 +65,16 @@ def frac_to_str(q: Fraction) -> str:
     return str(Fraction(q))
 
 
+# the form frac_to_str writes: an optional minus, digits, optionally /digits
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def frac_from_str(s) -> Fraction:
+    if not isinstance(s, str) or not _RATIONAL.fullmatch(s):
+        raise InvalidInputError(f"not a rational number: {s!r}")
     try:
         return Fraction(s)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise InvalidInputError(f"not a rational number: {s!r}") from exc
 
 
@@ -96,6 +103,12 @@ def _ints(raw, what: str) -> tuple[int, ...]:
     if not isinstance(raw, list) or not all(_is_int(x) for x in raw):
         raise InvalidInputError(f"{what} must be a list of integers")
     return tuple(raw)
+
+
+def _list(raw, what: str) -> list:
+    if not isinstance(raw, list):
+        raise InvalidInputError(f"each {what} must be a list")
+    return raw
 
 
 def _element(G: FiniteAbelianGroup, raw) -> tuple[int, ...]:
@@ -353,13 +366,13 @@ def diagram_from_json(doc) -> EnrichedBratteliDiagram:
         )
         return EnrichedBratteliDiagram(G, ((vertex,),), (edges,), tuple(weights))
     levels = tuple(
-        tuple(QSystem(subgroup_from_json(G, v)) for v in level)
+        tuple(QSystem(subgroup_from_json(G, v)) for v in _list(level, "level"))
         for level in _expect(doc, "levels", list)
     )
     blocks = []
     for block in _expect(doc, "edges", list):
         parsed = []
-        for e in block:
+        for e in _list(block, "edge block"):
             parsed.append(
                 _edge_from_json(G, e, _expect_int(e, "from"), _expect_int(e, "to"))
             )

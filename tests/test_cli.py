@@ -340,6 +340,19 @@ def test_two_vertex_level_recast_is_valid(tmp_path, z4_diagrams, capsys):
         # true would pass for index 1, which the two-vertex level has
         pytest.param(lambda d: _two_vertex_level(d, {"from": True}), id="bool-from"),
         pytest.param(lambda d: _two_vertex_level(d, {"to": True}), id="bool-to"),
+        pytest.param(
+            lambda d: (_two_vertex_level(d, {}), d["levels"].__setitem__(0, 5)),
+            id="level-not-a-list",
+        ),
+        pytest.param(
+            lambda d: (_two_vertex_level(d, {}), d["edges"].__setitem__(0, 5)),
+            id="edge-block-not-a-list",
+        ),
+        # 10**999 is 0 mod 1, so only the written form of a rational can refuse it
+        pytest.param(
+            lambda d: d["edge"][0]["bimodule"]["character"]["theta"].update({"[0]": "1e999"}),
+            id="theta-exponent",
+        ),
     ],
 )
 def test_non_integer_elements_are_input_errors(mutate, tmp_path, z4_diagrams, capsys):

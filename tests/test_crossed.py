@@ -91,6 +91,19 @@ def test_dimension_count_identity():
             assert result.total_dimension == (G.order // K.order) * H.order
 
 
+def test_regular_blocks_need_no_generated_closure(monkeypatch):
+    G = make_group(127)
+    full = subgroups(G)[-1]
+
+    def refuse(cls, group, generators):
+        raise AssertionError("Subgroup.generated called")
+
+    monkeypatch.setattr(Subgroup, "generated", classmethod(refuse))
+    result = crossed_product_blocks(G, full, full)
+    assert result.k0_rank == 127
+    assert all(b.size == 1 for b in result.blocks)
+
+
 def test_foreign_subgroups_are_rejected():
     G = make_group(4)
     other = make_group(8)

@@ -8,6 +8,7 @@ from afinv.groups import (
     Character,
     CocycleTable,
     Subgroup,
+    _subgroups_cached,
     coset_of,
     coset_space,
     dual_characters,
@@ -46,6 +47,53 @@ def test_subgroup_enumeration_against_brute_force(factors, count):
     got = {H.elements for H in subgroups(G)}
     assert got == expected
     assert len(got) == count
+
+
+def generator_closure_subgroups(G):
+    """Reference lattice: close each subgroup found under one more element."""
+    trivial = Subgroup.generated(G, [])
+    seen = {trivial.elements: trivial}
+    frontier = [trivial]
+    while frontier:
+        new_frontier = []
+        for sub in frontier:
+            for g in G.elements():
+                if sub.contains(g):
+                    continue
+                bigger = Subgroup.generated(G, list(sub.minimal_generators()) + [g])
+                if bigger.elements not in seen:
+                    seen[bigger.elements] = bigger
+                    new_frontier.append(bigger)
+        frontier = new_frontier
+    return sorted(seen.values(), key=Subgroup.sort_key)
+
+
+@pytest.mark.parametrize(
+    "factors,count",
+    [([2, 2, 4], 27), ([4, 4], 15), ([3, 9], 10), ([2, 2, 2, 2], 67), ([9, 9], 23)],
+)
+def test_subgroups_match_generator_closure(factors, count):
+    G = make_group(factors)
+    got = [H.elements for H in subgroups(G)]
+    assert got == [H.elements for H in generator_closure_subgroups(G)]
+    assert len(got) == count
+
+
+@pytest.mark.parametrize("n", [1, 12, 30, 128, 512])
+def test_cyclic_subgroup_count_is_divisor_count(n):
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    subs = subgroups(make_group(n))
+    assert len(subs) == len(divisors)
+    assert [H.order for H in subs] == divisors
+
+
+def test_subgroup_enumeration_builds_no_generated_closure(monkeypatch):
+    def refuse(cls, group, generators):
+        raise AssertionError("Subgroup.generated called")
+
+    monkeypatch.setattr(Subgroup, "generated", classmethod(refuse))
+    # bypass the cache, so the enumeration really runs under the patch
+    assert len(_subgroups_cached.__wrapped__(make_group([2, 2, 4]))) == 27
 
 
 def test_subgroups_sorted_by_order_then_elements():
@@ -103,6 +151,26 @@ def test_dual_characters_against_brute_force(factors, gens):
     assert len(chars) == H.order
     assert {c.values for c in chars} == brute_force_characters(H)
     assert chars[0].is_trivial()
+
+
+def fraction_sum_characters(H):
+    """Reference characters: sum Fractions c_i * e_i / n_i for every coefficient tuple c."""
+    G = H.group
+    seen = {}
+    for coeffs in itertools.product(*(range(n) for n in G.cyclic_factors)):
+        values = tuple(
+            sum((Fraction(c * x, n) for c, x, n in zip(coeffs, e, G.cyclic_factors)),
+                start=Fraction(0)) % 1
+            for e in H.elements
+        )
+        seen.setdefault(values, Character(H, values))
+    return [seen[v] for v in sorted(seen)]
+
+
+@pytest.mark.parametrize("factors", [[12], [2, 4], [2, 2, 2], [16], [3, 9]])
+def test_dual_characters_match_fraction_sum(factors):
+    for H in subgroups(make_group(factors)):
+        assert dual_characters(H) == fraction_sum_characters(H), H
 
 
 def test_character_homomorphism_validation():

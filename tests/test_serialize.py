@@ -55,7 +55,7 @@ def test_fraction_strings_canonicalize():
     assert frac_to_str(Fraction(3)) == "3"
     assert frac_from_str("2/4") == Fraction(1, 2)
     assert frac_from_str("-7") == -7
-    for bad in ["1/0", "abc", None, "", "1.5.2"]:
+    for bad in ["1/0", "abc", None, "", "1.5.2", "1e999", "1.5", "1_0", 0.5, True]:
         with pytest.raises(InvalidInputError):
             frac_from_str(bad)
 
