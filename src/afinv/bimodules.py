@@ -273,10 +273,9 @@ def bimodule_label(S: SimpleBimodule) -> str:
     pos = _subgroup_positions(G)
     i = pos[S.source.subgroup.elements]
     j = pos[S.target.subgroup.elements]
-    D = subgroup_sum(S.source.subgroup, S.target.subgroup)
-    I = subgroup_intersection(S.source.subgroup, S.target.subgroup)
+    I = S.character.domain  # H∩K
     name = f"M_{{{i}-{j}"
-    if D.order < G.order:  # more than one coset
+    if S.coset.size < G.order:  # more than one coset of H+K
         name += f",{_format_rep(S.coset.rep)}"
     name += "}"
     if I.order > 1:

@@ -61,10 +61,6 @@ def _fuse_cached(S1: SimpleBimodule, S2: SimpleBimodule) -> dict[SimpleBimodule,
     return fuse(S1, S2)
 
 
-def _fuse_multiplicity(S1: SimpleBimodule, S2: SimpleBimodule, target: SimpleBimodule) -> int:
-    return _fuse_cached(S1, S2).get(target, 0)
-
-
 @dataclass(frozen=True)
 class DiagramEdge:
     """An edge between consecutive levels, labeled by a simple bimodule."""
@@ -101,9 +97,10 @@ class EnrichedBratteliDiagram:
             if not block:
                 raise InvalidInputError(f"edge block {n} is empty")
             covered = set()
-            for e in block:
+            for k, e in enumerate(block):
                 if not (0 <= e.source < len(lower) and 0 <= e.target < len(upper)):
-                    raise InvalidInputError(f"edge {e} points outside its levels")
+                    raise InvalidInputError(f"edge {k} of block {n} (from {e.source} "
+                                            f"to {e.target}) points outside its levels")
                 if e.multiplicity < 1:
                     raise InvalidInputError("edge multiplicities must be >= 1")
                 if e.bimodule.source != upper[e.target] or e.bimodule.target != lower[e.source]:
@@ -174,33 +171,46 @@ def _level_bases(d: EnrichedBratteliDiagram, P: QSystem):
     return out
 
 
-def _connecting_matrix(d, P, block_index: int, bases):
-    lower = bases[block_index]
-    upper = bases[min(block_index + 1, len(d.levels) - 1)]
-    rows = []
-    for wi, y in upper:
-        row = []
-        for vi, x in lower:
-            total = 0
-            for e in d.edges[block_index]:
-                if e.source == vi and e.target == wi:
-                    total += e.multiplicity * _fuse_multiplicity(e.bimodule, x, y)
-            row.append(total)
-        rows.append(tuple(row))
-    return tuple(rows)
+def _fusion_matrix(row_basis, columns):
+    """The fusion matrix onto the (vertex, simple) rows of ``row_basis``.
+
+    Column c sums weight * fuse(S1, S2) over its terms (wi, S1, S2, weight).
+    """
+    index = {key: r for r, key in enumerate(row_basis)}
+    rows = [[0] * len(columns) for _ in row_basis]
+    for c, terms in enumerate(columns):
+        for wi, S1, S2, weight in terms:
+            for y, m in _fuse_cached(S1, S2).items():
+                r = index.get((wi, y))
+                if r is None:
+                    raise InternalConsistencyError(
+                        f"{S1} ⊗ {S2} has a term outside the basis at vertex {wi}"
+                    )
+                rows[r][c] += weight * m
+    return tuple(tuple(row) for row in rows)
 
 
 def object_diagram(d: EnrichedBratteliDiagram, P: QSystem):
-    """The Bratteli diagram of the functor at P: stationary or prefix+tail."""
+    """The Bratteli diagram of the functor at P: stationary or prefix+tail.
+
+    Entry [(w, y), (v, x)] sums mult * (multiplicity of y in fuse(e, x)) over edges e: v -> w.
+    """
     bases = _level_bases(d, P)
+    mats = tuple(
+        _fusion_matrix(
+            bases[min(n + 1, len(bases) - 1)],
+            [
+                [(e.target, e.bimodule, x, e.multiplicity) for e in block if e.source == vi]
+                for vi, x in bases[n]
+            ],
+        )
+        for n, block in enumerate(d.edges)
+    )
     tail_labels = tuple(bimodule_label(s) for _, s in bases[-1])
-    tail = StationarySystem(_connecting_matrix(d, P, len(d.levels) - 1, bases), tail_labels)
+    tail = StationarySystem(mats[-1], tail_labels)
     if d.is_stationary:
         return tail
-    prefix = tuple(
-        _connecting_matrix(d, P, n, bases) for n in range(len(d.levels) - 1)
-    )
-    return InductiveSystem(prefix, tail)
+    return InductiveSystem(mats[:-1], tail)
 
 
 def morphism_matrices(d: EnrichedBratteliDiagram, X: SimpleBimodule):
@@ -212,26 +222,10 @@ def morphism_matrices(d: EnrichedBratteliDiagram, X: SimpleBimodule):
     """
     basesP = _level_bases(d, X.source)
     basesQ = _level_bases(d, X.target)
-    mats = []
-    for bP, bQ in zip(basesP, basesQ):
-        rows = []
-        for wi, y in bQ:
-            row = []
-            for vi, x in bP:
-                row.append(_fuse_multiplicity(x, X, y) if vi == wi else 0)
-            rows.append(tuple(row))
-        mats.append(tuple(rows))
-    return mats
-
-
-def _tail_and_pushed_weights(d: EnrichedBratteliDiagram, sys0):
-    """Push the level-0 generator weights through the prefix to the tail start."""
-    w = tuple(int(x) for x in d.generator_weights)
-    if isinstance(sys0, InductiveSystem):
-        for M in sys0.prefix:
-            w = mat_vec(M, w)
-        return sys0.tail, w
-    return sys0, w
+    return [
+        _fusion_matrix(bQ, [[(vi, x, X, 1)] for vi, x in bP])
+        for bP, bQ in zip(basesP, basesQ)
+    ]
 
 
 @dataclass(frozen=True)
@@ -293,8 +287,11 @@ def compute_invariant(d: EnrichedBratteliDiagram) -> InvariantData:
                     q = None
                 morphisms.append((X, q))
 
-    sys0 = systems[0]
-    tail0, w = _tail_and_pushed_weights(d, sys0)
+    # push the level-0 generator weights through the prefix to the tail start
+    w = tuple(int(x) for x in d.generator_weights)
+    if isinstance(systems[0], InductiveSystem):
+        for M in systems[0].prefix:
+            w = mat_vec(M, w)
     if isinstance(descs[0], RankOneForm):
         pointed: Fraction | tuple[int, ...] = value_map(descs[0], 0, w)
     else:

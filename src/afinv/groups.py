@@ -82,16 +82,6 @@ class FiniteAbelianGroup:
     def sub(self, a: Element, b: Element) -> Element:
         return tuple((x - y) % n for x, y, n in zip(a, b, self.cyclic_factors))
 
-    def scale(self, m: int, a: Element) -> Element:
-        return tuple((m * x) % n for x, n in zip(a, self.cyclic_factors))
-
-    def contains(self, a) -> bool:
-        return (
-            isinstance(a, tuple)
-            and len(a) == len(self.cyclic_factors)
-            and all(isinstance(x, int) and 0 <= x < n for x, n in zip(a, self.cyclic_factors))
-        )
-
     def elements(self) -> tuple[Element, ...]:
         """All elements in lexicographic order."""
         return tuple(itertools.product(*(range(n) for n in self.cyclic_factors)))
@@ -133,13 +123,7 @@ class Subgroup:
         """
         closure = {group.zero()}
         for gen in generators:
-            gen = group.reduce(gen)
-            multiples = []
-            g = group.zero()
-            for _ in range(group.element_order(gen)):
-                multiples.append(g)
-                g = group.add(g, gen)
-            closure = {group.add(h, m) for h in closure for m in multiples}
+            closure = _join(group, closure, group.reduce(gen))
         return cls(group, tuple(sorted(closure)))
 
     def contains(self, a: Element) -> bool:
@@ -156,12 +140,12 @@ class Subgroup:
     def minimal_generators(self) -> tuple[Element, ...]:
         """A short generating tuple (greedy; not guaranteed minimal in rank)."""
         gens: list[Element] = []
-        current = Subgroup.generated(self.group, [])
+        current = {self.group.zero()}
         for a in sorted(self.elements, key=lambda x: (-self.group.element_order(x), x)):
-            if not current.contains(a):
+            if a not in current:
                 gens.append(a)
-                current = Subgroup.generated(self.group, gens)
-                if current.order == self.order:
+                current = _join(self.group, current, a)
+                if len(current) == self.order:
                     break
         return tuple(gens)
 
@@ -183,6 +167,20 @@ def make_group(cyclic_factors) -> FiniteAbelianGroup:
     if not factors:
         raise InvalidInputError("need at least one cyclic factor (use [1] for the trivial group)")
     return FiniteAbelianGroup(factors)
+
+
+def _join(group: FiniteAbelianGroup, H, g: Element) -> set:
+    """The element set of H + <g> for a subgroup's element set H.
+
+    It is the union of the cosets k*g + H for k below the first k with k*g
+    in H, so it costs |H + <g>| additions.
+    """
+    joined = set(H)
+    shift = g
+    while shift not in H:
+        joined.update(group.add(shift, h) for h in H)
+        shift = group.add(shift, g)
+    return joined
 
 
 def _cyclic_generators(group: FiniteAbelianGroup) -> list[Element]:
@@ -209,8 +207,7 @@ def _cyclic_generators(group: FiniteAbelianGroup) -> list[Element]:
 @lru_cache(maxsize=None)
 def _subgroups_cached(group: FiniteAbelianGroup) -> tuple[Subgroup, ...]:
     # Every subgroup of a finite abelian group is a join of cyclic subgroups,
-    # so closing {0} under H -> H + <g> reaches the whole lattice.  H + <g> is
-    # the union of the cosets k*g + H for k below the first k with k*g in H.
+    # so closing {0} under H -> H + <g> reaches the whole lattice.
     gens = _cyclic_generators(group)
     seen = {frozenset([group.zero()])}
     frontier = list(seen)
@@ -220,12 +217,7 @@ def _subgroups_cached(group: FiniteAbelianGroup) -> tuple[Subgroup, ...]:
             for g in gens:
                 if g in H:
                     continue
-                joined = set(H)
-                shift = g
-                while shift not in H:
-                    joined.update(group.add(shift, h) for h in H)
-                    shift = group.add(shift, g)
-                joined = frozenset(joined)
+                joined = frozenset(_join(group, H, g))
                 if joined not in seen:
                     seen.add(joined)
                     new_frontier.append(joined)
@@ -247,8 +239,11 @@ def subgroup_sum(H: Subgroup, K: Subgroup) -> Subgroup:
     """The subgroup H + K."""
     if H.group != K.group:
         raise InvalidInputError("subgroups live in different groups")
-    elems = {H.group.add(h, k) for h in H.elements for k in K.elements}
-    return Subgroup(H.group, tuple(sorted(elems)))
+    joined = set(H.elements)
+    for k in K.elements:
+        if k not in joined:
+            joined = _join(H.group, joined, k)
+    return Subgroup(H.group, tuple(sorted(joined)))
 
 
 def subgroup_intersection(H: Subgroup, K: Subgroup) -> Subgroup:
@@ -307,9 +302,6 @@ class Character:
         return Character(
             self.domain, tuple((u + v) % 1 for u, v in zip(self.values, other.values))
         )
-
-    def restrict(self, sub: Subgroup) -> "Character":
-        return Character(sub, tuple(self(e) for e in sub.elements))
 
 
 def dual_characters(H: Subgroup) -> list[Character]:

@@ -32,7 +32,6 @@ __all__ = [
     "value_map",
     "morphism_multiplier",
     "shift_equivalent_bounded",
-    "limit_rank",
 ]
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -209,21 +208,21 @@ def is_s_unit(q: Fraction, primes) -> bool:
     return q > 0 and strip_primes(q, primes) == 1
 
 
-def _try_rank_one(A: Matrix) -> RankOneForm | None:
-    b = len(A)
-    power = mat_pow(A, b)
-    if rational_rank(power) != 1:
-        return None
-    stable = mat_mul(power, power)  # rows of A^2b span the eventual row space
-    v = next((row for row in stable if any(row)), None)
+def _try_rank_one(A: Matrix, power: Matrix) -> RankOneForm | None:
+    """The rank-one form of A, given power = A^b for the size b of A.
+
+    The row spaces of A^k stop shrinking by k = b, so A is rank-one exactly when
+    every row of A^b is a multiple of one primitive v with vA = lambda*v.
+    """
+    v = next((row for row in power if any(row)), None)
     if v is None:
         return None
     g = gcd(*v) if len(v) > 1 else v[0]
     v = tuple(x // g for x in v)
-    w = vec_mat(v, A)
     nz = next(i for i, x in enumerate(v) if x)
-    if v[nz] == 0 or w[nz] % v[nz] != 0:
+    if any(tuple(x * row[nz] for x in v) != tuple(x * v[nz] for x in row) for row in power):
         return None
+    w = vec_mat(v, A)
     lam = w[nz] // v[nz]
     if lam <= 0 or w != tuple(lam * x for x in v):
         return None
@@ -252,22 +251,30 @@ def _components(A: Matrix) -> list[list[int]]:
 
 
 def stationary_k0(sys: StationarySystem) -> K0Description:
-    """Identify the limit group of a stationary system, degrading gracefully."""
+    """Identify the limit group of a stationary system, degrading gracefully.
+
+    A^b is computed once: A is block diagonal over its components, so each
+    component's block of A^b is that block's own power.
+    """
     A = sys.matrix
-    form = _try_rank_one(A)
+    power = mat_pow(A, sys.size)
+    form = _try_rank_one(A, power)
     if form is not None:
         return form
     comps = _components(A)
     if len(comps) > 1:
         blocks = []
         for comp in comps:
-            sub = tuple(tuple(A[i][j] for j in comp) for i in comp)
-            block = _try_rank_one(sub)
+            block = _try_rank_one(
+                tuple(tuple(A[i][j] for j in comp) for i in comp),
+                tuple(tuple(power[i][j] for j in comp) for i in comp),
+            )
             if block is None:
-                return OpaquePresentation(A, limit_rank(sys))
+                break
             blocks.append(block)
-        return DirectSumForm(A, tuple(blocks), tuple(tuple(c) for c in comps))
-    return OpaquePresentation(A, limit_rank(sys))
+        else:
+            return DirectSumForm(A, tuple(blocks), tuple(tuple(c) for c in comps))
+    return OpaquePresentation(A, rational_rank(power))
 
 
 def scaled_localization(desc: RankOneForm) -> ScaledLocalization:
@@ -356,8 +363,3 @@ def shift_equivalent_bounded(A, B, lag_bound: int, entry_bound: int):
                 if mat_mul(S, R) == powersA[lag] and mat_mul(R, S) == powersB[lag]:
                     return R, S, lag
     return None
-
-
-def limit_rank(sys: StationarySystem) -> int:
-    """The rank over Q of the limit: rank(A^b) for a b x b matrix A."""
-    return rational_rank(mat_pow(sys.matrix, sys.size))

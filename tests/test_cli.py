@@ -313,6 +313,14 @@ def _two_vertex_level(d, override):
     )
 
 
+def test_out_of_range_edge_is_one_short_line(tmp_path, z4_diagrams, capsys):
+    doc = diagram_to_json(z4_diagrams["F"])
+    _two_vertex_level(doc, {"from": -1})
+    code, _, err = run(capsys, "invariant", write_json(tmp_path, "edge.json", doc))
+    assert code == 1
+    assert err == "error: edge 1 of block 0 (from -1 to 1) points outside its levels\n"
+
+
 def test_two_vertex_level_recast_is_valid(tmp_path, z4_diagrams, capsys):
     doc = diagram_to_json(z4_diagrams["F"])
     _two_vertex_level(doc, {})

@@ -1,12 +1,16 @@
 """Enriched diagrams: object diagrams, morphism matrices, the pointed invariant."""
 
 import dataclasses
+import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
+from afinv import diagrams
 from afinv.bimodules import (
     bimodule_label,
+    fuse,
     identity_bimodule,
     qsystems,
     simple_bimodules,
@@ -275,6 +279,114 @@ def test_trivial_group_diagram_is_plain_integers():
     assert inv.pointed == 1
 
 
+# ----------------------------------------------- reference per-cell formulas
+
+
+@lru_cache(maxsize=None)
+def _fused(S1, S2):
+    return fuse(S1, S2)
+
+
+def per_cell_connecting_matrix(d, n, bases):
+    """Reference: every cell sums mult * [y in fuse(e, x)] over all edges of the block."""
+    lower = bases[n]
+    upper = bases[min(n + 1, len(d.levels) - 1)]
+    return tuple(
+        tuple(
+            sum(
+                e.multiplicity * _fused(e.bimodule, x).get(y, 0)
+                for e in d.edges[n]
+                if e.source == vi and e.target == wi
+            )
+            for vi, x in lower
+        )
+        for wi, y in upper
+    )
+
+
+def per_cell_object_diagram(d, P):
+    bases = _level_bases(d, P)
+    mats = [per_cell_connecting_matrix(d, n, bases) for n in range(len(d.levels))]
+    labels = tuple(bimodule_label(s) for _, s in bases[-1])
+    tail = StationarySystem(mats[-1], labels)
+    return tail if d.is_stationary else InductiveSystem(tuple(mats[:-1]), tail)
+
+
+def per_cell_morphism_matrices(d, X):
+    """Reference: one multiplicity lookup of y in fuse(x, X) per cell."""
+    return [
+        tuple(
+            tuple(_fused(x, X).get(y, 0) if vi == wi else 0 for vi, x in bP)
+            for wi, y in bQ
+        )
+        for bP, bQ in zip(_level_bases(d, X.source), _level_bases(d, X.target))
+    ]
+
+
+def random_diagram(rng, factors):
+    """1-3 levels of 1-3 vertices each, Q-systems repeating freely within a level."""
+    G = make_group(factors)
+    reps = qsystems(G)
+    levels = tuple(
+        tuple(rng.choice(reps) for _ in range(rng.randint(1, 3)))
+        for _ in range(rng.randint(1, 3))
+    )
+    blocks = []
+    for n, lower in enumerate(levels):
+        upper = levels[min(n + 1, len(levels) - 1)]
+        pairs = {(rng.randrange(len(lower)), t) for t in range(len(upper))}
+        pairs |= {
+            (rng.randrange(len(lower)), rng.randrange(len(upper)))
+            for _ in range(rng.randint(0, 3))
+        }
+        blocks.append(
+            tuple(
+                DiagramEdge(s, t, rng.choice(simple_bimodules(upper[t], lower[s])), mult)
+                for s, t in sorted(pairs)
+                for mult in rng.sample((1, 2, 3), rng.randint(1, 2))
+            )
+        )
+    weights = tuple(
+        w
+        for v in levels[0]
+        for w in [1] + [rng.randint(0, 2) for _ in range(G.order // v.subgroup.order - 1)]
+    )
+    return EnrichedBratteliDiagram(G, levels, tuple(blocks), weights)
+
+
+def test_builder_matches_per_cell_formula_on_examples(z4_diagrams, z4_reps, two_level_diagram):
+    for d in [*z4_diagrams.values(), two_level_diagram]:
+        for P in z4_reps:
+            assert object_diagram(d, P) == per_cell_object_diagram(d, P)
+            for Q in z4_reps:
+                for X in simple_bimodules(P, Q):
+                    assert morphism_matrices(d, X) == per_cell_morphism_matrices(d, X)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_builder_matches_per_cell_formula_on_random_diagrams(seed):
+    rng = random.Random(seed)
+    factors = [[3], [4], [6], [8], [2, 2]][seed % 5]
+    d = random_diagram(rng, factors)
+    reps = qsystems(d.group)
+    for P in reps:
+        assert object_diagram(d, P) == per_cell_object_diagram(d, P)
+    for P in reps:
+        for Q in reps:
+            for X in simple_bimodules(P, Q):
+                assert morphism_matrices(d, X) == per_cell_morphism_matrices(d, X)
+
+
+def test_fused_term_outside_the_basis_is_an_error(z4_diagrams, z4_reps, z4_simples, monkeypatch):
+    # a Q1-Q2 simple can never be a term of a product landing in D(v -> Q1)
+    foreign = z4_simples["M_{1-2,0}"]
+    monkeypatch.setattr(diagrams, "_fuse_cached", lambda S1, S2: {foreign: 1})
+    with pytest.raises(InternalConsistencyError):
+        object_diagram(z4_diagrams["F"], z4_reps[0])
+    with pytest.raises(InternalConsistencyError):
+        morphism_matrices(z4_diagrams["F"], z4_simples["M_{1-1,1}"])
+
+
 # ------------------------------------------------------------------ validation
 
 
@@ -309,7 +421,7 @@ def test_edge_validation(z4, z4_reps, z4_simples):
             ((DiagramEdge(0, 0, z4_simples["M_{2-2,0}^triv"], multiplicity=0),),),
             (1, 1),
         )
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match=r"^edge 0 of block 0 \(from 0 to 1\) points"):
         EnrichedBratteliDiagram(
             z4,
             ((Q2,),),

@@ -216,6 +216,43 @@ def test_sum_and_intersection():
     assert I.elements == (G.zero(),)
 
 
+def pairwise_closure(G, generators):
+    """Reference closure: all sums of the elements so far with each multiple of a generator."""
+    closure = {G.zero()}
+    for gen in generators:
+        multiples = [tuple(k * x % n for x, n in zip(gen, G.cyclic_factors))
+                     for k in range(G.element_order(gen))]
+        closure = {G.add(h, m) for h in closure for m in multiples}
+    return tuple(sorted(closure))
+
+
+def pairwise_greedy_generators(H):
+    """Reference greedy choice: highest order first, re-closing all chosen generators each time."""
+    gens = []
+    for a in sorted(H.elements, key=lambda x: (-H.group.element_order(x), x)):
+        if a not in pairwise_closure(H.group, gens):
+            gens.append(a)
+            if len(pairwise_closure(H.group, gens)) == H.order:
+                break
+    return tuple(gens)
+
+
+@pytest.mark.parametrize("factors", [[12], [2, 4], [2, 2, 2], [3, 9], [4, 4]])
+def test_joins_match_pairwise_reference(factors):
+    G = make_group(factors)
+    subs = subgroups(G)
+    for H in subs:
+        gens = H.minimal_generators()
+        assert gens == pairwise_greedy_generators(H), H
+        assert Subgroup.generated(G, gens).elements == H.elements
+        for K in subs:
+            pairwise = tuple(sorted({G.add(h, k) for h in H.elements for k in K.elements}))
+            assert subgroup_sum(H, K).elements == pairwise, (H, K)
+    assert Subgroup.generated(G, [(5,) * G.rank, (-1,) * G.rank]).elements == pairwise_closure(
+        G, [G.reduce((5,) * G.rank), G.reduce((-1,) * G.rank)]
+    )
+
+
 def test_schur_trivial_is_cyclicity():
     G = make_group([2, 2])
     names = {H.elements: H.is_cyclic() for H in subgroups(G)}

@@ -3,9 +3,13 @@
 from fractions import Fraction
 
 import pytest
+import random
+from math import gcd
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from afinv import k0 as k0_module
 from afinv.errors import InvalidInputError, ResourceLimitError
 from afinv.k0 import (
     DirectSumForm,
@@ -13,7 +17,6 @@ from afinv.k0 import (
     RankOneForm,
     StationarySystem,
     is_s_unit,
-    limit_rank,
     mat_mul,
     mat_pow,
     mat_vec,
@@ -96,12 +99,80 @@ def test_connected_full_rank_matrix_stays_opaque():
 
 
 def test_limit_rank_drops_nilpotent_directions():
-    assert limit_rank(StationarySystem([[0, 1], [0, 2]])) == 1
-    assert limit_rank(StationarySystem([[0, 1], [0, 0]])) == 0
-    assert limit_rank(StationarySystem([[2, 2], [2, 2]])) == 1
-    assert limit_rank(StationarySystem([[4, 0], [0, 4]])) == 2
-    assert limit_rank(StationarySystem([[1]])) == 1
+    assert k0([[0, 1], [0, 2]]).rank == 1
+    assert k0([[0, 1], [0, 0]]).rank == 0
+    assert k0([[2, 2], [2, 2]]).rank == 1
+    assert k0([[4, 0], [0, 4]]).rank == 2
+    assert k0([[1]]).rank == 1
     assert rational_rank([[1, 2], [2, 4]]) == 1
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        pytest.param([[1, 1], [1, 0]], id="connected"),
+        pytest.param([[1, 1, 0], [1, 0, 0], [0, 0, 2]], id="one-opaque-component"),
+    ],
+)
+def test_opaque_limit_takes_one_power_and_one_rank(matrix, monkeypatch):
+    calls = {"mat_pow": 0, "rational_rank": 0}
+
+    def counted(name):
+        original = getattr(k0_module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(k0_module, name, counted(name))
+    desc = k0(matrix)
+    assert isinstance(desc, OpaquePresentation)
+    assert desc.rank == len(matrix)
+    assert calls == {"mat_pow": 1, "rational_rank": 1}
+
+
+def two_power_rank_one(A):
+    """Reference rank-one test: rank(A^b) == 1, then v from the rows of A^2b."""
+    power = mat_pow(A, len(A))
+    if rational_rank(power) != 1:
+        return None
+    v = next(row for row in mat_mul(power, power) if any(row))
+    g = gcd(*v) if len(v) > 1 else v[0]
+    v = tuple(x // g for x in v)
+    w = tuple(sum(v[i] * A[i][j] for i in range(len(v))) for j in range(len(A)))
+    nz = next(i for i, x in enumerate(v) if x)
+    if w[nz] % v[nz] != 0:
+        return None
+    lam = w[nz] // v[nz]
+    if lam <= 0 or w != tuple(lam * x for x in v):
+        return None
+    return lam, v
+
+
+def test_rank_one_forms_match_the_two_power_reference():
+    rng = random.Random(5)
+    seen = set()
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        # sparse entries, so that nilpotent, reducible and rank-one cases all occur
+        A = tuple(
+            tuple(rng.choice((0, 0, 0, 1, 2, 3)) for _ in range(n)) for _ in range(n)
+        )
+        if not any(map(any, A)):
+            continue
+        desc = k0(A)
+        expected = two_power_rank_one(A)
+        if expected is None:
+            assert not isinstance(desc, RankOneForm), A
+            assert desc.rank == rational_rank(mat_pow(A, n)), A
+        else:
+            assert isinstance(desc, RankOneForm), A
+            assert (desc.eigenvalue, desc.left_vector) == expected, A
+        seen.add(type(desc))
+    assert seen == {RankOneForm, DirectSumForm, OpaquePresentation}
 
 
 def test_stationary_system_validation():
