@@ -19,11 +19,9 @@ from .errors import (
     InternalConsistencyError,
     InvalidCompositionError,
     InvalidInputError,
-    UnsupportedFeatureError,
 )
 from .groups import (
     Character,
-    CocycleTable,
     Coset,
     FiniteAbelianGroup,
     Subgroup,
@@ -42,17 +40,13 @@ class CompletenessWarning(UserWarning):
 
 @dataclass(frozen=True)
 class QSystem:
-    """An indecomposable Q-system: a subgroup plus an (optional) 2-cocycle."""
+    """An indecomposable untwisted Q-system: a subgroup."""
 
     subgroup: Subgroup
-    cocycle: CocycleTable | None = None
 
     @property
     def group(self) -> FiniteAbelianGroup:
         return self.subgroup.group
-
-    def is_twisted(self) -> bool:
-        return self.cocycle is not None and not self.cocycle.is_trivial()
 
     def __str__(self) -> str:
         return f"Q({self.subgroup})"
@@ -74,14 +68,6 @@ def qsystems(G: FiniteAbelianGroup) -> list[QSystem]:
             stacklevel=2,
         )
     return [QSystem(H) for H in subs]
-
-
-def _require_untwisted(*qs: QSystem) -> None:
-    for q in qs:
-        if q.is_twisted():
-            raise UnsupportedFeatureError(
-                "bimodule computations for twisted Q-systems are not implemented"
-            )
 
 
 @dataclass(frozen=True)
@@ -107,7 +93,6 @@ class SimpleBimodule:
 
 def simple_bimodules(P: QSystem, Q: QSystem) -> list[SimpleBimodule]:
     """All simple P-Q bimodules, ordered by (coset rep, character index)."""
-    _require_untwisted(P, Q)
     if P.group != Q.group:
         raise InvalidInputError("Q-systems live over different groups")
     H, K = P.subgroup, Q.subgroup
@@ -123,7 +108,6 @@ def simple_bimodules(P: QSystem, Q: QSystem) -> list[SimpleBimodule]:
 
 def identity_bimodule(Q: QSystem) -> SimpleBimodule:
     """The unit morphism at Q: the coset H itself with the trivial character."""
-    _require_untwisted(Q)
     H = Q.subgroup
     coset = Coset(H.group.zero(), H.elements)
     triv = Character(H, tuple(Fraction(0) for _ in H.elements))
@@ -214,9 +198,6 @@ class FusionTable:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_product_map", dict(self.products))
-
-    def index(self, S: SimpleBimodule) -> int:
-        return self.simples.index(S)
 
     def product(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
         """Composition of simples i and j as ((index, multiplicity), ...)."""

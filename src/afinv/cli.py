@@ -35,7 +35,6 @@ from .errors import (
     InvalidInputError,
     OracleFailureError,
     ResourceLimitError,
-    UnsupportedFeatureError,
 )
 from .k0 import (
     DirectSumForm,
@@ -402,7 +401,7 @@ def main(argv=None) -> int:
                 seen.add(msg)
                 print(f"warning: {msg}", file=sys.stderr)
         return code
-    except (InvalidInputError, UnsupportedFeatureError, ResourceLimitError) as exc:
+    except (InvalidInputError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (InternalConsistencyError, OracleFailureError) as exc:

@@ -30,7 +30,6 @@ from .k0 import (
     RankOneForm,
     is_s_unit,
     shift_equivalent_bounded,
-    strip_primes,
 )
 
 __all__ = [
@@ -38,7 +37,6 @@ __all__ = [
     "Verdict",
     "compare",
     "verify_witness",
-    "rescaled_invariant",
 ]
 
 EQUIVALENT = "equivalent"
@@ -273,44 +271,3 @@ def verify_witness(inv1: InvariantData, inv2: InvariantData, witness) -> bool:
         return False
     return u[inv1.labels[0]] * p1 == p2
 
-
-def rescaled_invariant(inv: InvariantData, factors) -> InvariantData:
-    """The same invariant presented under per-object renormalized value maps.
-
-    ``factors`` maps labels to positive rationals c_Q; multipliers become
-    f(X: P->Q) * c_Q / c_P, the pointed class picks up c_unit, and each scale
-    is replaced by the S-free part of c_Q * scale.  Comparison verdicts must
-    not change under this transformation.
-    """
-    c = {label: Fraction(factors.get(label, 1)) for label in inv.labels}
-    if any(q <= 0 for q in c.values()):
-        raise InvalidInputError("rescaling factors must be positive")
-    by_rep = {rep: c[inv.labels[k]] for k, rep in enumerate(inv.representatives)}
-
-    morphisms = []
-    for X, f in inv.morphisms:
-        if f is None:
-            morphisms.append((X, None))
-        else:
-            morphisms.append((X, f * by_rep[X.target] / by_rep[X.source]))
-
-    scales = []
-    for k, r in enumerate(inv.scales):
-        if r is None:
-            scales.append(None)
-        else:
-            scales.append(strip_primes(c[inv.labels[k]] * r, inv.objects[k].prime_set))
-
-    pointed = inv.pointed
-    if isinstance(pointed, Fraction):
-        pointed = c[inv.labels[0]] * pointed
-
-    return InvariantData(
-        group=inv.group,
-        representatives=inv.representatives,
-        labels=inv.labels,
-        objects=inv.objects,
-        scales=tuple(scales),
-        morphisms=tuple(morphisms),
-        pointed=pointed,
-    )

@@ -1,4 +1,4 @@
-"""Crossed products C(G/K) x| H and twisted group algebras, enumerated directly.
+"""Crossed products C(G/K) x| H, enumerated directly.
 
 This module is an independent route to simple-object counts: the simple
 blocks of the crossed product are enumerated from first principles (orbits of
@@ -10,27 +10,22 @@ against the categorical count elsewhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InternalConsistencyError, InvalidInputError
 from .groups import (
     Character,
-    CocycleTable,
     Coset,
     FiniteAbelianGroup,
     Subgroup,
     coset_of,
     coset_space,
     dual_characters,
-    validate_2cocycle,
 )
 
 __all__ = [
     "CrossedBlock",
     "CrossedProductBlocks",
     "crossed_product_blocks",
-    "k0_rank",
-    "TwistedGroupAlgebra",
 ]
 
 
@@ -109,42 +104,3 @@ def crossed_product_blocks(
             f"block dimensions sum to {result.total_dimension}, expected {expected}"
         )
     return result
-
-
-def k0_rank(G: FiniteAbelianGroup, K: Subgroup, H: Subgroup) -> int:
-    """rank K_0(C(G/K) x| H) = number of simple blocks."""
-    return crossed_product_blocks(G, K, H).k0_rank
-
-
-@dataclass(frozen=True)
-class TwistedGroupAlgebra:
-    """C_mu[H]: basis u_h with u_a u_b = e^(2 pi i mu(a,b)) u_(a+b)."""
-
-    subgroup: Subgroup
-    cocycle: CocycleTable
-
-    def __post_init__(self) -> None:
-        if self.cocycle.domain != self.subgroup:
-            raise InvalidInputError("cocycle is tabulated on a different subgroup")
-        if not validate_2cocycle(self.cocycle):
-            raise InvalidInputError("table violates the 2-cocycle identity")
-
-    @property
-    def dimension(self) -> int:
-        return self.subgroup.order
-
-    def product(self, a, b) -> tuple[tuple[int, ...], Fraction]:
-        """u_a u_b as (group element, phase in Q/Z)."""
-        G = self.subgroup.group
-        return G.add(a, b), self.cocycle(a, b) % 1
-
-    def is_regular(self, h) -> bool:
-        """Whether u_h commutes with every basis element."""
-        return all(
-            self.cocycle(h, g) % 1 == self.cocycle(g, h) % 1
-            for g in self.subgroup.elements
-        )
-
-    def center_dimension(self) -> int:
-        """For abelian H the center is spanned by the u_h with regular h."""
-        return sum(1 for h in self.subgroup.elements if self.is_regular(h))

@@ -34,7 +34,6 @@ from .groups import FiniteAbelianGroup
 from .k0 import (
     K0Description,
     RankOneForm,
-    ScaledLocalization,
     StationarySystem,
     mat_mul,
     mat_vec,
@@ -347,9 +346,3 @@ def _check_fusion_consistency(inv: InvariantData) -> None:
                         f"{bimodule_label(X)} ∘ {bimodule_label(Y)}: {total} != {qx * qy}"
                     )
 
-
-def unit_localization(inv: InvariantData) -> ScaledLocalization | None:
-    desc = inv.objects[0]
-    if isinstance(desc, RankOneForm):
-        return scaled_localization(desc)
-    return None

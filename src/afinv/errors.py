@@ -15,10 +15,6 @@ class ResourceLimitError(AfinvError):
     """An enumeration or search would exceed the configured bound."""
 
 
-class UnsupportedFeatureError(AfinvError):
-    """Input is valid but outside the implemented fragment (e.g. twisted Q-systems)."""
-
-
 class InvalidCompositionError(AfinvError):
     """Attempt to compose bimodules whose middle Q-systems do not match."""
 

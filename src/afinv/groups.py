@@ -1,4 +1,4 @@
-"""Finite abelian groups, their subgroups, characters, cosets, and 2-cocycles.
+"""Finite abelian groups, their subgroups, characters and cosets.
 
 Elements of a group with factors ``(n_1, ..., n_r)`` are integer tuples of
 length ``r`` with ``0 <= a_i < n_i``.  Characters take values in Q/Z and are
@@ -21,12 +21,10 @@ __all__ = [
     "Subgroup",
     "Character",
     "Coset",
-    "CocycleTable",
     "make_group",
     "subgroups",
     "dual_characters",
     "coset_space",
-    "validate_2cocycle",
     "subgroup_sum",
     "subgroup_intersection",
 ]
@@ -363,49 +361,3 @@ def coset_of(group: FiniteAbelianGroup, D: Subgroup, x: Element) -> Coset:
     """The coset x + D with canonical representative."""
     members = tuple(sorted(group.add(x, d) for d in D.elements))
     return Coset(members[0], members)
-
-
-@dataclass(frozen=True)
-class CocycleTable:
-    """A normalized Q/Z-valued 2-cochain on a subgroup, tabulated on pairs."""
-
-    domain: Subgroup
-    values: tuple[tuple[tuple[Element, Element], Fraction], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_table", dict(self.values))
-
-    @classmethod
-    def from_function(cls, domain: Subgroup, fn) -> "CocycleTable":
-        pairs = []
-        for a in domain.elements:
-            for b in domain.elements:
-                pairs.append(((a, b), Fraction(fn(a, b)) % 1))
-        return cls(domain, tuple(pairs))
-
-    @classmethod
-    def trivial(cls, domain: Subgroup) -> "CocycleTable":
-        return cls.from_function(domain, lambda a, b: Fraction(0))
-
-    def __call__(self, a: Element, b: Element) -> Fraction:
-        return self._table[(a, b)]  # type: ignore[attr-defined]
-
-    def is_trivial(self) -> bool:
-        return all(v == 0 for _, v in self.values)
-
-
-def validate_2cocycle(t: CocycleTable) -> bool:
-    """Check normalization and the 2-cocycle identity over all triples."""
-    H = t.domain
-    G = H.group
-    zero = G.zero()
-    for a in H.elements:
-        if t(zero, a) != 0 or t(a, zero) != 0:
-            return False
-    for a in H.elements:
-        for b in H.elements:
-            ab = G.add(a, b)
-            for c in H.elements:
-                if (t(a, b) + t(ab, c)) % 1 != (t(b, c) + t(a, G.add(b, c))) % 1:
-                    return False
-    return True

@@ -36,6 +36,9 @@ __all__ = [
 
 Matrix = tuple[tuple[int, ...], ...]
 
+# The most (R, S, lag) checks one bounded shift-equivalence search makes.
+SHIFT_SEARCH_BUDGET = 200_000
+
 
 def _as_matrix(rows) -> Matrix:
     M = tuple(tuple(int(x) for x in row) for row in rows)
@@ -330,7 +333,8 @@ def shift_equivalent_bounded(A, B, lag_bound: int, entry_bound: int):
 
     Exhaustive over integer matrices with entries in [0, entry_bound]; the
     search space must stay small (this is a desk-scale certifier, not a
-    decision procedure).  Returns (R, S, lag) or None.
+    decision procedure): past SHIFT_SEARCH_BUDGET (R, S, lag) checks it
+    raises ResourceLimitError.  Returns (R, S, lag) or None.
     """
     A = _as_matrix(A)
     B = _as_matrix(B)
@@ -355,11 +359,17 @@ def shift_equivalent_bounded(A, B, lag_bound: int, entry_bound: int):
     ss = candidates(a, b, A, B)
     powersA = {l: mat_pow(A, l) for l in range(1, lag_bound + 1)}
     powersB = {l: mat_pow(B, l) for l in range(1, lag_bound + 1)}
+    checks = 0
     for R in rs:
         if all(all(x == 0 for x in row) for row in R):
             continue
         for S in ss:
             for lag in range(1, lag_bound + 1):
+                checks += 1
+                if checks > SHIFT_SEARCH_BUDGET:
+                    raise ResourceLimitError(
+                        f"shift-equivalence search passed {SHIFT_SEARCH_BUDGET} checks"
+                    )
                 if mat_mul(S, R) == powersA[lag] and mat_mul(R, S) == powersB[lag]:
                     return R, S, lag
     return None

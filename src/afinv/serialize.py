@@ -481,7 +481,8 @@ def verdict_from_json(doc) -> Verdict:
     witness = None
     if "witness" in doc:
         witness = tuple(
-            (str(label), frac_from_str(u)) for label, u in doc["witness"].items()
+            (str(label), frac_from_str(u))
+            for label, u in _expect(doc, "witness", dict).items()
         )
     certificate = None
     if "certificate" in doc:
@@ -492,4 +493,5 @@ def verdict_from_json(doc) -> Verdict:
             left=str(_expect(c, "left", str)),
             right=str(_expect(c, "right", str)),
         )
-    return Verdict(status, witness, certificate, doc.get("reason"))
+    reason = _expect(doc, "reason", str) if "reason" in doc else None
+    return Verdict(status, witness, certificate, reason)

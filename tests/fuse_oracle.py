@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from afinv.bimodules import SimpleBimodule, _composable, _require_untwisted
+from afinv.bimodules import SimpleBimodule, _composable
 from afinv.errors import InvalidInputError, OracleFailureError
 from afinv.groups import coset_of, dual_characters, subgroup_intersection, subgroup_sum
 
@@ -49,7 +49,6 @@ def realize(S: SimpleBimodule, base_point: tuple | None = None) -> ExplicitBimod
     (h, k) with h + base_point + k equal to that value.  The pair (t, -t)
     with t in H∩K then acts by the scalar character(t) on every basis vector.
     """
-    _require_untwisted(S.source, S.target)
     G = S.group
     H, K = S.source.subgroup, S.target.subgroup
     chi = S.character

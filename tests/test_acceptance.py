@@ -21,7 +21,7 @@ from afinv.bimodules import (
     simple_bimodules,
 )
 from afinv.compare import EQUIVALENT, INEQUIVALENT, compare, verify_witness
-from afinv.crossed import k0_rank
+from afinv.crossed import crossed_product_blocks
 from afinv.diagrams import morphism_matrices
 from afinv.groups import make_group, subgroups
 from afinv.k0 import RankOneForm, mat_vec, value_map
@@ -157,7 +157,7 @@ def test_criterion_6_crossed_product_oracle():
         for K in subgroups(G):
             for H in subgroups(G):
                 categorical = len(simple_bimodules(QSystem(K), QSystem(H)))
-                assert k0_rank(G, K, H) == categorical, (factors, K, H)
+                assert crossed_product_blocks(G, K, H).k0_rank == categorical, (factors, K, H)
                 pairs += 1
     assert pairs == 9 + 16 + 16 + 36
     _passline(6, f"crossed-product block counts match on all {pairs} subgroup pairs", t0, bound=30.0)

@@ -8,7 +8,6 @@ Together they cover all 162 composable pairs of simples.
 import itertools
 import random
 import warnings
-from fractions import Fraction
 
 import pytest
 
@@ -23,8 +22,8 @@ from afinv.bimodules import (
     qsystems,
     simple_bimodules,
 )
-from afinv.errors import InvalidCompositionError, UnsupportedFeatureError
-from afinv.groups import CocycleTable, Subgroup, make_group
+from afinv.errors import InvalidCompositionError
+from afinv.groups import Subgroup, make_group
 
 from fuse_oracle import float_oracle_fuse
 from z4_tables import ALL_TABLES, cell_multiset
@@ -267,17 +266,6 @@ def test_completeness_warning_for_noncyclic_subgroups():
     with warnings.catch_warnings():
         warnings.simplefilter("error", CompletenessWarning)
         qsystems(make_group(9))
-
-
-def test_twisted_qsystems_rejected():
-    G = make_group([2, 2])
-    H = Subgroup.generated(G, [(1, 0), (0, 1)])
-    mu = CocycleTable.from_function(H, lambda a, b: Fraction(a[1] * b[0], 2))
-    twisted = QSystem(H, mu)
-    assert twisted.is_twisted()
-    plain = QSystem(Subgroup.generated(G, []))
-    with pytest.raises(UnsupportedFeatureError):
-        simple_bimodules(twisted, plain)
 
 
 def test_fusion_table_is_cached_and_consistent(z4):

@@ -5,9 +5,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import types
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import afinv
 from afinv.bimodules import identity_bimodule, qsystems
@@ -475,3 +479,100 @@ def test_output_is_deterministic(files, capsys):
     _, first, _ = run(capsys, "invariant", files["F"], "--format", "json")
     _, second, _ = run(capsys, "invariant", files["F"], "--format", "json")
     assert first == second
+
+
+# ------------------------------------------------------------- input contract
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _subtree_paths(doc, path=()):
+    """The key path of every subtree of a JSON document, the root's () first."""
+    yield path
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield from _subtree_paths(value, path + (key,))
+
+
+@st.composite
+def _any_or_mutated(draw, valid_docs):
+    """Any JSON value, or a valid document with one subtree replaced by one."""
+    value = draw(JSON_VALUES)
+    if draw(st.booleans()):
+        return value
+    doc = json.loads(json.dumps(draw(st.sampled_from(valid_docs))))
+    path = draw(st.sampled_from(list(_subtree_paths(doc))))
+    if not path:
+        return value
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+# The kind of document each subcommand reads, and its arguments around the
+# generated document {input} (compare takes the valid diagram F second).
+CONTRACT_COMMANDS = {
+    "fusion-table": ("group", ["{input}", "--max-group-order", "16"]),
+    "qsystems": ("group", ["{input}", "--max-group-order", "16"]),
+    "bimodules": (
+        "group", ["{input}", "--source", "1", "--target", "2", "--max-group-order", "16"]
+    ),
+    "invariant": ("diagram", ["{input}", "--max-group-order", "16"]),
+    "compare": ("diagram", ["{input}", "{F}", "--max-group-order", "16"]),
+    "oracle": ("group", ["{input}", "--max-group-order", "16"]),
+    "k0": ("matrix", ["--matrix", "{input}"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONTRACT_COMMANDS))
+def test_any_json_input_ends_in_a_documented_exit(command, z4_diagrams):
+    F = diagram_to_json(z4_diagrams["F"])
+    two_level = diagram_to_json(z4_diagrams["F"])
+    _two_vertex_level(two_level, {})
+    valid = {
+        "group": [{"cyclic_factors": [4]}, {"cyclic_factors": [2, 2]}],
+        "diagram": [F, two_level],
+        "matrix": [matrix_to_json(StationarySystem(((2, 2), (2, 2)), ("a", "b")))],
+    }
+    kind, template = CONTRACT_COMMANDS[command]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        F_path = os.path.join(tmp, "F.json")
+        with open(F_path, "w") as fh:
+            json.dump(F, fh)
+        path = os.path.join(tmp, "input.json")
+        argv = [command] + [a.format(input=path, F=F_path) for a in template]
+
+        @settings(max_examples=50, derandomize=True, deadline=None, database=None)
+        @given(doc=_any_or_mutated(valid[kind]))
+        def check(doc):
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+            err = err.getvalue()
+            assert code in {0, 1, 2, 3, 4}, (code, err)
+            assert "Traceback" not in err
+            if code in {1, 2}:
+                lines = err.splitlines()
+                assert len(lines) == 1, err
+                assert lines[0].startswith(("error:", "internal error:")), err
+
+        check()
+

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from afinv import k0
 from afinv.bimodules import qsystems, simple_bimodules
 from afinv.compare import (
     EQUIVALENT,
@@ -12,12 +13,12 @@ from afinv.compare import (
     UNKNOWN,
     Verdict,
     compare,
-    rescaled_invariant,
     verify_witness,
 )
-from afinv.diagrams import EnrichedBratteliDiagram, compute_invariant
+from afinv.diagrams import EnrichedBratteliDiagram, InvariantData, compute_invariant
 from afinv.errors import InvalidInputError
 from afinv.groups import make_group
+from afinv.k0 import strip_primes
 
 
 def _with_multiplier(inv, label_of, new_value):
@@ -150,11 +151,15 @@ def test_non_rank_one_objects_stay_unknown(z4_invariants):
     assert verdict.exit_code == 4
 
 
-def test_shift_equivalence_diagnostics(z4_invariants):
+def test_shift_equivalence_diagnostics(z4_invariants, monkeypatch):
     verdict = compare(z4_invariants["E"], z4_invariants["E"], se_lag=1, se_entries=2)
     assert verdict.status == UNKNOWN
     assert "Q2: bounded shift equivalence witness at lag 1" in verdict.reason
     assert "Q3: bounded shift equivalence search too large" in verdict.reason
+    # a search that passes the check budget is reported the same way
+    monkeypatch.setattr(k0, "SHIFT_SEARCH_BUDGET", 0)
+    verdict = compare(z4_invariants["E"], z4_invariants["E"], se_lag=1, se_entries=2)
+    assert "Q2: bounded shift equivalence search too large" in verdict.reason
 
 
 def test_missing_multiplier_is_unknown(z4_invariants):
@@ -217,6 +222,48 @@ def test_verify_witness_accepts_and_rejects(z4_invariants):
 
 
 # ------------------------------------------------------------------ rescaling
+
+
+def rescaled_invariant(inv: InvariantData, factors) -> InvariantData:
+    """The same invariant presented under per-object renormalized value maps.
+
+    ``factors`` maps labels to positive rationals c_Q; multipliers become
+    f(X: P->Q) * c_Q / c_P, the pointed class picks up c_unit, and each scale
+    is replaced by the S-free part of c_Q * scale.  Comparison verdicts must
+    not change under this transformation.
+    """
+    c = {label: Fraction(factors.get(label, 1)) for label in inv.labels}
+    if any(q <= 0 for q in c.values()):
+        raise InvalidInputError("rescaling factors must be positive")
+    by_rep = {rep: c[inv.labels[k]] for k, rep in enumerate(inv.representatives)}
+
+    morphisms = []
+    for X, f in inv.morphisms:
+        if f is None:
+            morphisms.append((X, None))
+        else:
+            morphisms.append((X, f * by_rep[X.target] / by_rep[X.source]))
+
+    scales = []
+    for k, r in enumerate(inv.scales):
+        if r is None:
+            scales.append(None)
+        else:
+            scales.append(strip_primes(c[inv.labels[k]] * r, inv.objects[k].prime_set))
+
+    pointed = inv.pointed
+    if isinstance(pointed, Fraction):
+        pointed = c[inv.labels[0]] * pointed
+
+    return InvariantData(
+        group=inv.group,
+        representatives=inv.representatives,
+        labels=inv.labels,
+        objects=inv.objects,
+        scales=tuple(scales),
+        morphisms=tuple(morphisms),
+        pointed=pointed,
+    )
 
 
 def test_rescaling_preserves_verdicts(z4_invariants):

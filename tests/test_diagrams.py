@@ -24,7 +24,6 @@ from afinv.diagrams import (
     compute_invariant,
     morphism_matrices,
     object_diagram,
-    unit_localization,
 )
 from afinv.errors import InternalConsistencyError, InvalidInputError
 from afinv.groups import make_group
@@ -33,6 +32,7 @@ from afinv.k0 import (
     RankOneForm,
     StationarySystem,
     mat_vec,
+    scaled_localization,
     value_map,
 )
 
@@ -254,11 +254,13 @@ def test_identity_action_objects_split(identity_diagram, z4_reps):
     assert inv.scales == (None, None, Fraction(1))
     # without a rank-one unit the pointed class stays a raw weight vector
     assert inv.pointed == (1, 1, 1, 1)
-    assert unit_localization(inv) is None
+    assert not isinstance(inv.objects[0], RankOneForm)
 
 
 def test_unit_localization_of_translation_action(z4_invariants):
-    loc = unit_localization(z4_invariants["F"])
+    unit = z4_invariants["F"].objects[0]
+    assert isinstance(unit, RankOneForm)
+    loc = scaled_localization(unit)
     assert loc.scale == 1 and loc.prime_set == frozenset({2})
     assert Fraction(3, 8) in loc
     assert Fraction(1, 3) not in loc

@@ -6,7 +6,6 @@ import pytest
 from afinv.errors import InvalidInputError
 from afinv.groups import (
     Character,
-    CocycleTable,
     Subgroup,
     _subgroups_cached,
     coset_of,
@@ -16,7 +15,6 @@ from afinv.groups import (
     subgroup_intersection,
     subgroup_sum,
     subgroups,
-    validate_2cocycle,
 )
 
 
@@ -259,33 +257,6 @@ def test_schur_trivial_is_cyclicity():
     # only the full Klein group is non-cyclic
     assert sum(1 for v in names.values() if not v) == 1
     assert all(H.is_cyclic() for H in subgroups(make_group(4)))
-
-
-def test_cocycle_validation():
-    G = make_group([2, 2])
-    H = Subgroup.generated(G, [(1, 0), (0, 1)])
-    mu = CocycleTable.from_function(H, lambda a, b: Fraction(a[1] * b[0], 2))
-    assert validate_2cocycle(mu)
-    assert not mu.is_trivial()
-    assert validate_2cocycle(CocycleTable.trivial(H))
-
-    # breaking normalization must fail
-    bad = CocycleTable.from_function(
-        H, lambda a, b: Fraction(1, 2) if a == (0, 0) else Fraction(0)
-    )
-    assert not validate_2cocycle(bad)
-
-
-def test_cocycle_identity_violation_detected():
-    G = make_group(4)
-    H = Subgroup.generated(G, [(1,)])
-
-    def crooked(a, b):
-        if a == (1,) and b == (1,):
-            return Fraction(1, 3)
-        return Fraction(0)
-
-    assert not validate_2cocycle(CocycleTable.from_function(H, crooked))
 
 
 def test_make_group_rejects_bad_factors():

@@ -305,6 +305,23 @@ def test_shift_equivalence_search_is_bounded():
         shift_equivalent_bounded(A, A, lag_bound=1, entry_bound=4)
 
 
+def test_shift_equivalence_search_stops_past_its_check_budget(monkeypatch):
+    # [[2]] with entries <= 1: R = 1 against S in {0, 1} at each lag makes
+    # 2 * lag_bound checks, and none is a witness since SR = S != 2^lag.
+    monkeypatch.setattr(k0_module, "SHIFT_SEARCH_BUDGET", 6)
+    assert shift_equivalent_bounded([[2]], [[2]], lag_bound=3, entry_bound=1) is None
+    monkeypatch.setattr(k0_module, "SHIFT_SEARCH_BUDGET", 5)
+    with pytest.raises(ResourceLimitError, match="passed 5 checks"):
+        shift_equivalent_bounded([[2]], [[2]], lag_bound=3, entry_bound=1)
+    # [[1]]: S = 0 fails at lags 1..3, then S = 1 is a witness at check 4
+    monkeypatch.setattr(k0_module, "SHIFT_SEARCH_BUDGET", 4)
+    found = shift_equivalent_bounded([[1]], [[1]], lag_bound=3, entry_bound=1)
+    assert found == (((1,),), ((1,),), 1)
+    monkeypatch.setattr(k0_module, "SHIFT_SEARCH_BUDGET", 3)
+    with pytest.raises(ResourceLimitError):
+        shift_equivalent_bounded([[1]], [[1]], lag_bound=3, entry_bound=1)
+
+
 # ----------------------------------------------------------- prime-set helpers
 
 

@@ -317,6 +317,12 @@ def test_verdict_parser_validates():
         verdict_from_json({})
     with pytest.raises(InvalidInputError):
         verdict_from_json({"verdict": "equivalent", "witness": {"Q1": "sqrt2"}})
+    for witness in (None, [], "x", True):
+        with pytest.raises(InvalidInputError):
+            verdict_from_json({"verdict": "equivalent", "witness": witness})
+    for reason in (None, 4, ["r"], {}):
+        with pytest.raises(InvalidInputError):
+            verdict_from_json({"verdict": "unknown", "reason": reason})
 
 
 # ---------------------------------------------------- object-diagram documents
