@@ -4,15 +4,15 @@ An (untwisted) Q-system is a subgroup H.  A simple H-K bimodule is a coset
 of H+K together with a character of H∩K.  Composition (``fuse``) reads the
 relative tensor product off the closed-form Mackey rule for module categories
 over Vec_G (Ostrik's (H, ψ) classification, untwisted abelian case), in
-integers and Fractions only.  The tests compare it with an independent
-floating-point trace computation over explicit induced modules.
+integers only: character phases are integers mod the exponent of G.  The
+tests compare it with an independent floating-point trace computation over
+explicit induced modules.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import (
@@ -110,7 +110,7 @@ def identity_bimodule(Q: QSystem) -> SimpleBimodule:
     """The unit morphism at Q: the coset H itself with the trivial character."""
     H = Q.subgroup
     coset = Coset(H.group.zero(), H.elements)
-    triv = Character(H, tuple(Fraction(0) for _ in H.elements))
+    triv = Character(H, (0,) * H.order)
     return SimpleBimodule(Q, Q, coset, triv)
 
 
@@ -168,7 +168,8 @@ def fuse(S1: SimpleBimodule, S2: SimpleBimodule) -> dict[SimpleBimodule, int]:
             coset = coset_of(G, sum_HL, g)
             covered.update(coset.members)
             cosets.append(coset)
-    phases = {t: (S1.character(t) + S2.character(t)) % 1 for t in HKL.elements}
+    E = G.exponent
+    phases = {t: (S1.character(t) + S2.character(t)) % E for t in HKL.elements}
     chars = [
         psi for psi in dual_characters(HL)
         if all(psi(t) == phase for t, phase in phases.items())

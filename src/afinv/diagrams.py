@@ -239,12 +239,6 @@ class InvariantData:
     morphisms: tuple[tuple[SimpleBimodule, Fraction | None], ...]
     pointed: Fraction | tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_multiplier_map", dict(self.morphisms))
-
-    def multiplier(self, X: SimpleBimodule) -> Fraction | None:
-        return self._multiplier_map.get(X)  # type: ignore[attr-defined]
-
     def object_by_label(self, label: str) -> K0Description:
         return self.objects[self.labels.index(label)]
 

@@ -1,9 +1,10 @@
 """Finite abelian groups, their subgroups, characters and cosets.
 
 Elements of a group with factors ``(n_1, ..., n_r)`` are integer tuples of
-length ``r`` with ``0 <= a_i < n_i``.  Characters take values in Q/Z and are
-stored as exact :class:`fractions.Fraction` objects in ``[0, 1)``; no floats
-appear anywhere in this module.
+length ``r`` with ``0 <= a_i < n_i``.  Characters take values in Q/Z; every
+such value is a multiple of 1/E, E the exponent of the group, so a character
+is stored as a table of integers v in ``[0, E)``, each standing for the phase
+v/E.  No floats appear anywhere in this module.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InvalidInputError
@@ -252,54 +252,28 @@ def subgroup_intersection(H: Subgroup, K: Subgroup) -> Subgroup:
 
 @dataclass(frozen=True)
 class Character:
-    """A homomorphism from a subgroup to Q/Z, tabulated on sorted elements."""
+    """A homomorphism from a subgroup to Q/Z, tabulated on sorted elements.
+
+    ``values[i]`` is an integer v in [0, E), E the exponent of the ambient
+    group, standing for the phase v/E at ``domain.elements[i]``.  The table
+    is not checked here: :func:`dual_characters` builds every character, and
+    a parser returns one of its members.
+    """
 
     domain: Subgroup
-    values: tuple[Fraction, ...]
+    values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.values) != len(self.domain.elements):
-            raise InvalidInputError("character value table has wrong length")
-        if any(not (0 <= v < 1) for v in self.values):
-            raise InvalidInputError("character values must be reduced mod 1 into [0, 1)")
         object.__setattr__(
             self, "_table", dict(zip(self.domain.elements, self.values))
         )
-        if self._table[self.domain.group.zero()] != 0:  # type: ignore[attr-defined]
-            raise InvalidInputError("character must send 0 to 0")
 
-    @classmethod
-    def from_values(cls, domain: Subgroup, table) -> "Character":
-        """Build from an element->Fraction mapping and verify it is a homomorphism."""
-        values = []
-        for e in domain.elements:
-            v = Fraction(table.get(e, 0)) % 1
-            values.append(v)
-        char = cls(domain, tuple(values))
-        G = domain.group
-        for a in domain.elements:
-            for b in domain.elements:
-                if (char(a) + char(b)) % 1 != char(G.add(a, b)):
-                    raise InvalidInputError(
-                        f"value table is not a homomorphism at {a} + {b}"
-                    )
-        return char
-
-    def __call__(self, element: Element) -> Fraction:
+    def __call__(self, element: Element) -> int:
         return self._table[element]  # type: ignore[attr-defined]
 
-    def is_trivial(self) -> bool:
-        return all(v == 0 for v in self.values)
-
     def conjugate(self) -> "Character":
-        return Character(self.domain, tuple((-v) % 1 for v in self.values))
-
-    def product(self, other: "Character") -> "Character":
-        if self.domain != other.domain:
-            raise InvalidInputError("character product requires a common domain")
-        return Character(
-            self.domain, tuple((u + v) % 1 for u, v in zip(self.values, other.values))
-        )
+        E = self.domain.group.exponent
+        return Character(self.domain, tuple((-v) % E for v in self.values))
 
 
 def dual_characters(H: Subgroup) -> list[Character]:
@@ -307,9 +281,13 @@ def dual_characters(H: Subgroup) -> list[Character]:
 
     Every character of a subgroup extends to the ambient group (Q/Z is
     divisible), so restricting all ambient characters is exhaustive.  The
-    values are computed as integers over the common denominator E = exponent
-    of G: the ambient character with coefficients c takes e to
-    sum c_i * e_i * (E / n_i) mod E, over E.
+    values are integers over the common denominator E = exponent of G: the
+    ambient character with coefficients c takes e to
+    sum c_i * e_i * (E / n_i) mod E.
+
+    >>> H = Subgroup.generated(make_group([4]), [(2,)])
+    >>> [chi.values for chi in dual_characters(H)]
+    [(0, 0), (0, 2)]
     """
     G = H.group
     E = G.exponent
@@ -323,8 +301,7 @@ def dual_characters(H: Subgroup) -> list[Character]:
     }
     if len(tables) != H.order:
         raise InvalidInputError(f"expected {H.order} characters, found {len(tables)}")
-    phase = {v: Fraction(v, E) for v in set().union(*tables)}
-    return [Character(H, tuple(phase[v] for v in t)) for t in sorted(tables)]
+    return [Character(H, t) for t in sorted(tables)]
 
 
 @dataclass(frozen=True)

@@ -357,19 +357,24 @@ def shift_equivalent_bounded(A, B, lag_bound: int, entry_bound: int):
 
     rs = candidates(b, a, B, A)  # R: level map Z^a -> Z^b with RA = BR
     ss = candidates(a, b, A, B)
-    powersA = {l: mat_pow(A, l) for l in range(1, lag_bound + 1)}
-    powersB = {l: mat_pow(B, l) for l in range(1, lag_bound + 1)}
     checks = 0
     for R in rs:
         if all(all(x == 0 for x in row) for row in R):
             continue
         for S in ss:
+            SR = mat_mul(S, R)
+            # A^lag, one product per lag as the loop reaches it.  Only the
+            # current power is held: all of them up to a lag near the check
+            # budget would hold gigabytes of integers.
+            power = A
             for lag in range(1, lag_bound + 1):
                 checks += 1
                 if checks > SHIFT_SEARCH_BUDGET:
                     raise ResourceLimitError(
                         f"shift-equivalence search passed {SHIFT_SEARCH_BUDGET} checks"
                     )
-                if mat_mul(S, R) == powersA[lag] and mat_mul(R, S) == powersB[lag]:
+                if lag > 1:
+                    power = mat_mul(power, A)
+                if SR == power and mat_mul(R, S) == mat_pow(B, lag):
                     return R, S, lag
     return None

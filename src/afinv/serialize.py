@@ -22,6 +22,7 @@ from .groups import (
     FiniteAbelianGroup,
     Subgroup,
     coset_of,
+    dual_characters,
     make_group,
     subgroup_intersection,
     subgroup_sum,
@@ -146,16 +147,25 @@ def _element_key(e) -> str:
 
 
 def character_to_json(chi: Character) -> dict:
+    E = chi.domain.group.exponent
     theta = {}
-    for e in chi.domain.elements:
-        if chi(e) != 0:
-            theta[_element_key(e)] = frac_to_str(chi(e))
+    for e, v in zip(chi.domain.elements, chi.values):
+        if v:
+            theta[_element_key(e)] = frac_to_str(Fraction(v, E))
     return {"theta": theta}
 
 
 def character_from_json(domain: Subgroup, doc) -> Character:
+    """The member of ``dual_characters(domain)`` with the phases ``theta`` lists.
+
+    Each phase is read mod 1 as a numerator over the exponent E of the group;
+    unlisted phases are 0.  The characters of a subgroup are exactly its
+    homomorphisms to Q/Z, so this accepts exactly the homomorphism tables; a
+    phase that is not a multiple of 1/E matches none of them.
+    """
     theta = _expect(doc, "theta", dict)
     G = domain.group
+    E = G.exponent
     table = {}
     for key, raw in theta.items():
         try:
@@ -164,8 +174,14 @@ def character_from_json(domain: Subgroup, doc) -> Character:
             raise InvalidInputError(f"bad element key {key!r}") from exc
         if not domain.contains(elem):
             raise InvalidInputError(f"element {key} is outside the character domain")
-        table[elem] = frac_from_str(raw)
-    return Character.from_values(domain, table)
+        if elem in table:
+            raise InvalidInputError(f"theta names the element {list(elem)} twice")
+        table[elem] = frac_from_str(raw) * E % E
+    values = tuple(table.get(e, 0) for e in domain.elements)
+    for chi in dual_characters(domain):
+        if chi.values == values:
+            return chi
+    raise InvalidInputError("character table is not a homomorphism")
 
 
 def bimodule_to_json(S: SimpleBimodule) -> dict:

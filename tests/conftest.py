@@ -47,7 +47,7 @@ def z4_diagrams(z4_reps):
     F = homog(Q1, {b: 1 for b in simple_bimodules(Q1, Q1)})
     G = homog(Q2, {b: 1 for b in simple_bimodules(Q2, Q2)})
     H = homog(Q3, {b: 1 for b in simple_bimodules(Q3, Q3)})
-    triv = next(b for b in simple_bimodules(Q3, Q3) if b.character.is_trivial())
+    triv = next(b for b in simple_bimodules(Q3, Q3) if not any(b.character.values))
     E = homog(Q3, {triv: 4})
     return {"F": F, "G": G, "H": H, "E": E}
 

@@ -48,10 +48,16 @@ def realize(S: SimpleBimodule, base_point: tuple | None = None) -> ExplicitBimod
     section picks, for each grading value, the lexicographically least pair
     (h, k) with h + base_point + k equal to that value.  The pair (t, -t)
     with t in H∩K then acts by the scalar character(t) on every basis vector.
+    Each phase is kept as the Fraction v/E of the character's integer value v
+    over the exponent E of G.
     """
     G = S.group
     H, K = S.source.subgroup, S.target.subgroup
-    chi = S.character
+    E = G.exponent
+
+    def chi(t) -> Fraction:
+        return Fraction(S.character(t), E)
+
     if base_point is None:
         base_point = S.coset.rep
     elif base_point not in S.coset.members:
@@ -156,7 +162,8 @@ def float_oracle_fuse(
             stacked[t] = m_t @ e_mat
         for chi3 in chars3:
             tr = sum(
-                phase((-chi3(t)) % 1) * np.trace(stacked[t]) for t in HL.elements
+                phase(Fraction(-chi3(t), G.exponent) % 1) * np.trace(stacked[t])
+                for t in HL.elements
             ) / HL.order
             mult = round(tr.real)
             if abs(tr.real - mult) > FLOAT_ORACLE_TOLERANCE or abs(tr.imag) > FLOAT_ORACLE_TOLERANCE:

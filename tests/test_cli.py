@@ -378,6 +378,23 @@ def test_non_integer_elements_are_input_errors(mutate, tmp_path, z4_diagrams, ca
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "theta",
+    [{"[2]": "1/2", "[6]": "0"}, {"[6]": "0", "[2]": "1/2"}],
+    ids=["sign-first", "trivial-first"],
+)
+def test_theta_naming_one_element_twice_is_an_input_error(theta, tmp_path, z4_diagrams, capsys):
+    # [6] is [2] in Z/4, so either key order would otherwise pick a character
+    doc = diagram_to_json(z4_diagrams["G"])
+    (edge,) = [e for e in doc["edge"] if e["bimodule"]["character"]["theta"]
+               and e["bimodule"]["coset_rep"] == [0]]
+    edge["bimodule"]["character"]["theta"] = theta
+    code, _, err = run(capsys, "invariant", write_json(tmp_path, "twice.json", doc))
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "twice" in err
+
+
 def test_cli_imports_no_numpy():
     src = os.path.dirname(os.path.dirname(os.path.abspath(afinv.__file__)))
     env = dict(os.environ, PYTHONPATH=src)

@@ -1,10 +1,11 @@
 """Roots of unity as the package keeps them: exact Q/Z phases of characters.
 
-A character value theta in [0, 1) stands for the root of unity e^(2*pi*i*theta).
-The Mackey rule in `afinv.bimodules.fuse` counts characters in this exact
-form, and the float oracle in `tests/fuse_oracle.py` embeds them into the
-complex numbers and projects with character sums.  These tests pin the
-root-of-unity facts both routes rest on.
+A character value v, an integer in [0, E) for E the exponent of the group,
+stands for the root of unity e^(2*pi*i*v/E).  The Mackey rule in
+`afinv.bimodules.fuse` counts characters in this exact form, and the float
+oracle in `tests/fuse_oracle.py` embeds them into the complex numbers and
+projects with character sums.  These tests pin the root-of-unity facts both
+routes rest on.
 """
 
 import cmath
@@ -15,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from afinv.errors import InvalidInputError
-from afinv.groups import Character, Subgroup, dual_characters, make_group
+from afinv.groups import Subgroup, dual_characters, make_group
+from afinv.serialize import character_from_json
 
 from fuse_oracle import FLOAT_ORACLE_TOLERANCE
 
@@ -27,13 +29,24 @@ def cyclic(e):
 
 
 def character_at_generator(H, theta):
-    """The character of the cyclic group H = Z/e sending the generator to theta."""
+    """The character of the cyclic group H = Z/e sending the generator to theta.
+
+    It is parsed from the full phase table k -> k * theta, so a theta that is
+    not a multiple of 1/e is refused as a non-character.
+    """
     e = H.order
-    return Character.from_values(H, {(k,): k * theta for k in range(e)})
+    table = {f"[{k}]": str(k * theta % 1) for k in range(1, e)}
+    return character_from_json(H, {"theta": table})
 
 
-def embed(theta):
-    return cmath.exp(2j * cmath.pi * float(theta))
+def times(chi, k):
+    """The integer table of the k-th power of chi (k times each phase)."""
+    E = chi.domain.group.exponent
+    return tuple(k * v % E for v in chi.values)
+
+
+def embed(v, E):
+    return cmath.exp(2j * cmath.pi * v / E)
 
 
 @pytest.mark.parametrize("e", range(2, 13))
@@ -42,31 +55,32 @@ def test_root_sums_vanish(e):
     chars = dual_characters(H)
     # the generator character takes each e-th root of unity exactly once
     primitive = character_at_generator(H, Fraction(1, e))
-    assert sorted(primitive.values) == [Fraction(k, e) for k in range(e)]
+    assert primitive.values == tuple(range(e))
     for chi in chars[1:]:
-        total = sum(embed(chi(g)) for g in H.elements)
+        total = sum(embed(chi(g), e) for g in H.elements)
         assert abs(total) < FLOAT_ORACLE_TOLERANCE
-    assert abs(sum(embed(chars[0](g)) for g in H.elements) - e) < FLOAT_ORACLE_TOLERANCE
+    assert abs(sum(embed(chars[0](g), e) for g in H.elements) - e) < FLOAT_ORACLE_TOLERANCE
 
 
 def test_fourth_root_squares_to_minus_one():
     H = cyclic(4)
     i = character_at_generator(H, Fraction(1, 4))
     minus_one = character_at_generator(H, Fraction(1, 2))
-    assert i.product(i) == minus_one
-    assert i.product(i).product(i).product(i).is_trivial()
+    assert i.values == (0, 1, 2, 3)
+    assert times(i, 2) == minus_one.values == (0, 2, 0, 2)
+    assert times(i, 4) == (0, 0, 0, 0)
     assert i((0,)) == 0
-    assert i((2,)) == Fraction(1, 2)
+    assert i((2,)) == 2  # the phase 2/4 = 1/2
 
 
 def test_mixed_order_arithmetic_lifts():
     H = cyclic(6)
     z2 = character_at_generator(H, Fraction(1, 2))
     z3 = character_at_generator(H, Fraction(1, 3))
-    z6 = z2.product(z3)
-    assert z6 == character_at_generator(H, Fraction(5, 6))
+    z6 = tuple((u + v) % 6 for u, v in zip(z2.values, z3.values))
+    assert z6 == character_at_generator(H, Fraction(5, 6)).values
     # the product has order 6: only the sixth multiple sends the generator to 0
-    assert [(k * z6((1,))) % 1 == 0 for k in range(1, 7)] == [False] * 5 + [True]
+    assert [(k * z6[1]) % 6 == 0 for k in range(1, 7)] == [False] * 5 + [True]
 
 
 def test_denominator_must_divide_order():
@@ -81,13 +95,14 @@ def test_complex_embedding():
         for j in range(e):
             chi = character_at_generator(H, Fraction(j, e))
             for k in range(e):
+                assert chi((k,)) == j * k % e
                 expected = cmath.exp(2j * cmath.pi * j * k / e)
-                assert abs(embed(chi((k,))) - expected) < 1e-9
+                assert abs(embed(chi((k,)), e) - expected) < 1e-9
 
 
 Z24 = cyclic(24)
 Z24_CHARACTERS = {chi((1,)): chi for chi in dual_characters(Z24)}
-thetas = st.integers(min_value=0, max_value=23).map(lambda k: Fraction(k, 24))
+thetas = st.integers(min_value=0, max_value=23)
 
 
 @given(thetas, thetas)
@@ -95,4 +110,5 @@ thetas = st.integers(min_value=0, max_value=23).map(lambda k: Fraction(k, 24))
 def test_root_of_unity_is_a_homomorphism(a, b):
     za = Z24_CHARACTERS[a]
     zb = Z24_CHARACTERS[b]
-    assert za.product(zb) == Z24_CHARACTERS[(a + b) % 1]
+    total = tuple((u + v) % 24 for u, v in zip(za.values, zb.values))
+    assert total == Z24_CHARACTERS[(a + b) % 24].values

@@ -123,7 +123,7 @@ def test_published_multiplier_rows(z4_invariants, z4_simples):
     for name in ("F", "G", "H"):
         inv = z4_invariants[name]
         for label, simple in z4_simples.items():
-            q = inv.multiplier(simple)
+            q = dict(inv.morphisms)[simple]
             assert q == expected_by_family[name][label[3:6]], (name, label)
 
 
@@ -131,7 +131,7 @@ def test_multiplier_respects_value_maps_on_running_example(z4_diagrams, z4_invar
     F = z4_diagrams["F"]
     inv = z4_invariants["F"]
     X = z4_simples["M_{1-3}"]
-    q = inv.multiplier(X)
+    q = dict(inv.morphisms)[X]
     assert q == 4
     descP = inv.object_by_label("Q1")
     descQ = inv.object_by_label("Q3")
@@ -143,9 +143,9 @@ def test_multiplier_respects_value_maps_on_running_example(z4_diagrams, z4_invar
 def test_fusion_consistency_of_multiplier_table(z4_invariants, z4_simples):
     # spelled-out instance: q(M_{1-2,0}) * q(M_{2-1,0}) counts the two
     # translations appearing in their composite
-    inv = z4_invariants["F"]
-    lhs = inv.multiplier(z4_simples["M_{1-2,0}"]) * inv.multiplier(z4_simples["M_{2-1,0}"])
-    rhs = inv.multiplier(z4_simples["M_{1-1,0}"]) + inv.multiplier(z4_simples["M_{1-1,2}"])
+    q = dict(z4_invariants["F"].morphisms)
+    lhs = q[z4_simples["M_{1-2,0}"]] * q[z4_simples["M_{2-1,0}"]]
+    rhs = q[z4_simples["M_{1-1,0}"]] + q[z4_simples["M_{1-1,2}"]]
     assert lhs == rhs == 2
 
 
@@ -189,9 +189,9 @@ def test_multipliers_do_not_depend_on_weights(z4_reps, z4_simples, z4_invariants
         Q1, {b: 1 for b in simple_bimodules(Q1, Q1)}, generator_weights=(1, 0, 0, 0)
     )
     inv = compute_invariant(F_ind)
-    base = z4_invariants["F"]
+    base = dict(z4_invariants["F"].morphisms)
     for X, q in inv.morphisms:
-        assert q == base.multiplier(X)
+        assert q == base[X]
 
 
 # ------------------------------------------------------ heterogeneous diagrams

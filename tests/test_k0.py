@@ -322,6 +322,29 @@ def test_shift_equivalence_search_stops_past_its_check_budget(monkeypatch):
         shift_equivalent_bounded([[1]], [[1]], lag_bound=3, entry_bound=1)
 
 
+def test_shift_equivalence_builds_powers_only_as_the_lags_are_reached(monkeypatch):
+    # [[2]] against [[3]] has only R = 0 and S = 0 as candidates, so no lag is
+    # ever checked and no power of either matrix may be built, however large
+    # the lag bound.
+    calls = {"mat_mul": 0, "mat_pow": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(k0_module, "mat_mul", counting("mat_mul", mat_mul))
+    monkeypatch.setattr(k0_module, "mat_pow", counting("mat_pow", mat_pow))
+    assert shift_equivalent_bounded([[2]], [[3]], lag_bound=10**9, entry_bound=1) is None
+    # two products for each of the 2 + 2 matrices tried as candidates, no more
+    assert calls == {"mat_mul": 8, "mat_pow": 0}
+    # with a candidate pair, the same lag bound ends at the check budget
+    monkeypatch.setattr(k0_module, "SHIFT_SEARCH_BUDGET", 5)
+    with pytest.raises(ResourceLimitError, match="passed 5 checks"):
+        shift_equivalent_bounded([[2]], [[2]], lag_bound=10**9, entry_bound=1)
+
+
 # ----------------------------------------------------------- prime-set helpers
 
 

@@ -108,6 +108,14 @@ def test_character_round_trip(z4):
         character_from_json(half, {})
 
 
+@pytest.mark.parametrize("factors", [[12], [2, 4], [2, 2, 2]], ids=["Z12", "Z2xZ4", "Z2^3"])
+def test_every_character_round_trips(factors):
+    for H in subgroups(make_group(factors)):
+        for chi in dual_characters(H):
+            doc = through_json(character_to_json(chi))
+            assert character_from_json(H, doc) == chi, (H, chi)
+
+
 def test_bimodule_round_trip(z4, z4_simples):
     for label, s in z4_simples.items():
         doc = through_json(bimodule_to_json(s))
