@@ -1,19 +1,21 @@
 """Q-systems over a finite abelian group and their simple bimodules.
 
 An (untwisted) Q-system is a subgroup H.  A simple H-K bimodule is a coset
-of H+K together with a character of H∩K.  Composition (``fuse``) reads the
-relative tensor product off the closed-form Mackey rule for module categories
-over Vec_G (Ostrik's (H, ψ) classification, untwisted abelian case), in
-integers only: character phases are integers mod the exponent of G.  The
-tests compare it with an independent floating-point trace computation over
-explicit induced modules.
+of H+K together with a character of H∩K.  Composition reads the relative
+tensor product off the closed-form Mackey rule for module categories over
+Vec_G (Ostrik's (H, ψ) classification, untwisted abelian case), in integers
+only: character phases are integers mod the exponent of G.  ``fuse``,
+``fusion_table`` and the fusion check of ``afinv.diagrams`` read one block
+table per subgroup triple (``_mackey_blocks``).  The tests compare it with an
+independent floating-point trace computation over explicit induced modules.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .errors import (
     InternalConsistencyError,
@@ -25,7 +27,6 @@ from .groups import (
     Coset,
     FiniteAbelianGroup,
     Subgroup,
-    coset_of,
     coset_space,
     dual_characters,
     subgroup_intersection,
@@ -130,63 +131,61 @@ def _composable(S1: SimpleBimodule, S2: SimpleBimodule) -> None:
         )
 
 
-def fuse(S1: SimpleBimodule, S2: SimpleBimodule) -> dict[SimpleBimodule, int]:
-    """The relative tensor product S1 ⊗_K S2 as a multiplicity dict.
+def _mackey_blocks(P: QSystem, Q: QSystem, R: QSystem):
+    """The Mackey rule of the subgroup triple (H, K, L), as (m, key, blocks).
 
-    For an H-K bimodule S1 = (c1, χ1) and a K-L bimodule S2 = (c2, χ2) the
-    Mackey rule gives S1 ⊗_K S2 = m · Σ (d, ψ): d runs over the cosets of H+L
-    inside c1+c2+(H+K+L), ψ over the characters of H∩L that agree with χ1+χ2
-    on H∩K∩L, and m = |H||K||L||H∩K∩L| / (|H∩K||K∩L||H+K+L||H∩L|).  A
-    non-integral m or a change of total dimension aborts rather than rounding.
+    ``blocks`` groups the simple P-R bimodules (d, ψ) by ``key``: the coset of
+    H+K+L through d, and ψ on H∩K∩L.  An H-K simple S1 = (c1, χ1) fused with a
+    K-L simple S2 = (c2, χ2) is m copies of the block key(S1, S2) of c1+c2 and
+    χ1+χ2, where m = |H||K||L||H∩K∩L| / (|H∩K||K∩L||H+K+L||H∩L|).  A
+    non-integral m, a wrong block count or a block that changes total
+    dimension aborts rather than rounding.
     """
-    _composable(S1, S2)
-    G = S1.group
-    H = S1.source.subgroup
-    K = S1.target.subgroup
-    L = S2.target.subgroup
+    G = P.group
+    H, K, L = P.subgroup, Q.subgroup, R.subgroup
     HK = subgroup_intersection(H, K)
-    HL = subgroup_intersection(H, L)
     HKL = subgroup_intersection(HK, L)
-    span = subgroup_sum(subgroup_sum(H, K), L)
-    sum_HL = subgroup_sum(H, L)
-
+    sum_HK = subgroup_sum(H, K)
+    span = subgroup_sum(sum_HK, L)
     mult, rem = divmod(
         H.order * K.order * L.order * HKL.order,
-        HK.order * subgroup_intersection(K, L).order * span.order * HL.order,
+        HK.order * subgroup_intersection(K, L).order * span.order
+        * subgroup_intersection(H, L).order,
     )
     if rem or mult < 1:
         raise InternalConsistencyError(
-            f"multiplicity of {S1} ⊗ {S2} is not a positive integer"
+            f"multiplicity of the triple {P}-{Q}-{R} is not a positive integer"
         )
 
-    base = G.add(S1.coset.rep, S2.coset.rep)
-    cosets = []
-    covered: set[tuple] = set()
-    for x in span.elements:
-        g = G.add(base, x)
-        if g not in covered:
-            coset = coset_of(G, sum_HL, g)
-            covered.update(coset.members)
-            cosets.append(coset)
     E = G.exponent
-    phases = {t: (S1.character(t) + S2.character(t)) % E for t in HKL.elements}
-    chars = [
-        psi for psi in dual_characters(HL)
-        if all(psi(t) == phase for t, phase in phases.items())
-    ]
-    result = {
-        SimpleBimodule(S1.source, S2.target, coset, psi): mult
-        for coset in cosets
-        for psi in chars
-    }
+    span_rep = {x: c.rep for c in coset_space(G, span) for x in c.members}
 
-    got_dim = sum(m * s.dimension for s, m in result.items())
-    if got_dim * K.order != S1.dimension * S2.dimension:
+    def key(*simples):
+        phases = (sum(S.character(t) for S in simples) % E for t in HKL.elements)
+        return span_rep[reduce(G.add, (S.coset.rep for S in simples))], tuple(phases)
+
+    blocks: dict[tuple, list[SimpleBimodule]] = {}
+    for Z in simple_bimodules(P, R):
+        blocks.setdefault(key(Z), []).append(Z)
+    # [G : H+K+L]·|H∩K∩L| blocks, each of dimension |H+K||K+L| / (m|K|)
+    count, want = G.order // span.order * HKL.order, sum_HK.order * subgroup_sum(K, L).order
+    got = [mult * K.order * sum(Z.dimension for Z in block) for block in blocks.values()]
+    if got != [want] * count:
         raise InternalConsistencyError(
-            f"dimension mismatch fusing {S1} ⊗ {S2}: "
-            f"{got_dim} != {S1.dimension} * {S2.dimension} / {K.order}"
+            f"dimension mismatch in the triple {P}-{Q}-{R}: {len(got)} blocks of "
+            f"m·|K|·dim {sorted(set(got))}, not {count} of |H+K||K+L| = {want}"
         )
-    return result
+    return mult, key, blocks
+
+
+def fuse(S1: SimpleBimodule, S2: SimpleBimodule) -> dict[SimpleBimodule, int]:
+    """The relative tensor product S1 ⊗_K S2: m times one block of ``_mackey_blocks``."""
+    _composable(S1, S2)
+    mult, key, blocks = _mackey_blocks(S1.source, S1.target, S2.target)
+    block = blocks.get(key(S1, S2))
+    if block is None:
+        raise InternalConsistencyError(f"{S1} ⊗ {S2} has no Mackey block")
+    return {Z: mult for Z in block}
 
 
 @dataclass(frozen=True)
@@ -217,25 +216,17 @@ def fusion_table(G: FiniteAbelianGroup) -> FusionTable:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CompletenessWarning)
         reps = qsystems(G)
-    simples: list[SimpleBimodule] = []
-    for P in reps:
-        for Q in reps:
-            simples.extend(simple_bimodules(P, Q))
+    by_pair = {(P, Q): simple_bimodules(P, Q) for P in reps for Q in reps}
+    simples = [s for pair in by_pair.values() for s in pair]
     index = {s: i for i, s in enumerate(simples)}
     products = []
-    for i, s1 in enumerate(simples):
-        for j, s2 in enumerate(simples):
-            if s1.target != s2.source:
-                continue
-            out = fuse(s1, s2)
-            entry = tuple(sorted((index[s], m) for s, m in out.items()))
-            products.append(((i, j), entry))
-    return FusionTable(G, tuple(simples), tuple(products))
-
-
-@lru_cache(maxsize=None)
-def _subgroup_positions(G: FiniteAbelianGroup) -> dict:
-    return {H.elements: i + 1 for i, H in enumerate(subgroups(G))}
+    for P, Q, R in itertools.product(reps, repeat=3):
+        mult, key, blocks = _mackey_blocks(P, Q, R)
+        entries = {k: tuple(sorted((index[Z], mult) for Z in b)) for k, b in blocks.items()}
+        for s1 in by_pair[P, Q]:
+            for s2 in by_pair[Q, R]:
+                products.append(((index[s1], index[s2]), entries[key(s1, s2)]))
+    return FusionTable(G, tuple(simples), tuple(sorted(products)))
 
 
 def _format_rep(rep: tuple) -> str:
@@ -252,9 +243,9 @@ def bimodule_label(S: SimpleBimodule) -> str:
     part is omitted when the stabilizer H∩K is trivial.
     """
     G = S.group
-    pos = _subgroup_positions(G)
-    i = pos[S.source.subgroup.elements]
-    j = pos[S.target.subgroup.elements]
+    subs = subgroups(G)
+    i = subs.index(S.source.subgroup) + 1
+    j = subs.index(S.target.subgroup) + 1
     I = S.character.domain  # H∩K
     name = f"M_{{{i}-{j}"
     if S.coset.size < G.order:  # more than one coset of H+K

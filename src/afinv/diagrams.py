@@ -24,6 +24,7 @@ from .bimodules import (
     CompletenessWarning,
     QSystem,
     SimpleBimodule,
+    _mackey_blocks,
     bimodule_label,
     fuse,
     qsystems,
@@ -321,22 +322,29 @@ def _check_intertwining(sysP, sysQ, mats, X) -> None:
 
 
 def _check_fusion_consistency(inv: InvariantData) -> None:
-    """Multiplier of a composite must equal the multiplicity-weighted product."""
-    defined = {X: q for X, q in inv.morphisms if q is not None}
-    for X, qx in defined.items():
-        for Y, qy in defined.items():
-            if X.target != Y.source:
-                continue
-            total = Fraction(0)
-            for Z, m in _fuse_cached(X, Y).items():
-                qz = defined.get(Z)
-                if qz is None:
-                    break
-                total += m * qz
-            else:
-                if total != qx * qy:
-                    raise InternalConsistencyError(
-                        f"multiplier table violates fusion: "
-                        f"{bimodule_label(X)} ∘ {bimodule_label(Y)}: {total} != {qx * qy}"
-                    )
+    """Multiplier of a composite must equal the multiplicity-weighted product.
 
+    Per triple of representatives, m times the multiplier sum of the Mackey
+    block of X ∘ Y must equal q_X · q_Y; a block holding an undefined
+    multiplier is skipped.  Each block is summed once per triple.
+    """
+    defined = {X: q for X, q in inv.morphisms if q is not None}
+    by_pair: dict[tuple, list] = {}
+    for X, q in defined.items():
+        by_pair.setdefault((X.source, X.target), []).append((X, q))
+    for (P, Q), lefts in by_pair.items():
+        for R in inv.representatives:
+            rights = by_pair.get((Q, R))
+            if rights is None:
+                continue
+            mult, key, blocks = _mackey_blocks(P, Q, R)
+            qs = {k: [defined.get(Z) for Z in block] for k, block in blocks.items()}
+            totals = {k: mult * sum(v) for k, v in qs.items() if None not in v}
+            for X, qx in lefts:
+                for Y, qy in rights:
+                    total = totals.get(key(X, Y))
+                    if total is not None and total != qx * qy:
+                        raise InternalConsistencyError(
+                            f"multiplier table violates fusion: "
+                            f"{bimodule_label(X)} ∘ {bimodule_label(Y)}: {total} != {qx * qy}"
+                        )

@@ -311,9 +311,6 @@ class Coset:
     rep: Element
     members: tuple[Element, ...]
 
-    def __contains__(self, a) -> bool:
-        return a in self.members
-
     @property
     def size(self) -> int:
         return len(self.members)

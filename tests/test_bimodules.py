@@ -5,15 +5,19 @@ left factors, columns right factors, cells are "+"-joined decompositions).
 Together they cover all 162 composable pairs of simples.
 """
 
+import functools
 import itertools
 import random
 import warnings
 
 import pytest
 
+from afinv import bimodules
 from afinv.bimodules import (
     CompletenessWarning,
     QSystem,
+    SimpleBimodule,
+    _composable,
     bimodule_label,
     dual,
     fuse,
@@ -22,8 +26,15 @@ from afinv.bimodules import (
     qsystems,
     simple_bimodules,
 )
-from afinv.errors import InvalidCompositionError
-from afinv.groups import Subgroup, make_group
+from afinv.errors import InternalConsistencyError, InvalidCompositionError
+from afinv.groups import (
+    Subgroup,
+    coset_of,
+    dual_characters,
+    make_group,
+    subgroup_intersection,
+    subgroup_sum,
+)
 
 from fuse_oracle import float_oracle_fuse
 from z4_tables import ALL_TABLES, cell_multiset
@@ -282,3 +293,86 @@ def test_fusion_table_is_cached_and_consistent(z4):
             assert m >= 1
             assert t1.simples[k].source == src
             assert t1.simples[k].target == tgt
+
+
+# memoized only to keep the Z/4 x Z/4 sweep short; the characters are the same
+_characters = functools.lru_cache(maxsize=None)(dual_characters)
+
+
+def pairwise_mackey_fuse(S1, S2):
+    """Reference: the Mackey rule evaluated for one pair, with its own checks.
+
+    d runs over the cosets of H+L inside c1+c2+(H+K+L), ψ over the characters
+    of H∩L that agree with χ1+χ2 on H∩K∩L, each m times.
+    """
+    _composable(S1, S2)
+    G = S1.group
+    H = S1.source.subgroup
+    K = S1.target.subgroup
+    L = S2.target.subgroup
+    HK = subgroup_intersection(H, K)
+    HL = subgroup_intersection(H, L)
+    HKL = subgroup_intersection(HK, L)
+    span = subgroup_sum(subgroup_sum(H, K), L)
+    sum_HL = subgroup_sum(H, L)
+
+    mult, rem = divmod(
+        H.order * K.order * L.order * HKL.order,
+        HK.order * subgroup_intersection(K, L).order * span.order * HL.order,
+    )
+    assert not rem and mult >= 1
+
+    base = G.add(S1.coset.rep, S2.coset.rep)
+    cosets = []
+    covered = set()
+    for x in span.elements:
+        g = G.add(base, x)
+        if g not in covered:
+            coset = coset_of(G, sum_HL, g)
+            covered.update(coset.members)
+            cosets.append(coset)
+    E = G.exponent
+    phases = {t: (S1.character(t) + S2.character(t)) % E for t in HKL.elements}
+    chars = [
+        psi for psi in _characters(HL)
+        if all(psi(t) == phase for t, phase in phases.items())
+    ]
+    result = {
+        SimpleBimodule(S1.source, S2.target, coset, psi): mult
+        for coset in cosets
+        for psi in chars
+    }
+    got_dim = sum(m * s.dimension for s, m in result.items())
+    assert got_dim * K.order == S1.dimension * S2.dimension
+    return result
+
+
+@pytest.mark.parametrize("factors", [[9], [12], [2, 6], [16], [4, 4]])
+def test_fusion_table_matches_pairwise_mackey_rule(factors):
+    # above order 8 the float oracle is not run on every pair
+    table = fusion_table(make_group(factors))
+    index = {s: i for i, s in enumerate(table.simples)}
+    expected = tuple(
+        ((i, j), tuple(sorted((index[z], m) for z, m in pairwise_mackey_fuse(s1, s2).items())))
+        for i, s1 in enumerate(table.simples)
+        for j, s2 in enumerate(table.simples)
+        if s1.target == s2.source
+    )
+    assert table.products == expected
+
+
+@pytest.mark.parametrize("drop", [0, -1])
+def test_fuse_with_a_missing_simple_is_an_internal_error(z4_simples, drop, monkeypatch):
+    real = bimodules.simple_bimodules
+
+    def one_short(P, Q):
+        out = real(P, Q)
+        del out[drop]
+        return out
+
+    monkeypatch.setattr(bimodules, "simple_bimodules", one_short)
+    simples = list(z4_simples.values())
+    for s1, s2 in itertools.product(simples, repeat=2):
+        if s1.target == s2.source:
+            with pytest.raises(InternalConsistencyError):
+                fuse(s1, s2)

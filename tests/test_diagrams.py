@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import pytest
 
-from afinv import diagrams
+from afinv import bimodules, diagrams
 from afinv.bimodules import (
     bimodule_label,
     fuse,
@@ -387,6 +387,94 @@ def test_fused_term_outside_the_basis_is_an_error(z4_diagrams, z4_reps, z4_simpl
         object_diagram(z4_diagrams["F"], z4_reps[0])
     with pytest.raises(InternalConsistencyError):
         morphism_matrices(z4_diagrams["F"], z4_simples["M_{1-1,1}"])
+
+
+# ------------------------------------- pairwise fusion-consistency reference
+
+
+def pairwise_fusion_consistency(inv):
+    """Reference check: fuse every composable pair of defined multipliers."""
+    defined = {X: q for X, q in inv.morphisms if q is not None}
+    for X, qx in defined.items():
+        for Y, qy in defined.items():
+            if X.target != Y.source:
+                continue
+            total = Fraction(0)
+            for Z, m in _fused(X, Y).items():
+                qz = defined.get(Z)
+                if qz is None:
+                    break
+                total += m * qz
+            else:
+                if total != qx * qy:
+                    raise InternalConsistencyError(
+                        f"multiplier table violates fusion: "
+                        f"{bimodule_label(X)} ∘ {bimodule_label(Y)}: {total} != {qx * qy}"
+                    )
+
+
+def both_consistency_routes(inv):
+    _check_fusion_consistency(inv)
+    pairwise_fusion_consistency(inv)
+
+
+def regular_action(factors):
+    Q1 = qsystems(make_group(factors))[0]
+    return EnrichedBratteliDiagram.homogeneous(Q1, {b: 1 for b in simple_bimodules(Q1, Q1)})
+
+
+def test_both_consistency_routes_accept_the_examples(z4_invariants, two_level_diagram):
+    for inv in z4_invariants.values():
+        both_consistency_routes(inv)
+    both_consistency_routes(compute_invariant(two_level_diagram))
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_both_consistency_routes_accept_random_diagrams(seed):
+    rng = random.Random(seed)
+    factors = [[3], [4], [6], [8], [2, 2]][seed % 5]
+    both_consistency_routes(compute_invariant(random_diagram(rng, factors)))
+
+
+@pytest.mark.parametrize("factors", [[8], [2, 4]])
+def test_both_consistency_routes_accept_regular_actions(factors):
+    both_consistency_routes(compute_invariant(regular_action(factors)))
+
+
+def _rejects(check, inv):
+    try:
+        check(inv)
+    except InternalConsistencyError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("name", ["F", "G", "H"])
+def test_consistency_routes_agree_on_every_single_tampered_multiplier(z4_invariants, name):
+    inv = z4_invariants[name]
+    tampered = 0
+    for k, (X, q) in enumerate(inv.morphisms):
+        if q is None:
+            continue
+        bad = inv.morphisms[:k] + ((X, Fraction(7)),) + inv.morphisms[k + 1 :]
+        table = dataclasses.replace(inv, morphisms=bad)
+        verdict = _rejects(_check_fusion_consistency, table)
+        assert verdict == _rejects(pairwise_fusion_consistency, table), bimodule_label(X)
+        tampered += verdict
+    assert tampered == len(inv.morphisms) == 22
+
+
+def test_consistency_check_fuses_no_pair(z4_invariants, two_level_diagram, monkeypatch):
+    inv = compute_invariant(two_level_diagram)
+
+    def refuse(*args):
+        raise AssertionError("the consistency check fused a pair")
+
+    monkeypatch.setattr(bimodules, "fuse", refuse)
+    monkeypatch.setattr(diagrams, "fuse", refuse)
+    monkeypatch.setattr(diagrams, "_fuse_cached", refuse)
+    for checked in (*z4_invariants.values(), inv):
+        _check_fusion_consistency(checked)
 
 
 # ------------------------------------------------------------------ validation
