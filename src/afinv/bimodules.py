@@ -1,13 +1,15 @@
 """Q-systems over a finite abelian group and their simple bimodules.
 
-An (untwisted) Q-system is a subgroup H.  A simple H-K bimodule is a coset
-of H+K together with a character of H∩K.  Composition reads the relative
-tensor product off the closed-form Mackey rule for module categories over
-Vec_G (Ostrik's (H, ψ) classification, untwisted abelian case), in integers
-only: character phases are integers mod the exponent of G.  ``fuse``,
-``fusion_table`` and the fusion check of ``afinv.diagrams`` read one block
-table per subgroup triple (``_mackey_blocks``).  The tests compare it with an
-independent floating-point trace computation over explicit induced modules.
+A Q-system is a subgroup: each indecomposable untwisted Q-system is the
+algebra C[H] of a subgroup H, and the code passes H itself (a ``Subgroup``).
+A simple H-K bimodule is a coset of H+K together with a character of H∩K.
+Composition reads the relative tensor product off the closed-form Mackey rule
+for module categories over Vec_G (Ostrik's (H, ψ) classification, untwisted
+abelian case), in integers only: character phases are integers mod the
+exponent of G.  ``fuse``, ``fusion_table`` and the fusion check of
+``afinv.diagrams`` read one block table per subgroup triple
+(``_mackey_blocks``).  The tests compare it with an independent
+floating-point trace computation over explicit induced modules.
 """
 
 from __future__ import annotations
@@ -39,26 +41,13 @@ class CompletenessWarning(UserWarning):
     """Twisted Q-system classes exist for this group but are not enumerated."""
 
 
-@dataclass(frozen=True)
-class QSystem:
-    """An indecomposable untwisted Q-system: a subgroup."""
+def qsystems(G: FiniteAbelianGroup) -> list[Subgroup]:
+    """The canonical representative set: one untwisted Q-system C[H] per subgroup H.
 
-    subgroup: Subgroup
-
-    @property
-    def group(self) -> FiniteAbelianGroup:
-        return self.subgroup.group
-
-    def __str__(self) -> str:
-        return f"Q({self.subgroup})"
-
-
-def qsystems(G: FiniteAbelianGroup) -> list[QSystem]:
-    """The canonical representative set: one untwisted Q-system per subgroup.
-
-    The trivial Q-system (the monoidal unit) is always index 0.  A warning is
-    issued when some subgroup admits nontrivial cocycle classes, since the
-    returned list is then not a complete set of Q-system representatives.
+    It is ``subgroups(G)``; the trivial subgroup (the monoidal unit) is always
+    index 0.  A warning is issued when some subgroup admits nontrivial cocycle
+    classes, since the returned list is then not a complete set of Q-system
+    representatives.
     """
     subs = subgroups(G)
     if any(not H.is_cyclic() for H in subs):
@@ -68,15 +57,15 @@ def qsystems(G: FiniteAbelianGroup) -> list[QSystem]:
             CompletenessWarning,
             stacklevel=2,
         )
-    return [QSystem(H) for H in subs]
+    return subs
 
 
 @dataclass(frozen=True)
 class SimpleBimodule:
     """An irreducible source-target bimodule: (coset of H+K, character of H∩K)."""
 
-    source: QSystem
-    target: QSystem
+    source: Subgroup
+    target: Subgroup
     coset: Coset
     character: Character
 
@@ -92,27 +81,25 @@ class SimpleBimodule:
         return bimodule_label(self)
 
 
-def simple_bimodules(P: QSystem, Q: QSystem) -> list[SimpleBimodule]:
-    """All simple P-Q bimodules, ordered by (coset rep, character index)."""
-    if P.group != Q.group:
+def simple_bimodules(H: Subgroup, K: Subgroup) -> list[SimpleBimodule]:
+    """All simple H-K bimodules, ordered by (coset rep, character index)."""
+    if H.group != K.group:
         raise InvalidInputError("Q-systems live over different groups")
-    H, K = P.subgroup, Q.subgroup
     D = subgroup_sum(H, K)
     I = subgroup_intersection(H, K)
     chars = dual_characters(I)
     out = []
-    for coset in coset_space(P.group, D):
+    for coset in coset_space(H.group, D):
         for char in chars:
-            out.append(SimpleBimodule(P, Q, coset, char))
+            out.append(SimpleBimodule(H, K, coset, char))
     return out
 
 
-def identity_bimodule(Q: QSystem) -> SimpleBimodule:
-    """The unit morphism at Q: the coset H itself with the trivial character."""
-    H = Q.subgroup
+def identity_bimodule(H: Subgroup) -> SimpleBimodule:
+    """The unit morphism at H: the coset H itself with the trivial character."""
     coset = Coset(H.group.zero(), H.elements)
     triv = Character(H, (0,) * H.order)
-    return SimpleBimodule(Q, Q, coset, triv)
+    return SimpleBimodule(H, H, coset, triv)
 
 
 def dual(S: SimpleBimodule) -> SimpleBimodule:
@@ -127,22 +114,21 @@ def dual(S: SimpleBimodule) -> SimpleBimodule:
 def _composable(S1: SimpleBimodule, S2: SimpleBimodule) -> None:
     if S1.target != S2.source:
         raise InvalidCompositionError(
-            f"middle Q-systems differ: {S1.target} vs {S2.source}"
+            f"middle Q-systems differ: Q({S1.target}) vs Q({S2.source})"
         )
 
 
-def _mackey_blocks(P: QSystem, Q: QSystem, R: QSystem):
+def _mackey_blocks(H: Subgroup, K: Subgroup, L: Subgroup):
     """The Mackey rule of the subgroup triple (H, K, L), as (m, key, blocks).
 
-    ``blocks`` groups the simple P-R bimodules (d, ψ) by ``key``: the coset of
+    ``blocks`` groups the simple H-L bimodules (d, ψ) by ``key``: the coset of
     H+K+L through d, and ψ on H∩K∩L.  An H-K simple S1 = (c1, χ1) fused with a
     K-L simple S2 = (c2, χ2) is m copies of the block key(S1, S2) of c1+c2 and
     χ1+χ2, where m = |H||K||L||H∩K∩L| / (|H∩K||K∩L||H+K+L||H∩L|).  A
     non-integral m, a wrong block count or a block that changes total
     dimension aborts rather than rounding.
     """
-    G = P.group
-    H, K, L = P.subgroup, Q.subgroup, R.subgroup
+    G = H.group
     HK = subgroup_intersection(H, K)
     HKL = subgroup_intersection(HK, L)
     sum_HK = subgroup_sum(H, K)
@@ -154,7 +140,7 @@ def _mackey_blocks(P: QSystem, Q: QSystem, R: QSystem):
     )
     if rem or mult < 1:
         raise InternalConsistencyError(
-            f"multiplicity of the triple {P}-{Q}-{R} is not a positive integer"
+            f"multiplicity of the triple Q({H})-Q({K})-Q({L}) is not a positive integer"
         )
 
     E = G.exponent
@@ -165,14 +151,14 @@ def _mackey_blocks(P: QSystem, Q: QSystem, R: QSystem):
         return span_rep[reduce(G.add, (S.coset.rep for S in simples))], tuple(phases)
 
     blocks: dict[tuple, list[SimpleBimodule]] = {}
-    for Z in simple_bimodules(P, R):
+    for Z in simple_bimodules(H, L):
         blocks.setdefault(key(Z), []).append(Z)
     # [G : H+K+L]·|H∩K∩L| blocks, each of dimension |H+K||K+L| / (m|K|)
     count, want = G.order // span.order * HKL.order, sum_HK.order * subgroup_sum(K, L).order
     got = [mult * K.order * sum(Z.dimension for Z in block) for block in blocks.values()]
     if got != [want] * count:
         raise InternalConsistencyError(
-            f"dimension mismatch in the triple {P}-{Q}-{R}: {len(got)} blocks of "
+            f"dimension mismatch in the triple Q({H})-Q({K})-Q({L}): {len(got)} blocks of "
             f"m·|K|·dim {sorted(set(got))}, not {count} of |H+K||K+L| = {want}"
         )
     return mult, key, blocks
@@ -213,9 +199,7 @@ class FusionTable:
 @lru_cache(maxsize=None)
 def fusion_table(G: FiniteAbelianGroup) -> FusionTable:
     """The full composition table; quadratic in the simple count."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", CompletenessWarning)
-        reps = qsystems(G)
+    reps = subgroups(G)
     by_pair = {(P, Q): simple_bimodules(P, Q) for P in reps for Q in reps}
     simples = [s for pair in by_pair.values() for s in pair]
     index = {s: i for i, s in enumerate(simples)}
@@ -244,8 +228,8 @@ def bimodule_label(S: SimpleBimodule) -> str:
     """
     G = S.group
     subs = subgroups(G)
-    i = subs.index(S.source.subgroup) + 1
-    j = subs.index(S.target.subgroup) + 1
+    i = subs.index(S.source) + 1
+    j = subs.index(S.target) + 1
     I = S.character.domain  # H∩K
     name = f"M_{{{i}-{j}"
     if S.coset.size < G.order:  # more than one coset of H+K

@@ -141,8 +141,7 @@ def _cmd_qsystems(args) -> int:
     reps = qsystems(G)
     entries = []
     lines = [f"Q-systems of Hilb({G}): {len(reps)}"]
-    for k, q in enumerate(reps):
-        H = q.subgroup
+    for k, H in enumerate(reps):
         entries.append(
             {
                 "label": f"Q{k + 1}",
@@ -258,7 +257,7 @@ def _cmd_oracle(args) -> int:
     for i, P in enumerate(reps):
         for j, Q in enumerate(reps):
             categorical = len(simple_bimodules(P, Q))
-            blocks = crossed_product_blocks(G, Q.subgroup, P.subgroup)
+            blocks = crossed_product_blocks(G, Q, P)
             ok = categorical == blocks.k0_rank
             all_ok = all_ok and ok
             pairs.append(

@@ -1,37 +1,35 @@
 """Enriched Bratteli diagrams and the pointed invariant they present.
 
-A diagram is a chain of levels whose vertices are Q-systems and whose edges
-carry simple bimodules: an edge from a level-n vertex v to a level-(n+1)
-vertex w is a Q_w - Q_v bimodule (morphism Q_w -> Q_v), so that composing
-with hom spaces D(Q_v -> P) on the right is covariant in the level.  Only
-eventually-stationary diagrams are supported: explicit levels 0..m-1 followed
-by the last edge block repeating forever.
+A diagram is a chain of levels whose vertices are Q-systems, that is
+subgroups, and whose edges carry simple bimodules: an edge from a level-n
+vertex v to a level-(n+1) vertex w is a w-v bimodule (morphism w -> v), so
+that composing with hom spaces D(v -> P) on the right is covariant in the
+level.  Only eventually-stationary diagrams are supported: explicit levels
+0..m-1 followed by the last edge block repeating forever.
 
-For each representative Q-system P the diagram induces a stationary system on
-the free abelian group over hom bases; identifying those limits plus the
-multipliers of all simple bimodules and the class of the level-0 generator
-yields the complete invariant computed here.
+For each representative subgroup P the diagram induces an inductive system on
+the free abelian groups over hom bases: the connecting matrices of the
+explicit levels, then a stationary tail (a stationary diagram has an empty
+prefix).  Identifying those limits plus the multipliers of all simple
+bimodules and the class of the level-0 generator yields the complete
+invariant computed here.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .bimodules import (
-    CompletenessWarning,
-    QSystem,
     SimpleBimodule,
     _mackey_blocks,
     bimodule_label,
     fuse,
-    qsystems,
     simple_bimodules,
 )
 from .errors import InternalConsistencyError, InvalidInputError
-from .groups import FiniteAbelianGroup
+from .groups import FiniteAbelianGroup, Subgroup, subgroups
 from .k0 import (
     K0Description,
     RankOneForm,
@@ -82,7 +80,7 @@ class EnrichedBratteliDiagram:
     """
 
     group: FiniteAbelianGroup
-    levels: tuple[tuple[QSystem, ...], ...]
+    levels: tuple[tuple[Subgroup, ...], ...]
     edges: tuple[tuple[DiagramEdge, ...], ...]
     generator_weights: tuple[int, ...]
 
@@ -106,12 +104,12 @@ class EnrichedBratteliDiagram:
                 if e.bimodule.source != upper[e.target] or e.bimodule.target != lower[e.source]:
                     raise InvalidInputError(
                         f"edge bimodule {e.bimodule} must be a "
-                        f"{upper[e.target]}-{lower[e.source]} bimodule"
+                        f"Q({upper[e.target]})-Q({lower[e.source]}) bimodule"
                     )
                 covered.add(e.target)
             if covered != set(range(len(upper))):
                 raise InvalidInputError(f"level {n + 1} has unreachable vertices")
-        blocks = [self.group.order // v.subgroup.order for v in self.levels[0]]
+        blocks = [self.group.order // v.order for v in self.levels[0]]
         if len(self.generator_weights) != sum(blocks):
             raise InvalidInputError(
                 f"generator weights must have length {sum(blocks)}"
@@ -129,7 +127,7 @@ class EnrichedBratteliDiagram:
     @classmethod
     def homogeneous(
         cls,
-        vertex: QSystem,
+        vertex: Subgroup,
         edge,
         generator_weights=None,
     ) -> "EnrichedBratteliDiagram":
@@ -140,7 +138,7 @@ class EnrichedBratteliDiagram:
             DiagramEdge(0, 0, bim, mult) for bim, mult in edge_items
         )
         if generator_weights is None:
-            generator_weights = (1,) * (G.order // vertex.subgroup.order)
+            generator_weights = (1,) * (G.order // vertex.order)
         return cls(G, ((vertex,),), (edges,), tuple(generator_weights))
 
     @property
@@ -150,13 +148,17 @@ class EnrichedBratteliDiagram:
 
 @dataclass(frozen=True)
 class InductiveSystem:
-    """A finite prefix of rectangular connecting matrices, then a stationary tail."""
+    """A finite prefix of rectangular connecting matrices, then a stationary tail.
+
+    ``object_diagram`` returns one for every diagram; a stationary diagram
+    gives the empty prefix.
+    """
 
     prefix: tuple[tuple[tuple[int, ...], ...], ...]
     tail: StationarySystem
 
 
-def _level_bases(d: EnrichedBratteliDiagram, P: QSystem):
+def _level_bases(d: EnrichedBratteliDiagram, P: Subgroup):
     """Per explicit level: the concatenated hom bases with their vertex index.
 
     The canonical Z-basis of D(v -> P) is the ordered list of simple v-P bimodules.
@@ -190,8 +192,8 @@ def _fusion_matrix(row_basis, columns):
     return tuple(tuple(row) for row in rows)
 
 
-def object_diagram(d: EnrichedBratteliDiagram, P: QSystem):
-    """The Bratteli diagram of the functor at P: stationary or prefix+tail.
+def object_diagram(d: EnrichedBratteliDiagram, P: Subgroup) -> InductiveSystem:
+    """The Bratteli diagram of the functor at P: a prefix, then a stationary tail.
 
     Entry [(w, y), (v, x)] sums mult * (multiplicity of y in fuse(e, x)) over edges e: v -> w.
     """
@@ -207,10 +209,7 @@ def object_diagram(d: EnrichedBratteliDiagram, P: QSystem):
         for n, block in enumerate(d.edges)
     )
     tail_labels = tuple(bimodule_label(s) for _, s in bases[-1])
-    tail = StationarySystem(mats[-1], tail_labels)
-    if d.is_stationary:
-        return tail
-    return InductiveSystem(mats[:-1], tail)
+    return InductiveSystem(mats[:-1], StationarySystem(mats[-1], tail_labels))
 
 
 def morphism_matrices(d: EnrichedBratteliDiagram, X: SimpleBimodule):
@@ -233,7 +232,7 @@ class InvariantData:
     """The computed pointed invariant of a diagram, restricted to representatives."""
 
     group: FiniteAbelianGroup
-    representatives: tuple[QSystem, ...]
+    representatives: tuple[Subgroup, ...]
     labels: tuple[str, ...]
     objects: tuple[K0Description, ...]
     scales: tuple[Fraction | None, ...]
@@ -244,25 +243,13 @@ class InvariantData:
         return self.objects[self.labels.index(label)]
 
 
-def _object_description(d, P):
-    sys = object_diagram(d, P)
-    tail = sys.tail if isinstance(sys, InductiveSystem) else sys
-    return sys, stationary_k0(tail)
-
-
 def compute_invariant(d: EnrichedBratteliDiagram) -> InvariantData:
     """Objects, morphism multipliers, and the pointed class, all exact."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", CompletenessWarning)
-        reps = qsystems(d.group)
+    reps = subgroups(d.group)
     labels = tuple(f"Q{i + 1}" for i in range(len(reps)))
 
-    systems = []
-    descs = []
-    for P in reps:
-        sys, desc = _object_description(d, P)
-        systems.append(sys)
-        descs.append(desc)
+    systems = [object_diagram(d, P) for P in reps]
+    descs = [stationary_k0(sys.tail) for sys in systems]
     scales = tuple(
         scaled_localization(desc).scale if isinstance(desc, RankOneForm) else None
         for desc in descs
@@ -283,9 +270,8 @@ def compute_invariant(d: EnrichedBratteliDiagram) -> InvariantData:
 
     # push the level-0 generator weights through the prefix to the tail start
     w = tuple(int(x) for x in d.generator_weights)
-    if isinstance(systems[0], InductiveSystem):
-        for M in systems[0].prefix:
-            w = mat_vec(M, w)
+    for M in systems[0].prefix:
+        w = mat_vec(M, w)
     if isinstance(descs[0], RankOneForm):
         pointed: Fraction | tuple[int, ...] = value_map(descs[0], 0, w)
     else:
@@ -305,20 +291,15 @@ def compute_invariant(d: EnrichedBratteliDiagram) -> InvariantData:
 
 
 def _check_intertwining(sysP, sysQ, mats, X) -> None:
-    tailP = sysP.tail.matrix if isinstance(sysP, InductiveSystem) else sysP.matrix
-    tailQ = sysQ.tail.matrix if isinstance(sysQ, InductiveSystem) else sysQ.matrix
-    if mat_mul(tailQ, mats[-1]) != mat_mul(mats[-1], tailP):
+    if mat_mul(sysQ.tail.matrix, mats[-1]) != mat_mul(mats[-1], sysP.tail.matrix):
         raise InternalConsistencyError(
             f"morphism matrix of {X} does not intertwine the stationary tails"
         )
-    if isinstance(sysP, InductiveSystem):
-        prefixP = sysP.prefix
-        prefixQ = sysQ.prefix
-        for n in range(len(prefixP)):
-            if mat_mul(prefixQ[n], mats[n]) != mat_mul(mats[n + 1], prefixP[n]):
-                raise InternalConsistencyError(
-                    f"morphism matrices of {X} do not intertwine at level {n}"
-                )
+    for n, (MP, MQ) in enumerate(zip(sysP.prefix, sysQ.prefix)):
+        if mat_mul(MQ, mats[n]) != mat_mul(mats[n + 1], MP):
+            raise InternalConsistencyError(
+                f"morphism matrices of {X} do not intertwine at level {n}"
+            )
 
 
 def _check_fusion_consistency(inv: InvariantData) -> None:

@@ -13,7 +13,7 @@ import json
 import re
 from fractions import Fraction
 
-from .bimodules import QSystem, SimpleBimodule, FusionTable, bimodule_label
+from .bimodules import SimpleBimodule, FusionTable, bimodule_label
 from .compare import EQUIVALENT, INEQUIVALENT, UNKNOWN, Certificate, Verdict
 from .diagrams import DiagramEdge, EnrichedBratteliDiagram, InvariantData
 from .errors import InvalidInputError
@@ -186,8 +186,8 @@ def character_from_json(domain: Subgroup, doc) -> Character:
 
 def bimodule_to_json(S: SimpleBimodule) -> dict:
     return {
-        "source_generators": [list(g) for g in S.source.subgroup.minimal_generators()],
-        "target_generators": [list(g) for g in S.target.subgroup.minimal_generators()],
+        "source_generators": [list(g) for g in S.source.minimal_generators()],
+        "target_generators": [list(g) for g in S.target.minimal_generators()],
         "coset_rep": list(S.coset.rep),
         "character": character_to_json(S.character),
     }
@@ -201,7 +201,7 @@ def bimodule_from_json(G: FiniteAbelianGroup, doc) -> SimpleBimodule:
     chi = character_from_json(
         subgroup_intersection(H, K), _expect(doc, "character", dict)
     )
-    return SimpleBimodule(QSystem(H), QSystem(K), coset, chi)
+    return SimpleBimodule(H, K, coset, chi)
 
 
 # -- fusion tables ----------------------------------------------------------
@@ -228,7 +228,7 @@ def fusion_table_from_json(doc) -> FusionTable:
     labels = _expect(doc, "labels", list)
     if list(labels) != [bimodule_label(s) for s in simples]:
         raise InvalidInputError("labels do not match the listed simples")
-    products = []
+    products = {}
     for key, terms in _expect(doc, "products", dict).items():
         try:
             i, j = (int(part) for part in key.split(","))
@@ -236,14 +236,20 @@ def fusion_table_from_json(doc) -> FusionTable:
             raise InvalidInputError(f"bad product key {key!r}") from exc
         if not (0 <= i < len(simples) and 0 <= j < len(simples)):
             raise InvalidInputError(f"product key {key!r} is out of range")
+        if (i, j) in products:
+            raise InvalidInputError(f"product key {key!r} repeats the pair {i},{j}")
         if not isinstance(terms, list):
             raise InvalidInputError(f"product {key!r} must be a list of terms")
         parsed = tuple(
             (_expect_int(t, "index"), _expect_int(t, "multiplicity")) for t in terms
         )
-        products.append(((i, j), parsed))
-    products.sort(key=lambda item: item[0])
-    return FusionTable(G, simples, tuple(products))
+        for k, m in parsed:
+            if not 0 <= k < len(simples):
+                raise InvalidInputError(f"product {key!r} names simple {k}, out of range")
+            if m < 1:
+                raise InvalidInputError(f"product {key!r} has multiplicity {m} below 1")
+        products[i, j] = parsed
+    return FusionTable(G, simples, tuple(sorted(products.items())))
 
 
 # -- matrices and K0 descriptions -------------------------------------------
@@ -331,7 +337,7 @@ def diagram_to_json(d: EnrichedBratteliDiagram) -> dict:
     if d.is_stationary and len(d.levels[0]) == 1:
         return {
             "group": group_to_json(d.group),
-            "vertex": subgroup_to_json(d.levels[0][0].subgroup),
+            "vertex": subgroup_to_json(d.levels[0][0]),
             "edge": [
                 {"bimodule": bimodule_to_json(e.bimodule), "multiplicity": e.multiplicity}
                 for e in d.edges[0]
@@ -341,7 +347,7 @@ def diagram_to_json(d: EnrichedBratteliDiagram) -> dict:
     return {
         "group": group_to_json(d.group),
         "levels": [
-            [subgroup_to_json(v.subgroup) for v in level] for level in d.levels
+            [subgroup_to_json(v) for v in level] for level in d.levels
         ],
         "edges": [
             [
@@ -376,13 +382,13 @@ def diagram_from_json(doc) -> EnrichedBratteliDiagram:
     if not all(_is_int(w) for w in weights):
         raise InvalidInputError("generator_weights must be integers")
     if "vertex" in doc:
-        vertex = QSystem(subgroup_from_json(G, doc["vertex"]))
+        vertex = subgroup_from_json(G, doc["vertex"])
         edges = tuple(
             _edge_from_json(G, e) for e in _expect(doc, "edge", list)
         )
         return EnrichedBratteliDiagram(G, ((vertex,),), (edges,), tuple(weights))
     levels = tuple(
-        tuple(QSystem(subgroup_from_json(G, v)) for v in _list(level, "level"))
+        tuple(subgroup_from_json(G, v) for v in _list(level, "level"))
         for level in _expect(doc, "levels", list)
     )
     blocks = []
@@ -422,7 +428,7 @@ def invariant_to_json(inv: InvariantData) -> dict:
     )
     return {
         "group": group_to_json(inv.group),
-        "representatives": [subgroup_to_json(q.subgroup) for q in inv.representatives],
+        "representatives": [subgroup_to_json(H) for H in inv.representatives],
         "labels": list(inv.labels),
         "objects": objects,
         "scales": scales,
@@ -434,8 +440,7 @@ def invariant_to_json(inv: InvariantData) -> dict:
 def invariant_from_json(doc) -> InvariantData:
     G = group_from_json(_expect(doc, "group", dict))
     reps = tuple(
-        QSystem(subgroup_from_json(G, s))
-        for s in _expect(doc, "representatives", list)
+        subgroup_from_json(G, s) for s in _expect(doc, "representatives", list)
     )
     labels = tuple(str(x) for x in _expect(doc, "labels", list))
     if len(labels) != len(reps):

@@ -52,7 +52,7 @@ def realize(S: SimpleBimodule, base_point: tuple | None = None) -> ExplicitBimod
     over the exponent E of G.
     """
     G = S.group
-    H, K = S.source.subgroup, S.target.subgroup
+    H, K = S.source, S.target
     E = G.exponent
 
     def chi(t) -> Fraction:
@@ -116,9 +116,9 @@ def float_oracle_fuse(
     """
     _composable(S1, S2)
     G = S1.group
-    K = S1.target.subgroup
-    H = S1.source.subgroup
-    L = S2.target.subgroup
+    K = S1.target
+    H = S1.source
+    L = S2.target
     m1 = realize(S1, base_point1)
     m2 = realize(S2, base_point2)
     n1, n2 = len(m1.grading), len(m2.grading)

@@ -15,7 +15,6 @@ import pytest
 from afinv import bimodules
 from afinv.bimodules import (
     CompletenessWarning,
-    QSystem,
     SimpleBimodule,
     _composable,
     bimodule_label,
@@ -76,8 +75,8 @@ def test_graded_dimensions_of_representative_simples(z4_simples):
 
 def test_cross_subgroup_simple_of_z6():
     G = make_group(6)
-    P = QSystem(Subgroup.generated(G, [(3,)]))  # order 2
-    Q = QSystem(Subgroup.generated(G, [(2,)]))  # order 3
+    P = Subgroup.generated(G, [(3,)])  # order 2
+    Q = Subgroup.generated(G, [(2,)])  # order 3
     (X,) = simple_bimodules(P, Q)
     assert X.dimension == 6
     out = fuse(X, dual(X))
@@ -237,7 +236,7 @@ def test_dimension_conservation_spot_checks(z4_simples):
                 continue
             out = fuse(s1, s2)
             total = sum(z.dimension * m for z, m in out.items())
-            assert total * s1.target.subgroup.order == s1.dimension * s2.dimension
+            assert total * s1.target.order == s1.dimension * s2.dimension
 
 
 @pytest.mark.parametrize("factors", [[2], [3], [4], [2, 2], [5], [6], [7], [8]])
@@ -307,9 +306,9 @@ def pairwise_mackey_fuse(S1, S2):
     """
     _composable(S1, S2)
     G = S1.group
-    H = S1.source.subgroup
-    K = S1.target.subgroup
-    L = S2.target.subgroup
+    H = S1.source
+    K = S1.target
+    L = S2.target
     HK = subgroup_intersection(H, K)
     HL = subgroup_intersection(H, L)
     HKL = subgroup_intersection(HK, L)

@@ -14,11 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import afinv
-from afinv.bimodules import identity_bimodule, qsystems
+from afinv.bimodules import identity_bimodule, qsystems, simple_bimodules
 from afinv.cli import main
-from afinv.diagrams import EnrichedBratteliDiagram
+from afinv.diagrams import DiagramEdge, EnrichedBratteliDiagram
 from afinv.groups import make_group
 from afinv.serialize import (
+    bimodule_to_json,
     diagram_to_json,
     group_to_json,
     invariant_from_json,
@@ -46,6 +47,11 @@ def files(tmp_path, z4, z4_diagrams):
     Q = qsystems(make_group(1))[0]
     trivdiag = EnrichedBratteliDiagram.homogeneous(Q, {identity_bimodule(Q): 1})
     put("trivdiag.json", diagram_to_json(trivdiag))
+    K1 = qsystems(make_group([2, 2]))[0]
+    klein_regular = EnrichedBratteliDiagram.homogeneous(
+        K1, {b: 1 for b in simple_bimodules(K1, K1)}
+    )
+    put("kleindiag.json", diagram_to_json(klein_regular))
     put("mat.json", matrix_to_json(StationarySystem(((2, 2), (2, 2)))))
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -106,6 +112,13 @@ def test_qsystems_warns_once_for_noncyclic_subgroups(files, capsys):
 
 
 # ---------------------------------------------------------------- fusion-table
+
+
+def test_fusion_table_warns_once_for_noncyclic_subgroups(files, capsys):
+    code, _, err = run(capsys, "fusion-table", files["klein"])
+    assert code == 0
+    assert err.count("warning:") == 1
+    assert "not enumerated" in err
 
 
 def test_fusion_table_text_contains_published_cells(files, capsys):
@@ -169,6 +182,13 @@ def test_invariant_text(files, capsys):
     assert "Q1: rank 1, image 1 * Z[1/{2}] (eigenvalue 4)" in out
     assert "M_{1-3}: 4" in out
     assert "pointed class: 1" in out
+
+
+def test_invariant_of_noncyclic_group_prints_no_warning(files, capsys):
+    code, out, err = run(capsys, "invariant", files["kleindiag"])
+    assert code == 0
+    assert "pointed class: 1" in out
+    assert "warning:" not in err
 
 
 def test_invariant_json_round_trips(files, capsys, z4_invariants):
@@ -323,6 +343,25 @@ def test_out_of_range_edge_is_one_short_line(tmp_path, z4_diagrams, capsys):
     code, _, err = run(capsys, "invariant", write_json(tmp_path, "edge.json", doc))
     assert code == 1
     assert err == "error: edge 1 of block 0 (from -1 to 1) points outside its levels\n"
+
+
+def test_wrongly_oriented_edge_names_both_q_systems(tmp_path, z4, z4_reps, z4_simples, capsys):
+    Q1, Q2, _ = z4_reps
+    d = EnrichedBratteliDiagram(
+        group=z4,
+        levels=((Q1,), (Q2,)),
+        edges=(
+            (DiagramEdge(0, 0, z4_simples["M_{2-1,0}"]),),
+            tuple(DiagramEdge(0, 0, b) for b in simple_bimodules(Q2, Q2)),
+        ),
+        generator_weights=(1, 1, 1, 1),
+    )
+    doc = diagram_to_json(d)
+    # the first edge runs from Q1 up to Q2, so it must be a Q2-Q1 bimodule
+    doc["edges"][0][0]["bimodule"] = bimodule_to_json(z4_simples["M_{1-2,0}"])
+    code, out, err = run(capsys, "invariant", write_json(tmp_path, "wrong.json", doc))
+    assert code == 1 and out == ""
+    assert err == "error: edge bimodule M_{1-2,0} must be a Q({(0,), (2,)})-Q({(0,)}) bimodule\n"
 
 
 def test_two_vertex_level_recast_is_valid(tmp_path, z4_diagrams, capsys):

@@ -9,7 +9,7 @@ import pathlib
 
 import pytest
 
-from afinv.bimodules import QSystem, simple_bimodules
+from afinv.bimodules import simple_bimodules
 from afinv.crossed import crossed_product_blocks
 from afinv.errors import InvalidInputError
 from afinv.groups import Subgroup, make_group, subgroups
@@ -30,7 +30,7 @@ def test_block_count_matches_categorical_simple_count(factors):
     subs = subgroups(G)
     for K in subs:
         for H in subs:
-            expected = len(simple_bimodules(QSystem(K), QSystem(H)))
+            expected = len(simple_bimodules(K, H))
             assert crossed_product_blocks(G, K, H).k0_rank == expected, (factors, K, H)
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import warnings
 from fractions import Fraction
 from functools import lru_cache
 
@@ -9,8 +10,10 @@ import pytest
 
 from afinv import bimodules, diagrams
 from afinv.bimodules import (
+    CompletenessWarning,
     bimodule_label,
     fuse,
+    fusion_table,
     identity_bimodule,
     qsystems,
     simple_bimodules,
@@ -52,16 +55,18 @@ def test_object_diagrams_of_translation_action(z4_diagrams, z4_reps):
     F = z4_diagrams["F"]
     Q1, Q2, Q3 = z4_reps
 
-    at1 = object_diagram(F, Q1)
+    sys = object_diagram(F, Q1)
+    assert isinstance(sys, InductiveSystem) and sys.prefix == ()
+    at1 = sys.tail
     assert isinstance(at1, StationarySystem)
     assert at1.labels == ("M_{1-1,0}", "M_{1-1,1}", "M_{1-1,2}", "M_{1-1,3}")
     assert at1.matrix == tuple((1, 1, 1, 1) for _ in range(4))
 
-    at2 = object_diagram(F, Q2)
+    at2 = object_diagram(F, Q2).tail
     assert at2.labels == ("M_{1-2,0}", "M_{1-2,1}")
     assert at2.matrix == ((2, 2), (2, 2))
 
-    at3 = object_diagram(F, Q3)
+    at3 = object_diagram(F, Q3).tail
     assert at3.labels == ("M_{1-3}",)
     assert at3.matrix == ((4,),)
 
@@ -69,9 +74,9 @@ def test_object_diagrams_of_translation_action(z4_diagrams, z4_reps):
 def test_object_diagrams_of_trivial_tail(z4_diagrams, z4_reps):
     E = z4_diagrams["E"]
     Q1, Q2, Q3 = z4_reps
-    assert object_diagram(E, Q1).matrix == ((4,),)
-    assert object_diagram(E, Q2).matrix == ((4, 0), (0, 4))
-    at3 = object_diagram(E, Q3).matrix
+    assert object_diagram(E, Q1).tail.matrix == ((4,),)
+    assert object_diagram(E, Q2).tail.matrix == ((4, 0), (0, 4))
+    at3 = object_diagram(E, Q3).tail.matrix
     assert at3 == tuple(
         tuple(4 if i == j else 0 for j in range(4)) for i in range(4)
     )
@@ -271,7 +276,7 @@ def test_trivial_group_diagram_is_plain_integers():
     d = EnrichedBratteliDiagram.homogeneous(Q, {identity_bimodule(Q): 1})
     assert _level_bases(d, Q) == [[(0, s) for s in simple_bimodules(Q, Q)]]
     assert len(simple_bimodules(Q, Q)) == 1
-    assert object_diagram(d, Q).matrix == ((1,),)
+    assert object_diagram(d, Q).tail.matrix == ((1,),)
     inv = compute_invariant(d)
     (obj,) = inv.objects
     assert isinstance(obj, RankOneForm)
@@ -310,8 +315,7 @@ def per_cell_object_diagram(d, P):
     bases = _level_bases(d, P)
     mats = [per_cell_connecting_matrix(d, n, bases) for n in range(len(d.levels))]
     labels = tuple(bimodule_label(s) for _, s in bases[-1])
-    tail = StationarySystem(mats[-1], labels)
-    return tail if d.is_stationary else InductiveSystem(tuple(mats[:-1]), tail)
+    return InductiveSystem(tuple(mats[:-1]), StationarySystem(mats[-1], labels))
 
 
 def per_cell_morphism_matrices(d, X):
@@ -351,7 +355,7 @@ def random_diagram(rng, factors):
     weights = tuple(
         w
         for v in levels[0]
-        for w in [1] + [rng.randint(0, 2) for _ in range(G.order // v.subgroup.order - 1)]
+        for w in [1] + [rng.randint(0, 2) for _ in range(G.order // v.order - 1)]
     )
     return EnrichedBratteliDiagram(G, levels, tuple(blocks), weights)
 
@@ -421,6 +425,16 @@ def both_consistency_routes(inv):
 def regular_action(factors):
     Q1 = qsystems(make_group(factors))[0]
     return EnrichedBratteliDiagram.homogeneous(Q1, {b: 1 for b in simple_bimodules(Q1, Q1)})
+
+
+def test_invariant_and_fusion_table_raise_no_completeness_warning():
+    G = make_group([2, 2])
+    d = regular_action([2, 2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", CompletenessWarning)
+        compute_invariant(d)
+        # the uncached body, so that an earlier call cannot hide a warning
+        fusion_table.__wrapped__(G)
 
 
 def test_both_consistency_routes_accept_the_examples(z4_invariants, two_level_diagram):

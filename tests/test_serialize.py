@@ -182,6 +182,13 @@ def _k0_doc(matrix):
     return k0_to_json(stationary_k0(StationarySystem(matrix)))
 
 
+def _z2_table_with_term(key, term):
+    """The Z/2 table document with ``term`` as the only term of product ``key``."""
+    doc = through_json(fusion_table_to_json(fusion_table(make_group(2))))
+    doc["products"][key] = [term]
+    return doc
+
+
 def _table_with_bool_multiplicity():
     doc = through_json(fusion_table_to_json(fusion_table(make_group(2))))
     doc["products"]["0,0"][0]["multiplicity"] = True
@@ -213,6 +220,15 @@ def _invariant_with_bool_pointed():
                      id="bool-rank"),
         pytest.param(fusion_table_from_json, _table_with_bool_multiplicity,
                      id="bool-table-multiplicity"),
+        pytest.param(fusion_table_from_json,
+                     lambda: _z2_table_with_term("0,0", {"index": 999, "multiplicity": 1}),
+                     id="table-index-outside-the-simples"),
+        pytest.param(fusion_table_from_json,
+                     lambda: _z2_table_with_term("0,0", {"index": 0, "multiplicity": -3}),
+                     id="table-multiplicity-below-one"),
+        pytest.param(fusion_table_from_json,
+                     lambda: _z2_table_with_term("0,0 ", {"index": 0, "multiplicity": 1}),
+                     id="table-repeated-pair"),
         pytest.param(invariant_from_json, _invariant_with_bool_pointed, id="bool-pointed"),
     ],
 )
@@ -337,7 +353,7 @@ def test_verdict_parser_validates():
 
 
 def test_object_diagram_documents_are_labelled(z4_diagrams, z4_reps):
-    sys = object_diagram(z4_diagrams["F"], z4_reps[1])
+    sys = object_diagram(z4_diagrams["F"], z4_reps[1]).tail
     doc = through_json(matrix_to_json(sys))
     assert doc["labels"] == ["M_{1-2,0}", "M_{1-2,1}"]
     assert matrix_from_json(doc) == sys
