@@ -24,4 +24,4 @@ class InternalConsistencyError(AfinvError):
 
 
 class OracleFailureError(AfinvError):
-    """The floating-point cross-check did not resolve to integers within tolerance."""
+    """The crossed-product oracle's block counts disagree with the simple-bimodule counts."""

@@ -5,6 +5,10 @@ All documents are plain JSON-compatible dicts; rationals travel as strings
 validate structure and raise InvalidInputError on malformed input so the CLI
 can map those to its input-error exit code.  For every renderer here,
 ``parse(render(x)) == x``.
+
+Input documents (groups, characters, bimodules, matrices, diagrams) are
+canonicalized.  K0 descriptions, fusion tables and invariants are recomputed
+from their defining fields and refused unless they re-render exactly.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import json
 import re
 from fractions import Fraction
 
-from .bimodules import SimpleBimodule, FusionTable, bimodule_label
+from .bimodules import FusionTable, SimpleBimodule, bimodule_label, fusion_table, simple_bimodules
 from .compare import EQUIVALENT, INEQUIVALENT, UNKNOWN, Certificate, Verdict
 from .diagrams import DiagramEdge, EnrichedBratteliDiagram, InvariantData
 from .errors import InvalidInputError
@@ -26,14 +30,15 @@ from .groups import (
     make_group,
     subgroup_intersection,
     subgroup_sum,
+    subgroups,
 )
 from .k0 import (
     DirectSumForm,
     K0Description,
-    OpaquePresentation,
     RankOneForm,
     StationarySystem,
     scaled_localization,
+    stationary_k0,
 )
 
 __all__ = [
@@ -110,6 +115,18 @@ def _list(raw, what: str) -> list:
     if not isinstance(raw, list):
         raise InvalidInputError(f"each {what} must be a list")
     return raw
+
+
+def _json_text(value) -> str:
+    return json.dumps(value, sort_keys=True)
+
+
+def _require_rendering(doc: dict, rendered: dict, what: str) -> None:
+    """Refuse ``doc`` unless it is ``rendered``, compared as JSON text: ``True == 1`` in Python."""
+    shared = doc.keys() & rendered.keys()
+    for key in sorted(doc.keys() | rendered.keys()):
+        if key not in shared or _json_text(doc[key]) != _json_text(rendered[key]):
+            raise InvalidInputError(f"field {key!r} is not that of {what}")
 
 
 def _element(G: FiniteAbelianGroup, raw) -> tuple[int, ...]:
@@ -221,35 +238,27 @@ def fusion_table_to_json(table: FusionTable) -> dict:
 
 
 def fusion_table_from_json(doc) -> FusionTable:
+    """``fusion_table`` of the document's group, if ``doc`` is exactly its rendering.
+
+    The table is built only once ``doc`` has one product per composable pair
+    and the group's simples and labels, so a short document costs no fusion.
+    """
     G = group_from_json(_expect(doc, "group", dict))
-    simples = tuple(
-        bimodule_from_json(G, s) for s in _expect(doc, "simples", list)
-    )
-    labels = _expect(doc, "labels", list)
-    if list(labels) != [bimodule_label(s) for s in simples]:
-        raise InvalidInputError("labels do not match the listed simples")
-    products = {}
-    for key, terms in _expect(doc, "products", dict).items():
-        try:
-            i, j = (int(part) for part in key.split(","))
-        except ValueError as exc:
-            raise InvalidInputError(f"bad product key {key!r}") from exc
-        if not (0 <= i < len(simples) and 0 <= j < len(simples)):
-            raise InvalidInputError(f"product key {key!r} is out of range")
-        if (i, j) in products:
-            raise InvalidInputError(f"product key {key!r} repeats the pair {i},{j}")
-        if not isinstance(terms, list):
-            raise InvalidInputError(f"product {key!r} must be a list of terms")
-        parsed = tuple(
-            (_expect_int(t, "index"), _expect_int(t, "multiplicity")) for t in terms
-        )
-        for k, m in parsed:
-            if not 0 <= k < len(simples):
-                raise InvalidInputError(f"product {key!r} names simple {k}, out of range")
-            if m < 1:
-                raise InvalidInputError(f"product {key!r} has multiplicity {m} below 1")
-        products[i, j] = parsed
-    return FusionTable(G, simples, tuple(sorted(products.items())))
+    reps = subgroups(G)
+    by_pair = {(P, Q): simple_bimodules(P, Q) for P in reps for Q in reps}
+    pairs = sum(len(by_pair[P, Q]) * len(by_pair[Q, R]) for P in reps for Q in reps for R in reps)
+    if len(_expect(doc, "products", dict)) != pairs:
+        raise InvalidInputError(f"products must list each of the {pairs} composable pairs once")
+    simples = [s for pair in by_pair.values() for s in pair]
+    head = {
+        "group": group_to_json(G),
+        "simples": [bimodule_to_json(s) for s in simples],
+        "labels": [bimodule_label(s) for s in simples],
+    }
+    _require_rendering({key: doc.get(key) for key in head}, head, f"the simples of Hilb({G})")
+    table = fusion_table(G)
+    _require_rendering(doc, fusion_table_to_json(table), "the fusion table of its group")
+    return table
 
 
 # -- matrices and K0 descriptions -------------------------------------------
@@ -299,36 +308,12 @@ def k0_to_json(desc: K0Description) -> dict:
     }
 
 
-def _json_to_matrix(doc) -> tuple[tuple[int, ...], ...]:
-    return tuple(_ints(row, "matrix rows") for row in _expect(doc, "matrix", list))
-
-
-def _rank_one_from_json(doc) -> RankOneForm:
-    return RankOneForm(
-        matrix=_json_to_matrix(doc),
-        eigenvalue=_expect_int(doc, "eigenvalue"),
-        left_vector=_ints(_expect(doc, "left_vector", None), "left_vector"),
-        prime_set=frozenset(_ints(_expect(doc, "prime_set", None), "prime_set")),
-    )
-
-
 def k0_from_json(doc) -> K0Description:
-    variant = _expect(doc, "variant", str)
-    if variant == "rank-one":
-        return _rank_one_from_json(doc)
-    if variant == "direct-sum":
-        return DirectSumForm(
-            matrix=_json_to_matrix(doc),
-            blocks=tuple(_rank_one_from_json(b) for b in _expect(doc, "blocks", list)),
-            partition=tuple(
-                _ints(p, "partition blocks") for p in _expect(doc, "partition", list)
-            ),
-        )
-    if variant == "opaque":
-        return OpaquePresentation(
-            matrix=_json_to_matrix(doc), rank=_expect_int(doc, "rank")
-        )
-    raise InvalidInputError(f"unknown K0 description variant {variant!r}")
+    """``stationary_k0`` of the document's ``matrix``, if ``doc`` is exactly its rendering."""
+    rows = tuple(_ints(row, "matrix rows") for row in _expect(doc, "matrix", list))
+    desc = stationary_k0(StationarySystem(rows))
+    _require_rendering(doc, k0_to_json(desc), "the K0 description of its matrix")
+    return desc
 
 
 # -- diagrams ----------------------------------------------------------------
@@ -438,42 +423,45 @@ def invariant_to_json(inv: InvariantData) -> dict:
 
 
 def invariant_from_json(doc) -> InvariantData:
+    """The invariant of the document's group, objects, scales, multipliers and pointed class.
+
+    Representatives, labels and bimodules come from the group, and ``doc``
+    must be exactly the rendering of the result.
+    """
     G = group_from_json(_expect(doc, "group", dict))
-    reps = tuple(
-        subgroup_from_json(G, s) for s in _expect(doc, "representatives", list)
-    )
-    labels = tuple(str(x) for x in _expect(doc, "labels", list))
-    if len(labels) != len(reps):
-        raise InvalidInputError("labels and representatives must align")
+    reps = tuple(subgroups(G))
+    labels = tuple(f"Q{i + 1}" for i in range(len(reps)))
     objects_doc = _expect(doc, "objects", dict)
     scales_doc = _expect(doc, "scales", dict)
-    objects = []
+    objects = tuple(k0_from_json(_expect(objects_doc, label, dict)) for label in labels)
     scales = []
-    for label in labels:
-        if label not in objects_doc:
-            raise InvalidInputError(f"missing object entry for {label}")
-        objects.append(k0_from_json(objects_doc[label]))
+    for label, desc in zip(labels, objects):
         raw = scales_doc.get(label)
-        scales.append(frac_from_str(raw) if raw is not None else None)
+        scale = None if raw is None else frac_from_str(raw)
+        if isinstance(desc, RankOneForm) != (scale is not None and scale > 0):
+            raise InvalidInputError(f"scale of {label} must be positive if rank-one, else null")
+        scales.append(scale)
+    bimodules = [X for P in reps for Q in reps for X in simple_bimodules(P, Q)]
     morphisms = []
-    for m in _expect(doc, "morphisms", list):
-        X = bimodule_from_json(G, _expect(m, "bimodule", dict))
-        raw = m.get("multiplier")
+    for X, m in zip(bimodules, _expect(doc, "morphisms", list)):
+        raw = _expect(m, "multiplier", None)
         morphisms.append((X, frac_from_str(raw) if raw is not None else None))
     pointed_raw = _expect(doc, "pointed", None)
     if isinstance(pointed_raw, list):
         pointed = _ints(pointed_raw, "pointed class vector")
     else:
         pointed = frac_from_str(pointed_raw)
-    return InvariantData(
+    inv = InvariantData(
         group=G,
         representatives=reps,
         labels=labels,
-        objects=tuple(objects),
+        objects=objects,
         scales=tuple(scales),
         morphisms=tuple(morphisms),
         pointed=pointed,
     )
+    _require_rendering(doc, invariant_to_json(inv), "the invariant of its group and data")
+    return inv
 
 
 # -- verdicts ------------------------------------------------------------------

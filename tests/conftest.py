@@ -3,7 +3,7 @@ import warnings
 import pytest
 
 from afinv.bimodules import CompletenessWarning, qsystems, simple_bimodules
-from afinv.diagrams import EnrichedBratteliDiagram, compute_invariant
+from afinv.diagrams import DiagramEdge, EnrichedBratteliDiagram, compute_invariant
 from afinv.groups import make_group
 
 
@@ -55,3 +55,17 @@ def z4_diagrams(z4_reps):
 @pytest.fixture(scope="session")
 def z4_invariants(z4_diagrams):
     return {k: compute_invariant(d) for k, d in z4_diagrams.items()}
+
+
+@pytest.fixture()
+def two_level_diagram(z4, z4_reps, z4_simples):
+    """Starts at the trivial Q-system, jumps to Q2, then repeats the Q2 action."""
+    Q1, Q2, Q3 = z4_reps
+    jump = DiagramEdge(0, 0, z4_simples["M_{2-1,0}"])
+    tail = tuple(DiagramEdge(0, 0, b) for b in simple_bimodules(Q2, Q2))
+    return EnrichedBratteliDiagram(
+        group=z4,
+        levels=((Q1,), (Q2,)),
+        edges=((jump,), tail),
+        generator_weights=(1, 1, 1, 1),
+    )

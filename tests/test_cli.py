@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -11,7 +12,6 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import afinv
 from afinv.bimodules import identity_bimodule, qsystems, simple_bimodules
@@ -26,6 +26,8 @@ from afinv.serialize import (
     matrix_to_json,
 )
 from afinv.k0 import StationarySystem
+
+from json_documents import any_or_mutated
 
 
 @pytest.fixture()
@@ -254,6 +256,43 @@ def test_compare_unknown_with_probe(files, capsys):
     )
     assert code == 4
     assert "witness at lag 1" in out
+
+
+# ---------------------------------------------------------------------- README
+
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+
+
+@pytest.fixture()
+def readme(tmp_path):
+    """The README's text, with its example input files written to ``tmp_path``."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    written = re.findall(r"cat > (\w+\.json) <<'EOF'\n(.*?\n)EOF\n", text, re.S)
+    written += [(name, body) for body, name in re.findall(r"echo '(.*?)' > (\w+\.json)", text)]
+    for name, body in written:
+        (tmp_path / name).write_text(body)
+    return text
+
+
+def test_readme_compare_output_is_printed_byte_for_byte(readme, tmp_path, capsys):
+    shown = re.search(
+        r"`afinv compare F\.json G\.json --format json` emits:\n\n```json\n(.*?)```", readme, re.S
+    )
+    code, out, err = run(
+        capsys, "compare", str(tmp_path / "F.json"), str(tmp_path / "G.json"), "--format", "json"
+    )
+    assert (code, err) == (0, "")
+    assert out == shown.group(1)
+
+
+def test_readme_fusion_table_counts(readme, tmp_path, capsys):
+    claim = re.search(r"all (\d+) simples of Hilb\(Z/4\), (\d+) products", readme)
+    code, out, _ = run(capsys, "fusion-table", str(tmp_path / "z4.json"), "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert (len(doc["simples"]), len(doc["products"])) == (22, 162)
+    assert claim.groups() == ("22", "162")
 
 
 # ---------------------------------------------------------------------- oracle
@@ -539,47 +578,6 @@ def test_output_is_deterministic(files, capsys):
 
 # ------------------------------------------------------------- input contract
 
-JSON_VALUES = st.recursive(
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.floats(allow_nan=False, allow_infinity=False)
-    | st.text(),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
-    max_leaves=12,
-)
-
-
-def _subtree_paths(doc, path=()):
-    """The key path of every subtree of a JSON document, the root's () first."""
-    yield path
-    if isinstance(doc, dict):
-        items = doc.items()
-    elif isinstance(doc, list):
-        items = enumerate(doc)
-    else:
-        return
-    for key, value in items:
-        yield from _subtree_paths(value, path + (key,))
-
-
-@st.composite
-def _any_or_mutated(draw, valid_docs):
-    """Any JSON value, or a valid document with one subtree replaced by one."""
-    value = draw(JSON_VALUES)
-    if draw(st.booleans()):
-        return value
-    doc = json.loads(json.dumps(draw(st.sampled_from(valid_docs))))
-    path = draw(st.sampled_from(list(_subtree_paths(doc))))
-    if not path:
-        return value
-    node = doc
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
-    return doc
-
-
 # The kind of document each subcommand reads, and its arguments around the
 # generated document {input} (compare takes the valid diagram F second).
 CONTRACT_COMMANDS = {
@@ -615,7 +613,7 @@ def test_any_json_input_ends_in_a_documented_exit(command, z4_diagrams):
         argv = [command] + [a.format(input=path, F=F_path) for a in template]
 
         @settings(max_examples=50, derandomize=True, deadline=None, database=None)
-        @given(doc=_any_or_mutated(valid[kind]))
+        @given(doc=any_or_mutated(valid[kind]))
         def check(doc):
             with open(path, "w") as fh:
                 json.dump(doc, fh)

@@ -202,20 +202,6 @@ def test_multipliers_do_not_depend_on_weights(z4_reps, z4_simples, z4_invariants
 # ------------------------------------------------------ heterogeneous diagrams
 
 
-@pytest.fixture()
-def two_level_diagram(z4, z4_reps, z4_simples):
-    """Starts at the trivial Q-system, jumps to Q2, then repeats the Q2 action."""
-    Q1, Q2, Q3 = z4_reps
-    jump = DiagramEdge(0, 0, z4_simples["M_{2-1,0}"])
-    tail = tuple(DiagramEdge(0, 0, b) for b in simple_bimodules(Q2, Q2))
-    return EnrichedBratteliDiagram(
-        group=z4,
-        levels=((Q1,), (Q2,)),
-        edges=((jump,), tail),
-        generator_weights=(1, 1, 1, 1),
-    )
-
-
 def test_two_level_diagram_shapes(two_level_diagram, z4_reps):
     d = two_level_diagram
     assert not d.is_stationary

@@ -4,12 +4,14 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
 
 from afinv.bimodules import fusion_table, identity_bimodule, qsystems, simple_bimodules
 from afinv.compare import Verdict, compare
 from afinv.diagrams import (
     DiagramEdge,
     EnrichedBratteliDiagram,
+    InvariantData,
     compute_invariant,
     object_diagram,
 )
@@ -40,6 +42,8 @@ from afinv.serialize import (
     verdict_from_json,
     verdict_to_json,
 )
+
+from json_documents import any_or_mutated
 
 
 def through_json(doc):
@@ -141,6 +145,52 @@ def test_fusion_table_round_trip(z4):
         fusion_table_from_json({**doc, "products": out_of_range})
 
 
+SMALL_GROUPS = [[1], [2], [3], [4], [2, 2], [5], [6], [7], [8], [2, 4], [2, 2, 2]]
+
+
+@pytest.mark.parametrize("factors", SMALL_GROUPS, ids=str)
+def test_every_small_fusion_table_round_trips(factors):
+    table = fusion_table(make_group(factors))
+    assert fusion_table_from_json(through_json(fusion_table_to_json(table))) == table
+
+
+def _z2_table_doc():
+    return through_json(fusion_table_to_json(fusion_table(make_group(2))))
+
+
+# On Z/2, simples 0 and 1 are Q1-Q1, 2 is Q1-Q2, 3 is Q2-Q1, 4 and 5 are Q2-Q2.
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        pytest.param(lambda p: p.update({"2,0": p["0,0"]}), id="non-composable-pair-added"),
+        pytest.param(lambda p: p.pop("0,0"), id="composable-pair-left-out"),
+        pytest.param(lambda p: p.update({"2,0": p.pop("0,0")}),
+                     id="pair-swapped-for-a-non-composable-one"),
+        pytest.param(lambda p: p.update({"0,0": [{"index": 2, "multiplicity": 1}]}),
+                     id="term-with-the-wrong-target"),
+        pytest.param(lambda p: p.update({"0,0": [{"index": 3, "multiplicity": 1}]}),
+                     id="term-with-the-wrong-source"),
+        pytest.param(lambda p: p.update({"0,0": [{"index": 0, "multiplicity": 2}]}),
+                     id="wrong-multiplicity"),
+    ],
+)
+def test_fusion_table_documents_must_be_the_rendered_table(tamper):
+    doc = _z2_table_doc()
+    tamper(doc["products"])
+    with pytest.raises(InvalidInputError):
+        fusion_table_from_json(doc)
+
+
+def test_short_table_document_is_refused_before_any_fusion(monkeypatch):
+    def no_fusion(*args):
+        raise AssertionError("the parser fused a triple")
+
+    monkeypatch.setattr("afinv.bimodules._mackey_blocks", no_fusion)
+    doc = {"group": {"cyclic_factors": [2, 2, 2, 2]}, "simples": [], "labels": [], "products": {}}
+    with pytest.raises(InvalidInputError):
+        fusion_table_from_json(doc)
+
+
 # ------------------------------------------------------------ matrices and K0
 
 
@@ -168,9 +218,29 @@ def test_k0_round_trip(matrix):
 def test_rank_one_documents_carry_a_derived_scale():
     doc = k0_to_json(stationary_k0(StationarySystem(((2, 8), (0, 0)))))
     assert doc["scale"] == "1/5"
-    # the scale is derived data: parsers ignore it rather than trusting it
-    tampered = {**doc, "scale": "7"}
-    assert k0_from_json(tampered) == k0_from_json(doc)
+    # the scale is derived from the matrix: a document that forges it is refused
+    with pytest.raises(InvalidInputError):
+        k0_from_json({**doc, "scale": "7"})
+
+
+RANK_ONE, DIRECT_SUM, OPAQUE = ((2, 2), (2, 2)), ((4, 0), (0, 4)), ((1, 1), (0, 1))
+
+
+@pytest.mark.parametrize(
+    "matrix, forged",
+    [
+        pytest.param(RANK_ONE, {"eigenvalue": 2}, id="eigenvalue"),
+        pytest.param(RANK_ONE, {"left_vector": [1, 2]}, id="left-vector"),
+        pytest.param(RANK_ONE, {"prime_set": [3]}, id="prime-set"),
+        pytest.param(DIRECT_SUM, {"partition": [[0, 1]]}, id="partition"),
+        pytest.param(OPAQUE, {"rank": 1}, id="rank"),
+        pytest.param(RANK_ONE, {"variant": "opaque", "rank": 1}, id="variant"),
+        pytest.param(RANK_ONE, {"note": "extra"}, id="extra-field"),
+    ],
+)
+def test_forged_k0_fields_are_refused(matrix, forged):
+    with pytest.raises(InvalidInputError):
+        k0_from_json(through_json({**_k0_doc(matrix), **forged}))
 
 
 def test_unknown_k0_variant_is_rejected():
@@ -184,23 +254,19 @@ def _k0_doc(matrix):
 
 def _z2_table_with_term(key, term):
     """The Z/2 table document with ``term`` as the only term of product ``key``."""
-    doc = through_json(fusion_table_to_json(fusion_table(make_group(2))))
+    doc = _z2_table_doc()
     doc["products"][key] = [term]
     return doc
 
 
 def _table_with_bool_multiplicity():
-    doc = through_json(fusion_table_to_json(fusion_table(make_group(2))))
+    doc = _z2_table_doc()
     doc["products"]["0,0"][0]["multiplicity"] = True
     return doc
 
 
 def _invariant_with_bool_pointed():
-    Q1 = qsystems(make_group(4))[0]
-    inv = compute_invariant(
-        EnrichedBratteliDiagram.homogeneous(Q1, {identity_bimodule(Q1): 1})
-    )
-    return {**invariant_to_json(inv), "pointed": [True, 1, 1, 1]}
+    return {**invariant_to_json(_identity_action_invariant()), "pointed": [True, 1, 1, 1]}
 
 
 @pytest.mark.parametrize(
@@ -279,9 +345,9 @@ def test_diagram_parser_validates(z4_diagrams):
 # ------------------------------------------------------------------ invariants
 
 
-def test_invariant_round_trip(z4_invariants):
-    for name in ("F", "G", "E"):
-        inv = z4_invariants[name]
+def test_invariant_round_trip(z4_invariants, two_level_diagram):
+    invariants = {**z4_invariants, "two-level": compute_invariant(two_level_diagram)}
+    for name, inv in invariants.items():
         doc = through_json(invariant_to_json(inv))
         assert invariant_from_json(doc) == inv, name
 
@@ -307,6 +373,67 @@ def test_invariant_parser_validates(z4_invariants):
         invariant_from_json(pruned)
     with pytest.raises(InvalidInputError):
         invariant_from_json({**doc, "pointed": "zero/none"})
+
+
+def _identity_action_invariant():
+    """The identity action of Z/4 at Q1: its objects are not rank-one."""
+    Q1 = qsystems(make_group(4))[0]
+    return compute_invariant(EnrichedBratteliDiagram.homogeneous(Q1, {identity_bimodule(Q1): 1}))
+
+
+def _forge_q2_prime_set(doc):
+    doc["objects"]["Q2"]["prime_set"] = [3]
+
+
+def _swap_representatives(doc):
+    doc["representatives"][1], doc["representatives"][2] = (
+        doc["representatives"][2], doc["representatives"][1]
+    )
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        pytest.param(_forge_q2_prime_set, id="object-prime-set"),
+        pytest.param(_swap_representatives, id="representatives"),
+        pytest.param(lambda d: d.update(labels=["Q1", "Q3", "Q2"]), id="labels"),
+        pytest.param(lambda d: d["morphisms"][0].update(label="M_{9-9}"), id="morphism-label"),
+        pytest.param(lambda d: d["morphisms"].reverse(), id="morphism-order"),
+        pytest.param(lambda d: d["scales"].update(Q4="1"), id="scale-of-no-object"),
+        pytest.param(lambda d: d.update(note="extra"), id="extra-field"),
+    ],
+)
+def test_invariant_documents_must_be_the_rendered_invariant(z4_invariants, tamper):
+    doc = through_json(invariant_to_json(z4_invariants["G"]))
+    tamper(doc)
+    with pytest.raises(InvalidInputError):
+        invariant_from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "build, label, scale",
+    [
+        (lambda invs: invs["F"], "Q2", None),
+        (lambda invs: invs["F"], "Q2", "0"),
+        (lambda invs: invs["F"], "Q2", "-1/2"),
+        (lambda invs: _identity_action_invariant(), "Q1", "1"),
+    ],
+    ids=["rank-one-null", "rank-one-zero", "rank-one-negative", "not-rank-one-with-a-scale"],
+)
+def test_scales_are_positive_exactly_on_rank_one_objects(z4_invariants, build, label, scale):
+    doc = through_json(invariant_to_json(build(z4_invariants)))
+    doc["scales"][label] = scale
+    with pytest.raises(InvalidInputError):
+        invariant_from_json(doc)
+
+
+def test_scales_multipliers_and_pointed_class_are_free_data(z4_invariants):
+    doc = through_json(invariant_to_json(z4_invariants["F"]))
+    doc["scales"]["Q2"] = "7/3"
+    doc["morphisms"][0]["multiplier"] = None
+    doc["pointed"] = "5"
+    inv = invariant_from_json(doc)
+    assert (inv.scales[1], inv.morphisms[0][1], inv.pointed) == (Fraction(7, 3), None, 5)
 
 
 # -------------------------------------------------------------------- verdicts
@@ -357,3 +484,59 @@ def test_object_diagram_documents_are_labelled(z4_diagrams, z4_reps):
     doc = through_json(matrix_to_json(sys))
     assert doc["labels"] == ["M_{1-2,0}", "M_{1-2,1}"]
     assert matrix_from_json(doc) == sys
+
+
+# ----------------------------------------------------------- parser contract
+
+
+def _names_a_small_group(doc) -> bool:
+    """Whether ``doc`` names no well-formed group, or one of order at most 16.
+
+    The parsers take no bound on the groups they build, as the CLI alone
+    bounds its inputs, so this caller bounds the group first as the CLI does.
+    """
+    group = doc.get("group") if isinstance(doc, dict) else None
+    try:
+        return group_from_json(group).order <= 16
+    except InvalidInputError:
+        return True
+
+
+# Each parser the contract covers, and a function that makes valid documents for it.
+CONTRACT_PARSERS = {
+    "k0": (k0_from_json, lambda invs: [_k0_doc(m) for m in (RANK_ONE, DIRECT_SUM, OPAQUE)]),
+    "fusion-table": (fusion_table_from_json, lambda invs: [_z2_table_doc()]),
+    "invariant": (
+        invariant_from_json,
+        lambda invs: [
+            invariant_to_json(i) for i in (invs["F"], invs["E"], _identity_action_invariant())
+        ],
+    ),
+    "verdict": (
+        verdict_from_json,
+        lambda invs: [verdict_to_json(compare(invs[a], invs[b])) for a, b in ("FG", "EF", "EE")],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CONTRACT_PARSERS))
+def test_any_json_document_parses_or_is_an_input_error(kind, z4_invariants):
+    """Each parser returns a value or raises InvalidInputError, and nothing else.
+
+    Every invariant it returns can be compared with itself.
+    """
+    parse, build = CONTRACT_PARSERS[kind]
+    valid = build(z4_invariants)
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(doc=any_or_mutated(valid))
+    def check(doc):
+        assume(_names_a_small_group(doc))
+        try:
+            value = parse(doc)
+        except InvalidInputError:
+            return
+        if isinstance(value, InvariantData):
+            assert isinstance(compare(value, value), Verdict)
+
+    check()
