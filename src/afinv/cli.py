@@ -57,7 +57,7 @@ def _load_json(path: str):
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an integer past the digit limit
         raise InvalidInputError(f"{path}: not valid JSON ({exc})") from exc
     except OSError as exc:
         raise InvalidInputError(f"{path}: {exc.strerror or exc}") from exc

@@ -9,7 +9,8 @@ localization r*Z[1/S] of the rationals via the normative value map
 
 where v is the primitive nonnegative left eigenvector.  Morphism matrices
 that intertwine two identified systems act as multiplication by a single
-rational, the multiplier.  All linear algebra is exact (Fractions).
+rational, the multiplier.  The eventual row space is found by integer
+elimination on A alone, never on a power of A; values are exact Fractions.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .errors import InvalidInputError, ResourceLimitError
 
@@ -52,11 +54,8 @@ def mat_mul(A, B):
         return tuple()
     if len(A[0]) != len(B):
         raise InvalidInputError(f"shape mismatch: {len(A[0])} columns vs {len(B)} rows")
-    cols = len(B[0])
-    return tuple(
-        tuple(sum(a_ik * B[k][j] for k, a_ik in enumerate(row)) for j in range(cols))
-        for row in A
-    )
+    cols = tuple(zip(*B))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in A)
 
 
 def mat_vec(A, x):
@@ -83,24 +82,30 @@ def mat_pow(A, n: int):
     return result
 
 
-def rational_rank(rows) -> int:
-    """Rank over Q by fraction-exact Gaussian elimination."""
-    work = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    cols = len(work[0]) if work else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = 1 / work[rank][col]
-        work[rank] = [x * inv for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[rank])]
-        rank += 1
-    return rank
+def _eventual_rows(A: Matrix) -> list[tuple[int, ...]]:
+    """The eventual row space of A as primitive integer echelon rows, pivots positive.
+
+    Starting from W = Z^b, W shrinks to the row space of W*A until a step keeps
+    its dimension, by the size b of A at the latest (Fitting).  Dividing a row by
+    its content after each elimination step bounds its entries by minors.
+    """
+    dim, rows = len(A), A
+    while True:
+        basis: dict[int, tuple[int, ...]] = {}  # pivot column -> row
+        for r in rows:
+            for p, b in sorted(basis.items()):
+                if r[p]:
+                    r = [b[p] * x - r[p] * y for x, y in zip(r, b)]
+                    g = gcd(*r) or 1
+                    r = [x // g for x in r]
+            if any(r):
+                p = next(i for i, x in enumerate(r) if x)
+                g = gcd(*r) if r[p] > 0 else -gcd(*r)
+                basis[p] = tuple(x // g for x in r)
+        echelon = [basis[p] for p in sorted(basis)]
+        if len(echelon) == dim:
+            return echelon
+        dim, rows = len(echelon), mat_mul(echelon, A)
 
 
 def _prime_factors(n: int) -> frozenset[int]:
@@ -211,21 +216,17 @@ def is_s_unit(q: Fraction, primes) -> bool:
     return q > 0 and strip_primes(q, primes) == 1
 
 
-def _try_rank_one(A: Matrix, power: Matrix) -> RankOneForm | None:
-    """The rank-one form of A, given power = A^b for the size b of A.
+def _try_rank_one(A: Matrix, rows) -> RankOneForm | None:
+    """The rank-one form of A, given the echelon rows of its eventual row space.
 
-    The row spaces of A^k stop shrinking by k = b, so A is rank-one exactly when
-    every row of A^b is a multiple of one primitive v with vA = lambda*v.
+    That is one row v with vA = lambda*v, lambda > 0.  Q*v holds a nonnegative
+    row of a power of A, so v, whose pivot is positive, is nonnegative.
     """
-    v = next((row for row in power if any(row)), None)
-    if v is None:
+    if len(rows) != 1:
         return None
-    g = gcd(*v) if len(v) > 1 else v[0]
-    v = tuple(x // g for x in v)
-    nz = next(i for i, x in enumerate(v) if x)
-    if any(tuple(x * row[nz] for x in v) != tuple(x * v[nz] for x in row) for row in power):
-        return None
+    (v,) = rows
     w = vec_mat(v, A)
+    nz = next(i for i, x in enumerate(v) if x)
     lam = w[nz] // v[nz]
     if lam <= 0 or w != tuple(lam * x for x in v):
         return None
@@ -256,28 +257,26 @@ def _components(A: Matrix) -> list[list[int]]:
 def stationary_k0(sys: StationarySystem) -> K0Description:
     """Identify the limit group of a stationary system, degrading gracefully.
 
-    A^b is computed once: A is block diagonal over its components, so each
-    component's block of A^b is that block's own power.
+    A rank-one form is read off the eventual row space of A, a direct sum off
+    those of the component blocks; otherwise the rank is the dimension of A's.
     """
     A = sys.matrix
-    power = mat_pow(A, sys.size)
-    form = _try_rank_one(A, power)
+    rows = _eventual_rows(A)
+    form = _try_rank_one(A, rows)
     if form is not None:
         return form
     comps = _components(A)
     if len(comps) > 1:
         blocks = []
         for comp in comps:
-            block = _try_rank_one(
-                tuple(tuple(A[i][j] for j in comp) for i in comp),
-                tuple(tuple(power[i][j] for j in comp) for i in comp),
-            )
-            if block is None:
+            block = tuple(tuple(A[i][j] for j in comp) for i in comp)
+            form = _try_rank_one(block, _eventual_rows(block))
+            if form is None:
                 break
-            blocks.append(block)
+            blocks.append(form)
         else:
             return DirectSumForm(A, tuple(blocks), tuple(tuple(c) for c in comps))
-    return OpaquePresentation(A, rational_rank(power))
+    return OpaquePresentation(A, len(rows))
 
 
 def scaled_localization(desc: RankOneForm) -> ScaledLocalization:

@@ -366,6 +366,31 @@ def test_missing_and_malformed_files(files, capsys):
     assert code == 1 and "not valid JSON" in err
 
 
+@pytest.mark.parametrize(
+    "command, template",
+    [
+        pytest.param(("qsystems",), '{"cyclic_factors": [%s]}', id="qsystems"),
+        pytest.param(("k0", "--matrix"), '{"rows": [[%s]]}', id="k0"),
+    ],
+)
+def test_integer_past_the_digit_limit_is_an_input_error(tmp_path, capsys, command, template):
+    # json.load raises a plain ValueError, not a JSONDecodeError, for an
+    # integer literal longer than Python's 4300-digit conversion limit.
+    path = tmp_path / "huge.json"
+    path.write_text(template % ("9" * 4301))
+    code, out, err = run(capsys, *command, str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path}: not valid JSON (") and err.count("\n") == 1
+
+
+def test_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"cyclic_factors": [2], "name": "\xe9"}')
+    code, out, err = run(capsys, "qsystems", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path}: not valid JSON (") and err.count("\n") == 1
+
+
 def _two_vertex_level(d, override):
     """Recast F as one level of two trivial vertices, each looping to itself."""
     loop = {"bimodule": d.pop("edge")[0]["bimodule"]}

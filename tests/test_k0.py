@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 import random
+import time
 from math import gcd
 
 from hypothesis import given, settings
@@ -21,7 +22,6 @@ from afinv.k0 import (
     mat_pow,
     mat_vec,
     morphism_multiplier,
-    rational_rank,
     scaled_localization,
     shift_equivalent_bounded,
     stationary_k0,
@@ -32,6 +32,26 @@ from afinv.k0 import (
 
 def k0(matrix):
     return stationary_k0(StationarySystem(matrix))
+
+
+def rational_rank(rows) -> int:
+    """Rank over Q by fraction-exact Gaussian elimination (the reference)."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    cols = len(work[0]) if work else 0
+    for col in range(cols):
+        pivot = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        inv = 1 / work[rank][col]
+        work[rank] = [x * inv for x in work[rank]]
+        for r in range(len(work)):
+            if r != rank and work[r][col] != 0:
+                factor = work[r][col]
+                work[r] = [x - factor * y for x, y in zip(work[r], work[rank])]
+        rank += 1
+    return rank
 
 
 # ---------------------------------------------------------------- basic forms
@@ -114,8 +134,8 @@ def test_limit_rank_drops_nilpotent_directions():
         pytest.param([[1, 1, 0], [1, 0, 0], [0, 0, 2]], id="one-opaque-component"),
     ],
 )
-def test_opaque_limit_takes_one_power_and_one_rank(matrix, monkeypatch):
-    calls = {"mat_pow": 0, "rational_rank": 0}
+def test_opaque_limit_takes_no_power_and_at_most_b_plus_one_products(matrix, monkeypatch):
+    calls = {"mat_mul": 0, "mat_pow": 0}
 
     def counted(name):
         original = getattr(k0_module, name)
@@ -131,7 +151,8 @@ def test_opaque_limit_takes_one_power_and_one_rank(matrix, monkeypatch):
     desc = k0(matrix)
     assert isinstance(desc, OpaquePresentation)
     assert desc.rank == len(matrix)
-    assert calls == {"mat_pow": 1, "rational_rank": 1}
+    assert calls["mat_pow"] == 0
+    assert calls["mat_mul"] <= len(matrix) + 1
 
 
 def two_power_rank_one(A):
@@ -173,6 +194,107 @@ def test_rank_one_forms_match_the_two_power_reference():
             assert (desc.eigenvalue, desc.left_vector) == expected, A
         seen.add(type(desc))
     assert seen == {RankOneForm, DirectSumForm, OpaquePresentation}
+
+
+def _prime_set(n):
+    return frozenset(p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p)))
+
+
+def two_power_summary(A):
+    """What the A^b route identifies: the form, the rank, each block's
+    (eigenvalue, left vector, prime set) and the partition of a direct sum."""
+    found = two_power_rank_one(A)
+    if found is not None:
+        return RankOneForm, 1, ((found[0], found[1], _prime_set(found[0])),), None
+    comps = k0_module._components(A)
+    if len(comps) > 1:
+        blocks = [two_power_rank_one([[A[i][j] for j in c] for i in c]) for c in comps]
+        if all(blocks):
+            data = tuple((lam, v, _prime_set(lam)) for lam, v in blocks)
+            return DirectSumForm, len(comps), data, tuple(map(tuple, comps))
+    return OpaquePresentation, rational_rank(mat_pow(A, len(A))), (), None
+
+
+def summary(desc):
+    if isinstance(desc, RankOneForm):
+        return RankOneForm, 1, ((desc.eigenvalue, desc.left_vector, desc.prime_set),), None
+    if isinstance(desc, DirectSumForm):
+        data = tuple((b.eigenvalue, b.left_vector, b.prime_set) for b in desc.blocks)
+        return DirectSumForm, desc.rank, data, desc.partition
+    return OpaquePresentation, desc.rank, (), None
+
+
+def _entry(rng):
+    return rng.choice((0, 0, 0, 1, 2, 3))
+
+
+def _rank_one_block(rng, size):
+    """w u^T with u in {1, 2, 3}^size and w a nonzero 0/1 vector."""
+    u, w = [rng.randint(1, 3) for _ in range(size)], [rng.randint(0, 1) for _ in range(size)]
+    w[rng.randrange(size)] = 1
+    return [[w[i] * u[j] for j in range(size)] for i in range(size)]
+
+
+def _seeded_matrix(rng, n, kind):
+    """An n x n matrix with entries in {0, 1, 2, 3} of one of three kinds."""
+    if kind == "sparse":
+        return [[_entry(rng) for _ in range(n)] for _ in range(n)]
+    if kind == "triangular":
+        # a nilpotent strictly upper triangular part feeding a rank-one tail
+        m = rng.randint(0, n)
+        tail = _rank_one_block(rng, n - m) if m < n else []
+        head = [[_entry(rng) * (j > i) for j in range(n)] for i in range(m)]
+        return head + [[0] * m + row for row in tail]
+    # permuted block diagonal: each block rank-one (most often), sparse or
+    # strictly triangular
+    A, at = [[0] * n for _ in range(n)], 0
+    while at < n:
+        size = rng.randint(1, n - at)
+        style = rng.choice(("rank-one", "rank-one", "rank-one", "sparse", "nilpotent"))
+        if style == "rank-one":
+            block = _rank_one_block(rng, size)
+        else:
+            block = [[_entry(rng) * (style == "sparse" or j > i) for j in range(size)]
+                     for i in range(size)]
+        for i, row in enumerate(block):
+            A[at + i][at : at + size] = row
+        at += size
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return [[A[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+
+
+def test_every_form_matches_the_a_power_b_reference(monkeypatch):
+    products = {"mat_mul": 0}
+    original = k0_module.mat_mul
+
+    def counted(*args):
+        products["mat_mul"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(k0_module, "mat_mul", counted)
+    rng = random.Random(11)
+    seen, most_products = set(), 0
+    for t in range(2000):
+        n = rng.randint(1, 8)
+        A = _seeded_matrix(rng, n, ("sparse", "triangular", "block-diagonal")[t % 3])
+        products["mat_mul"] = 0
+        got = summary(k0(A))
+        assert got == two_power_summary(A), A
+        most_products = max(most_products, products["mat_mul"])
+        seen.add(got[0])
+    assert seen == {RankOneForm, DirectSumForm, OpaquePresentation}
+    assert most_products >= 4  # some matrices need several steps to settle
+
+
+def test_sixty_four_vertex_opaque_tail_is_identified_within_seconds():
+    rng = random.Random(64)
+    A = [[rng.randint(0, 3) + 5 * (i == j) for j in range(64)] for i in range(64)]
+    start = time.perf_counter()
+    desc = k0(A)
+    assert time.perf_counter() - start < 5
+    assert isinstance(desc, OpaquePresentation)
+    assert desc.rank == 64
 
 
 def test_stationary_system_validation():
