@@ -29,6 +29,7 @@ from .groups import (
     Coset,
     FiniteAbelianGroup,
     Subgroup,
+    _store_hash,
     coset_space,
     dual_characters,
     subgroup_intersection,
@@ -68,6 +69,12 @@ class SimpleBimodule:
     target: Subgroup
     coset: Coset
     character: Character
+
+    def __post_init__(self) -> None:
+        _store_hash(self, self.source, self.target, self.coset, self.character)
+
+    def __hash__(self) -> int:
+        return self._hash  # type: ignore[attr-defined]
 
     @property
     def group(self) -> FiniteAbelianGroup:

@@ -34,9 +34,9 @@ from .k0 import (
     K0Description,
     RankOneForm,
     StationarySystem,
+    _multiplier,
     mat_mul,
     mat_vec,
-    morphism_multiplier,
     scaled_localization,
     stationary_k0,
     value_map,
@@ -197,19 +197,23 @@ def object_diagram(d: EnrichedBratteliDiagram, P: Subgroup) -> InductiveSystem:
 
     Entry [(w, y), (v, x)] sums mult * (multiplicity of y in fuse(e, x)) over edges e: v -> w.
     """
-    bases = _level_bases(d, P)
-    mats = tuple(
-        _fusion_matrix(
-            bases[min(n + 1, len(bases) - 1)],
-            [
-                [(e.target, e.bimodule, x, e.multiplicity) for e in block if e.source == vi]
-                for vi, x in bases[n]
-            ],
-        )
-        for n, block in enumerate(d.edges)
-    )
+    return _object_system(d, _level_bases(d, P))
+
+
+def _object_system(d: EnrichedBratteliDiagram, bases) -> InductiveSystem:
+    """``object_diagram`` over the level bases of its representative."""
+    mats = []
+    for n, block in enumerate(d.edges):
+        by_source: dict[int, list] = {}
+        for e in block:
+            by_source.setdefault(e.source, []).append(e)
+        columns = [
+            [(e.target, e.bimodule, x, e.multiplicity) for e in by_source.get(vi, ())]
+            for vi, x in bases[n]
+        ]
+        mats.append(_fusion_matrix(bases[min(n + 1, len(bases) - 1)], columns))
     tail_labels = tuple(bimodule_label(s) for _, s in bases[-1])
-    return InductiveSystem(mats[:-1], StationarySystem(mats[-1], tail_labels))
+    return InductiveSystem(tuple(mats[:-1]), StationarySystem(mats[-1], tail_labels))
 
 
 def morphism_matrices(d: EnrichedBratteliDiagram, X: SimpleBimodule):
@@ -219,8 +223,11 @@ def morphism_matrices(d: EnrichedBratteliDiagram, X: SimpleBimodule):
     for x in the level's P-basis and y in its Q-basis.  For stationary
     diagrams the single returned matrix holds at every level.
     """
-    basesP = _level_bases(d, X.source)
-    basesQ = _level_bases(d, X.target)
+    return _morphism_matrices(_level_bases(d, X.source), _level_bases(d, X.target), X)
+
+
+def _morphism_matrices(basesP, basesQ, X: SimpleBimodule):
+    """``morphism_matrices`` over the level bases of X's source and target."""
     return [
         _fusion_matrix(bQ, [[(vi, x, X, 1)] for vi, x in bP])
         for bP, bQ in zip(basesP, basesQ)
@@ -248,7 +255,8 @@ def compute_invariant(d: EnrichedBratteliDiagram) -> InvariantData:
     reps = subgroups(d.group)
     labels = tuple(f"Q{i + 1}" for i in range(len(reps)))
 
-    systems = [object_diagram(d, P) for P in reps]
+    bases = [_level_bases(d, P) for P in reps]
+    systems = [_object_system(d, b) for b in bases]
     descs = [stationary_k0(sys.tail) for sys in systems]
     scales = tuple(
         scaled_localization(desc).scale if isinstance(desc, RankOneForm) else None
@@ -259,11 +267,11 @@ def compute_invariant(d: EnrichedBratteliDiagram) -> InvariantData:
     for i, P in enumerate(reps):
         for j, Q in enumerate(reps):
             for X in simple_bimodules(P, Q):
-                mats = morphism_matrices(d, X)
+                mats = _morphism_matrices(bases[i], bases[j], X)
                 _check_intertwining(systems[i], systems[j], mats, X)
-                tail_mat = mats[-1]
                 if isinstance(descs[i], RankOneForm) and isinstance(descs[j], RankOneForm):
-                    q = morphism_multiplier(descs[i], descs[j], tail_mat)
+                    # the tail intertwining was checked just above
+                    q = _multiplier(descs[i], descs[j], mats[-1])
                 else:
                     q = None
                 morphisms.append((X, q))

@@ -32,6 +32,15 @@ __all__ = [
 Element = tuple  # alias for readability; elements are tuples of ints
 
 
+def _store_hash(obj, *fields) -> None:
+    """Store on a frozen dataclass the hash of the fields its ``__eq__`` compares.
+
+    It is the value the generated ``__hash__`` would return; computed once, it
+    spares every dict and cache lookup a walk over the nested element tuples.
+    """
+    object.__setattr__(obj, "_hash", hash(fields))
+
+
 @dataclass(frozen=True)
 class FiniteAbelianGroup:
     """A finite abelian group presented as a direct product of cyclic factors.
@@ -50,6 +59,10 @@ class FiniteAbelianGroup:
             raise InvalidInputError(
                 f"cyclic factors must be positive integers, got {self.cyclic_factors!r}"
             )
+        _store_hash(self, self.cyclic_factors)
+
+    def __hash__(self) -> int:
+        return self._hash  # type: ignore[attr-defined]
 
     @property
     def order(self) -> int:
@@ -111,6 +124,10 @@ class Subgroup:
             raise InvalidInputError("subgroup elements must be sorted and duplicate-free")
         if self.group.zero() not in self._member_set:
             raise InvalidInputError("subgroup must contain the identity")
+        _store_hash(self, self.group, self.elements)
+
+    def __hash__(self) -> int:
+        return self._hash  # type: ignore[attr-defined]
 
     @classmethod
     def generated(cls, group: FiniteAbelianGroup, generators) -> "Subgroup":
@@ -267,6 +284,10 @@ class Character:
         object.__setattr__(
             self, "_table", dict(zip(self.domain.elements, self.values))
         )
+        _store_hash(self, self.domain, self.values)
+
+    def __hash__(self) -> int:
+        return self._hash  # type: ignore[attr-defined]
 
     def __call__(self, element: Element) -> int:
         return self._table[element]  # type: ignore[attr-defined]
@@ -310,6 +331,12 @@ class Coset:
 
     rep: Element
     members: tuple[Element, ...]
+
+    def __post_init__(self) -> None:
+        _store_hash(self, self.rep, self.members)
+
+    def __hash__(self) -> int:
+        return self._hash  # type: ignore[attr-defined]
 
     @property
     def size(self) -> int:

@@ -108,16 +108,103 @@ def _eventual_rows(A: Matrix) -> list[tuple[int, ...]]:
         dim, rows = len(echelon), mat_mul(echelon, A)
 
 
+# Trial division takes the primes below this bound, so a cofactor left below
+# its square is prime.
+_TRIAL_BOUND = 1 << 16
+# Miller-Rabin on the first 13 prime bases is exact below this bound
+# (Sorenson and Webster 2017); a cofactor at or above it is refused.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+# The most Pollard-Brent rho iterations one factorization makes.  Rho finds a
+# prime factor p in about 1.2 * sqrt(p) iterations, so this reaches p near 10**12.
+RHO_STEP_BUDGET = 1 << 21
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the bases _MR_BASES: exact for odd n with 41 < n < _MR_EXACT_BELOW."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_divisor(n: int, budget: int) -> tuple[int, int]:
+    """A proper divisor of the composite n by Pollard-Brent rho, and the budget left.
+
+    The polynomials x^2 + c are tried for c = 1, 2, ... from x = 2, so the
+    result is deterministic.  Past the budget it raises ResourceLimitError.
+    """
+    block = 128
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        x = ys = y
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(block, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += block
+            budget -= 2 * r
+            if budget < 0:
+                raise ResourceLimitError(
+                    f"factoring the eigenvalue passed {RHO_STEP_BUDGET} rho steps"
+                )
+            r *= 2
+        if g == n:  # the batch overshot: step back one product at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g, budget
+
+
 def _prime_factors(n: int) -> frozenset[int]:
+    """The primes dividing n >= 1, each one proven prime.
+
+    Trial division takes the primes below _TRIAL_BOUND.  Pollard-Brent rho
+    splits the cofactor into factors that deterministic Miller-Rabin proves
+    prime.  A cofactor too large for that test to be exact, or a split past
+    RHO_STEP_BUDGET iterations, raises ResourceLimitError.
+    """
     out = set()
     d = 2
-    while d * d <= n:
+    while d < _TRIAL_BOUND and d * d <= n:
         while n % d == 0:
             out.add(d)
             n //= d
         d += 1
-    if n > 1:
-        out.add(n)
+    if n >= _MR_EXACT_BELOW:
+        raise ResourceLimitError(
+            f"cannot factor an eigenvalue with a {n.bit_length()}-bit cofactor "
+            f"free of primes below {_TRIAL_BOUND}"
+        )
+    budget = RHO_STEP_BUDGET
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if m < _TRIAL_BOUND * _TRIAL_BOUND or _is_prime(m):
+            out.add(m)
+        else:
+            f, budget = _rho_divisor(m, budget)
+            stack += [f, m // f]
     return frozenset(out)
 
 
@@ -312,6 +399,11 @@ def morphism_multiplier(
         raise InvalidInputError("multiplier matrix has wrong shape")
     if mat_mul(descQ.matrix, M) != mat_mul(M, descP.matrix):
         raise InvalidInputError("matrix does not intertwine the connecting maps")
+    return _multiplier(descP, descQ, M)
+
+
+def _multiplier(descP: RankOneForm, descQ: RankOneForm, M: Matrix) -> Fraction | None:
+    """``morphism_multiplier`` of a matrix already known to intertwine, of the right shape."""
     w = vec_mat(descQ.left_vector, M)
     vP = descP.left_vector
     if all(x == 0 for x in w):

@@ -350,15 +350,22 @@ def diagram_to_json(d: EnrichedBratteliDiagram) -> dict:
     }
 
 
-def _edge_from_json(G, doc, source=0, target=0) -> DiagramEdge:
+def _edge_from_json(G, doc, bimodules: dict, source=0, target=0) -> DiagramEdge:
+    """One edge; ``bimodules`` maps each bimodule already read, as JSON text, to its parse.
+
+    Edges that repeat a bimodule thus share one object, parsed and validated once.
+    """
     if not isinstance(doc, dict):
         raise InvalidInputError(f"edge {doc!r} must be an object")
     mult = doc.get("multiplicity", 1)
     if not _is_int(mult):
         raise InvalidInputError("edge multiplicity must be an integer")
-    return DiagramEdge(
-        source, target, bimodule_from_json(G, _expect(doc, "bimodule", dict)), mult
-    )
+    raw = _expect(doc, "bimodule", dict)
+    key = _json_text(raw)
+    bimodule = bimodules.get(key)
+    if bimodule is None:
+        bimodule = bimodules[key] = bimodule_from_json(G, raw)
+    return DiagramEdge(source, target, bimodule, mult)
 
 
 def diagram_from_json(doc) -> EnrichedBratteliDiagram:
@@ -366,10 +373,11 @@ def diagram_from_json(doc) -> EnrichedBratteliDiagram:
     weights = _expect(doc, "generator_weights", list)
     if not all(_is_int(w) for w in weights):
         raise InvalidInputError("generator_weights must be integers")
+    bimodules: dict[str, SimpleBimodule] = {}
     if "vertex" in doc:
         vertex = subgroup_from_json(G, doc["vertex"])
         edges = tuple(
-            _edge_from_json(G, e) for e in _expect(doc, "edge", list)
+            _edge_from_json(G, e, bimodules) for e in _expect(doc, "edge", list)
         )
         return EnrichedBratteliDiagram(G, ((vertex,),), (edges,), tuple(weights))
     levels = tuple(
@@ -381,7 +389,7 @@ def diagram_from_json(doc) -> EnrichedBratteliDiagram:
         parsed = []
         for e in _list(block, "edge block"):
             parsed.append(
-                _edge_from_json(G, e, _expect_int(e, "from"), _expect_int(e, "to"))
+                _edge_from_json(G, e, bimodules, _expect_int(e, "from"), _expect_int(e, "to"))
             )
         blocks.append(tuple(parsed))
     return EnrichedBratteliDiagram(G, levels, tuple(blocks), tuple(weights))

@@ -5,6 +5,7 @@ left factors, columns right factors, cells are "+"-joined decompositions).
 Together they cover all 162 composable pairs of simples.
 """
 
+import dataclasses
 import functools
 import itertools
 import random
@@ -29,10 +30,12 @@ from afinv.errors import InternalConsistencyError, InvalidCompositionError
 from afinv.groups import (
     Subgroup,
     coset_of,
+    coset_space,
     dual_characters,
     make_group,
     subgroup_intersection,
     subgroup_sum,
+    subgroups,
 )
 
 from fuse_oracle import float_oracle_fuse
@@ -266,6 +269,31 @@ def test_float_oracle_agrees_sampled(factors, seed):
         s1 = rng.choice(simples)
         s2 = rng.choice(by_source[s1.target])
         assert fuse(s1, s2) == float_oracle_fuse(s1, s2)
+
+
+def rebuilt(x):
+    """A fresh copy of x: each dataclass and tuple inside it built anew from its fields."""
+    if dataclasses.is_dataclass(x):
+        return type(x)(**{f.name: rebuilt(getattr(x, f.name)) for f in dataclasses.fields(x)})
+    if isinstance(x, tuple):
+        return tuple(rebuilt(y) for y in x)
+    return x
+
+
+@pytest.mark.parametrize("factors", [[12], [2, 4], [2, 2, 2]])
+def test_stored_hashes_agree_with_equality(factors):
+    G = make_group(factors)
+    subs = subgroups(G)
+    objects = [G, *subs]
+    for H in subs:
+        objects += coset_space(G, H) + dual_characters(H)
+        for K in subs:
+            objects += simple_bimodules(H, K)
+    for x in objects:
+        y = rebuilt(x)
+        assert y is not x and y == x and hash(y) == hash(x)
+    distinct = {(type(x), dataclasses.astuple(x)) for x in objects}
+    assert len(set(objects)) == len(distinct)
 
 
 def test_completeness_warning_for_noncyclic_subgroups():

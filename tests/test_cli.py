@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 import types
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -356,6 +357,26 @@ def test_k0_rejects_nonsquare(doc, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_k0_of_a_prime_eigenvalue_near_ten_to_the_twenty_is_quick(tmp_path):
+    p = 10**20 + 39  # prime; trial division to its square root would take hours
+    path = write_json(tmp_path, "m.json", {"rows": [[p]]})
+    start = time.perf_counter()
+    proc = run_process("k0", "--matrix", path, "--format", "json")
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["prime_set"] == [p]
+
+
+def test_k0_refuses_an_eigenvalue_it_cannot_factor_exactly(tmp_path, capsys):
+    # (2**61 - 1)(2**31 - 1): no factor below 2**16, too large to certify
+    path = write_json(tmp_path, "m.json", {"rows": [[(2**61 - 1) * (2**31 - 1)]]})
+    code, out, err = run(capsys, "k0", "--matrix", path)
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: cannot factor an eigenvalue with a 92-bit cofactor free of primes below 65536\n"
+    )
+
+
 # ------------------------------------------------------------- error handling
 
 
@@ -496,6 +517,16 @@ def test_theta_naming_one_element_twice_is_an_input_error(theta, tmp_path, z4_di
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1
     assert "twice" in err
+
+
+def test_repeated_malformed_bimodule_fails_at_its_first_edge(tmp_path, z4_diagrams, capsys):
+    # edges that repeat a bimodule share one parse, so the first bad one decides
+    doc = diagram_to_json(z4_diagrams["H"])
+    bad = {**doc["edge"][1]["bimodule"], "character": {"theta": {"[1]": "1/3"}}}
+    doc["edge"][1]["bimodule"] = bad
+    doc["edge"] += [{"bimodule": bad, "multiplicity": 2}, {"bimodule": {**bad, "coset_rep": 0}}]
+    code, out, err = run(capsys, "invariant", write_json(tmp_path, "bad.json", doc))
+    assert (code, out, err) == (1, "", "error: character table is not a homomorphism\n")
 
 
 def test_cli_imports_no_numpy():

@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import pytest
 
-from afinv import bimodules, diagrams
+from afinv import bimodules, diagrams, k0
 from afinv.bimodules import (
     CompletenessWarning,
     bimodule_label,
@@ -377,6 +377,48 @@ def test_fused_term_outside_the_basis_is_an_error(z4_diagrams, z4_reps, z4_simpl
         object_diagram(z4_diagrams["F"], z4_reps[0])
     with pytest.raises(InternalConsistencyError):
         morphism_matrices(z4_diagrams["F"], z4_simples["M_{1-1,1}"])
+
+
+def test_invariant_builds_each_level_basis_once(z4_diagrams, two_level_diagram, monkeypatch):
+    built = []
+    level_bases = diagrams._level_bases
+
+    def counting(d, P):
+        built.append(P)
+        return level_bases(d, P)
+
+    monkeypatch.setattr(diagrams, "_level_bases", counting)
+    for d in (z4_diagrams["F"], z4_diagrams["G"], z4_diagrams["H"], two_level_diagram):
+        built.clear()
+        compute_invariant(d)
+        assert built == qsystems(d.group)
+
+
+def test_invariant_checks_each_tail_intertwining_once(z4_diagrams, monkeypatch):
+    """Two products per simple bimodule, A_Q M and M A_P, outside object identification."""
+    products = []
+    inside_k0 = []
+    mat_mul, stationary_k0 = k0.mat_mul, k0.stationary_k0
+
+    def counting_mat_mul(A, B):
+        if not inside_k0:
+            products.append((A, B))
+        return mat_mul(A, B)
+
+    def flagged_stationary_k0(sys):
+        inside_k0.append(sys)
+        try:
+            return stationary_k0(sys)
+        finally:
+            inside_k0.pop()
+
+    for module in (diagrams, k0):
+        monkeypatch.setattr(module, "mat_mul", counting_mat_mul)
+    monkeypatch.setattr(diagrams, "stationary_k0", flagged_stationary_k0)
+    for name, d in z4_diagrams.items():
+        products.clear()
+        inv = compute_invariant(d)
+        assert len(products) == 2 * len(inv.morphisms), name
 
 
 # ------------------------------------- pairwise fusion-consistency reference

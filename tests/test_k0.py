@@ -470,6 +470,44 @@ def test_shift_equivalence_builds_powers_only_as_the_lags_are_reached(monkeypatc
 # ----------------------------------------------------------- prime-set helpers
 
 
+def trial_division_primes(n: int) -> frozenset[int]:
+    """Reference: the primes dividing n, by trial division up to the square root."""
+    out, d = set(), 2
+    while d * d <= n:
+        while n % d == 0:
+            out.add(d)
+            n //= d
+        d += 1
+    if n > 1:
+        out.add(n)
+    return frozenset(out)
+
+
+def test_prime_factors_agree_with_trial_division():
+    for n in range(1, 10**5 + 1):
+        assert k0_module._prime_factors(n) == trial_division_primes(n), n
+    rng = random.Random(12)
+    primes = []
+    while len(primes) < 12:
+        p = rng.randrange(10**9 - 10**6, 10**9 + 10**6) | 1
+        while trial_division_primes(p) != {p}:
+            p += 2
+        primes.append(p)
+    for p, q in zip(primes[::2], primes[1::2]):
+        for n in (p * q, p * p, 6 * p * q, p):
+            assert k0_module._prime_factors(n) == {d for d in (2, 3, p, q) if n % d == 0}
+
+
+def test_prime_factors_refuse_what_they_cannot_prove_within_budget(monkeypatch):
+    # two Mersenne primes: a cofactor above the range where Miller-Rabin on
+    # 13 bases is exact, which trial division would take 2**31 steps to split
+    with pytest.raises(ResourceLimitError, match="92-bit cofactor"):
+        k0_module._prime_factors(4 * (2**61 - 1) * (2**31 - 1))
+    monkeypatch.setattr(k0_module, "RHO_STEP_BUDGET", 100)
+    with pytest.raises(ResourceLimitError, match="passed 100 rho steps"):
+        k0_module._prime_factors((10**9 + 7) * (10**9 + 9))
+
+
 def test_strip_primes_and_s_units():
     assert strip_primes(Fraction(12, 35), {2, 3}) == Fraction(1, 35)
     assert strip_primes(Fraction(8), {2}) == 1

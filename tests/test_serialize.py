@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings
 
+from afinv import serialize
 from afinv.bimodules import fusion_table, identity_bimodule, qsystems, simple_bimodules
 from afinv.compare import Verdict, compare
 from afinv.diagrams import (
@@ -328,6 +329,31 @@ def test_heterogeneous_diagram_round_trip(z4, z4_reps, z4_simples):
     assert "levels" in doc and "edges" in doc
     assert doc["edges"][0][0]["from"] == 0 and doc["edges"][0][0]["to"] == 0
     assert diagram_from_json(doc) == d
+
+
+@pytest.mark.parametrize("vertices", [1, 2], ids=["vertex-edge", "levels-edges"])
+def test_each_distinct_edge_bimodule_is_parsed_once(vertices, z4, z4_reps, monkeypatch):
+    Q1 = z4_reps[0]
+    three = simple_bimodules(Q1, Q1)[:3]
+    edges = tuple(
+        DiagramEdge(k % vertices, k // 2 % vertices, three[k % 3], 1 + k % 2)
+        for k in range(200)
+    )
+    d = EnrichedBratteliDiagram(z4, ((Q1,) * vertices,), (edges,), (1,) * 4 * vertices)
+    doc = through_json(diagram_to_json(d))
+    assert ("vertex" in doc) == (vertices == 1)
+    calls = []
+    parse = serialize.bimodule_from_json
+
+    def counting(G, raw):
+        calls.append(raw)
+        return parse(G, raw)
+
+    monkeypatch.setattr(serialize, "bimodule_from_json", counting)
+    got = diagram_from_json(doc)
+    assert got == d
+    assert len(calls) == 3
+    assert len({id(e.bimodule) for e in got.edges[0]}) == 3
 
 
 def test_diagram_parser_validates(z4_diagrams):
