@@ -29,7 +29,7 @@ from .groups import (
     Coset,
     FiniteAbelianGroup,
     Subgroup,
-    _store_hash,
+    _stored_hash,
     coset_space,
     dual_characters,
     subgroup_intersection,
@@ -70,11 +70,7 @@ class SimpleBimodule:
     coset: Coset
     character: Character
 
-    def __post_init__(self) -> None:
-        _store_hash(self, self.source, self.target, self.coset, self.character)
-
-    def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
+    __hash__ = _stored_hash
 
     @property
     def group(self) -> FiniteAbelianGroup:

@@ -192,16 +192,15 @@ def _fusion_matrix(row_basis, columns):
     return tuple(tuple(row) for row in rows)
 
 
-def object_diagram(d: EnrichedBratteliDiagram, P: Subgroup) -> InductiveSystem:
+def object_diagram(d: EnrichedBratteliDiagram, P: Subgroup, bases=None) -> InductiveSystem:
     """The Bratteli diagram of the functor at P: a prefix, then a stationary tail.
 
-    Entry [(w, y), (v, x)] sums mult * (multiplicity of y in fuse(e, x)) over edges e: v -> w.
+    Entry [(w, y), (v, x)] sums mult * (multiplicity of y in fuse(e, x)) over
+    edges e: v -> w.  ``bases`` is ``_level_bases(d, P)``, built here if the
+    caller has not built it.
     """
-    return _object_system(d, _level_bases(d, P))
-
-
-def _object_system(d: EnrichedBratteliDiagram, bases) -> InductiveSystem:
-    """``object_diagram`` over the level bases of its representative."""
+    if bases is None:
+        bases = _level_bases(d, P)
     mats = []
     for n, block in enumerate(d.edges):
         by_source: dict[int, list] = {}
@@ -216,18 +215,19 @@ def _object_system(d: EnrichedBratteliDiagram, bases) -> InductiveSystem:
     return InductiveSystem(tuple(mats[:-1]), StationarySystem(mats[-1], tail_labels))
 
 
-def morphism_matrices(d: EnrichedBratteliDiagram, X: SimpleBimodule):
+def morphism_matrices(d: EnrichedBratteliDiagram, X: SimpleBimodule, basesP=None, basesQ=None):
     """Per explicit level, the matrix of (- fused with X): P-basis -> Q-basis.
 
     X is a P-Q bimodule; entry [y, x] is the multiplicity of y in fuse(x, X)
     for x in the level's P-basis and y in its Q-basis.  For stationary
-    diagrams the single returned matrix holds at every level.
+    diagrams the single returned matrix holds at every level.  ``basesP`` and
+    ``basesQ`` are the level bases of X's source and target, built here if
+    the caller has not built them.
     """
-    return _morphism_matrices(_level_bases(d, X.source), _level_bases(d, X.target), X)
-
-
-def _morphism_matrices(basesP, basesQ, X: SimpleBimodule):
-    """``morphism_matrices`` over the level bases of X's source and target."""
+    if basesP is None:
+        basesP = _level_bases(d, X.source)
+    if basesQ is None:
+        basesQ = _level_bases(d, X.target)
     return [
         _fusion_matrix(bQ, [[(vi, x, X, 1)] for vi, x in bP])
         for bP, bQ in zip(basesP, basesQ)
@@ -256,7 +256,7 @@ def compute_invariant(d: EnrichedBratteliDiagram) -> InvariantData:
     labels = tuple(f"Q{i + 1}" for i in range(len(reps)))
 
     bases = [_level_bases(d, P) for P in reps]
-    systems = [_object_system(d, b) for b in bases]
+    systems = [object_diagram(d, P, b) for P, b in zip(reps, bases)]
     descs = [stationary_k0(sys.tail) for sys in systems]
     scales = tuple(
         scaled_localization(desc).scale if isinstance(desc, RankOneForm) else None
@@ -267,7 +267,7 @@ def compute_invariant(d: EnrichedBratteliDiagram) -> InvariantData:
     for i, P in enumerate(reps):
         for j, Q in enumerate(reps):
             for X in simple_bimodules(P, Q):
-                mats = _morphism_matrices(bases[i], bases[j], X)
+                mats = morphism_matrices(d, X, bases[i], bases[j])
                 _check_intertwining(systems[i], systems[j], mats, X)
                 if isinstance(descs[i], RankOneForm) and isinstance(descs[j], RankOneForm):
                     # the tail intertwining was checked just above

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 from .errors import InvalidInputError
@@ -32,13 +32,20 @@ __all__ = [
 Element = tuple  # alias for readability; elements are tuples of ints
 
 
-def _store_hash(obj, *fields) -> None:
-    """Store on a frozen dataclass the hash of the fields its ``__eq__`` compares.
+def _stored_hash(self) -> int:
+    """The generated dataclass hash, computed on first use and then stored.
 
-    It is the value the generated ``__hash__`` would return; computed once, it
-    spares every dict and cache lookup a walk over the nested element tuples.
+    A class sets ``__hash__ = _stored_hash`` in its own body, since
+    ``dataclass`` replaces an inherited ``__hash__`` with the generated one.
+    The stored value spares every later dict and cache lookup a walk over
+    the nested element tuples.
     """
-    object.__setattr__(obj, "_hash", hash(fields))
+    try:
+        return self._hash
+    except AttributeError:
+        h = hash(tuple(getattr(self, f.name) for f in fields(self) if f.compare))
+        object.__setattr__(self, "_hash", h)
+        return h
 
 
 @dataclass(frozen=True)
@@ -59,10 +66,6 @@ class FiniteAbelianGroup:
             raise InvalidInputError(
                 f"cyclic factors must be positive integers, got {self.cyclic_factors!r}"
             )
-        _store_hash(self, self.cyclic_factors)
-
-    def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
 
     @property
     def order(self) -> int:
@@ -124,10 +127,8 @@ class Subgroup:
             raise InvalidInputError("subgroup elements must be sorted and duplicate-free")
         if self.group.zero() not in self._member_set:
             raise InvalidInputError("subgroup must contain the identity")
-        _store_hash(self, self.group, self.elements)
 
-    def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
+    __hash__ = _stored_hash
 
     @classmethod
     def generated(cls, group: FiniteAbelianGroup, generators) -> "Subgroup":
@@ -284,10 +285,8 @@ class Character:
         object.__setattr__(
             self, "_table", dict(zip(self.domain.elements, self.values))
         )
-        _store_hash(self, self.domain, self.values)
 
-    def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
+    __hash__ = _stored_hash
 
     def __call__(self, element: Element) -> int:
         return self._table[element]  # type: ignore[attr-defined]
@@ -332,11 +331,7 @@ class Coset:
     rep: Element
     members: tuple[Element, ...]
 
-    def __post_init__(self) -> None:
-        _store_hash(self, self.rep, self.members)
-
-    def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
+    __hash__ = _stored_hash
 
     @property
     def size(self) -> int:

@@ -112,7 +112,7 @@ def _eventual_rows(A: Matrix) -> list[tuple[int, ...]]:
 # its square is prime.
 _TRIAL_BOUND = 1 << 16
 # Miller-Rabin on the first 13 prime bases is exact below this bound
-# (Sorenson and Webster 2017); a cofactor at or above it is refused.
+# (Sorenson and Webster 2017); a probable prime at or above it is refused.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 # The most Pollard-Brent rho iterations one factorization makes.  Rho finds a
@@ -179,10 +179,12 @@ def _rho_divisor(n: int, budget: int) -> tuple[int, int]:
 def _prime_factors(n: int) -> frozenset[int]:
     """The primes dividing n >= 1, each one proven prime.
 
-    Trial division takes the primes below _TRIAL_BOUND.  Pollard-Brent rho
-    splits the cofactor into factors that deterministic Miller-Rabin proves
-    prime.  A cofactor too large for that test to be exact, or a split past
-    RHO_STEP_BUDGET iterations, raises ResourceLimitError.
+    Trial division takes the primes below _TRIAL_BOUND, so a cofactor below
+    its square is prime.  Past that, Miller-Rabin's "composite" is certain at
+    every size, and Pollard-Brent rho splits such a cofactor; its "prime" is
+    a proof only below _MR_EXACT_BELOW.  A probable prime at or above that
+    bound, or a split past RHO_STEP_BUDGET iterations, raises
+    ResourceLimitError.
     """
     out = set()
     d = 2
@@ -191,20 +193,21 @@ def _prime_factors(n: int) -> frozenset[int]:
             out.add(d)
             n //= d
         d += 1
-    if n >= _MR_EXACT_BELOW:
-        raise ResourceLimitError(
-            f"cannot factor an eigenvalue with a {n.bit_length()}-bit cofactor "
-            f"free of primes below {_TRIAL_BOUND}"
-        )
     budget = RHO_STEP_BUDGET
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m < _TRIAL_BOUND * _TRIAL_BOUND or _is_prime(m):
+        if m < _TRIAL_BOUND * _TRIAL_BOUND:
             out.add(m)
-        else:
+        elif not _is_prime(m):
             f, budget = _rho_divisor(m, budget)
             stack += [f, m // f]
+        elif m < _MR_EXACT_BELOW:
+            out.add(m)
+        else:
+            raise ResourceLimitError(
+                f"cannot prove prime a {m.bit_length()}-bit factor of the eigenvalue"
+            )
     return frozenset(out)
 
 

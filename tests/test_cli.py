@@ -367,14 +367,20 @@ def test_k0_of_a_prime_eigenvalue_near_ten_to_the_twenty_is_quick(tmp_path):
     assert json.loads(proc.stdout)["prime_set"] == [p]
 
 
+@pytest.mark.parametrize("base, power", [(65537, 6), (100003, 5)])
+def test_k0_factors_a_power_of_a_prime_above_the_trial_bound(tmp_path, capsys, base, power):
+    path = write_json(tmp_path, "m.json", {"rows": [[base**power]]})
+    code, out, err = run(capsys, "k0", "--matrix", path, "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["prime_set"] == [base]
+
+
 def test_k0_refuses_an_eigenvalue_it_cannot_factor_exactly(tmp_path, capsys):
-    # (2**61 - 1)(2**31 - 1): no factor below 2**16, too large to certify
-    path = write_json(tmp_path, "m.json", {"rows": [[(2**61 - 1) * (2**31 - 1)]]})
+    # the Mersenne prime 2**89 - 1 is too large for Miller-Rabin to prove prime
+    path = write_json(tmp_path, "m.json", {"rows": [[2**89 - 1]]})
     code, out, err = run(capsys, "k0", "--matrix", path)
     assert (code, out) == (1, "")
-    assert err == (
-        "error: cannot factor an eigenvalue with a 92-bit cofactor free of primes below 65536\n"
-    )
+    assert err == "error: cannot prove prime a 89-bit factor of the eigenvalue\n"
 
 
 # ------------------------------------------------------------- error handling

@@ -498,11 +498,20 @@ def test_prime_factors_agree_with_trial_division():
             assert k0_module._prime_factors(n) == {d for d in (2, 3, p, q) if n % d == 0}
 
 
+def test_prime_factors_split_powers_of_primes_above_the_trial_bound():
+    # no factor below 2**16, cofactors far above the Miller-Rabin exact range:
+    # the "composite" verdict is certain at every size, so rho splits them
+    assert k0_module._prime_factors(65537**6) == {65537}
+    assert k0_module._prime_factors(100003**5) == {100003}
+    assert k0_module._prime_factors(12 * 65537**3 * 100003**4) == {2, 3, 65537, 100003}
+    assert k0_module._prime_factors(4 * (2**61 - 1) * (2**31 - 1)) == {2, 2**31 - 1, 2**61 - 1}
+
+
 def test_prime_factors_refuse_what_they_cannot_prove_within_budget(monkeypatch):
-    # two Mersenne primes: a cofactor above the range where Miller-Rabin on
-    # 13 bases is exact, which trial division would take 2**31 steps to split
-    with pytest.raises(ResourceLimitError, match="92-bit cofactor"):
-        k0_module._prime_factors(4 * (2**61 - 1) * (2**31 - 1))
+    # the Mersenne prime 2**89 - 1 passes Miller-Rabin on 13 bases, which
+    # proves nothing above 3.3 * 10**24
+    with pytest.raises(ResourceLimitError, match="89-bit factor"):
+        k0_module._prime_factors(6 * (2**89 - 1))
     monkeypatch.setattr(k0_module, "RHO_STEP_BUDGET", 100)
     with pytest.raises(ResourceLimitError, match="passed 100 rho steps"):
         k0_module._prime_factors((10**9 + 7) * (10**9 + 9))
