@@ -2,7 +2,8 @@
 
 A Q-system is a subgroup: each indecomposable untwisted Q-system is the
 algebra C[H] of a subgroup H, and the code passes H itself (a ``Subgroup``).
-A simple H-K bimodule is a coset of H+K together with a character of H∩K.
+A simple H-K bimodule is a coset of H+K, named by its least member, together
+with a character of H∩K.
 Composition reads the relative tensor product off the closed-form Mackey rule
 for module categories over Vec_G (Ostrik's (H, ψ) classification, untwisted
 abelian case), in integers only: character phases are integers mod the
@@ -26,10 +27,10 @@ from .errors import (
 )
 from .groups import (
     Character,
-    Coset,
     FiniteAbelianGroup,
     Subgroup,
     _stored_hash,
+    coset_rep,
     coset_space,
     dual_characters,
     subgroup_intersection,
@@ -63,11 +64,14 @@ def qsystems(G: FiniteAbelianGroup) -> list[Subgroup]:
 
 @dataclass(frozen=True)
 class SimpleBimodule:
-    """An irreducible source-target bimodule: (coset of H+K, character of H∩K)."""
+    """An irreducible source-target bimodule: (coset of H+K, character of H∩K).
+
+    ``rep`` is the least member of the coset of H+K.
+    """
 
     source: Subgroup
     target: Subgroup
-    coset: Coset
+    rep: tuple
     character: Character
 
     __hash__ = _stored_hash
@@ -78,7 +82,8 @@ class SimpleBimodule:
 
     @property
     def dimension(self) -> int:
-        return self.coset.size
+        """|H+K| = |H||K| / |H∩K|."""
+        return self.source.order * self.target.order // self.character.domain.order
 
     def __str__(self) -> str:
         return bimodule_label(self)
@@ -88,30 +93,21 @@ def simple_bimodules(H: Subgroup, K: Subgroup) -> list[SimpleBimodule]:
     """All simple H-K bimodules, ordered by (coset rep, character index)."""
     if H.group != K.group:
         raise InvalidInputError("Q-systems live over different groups")
-    D = subgroup_sum(H, K)
-    I = subgroup_intersection(H, K)
-    chars = dual_characters(I)
-    out = []
-    for coset in coset_space(H.group, D):
-        for char in chars:
-            out.append(SimpleBimodule(H, K, coset, char))
-    return out
+    reps = dict.fromkeys(coset_space(H.group, subgroup_sum(H, K)).values())
+    chars = dual_characters(subgroup_intersection(H, K))
+    return [SimpleBimodule(H, K, rep, char) for rep in reps for char in chars]
 
 
 def identity_bimodule(H: Subgroup) -> SimpleBimodule:
     """The unit morphism at H: the coset H itself with the trivial character."""
-    coset = Coset(H.group.zero(), H.elements)
-    triv = Character(H, (0,) * H.order)
-    return SimpleBimodule(H, H, coset, triv)
+    return SimpleBimodule(H, H, H.group.zero(), Character(H, (0,) * H.order))
 
 
 def dual(S: SimpleBimodule) -> SimpleBimodule:
     """The adjoint bimodule: negated coset, conjugated character, sides swapped."""
     G = S.group
-    members = tuple(sorted(G.neg(x) for x in S.coset.members))
-    return SimpleBimodule(
-        S.target, S.source, Coset(members[0], members), S.character.conjugate()
-    )
+    rep = coset_rep(G, subgroup_sum(S.source, S.target), G.neg(S.rep))
+    return SimpleBimodule(S.target, S.source, rep, S.character.conjugate())
 
 
 def _composable(S1: SimpleBimodule, S2: SimpleBimodule) -> None:
@@ -147,11 +143,11 @@ def _mackey_blocks(H: Subgroup, K: Subgroup, L: Subgroup):
         )
 
     E = G.exponent
-    span_rep = {x: c.rep for c in coset_space(G, span) for x in c.members}
+    span_rep = coset_space(G, span)
 
     def key(*simples):
         phases = (sum(S.character(t) for S in simples) % E for t in HKL.elements)
-        return span_rep[reduce(G.add, (S.coset.rep for S in simples))], tuple(phases)
+        return span_rep[reduce(G.add, (S.rep for S in simples))], tuple(phases)
 
     blocks: dict[tuple, list[SimpleBimodule]] = {}
     for Z in simple_bimodules(H, L):
@@ -235,8 +231,8 @@ def bimodule_label(S: SimpleBimodule) -> str:
     j = subs.index(S.target) + 1
     I = S.character.domain  # H∩K
     name = f"M_{{{i}-{j}"
-    if S.coset.size < G.order:  # more than one coset of H+K
-        name += f",{_format_rep(S.coset.rep)}"
+    if S.dimension < G.order:  # more than one coset of H+K
+        name += f",{_format_rep(S.rep)}"
     name += "}"
     if I.order > 1:
         chars = dual_characters(I)

@@ -187,7 +187,7 @@ def _cmd_bimodules(args) -> int:
     for s in sims:
         lines.append(
             f"  {bimodule_label(s)}: dimension {s.dimension}, "
-            f"coset rep {list(s.coset.rep)}"
+            f"coset rep {list(s.rep)}"
         )
     _emit(args, doc, lines)
     return 0

@@ -14,10 +14,8 @@ from dataclasses import dataclass
 from .errors import InternalConsistencyError, InvalidInputError
 from .groups import (
     Character,
-    Coset,
     FiniteAbelianGroup,
     Subgroup,
-    coset_of,
     coset_space,
     dual_characters,
 )
@@ -33,7 +31,7 @@ __all__ = [
 class CrossedBlock:
     """One matrix block M_size(C), tagged by its orbit and stabilizer character."""
 
-    orbit_representative: Coset
+    orbit_representative: tuple  # the least member of the orbit's first coset
     character: Character
     size: int
 
@@ -54,23 +52,17 @@ class CrossedProductBlocks:
         return sum(b.size * b.size for b in self.blocks)
 
 
-def _orbits(G: FiniteAbelianGroup, K: Subgroup, H: Subgroup):
-    """Orbits of H translating G/K, each as a sorted tuple of cosets."""
-    remaining = {c.rep: c for c in coset_space(G, K)}
+def _orbits(G: FiniteAbelianGroup, rep_of: dict, H: Subgroup):
+    """Orbits of H translating G/K, each as the sorted tuple of its cosets' reps.
+
+    ``rep_of`` is ``coset_space(G, K)``.
+    """
+    remaining = set(rep_of.values())
     orbits = []
     while remaining:
         rep = min(remaining)
-        seen = {}
-        covered: set = set()
-        for h in H.elements:
-            x = G.add(rep, h)
-            if x not in covered:
-                c = coset_of(G, K, x)
-                covered.update(c.members)
-                seen[c.rep] = c
-        orbit = tuple(seen[r] for r in sorted(seen))
-        for r in seen:
-            del remaining[r]
+        orbit = tuple(sorted({rep_of[G.add(rep, h)] for h in H.elements}))
+        remaining.difference_update(orbit)
         orbits.append(orbit)
     return orbits
 
@@ -83,11 +75,11 @@ def crossed_product_blocks(
         raise InvalidInputError("subgroups must live in the given group")
     blocks = []
     stabilizer = None
-    for orbit in _orbits(G, K, H):
-        x = orbit[0].rep
-        base = set(orbit[0].members)
+    rep_of = coset_space(G, K)
+    for orbit in _orbits(G, rep_of, H):
+        x = orbit[0]
         # filtered from the sorted H.elements, so already a sorted subgroup
-        stab = Subgroup(G, tuple(h for h in H.elements if G.add(x, h) in base))
+        stab = Subgroup(G, tuple(h for h in H.elements if rep_of[G.add(x, h)] == x))
         if stabilizer is None:
             stabilizer = stab
             characters = dual_characters(stab)

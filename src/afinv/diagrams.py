@@ -133,10 +133,7 @@ class EnrichedBratteliDiagram:
     ) -> "EnrichedBratteliDiagram":
         """Single-vertex stationary diagram; ``edge`` maps bimodule -> multiplicity."""
         G = vertex.group
-        edge_items = edge.items() if hasattr(edge, "items") else edge
-        edges = tuple(
-            DiagramEdge(0, 0, bim, mult) for bim, mult in edge_items
-        )
+        edges = tuple(DiagramEdge(0, 0, bim, mult) for bim, mult in edge.items())
         if generator_weights is None:
             generator_weights = (1,) * (G.order // vertex.order)
         return cls(G, ((vertex,),), (edges,), tuple(generator_weights))

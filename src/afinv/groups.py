@@ -4,7 +4,8 @@ Elements of a group with factors ``(n_1, ..., n_r)`` are integer tuples of
 length ``r`` with ``0 <= a_i < n_i``.  Characters take values in Q/Z; every
 such value is a multiple of 1/E, E the exponent of the group, so a character
 is stored as a table of integers v in ``[0, E)``, each standing for the phase
-v/E.  No floats appear anywhere in this module.
+v/E.  No floats appear anywhere in this module.  A coset x + D is named by
+its lexicographically least member.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ __all__ = [
     "FiniteAbelianGroup",
     "Subgroup",
     "Character",
-    "Coset",
     "make_group",
     "subgroups",
     "dual_characters",
     "coset_space",
+    "coset_rep",
     "subgroup_sum",
     "subgroup_intersection",
 ]
@@ -324,36 +325,22 @@ def dual_characters(H: Subgroup) -> list[Character]:
     return [Character(H, t) for t in sorted(tables)]
 
 
-@dataclass(frozen=True)
-class Coset:
-    """A coset of a subgroup, with its lexicographically least member as rep."""
+def coset_space(group: FiniteAbelianGroup, D: Subgroup) -> dict[Element, Element]:
+    """Each element of the group mapped to the least member of its coset of D.
 
-    rep: Element
-    members: tuple[Element, ...]
-
-    __hash__ = _stored_hash
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-
-def coset_space(group: FiniteAbelianGroup, D: Subgroup) -> list[Coset]:
-    """The cosets of D in the group, sorted by canonical representative."""
+    The cosets are met in lexicographic order, so the distinct values first
+    appear in ascending order.
+    """
     if D.group != group:
         raise InvalidInputError("subgroup does not live in the given group")
-    cosets = []
-    seen: set[Element] = set()
+    rep_of: dict[Element, Element] = {}
     for x in group.elements():  # lex order, so the first unseen member is the rep
-        if x in seen:
-            continue
-        members = tuple(sorted(group.add(x, d) for d in D.elements))
-        seen.update(members)
-        cosets.append(Coset(x, members))
-    return cosets
+        if x not in rep_of:
+            for d in D.elements:
+                rep_of[group.add(x, d)] = x
+    return rep_of
 
 
-def coset_of(group: FiniteAbelianGroup, D: Subgroup, x: Element) -> Coset:
-    """The coset x + D with canonical representative."""
-    members = tuple(sorted(group.add(x, d) for d in D.elements))
-    return Coset(members[0], members)
+def coset_rep(group: FiniteAbelianGroup, D: Subgroup, x: Element) -> Element:
+    """The least member of the coset x + D."""
+    return min(group.add(x, d) for d in D.elements)

@@ -38,7 +38,8 @@ __all__ = [
 
 Matrix = tuple[tuple[int, ...], ...]
 
-# The most (R, S, lag) checks one bounded shift-equivalence search makes.
+# The most candidate matrices per side, and the most (R, S, lag) checks, of
+# one bounded shift-equivalence search.
 SHIFT_SEARCH_BUDGET = 200_000
 
 
@@ -427,14 +428,15 @@ def shift_equivalent_bounded(A, B, lag_bound: int, entry_bound: int):
 
     Exhaustive over integer matrices with entries in [0, entry_bound]; the
     search space must stay small (this is a desk-scale certifier, not a
-    decision procedure): past SHIFT_SEARCH_BUDGET (R, S, lag) checks it
+    decision procedure): a candidate space of more than SHIFT_SEARCH_BUDGET
+    matrices per side, or more than SHIFT_SEARCH_BUDGET (R, S, lag) checks,
     raises ResourceLimitError.  Returns (R, S, lag) or None.
     """
     A = _as_matrix(A)
     B = _as_matrix(B)
     a, b = len(A), len(B)
     cells = a * b
-    if (entry_bound + 1) ** cells > 2_000_000:
+    if (entry_bound + 1) ** cells > SHIFT_SEARCH_BUDGET:
         raise ResourceLimitError(
             f"shift-equivalence search space ({entry_bound + 1}^{cells}) too large"
         )

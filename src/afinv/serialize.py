@@ -25,7 +25,7 @@ from .groups import (
     Character,
     FiniteAbelianGroup,
     Subgroup,
-    coset_of,
+    coset_rep,
     dual_characters,
     make_group,
     subgroup_intersection,
@@ -205,7 +205,7 @@ def bimodule_to_json(S: SimpleBimodule) -> dict:
     return {
         "source_generators": [list(g) for g in S.source.minimal_generators()],
         "target_generators": [list(g) for g in S.target.minimal_generators()],
-        "coset_rep": list(S.coset.rep),
+        "coset_rep": list(S.rep),
         "character": character_to_json(S.character),
     }
 
@@ -213,12 +213,11 @@ def bimodule_to_json(S: SimpleBimodule) -> dict:
 def bimodule_from_json(G: FiniteAbelianGroup, doc) -> SimpleBimodule:
     H = subgroup_from_json(G, {"generators": _expect(doc, "source_generators", list)})
     K = subgroup_from_json(G, {"generators": _expect(doc, "target_generators", list)})
-    rep = _element(G, _expect(doc, "coset_rep", list))
-    coset = coset_of(G, subgroup_sum(H, K), rep)
+    rep = coset_rep(G, subgroup_sum(H, K), _element(G, _expect(doc, "coset_rep", list)))
     chi = character_from_json(
         subgroup_intersection(H, K), _expect(doc, "character", dict)
     )
-    return SimpleBimodule(H, K, coset, chi)
+    return SimpleBimodule(H, K, rep, chi)
 
 
 # -- fusion tables ----------------------------------------------------------
@@ -450,8 +449,13 @@ def invariant_from_json(doc) -> InvariantData:
             raise InvalidInputError(f"scale of {label} must be positive if rank-one, else null")
         scales.append(scale)
     bimodules = [X for P in reps for Q in reps for X in simple_bimodules(P, Q)]
+    morphisms_doc = _expect(doc, "morphisms", list)
+    if len(morphisms_doc) != len(bimodules):
+        raise InvalidInputError(
+            f"morphisms must list each of the {len(bimodules)} simple bimodules once"
+        )
     morphisms = []
-    for X, m in zip(bimodules, _expect(doc, "morphisms", list)):
+    for X, m in zip(bimodules, morphisms_doc):
         raw = _expect(m, "multiplier", None)
         morphisms.append((X, frac_from_str(raw) if raw is not None else None))
     pointed_raw = _expect(doc, "pointed", None)

@@ -19,9 +19,15 @@ import numpy as np
 
 from afinv.bimodules import SimpleBimodule, _composable
 from afinv.errors import InvalidInputError, OracleFailureError
-from afinv.groups import coset_of, dual_characters, subgroup_intersection, subgroup_sum
+from afinv.groups import coset_rep, dual_characters, subgroup_intersection, subgroup_sum
 
 FLOAT_ORACLE_TOLERANCE = 1e-6
+
+
+def coset_members(S: SimpleBimodule) -> tuple:
+    """The members of S's coset, rep + (H+K), in ascending order."""
+    G = S.group
+    return tuple(sorted({G.add(S.rep, d) for d in subgroup_sum(S.source, S.target).elements}))
 
 
 @dataclass
@@ -58,12 +64,12 @@ def realize(S: SimpleBimodule, base_point: tuple | None = None) -> ExplicitBimod
     def chi(t) -> Fraction:
         return Fraction(S.character(t), E)
 
+    grading = coset_members(S)  # sorted; the grading map is a bijection
     if base_point is None:
-        base_point = S.coset.rep
-    elif base_point not in S.coset.members:
+        base_point = S.rep
+    elif base_point not in grading:
         raise InvalidInputError(f"base point {base_point} is not in the coset")
 
-    grading = S.coset.members  # sorted; the grading map is a bijection
     index = {g: i for i, g in enumerate(grading)}
     section = {}
     for gamma in grading:
@@ -127,17 +133,14 @@ def float_oracle_fuse(
     sum_HL = subgroup_sum(H, L)
     points = [(i1, i2) for i1 in range(n1) for i2 in range(n2)]
     degree = {p: G.add(m1.grading[p[0]], m2.grading[p[1]]) for p in points}
-    target_cosets = sorted(
-        {coset_of(G, sum_HL, g) for g in degree.values()}, key=lambda c: c.rep
-    )
+    target_reps = sorted({coset_rep(G, sum_HL, g) for g in degree.values()})
 
     def phase(theta: Fraction) -> complex:
         return cmath.exp(2j * cmath.pi * float(theta))
 
     result: Counter[SimpleBimodule] = Counter()
     chars3 = dual_characters(HL)
-    for coset3 in target_cosets:
-        g3 = coset3.rep
+    for g3 in target_reps:
         comp = [p for p in points if degree[p] == g3]
         pos = {p: i for i, p in enumerate(comp)}
         dim = len(comp)
@@ -173,6 +176,6 @@ def float_oracle_fuse(
             if mult < 0:
                 raise OracleFailureError(f"negative multiplicity {mult} for {S1}{S2}")
             if mult:
-                result[SimpleBimodule(S1.source, S2.target, coset3, chi3)] = mult
+                result[SimpleBimodule(S1.source, S2.target, g3, chi3)] = mult
     return dict(result)
 

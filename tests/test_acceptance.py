@@ -74,7 +74,7 @@ def test_criterion_2_prime_order_fusion_rules():
     for p in (2, 3, 5):
         G = make_group(p)
         Q1, Q2 = qsystems(G)
-        m11 = {s.coset.rep: s for s in simple_bimodules(Q1, Q1)}
+        m11 = {s.rep: s for s in simple_bimodules(Q1, Q1)}
         m22 = list(simple_bimodules(Q2, Q2))
         (m12,) = simple_bimodules(Q1, Q2)
         (m21,) = simple_bimodules(Q2, Q1)

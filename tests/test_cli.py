@@ -546,6 +546,24 @@ def test_cli_imports_no_numpy():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_imports_only_the_standard_library():
+    # the README and pyproject.toml promise no runtime dependencies
+    src = os.path.dirname(os.path.dirname(os.path.abspath(afinv.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import afinv.cli\n"
+        "new = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(sorted(new - set(sys.stdlib_module_names) - {'afinv'}))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_group_order_bound(files, capsys):
     code, _, err = run(capsys, "qsystems", files["z4"], "--max-group-order", "3")
     assert code == 1

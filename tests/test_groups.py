@@ -7,7 +7,7 @@ from afinv.errors import InvalidInputError
 from afinv.groups import (
     Subgroup,
     _subgroups_cached,
-    coset_of,
+    coset_rep,
     coset_space,
     dual_characters,
     make_group,
@@ -199,13 +199,16 @@ def test_character_conjugate_and_product():
 def test_coset_space_partitions_group(factors):
     G = make_group(factors)
     for H in subgroups(G):
-        cosets = coset_space(G, H)
-        assert len(cosets) == G.order // H.order
-        seen = [x for c in cosets for x in c.members]
-        assert sorted(seen) == sorted(G.elements())
-        for c in cosets:
-            assert c.rep == min(c.members)
-            assert coset_of(G, H, c.rep) == c
+        rep_of = coset_space(G, H)
+        assert sorted(rep_of) == sorted(G.elements())
+        reps = list(dict.fromkeys(rep_of.values()))
+        assert len(reps) == G.order // H.order
+        assert reps == sorted(reps)
+        for x, rep in rep_of.items():
+            members = sorted(G.add(x, h) for h in H.elements)
+            assert rep == members[0]
+            assert all(rep_of[y] == rep for y in members)
+            assert coset_rep(G, H, x) == rep
 
 
 def test_sum_and_intersection():

@@ -467,6 +467,17 @@ def test_shift_equivalence_builds_powers_only_as_the_lags_are_reached(monkeypatc
         shift_equivalent_bounded([[2]], [[2]], lag_bound=10**9, entry_bound=1)
 
 
+def test_shift_equivalence_candidate_space_is_bounded_by_the_budget(monkeypatch):
+    # entries <= 1 on a 1x1 pair give 2 candidates per side: over a budget
+    # of 1, the search is refused before any candidate matrix is built
+    calls = []
+    monkeypatch.setattr(k0_module, "mat_mul", lambda *args: calls.append(args) or mat_mul(*args))
+    monkeypatch.setattr(k0_module, "SHIFT_SEARCH_BUDGET", 1)
+    with pytest.raises(ResourceLimitError, match="too large"):
+        shift_equivalent_bounded([[2]], [[2]], lag_bound=1, entry_bound=1)
+    assert calls == []
+
+
 # ----------------------------------------------------------- prime-set helpers
 
 

@@ -436,6 +436,14 @@ def test_invariant_documents_must_be_the_rendered_invariant(z4_invariants, tampe
         invariant_from_json(doc)
 
 
+@pytest.mark.parametrize("keep", [0, 1, 21])
+def test_invariant_documents_list_one_morphism_per_simple(z4_invariants, keep):
+    doc = through_json(invariant_to_json(z4_invariants["F"]))
+    del doc["morphisms"][keep:]
+    with pytest.raises(InvalidInputError, match="each of the 22 simple bimodules"):
+        invariant_from_json(doc)
+
+
 @pytest.mark.parametrize(
     "build, label, scale",
     [
