@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 
 from .errors import (
     InternalConsistencyError,
@@ -179,14 +179,12 @@ class FusionTable:
 
     group: FiniteAbelianGroup
     simples: tuple[SimpleBimodule, ...]
-    products: tuple[tuple[tuple[int, int], tuple[tuple[int, int], ...]], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_product_map", dict(self.products))
+    # keyed by (i, j) in ascending order
+    products: dict[tuple[int, int], tuple[tuple[int, int], ...]]
 
     def product(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
         """Composition of simples i and j as ((index, multiplicity), ...)."""
-        got = self._product_map.get((i, j))  # type: ignore[attr-defined]
+        got = self.products.get((i, j))
         if got is None:
             raise InvalidCompositionError(f"simples {i} and {j} are not composable")
         return got
@@ -195,21 +193,20 @@ class FusionTable:
         return tuple(bimodule_label(s) for s in self.simples)
 
 
-@lru_cache(maxsize=None)
 def fusion_table(G: FiniteAbelianGroup) -> FusionTable:
     """The full composition table; quadratic in the simple count."""
     reps = subgroups(G)
     by_pair = {(P, Q): simple_bimodules(P, Q) for P in reps for Q in reps}
     simples = [s for pair in by_pair.values() for s in pair]
     index = {s: i for i, s in enumerate(simples)}
-    products = []
+    products = {}
     for P, Q, R in itertools.product(reps, repeat=3):
         mult, key, blocks = _mackey_blocks(P, Q, R)
         entries = {k: tuple(sorted((index[Z], mult) for Z in b)) for k, b in blocks.items()}
         for s1 in by_pair[P, Q]:
             for s2 in by_pair[Q, R]:
-                products.append(((index[s1], index[s2]), entries[key(s1, s2)]))
-    return FusionTable(G, tuple(simples), tuple(sorted(products)))
+                products[index[s1], index[s2]] = entries[key(s1, s2)]
+    return FusionTable(G, tuple(simples), dict(sorted(products.items())))
 
 
 def _format_rep(rep: tuple) -> str:

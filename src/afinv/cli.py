@@ -36,12 +36,7 @@ from .errors import (
     OracleFailureError,
     ResourceLimitError,
 )
-from .k0 import (
-    DirectSumForm,
-    RankOneForm,
-    scaled_localization,
-    stationary_k0,
-)
+from .k0 import DirectSumForm, RankOneForm, stationary_k0
 
 __all__ = ["main"]
 
@@ -57,7 +52,8 @@ def _load_json(path: str):
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except ValueError as exc:  # bad JSON or UTF-8, or an integer past the digit limit
+    # bad JSON or UTF-8, an integer past the digit limit, or nesting past the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise InvalidInputError(f"{path}: not valid JSON ({exc})") from exc
     except OSError as exc:
         raise InvalidInputError(f"{path}: {exc.strerror or exc}") from exc
@@ -193,18 +189,18 @@ def _cmd_bimodules(args) -> int:
     return 0
 
 
-def _describe_object(label, desc, scale) -> str:
+def _describe_object(label, desc) -> str:
     if isinstance(desc, RankOneForm):
         S = "{" + ",".join(map(str, sorted(desc.prime_set))) + "}"
         return (
-            f"  {label}: rank 1, image {scale} * Z[1/{S}] "
+            f"  {label}: rank 1, image {desc.scale} * Z[1/{S}] "
             f"(eigenvalue {desc.eigenvalue})"
         )
     if isinstance(desc, DirectSumForm):
         parts = []
         for b in desc.blocks:
             S = "{" + ",".join(map(str, sorted(b.prime_set))) + "}"
-            parts.append(f"{scaled_localization(b).scale} * Z[1/{S}]")
+            parts.append(f"{b.scale} * Z[1/{S}]")
         return f"  {label}: rank {desc.rank}, direct sum " + " + ".join(parts)
     return f"  {label}: rank {desc.rank} (no closed identification)"
 
@@ -214,7 +210,7 @@ def _cmd_invariant(args) -> int:
     doc = ser.invariant_to_json(inv)
     lines = [f"invariant over Hilb({inv.group})", "objects:"]
     for k, label in enumerate(inv.labels):
-        lines.append(_describe_object(label, inv.objects[k], inv.scales[k]))
+        lines.append(_describe_object(label, inv.objects[k]))
     lines.append("multipliers:")
     for X, q in inv.morphisms:
         shown = "undefined" if q is None else str(q)
@@ -285,10 +281,7 @@ def _cmd_k0(args) -> int:
     sys_ = ser.matrix_from_json(_load_json(args.matrix))
     desc = stationary_k0(sys_)
     doc = ser.k0_to_json(desc)
-    scale = (
-        str(scaled_localization(desc).scale) if isinstance(desc, RankOneForm) else None
-    )
-    lines = [_describe_object("matrix", desc, scale).strip()]
+    lines = [_describe_object("matrix", desc).strip()]
     _emit(args, doc, lines)
     return 0
 

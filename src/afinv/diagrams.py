@@ -37,7 +37,6 @@ from .k0 import (
     _multiplier,
     mat_mul,
     mat_vec,
-    scaled_localization,
     stationary_k0,
     value_map,
 )
@@ -255,10 +254,7 @@ def compute_invariant(d: EnrichedBratteliDiagram) -> InvariantData:
     bases = [_level_bases(d, P) for P in reps]
     systems = [object_diagram(d, P, b) for P, b in zip(reps, bases)]
     descs = [stationary_k0(sys.tail) for sys in systems]
-    scales = tuple(
-        scaled_localization(desc).scale if isinstance(desc, RankOneForm) else None
-        for desc in descs
-    )
+    scales = tuple(desc.scale if isinstance(desc, RankOneForm) else None for desc in descs)
 
     morphisms = []
     for i, P in enumerate(reps):

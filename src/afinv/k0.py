@@ -28,9 +28,7 @@ __all__ = [
     "RankOneForm",
     "DirectSumForm",
     "OpaquePresentation",
-    "ScaledLocalization",
     "stationary_k0",
-    "scaled_localization",
     "value_map",
     "morphism_multiplier",
     "shift_equivalent_bounded",
@@ -229,10 +227,6 @@ class StationarySystem:
         if self.labels is not None and len(self.labels) != len(M):
             raise InvalidInputError("label count does not match matrix size")
 
-    @property
-    def size(self) -> int:
-        return len(self.matrix)
-
 
 @dataclass(frozen=True)
 class RankOneForm:
@@ -246,6 +240,11 @@ class RankOneForm:
     @property
     def rank(self) -> int:
         return 1
+
+    @property
+    def scale(self) -> Fraction:
+        """The r of the limit r*Z[1/S]: the image of the value map over all levels."""
+        return Fraction(1, _strip_primes(sum(self.left_vector), self.prime_set))
 
 
 @dataclass(frozen=True)
@@ -270,22 +269,6 @@ class OpaquePresentation:
 
 
 K0Description = RankOneForm | DirectSumForm | OpaquePresentation
-
-
-@dataclass(frozen=True)
-class ScaledLocalization:
-    """The subgroup r * Z[1/S] of Q (r positive, coprime to S in both parts)."""
-
-    scale: Fraction
-    prime_set: frozenset[int]
-
-    def __contains__(self, q) -> bool:
-        q = Fraction(q) / self.scale
-        den = q.denominator
-        for p in self.prime_set:
-            while den % p == 0:
-                den //= p
-        return den == 1
 
 
 def _strip_primes(n: int, primes) -> int:
@@ -368,14 +351,6 @@ def stationary_k0(sys: StationarySystem) -> K0Description:
         else:
             return DirectSumForm(A, tuple(blocks), tuple(tuple(c) for c in comps))
     return OpaquePresentation(A, len(rows))
-
-
-def scaled_localization(desc: RankOneForm) -> ScaledLocalization:
-    """The image of the value map over all levels and lattice vectors."""
-    total = sum(desc.left_vector)
-    num = _strip_primes(1, desc.prime_set)
-    den = _strip_primes(total, desc.prime_set)
-    return ScaledLocalization(Fraction(num, den), desc.prime_set)
 
 
 def value_map(desc: RankOneForm, n: int, x) -> Fraction:

@@ -37,7 +37,6 @@ from .k0 import (
     K0Description,
     RankOneForm,
     StationarySystem,
-    scaled_localization,
     stationary_k0,
 )
 
@@ -187,7 +186,7 @@ def character_from_json(domain: Subgroup, doc) -> Character:
     for key, raw in theta.items():
         try:
             elem = _element(G, json.loads(key))
-        except (json.JSONDecodeError, InvalidInputError) as exc:
+        except (json.JSONDecodeError, RecursionError, InvalidInputError) as exc:
             raise InvalidInputError(f"bad element key {key!r}") from exc
         if not domain.contains(elem):
             raise InvalidInputError(f"element {key} is outside the character domain")
@@ -224,7 +223,7 @@ def bimodule_from_json(G: FiniteAbelianGroup, doc) -> SimpleBimodule:
 
 def fusion_table_to_json(table: FusionTable) -> dict:
     products = {}
-    for (i, j), terms in table.products:
+    for (i, j), terms in table.products.items():
         products[f"{i},{j}"] = [
             {"index": k, "multiplicity": m} for k, m in terms
         ]
@@ -286,7 +285,7 @@ def _rank_one_to_json(desc: RankOneForm) -> dict:
         "eigenvalue": desc.eigenvalue,
         "left_vector": list(desc.left_vector),
         "prime_set": sorted(desc.prime_set),
-        "scale": frac_to_str(scaled_localization(desc).scale),
+        "scale": frac_to_str(desc.scale),
     }
 
 

@@ -410,6 +410,20 @@ def test_integer_past_the_digit_limit_is_an_input_error(tmp_path, capsys, comman
     assert err.startswith(f"error: {path}: not valid JSON (") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "command",
+    [("qsystems",), ("k0", "--matrix"), ("invariant",)],
+    ids=["qsystems", "k0", "invariant"],
+)
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys, command):
+    # json.load raises RecursionError, not a ValueError, past the recursion limit
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, out, err = run(capsys, *command, str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path}: not valid JSON (") and err.count("\n") == 1
+
+
 def test_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "latin1.json"
     path.write_bytes(b'{"cyclic_factors": [2], "name": "\xe9"}')
@@ -525,6 +539,17 @@ def test_theta_naming_one_element_twice_is_an_input_error(theta, tmp_path, z4_di
     assert "twice" in err
 
 
+def test_deeply_nested_theta_key_is_an_input_error(tmp_path, z4_diagrams, capsys):
+    # each theta key is parsed with json.loads, which recurses once per bracket
+    doc = diagram_to_json(z4_diagrams["G"])
+    (edge,) = [e for e in doc["edge"] if e["bimodule"]["character"]["theta"]
+               and e["bimodule"]["coset_rep"] == [0]]
+    edge["bimodule"]["character"]["theta"] = {"[" * 5000 + "2" + "]" * 5000: "1/2"}
+    code, out, err = run(capsys, "invariant", write_json(tmp_path, "deep.json", doc))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: bad element key '[[[") and err.count("\n") == 1
+
+
 def test_repeated_malformed_bimodule_fails_at_its_first_edge(tmp_path, z4_diagrams, capsys):
     # edges that repeat a bimodule share one parse, so the first bad one decides
     doc = diagram_to_json(z4_diagrams["H"])
@@ -533,17 +558,6 @@ def test_repeated_malformed_bimodule_fails_at_its_first_edge(tmp_path, z4_diagra
     doc["edge"] += [{"bimodule": bad, "multiplicity": 2}, {"bimodule": {**bad, "coset_rep": 0}}]
     code, out, err = run(capsys, "invariant", write_json(tmp_path, "bad.json", doc))
     assert (code, out, err) == (1, "", "error: character table is not a homomorphism\n")
-
-
-def test_cli_imports_no_numpy():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(afinv.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    probe = "import afinv.cli, sys; print('numpy' in sys.modules)"
-    proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
 
 
 def test_cli_imports_only_the_standard_library():

@@ -22,7 +22,6 @@ from afinv.k0 import (
     mat_pow,
     mat_vec,
     morphism_multiplier,
-    scaled_localization,
     shift_equivalent_bounded,
     stationary_k0,
     strip_primes,
@@ -63,14 +62,14 @@ def test_uniform_two_by_two_is_rank_one():
     assert desc.eigenvalue == 4
     assert desc.left_vector == (1, 1)
     assert desc.prime_set == frozenset({2})
-    assert scaled_localization(desc).scale == 1
+    assert desc.scale == 1
 
 
 def test_single_entry_matrix():
     desc = k0([[4]])
     assert isinstance(desc, RankOneForm)
     assert (desc.eigenvalue, desc.left_vector, desc.prime_set) == (4, (1,), {2})
-    assert scaled_localization(k0([[6]])).prime_set == frozenset({2, 3})
+    assert k0([[6]]).prime_set == frozenset({2, 3})
 
 
 def test_identity_system_gives_plain_integers():
@@ -78,9 +77,10 @@ def test_identity_system_gives_plain_integers():
     assert isinstance(desc, RankOneForm)
     assert (desc.eigenvalue, desc.left_vector) == (1, (1,))
     assert desc.prime_set == frozenset()
-    loc = scaled_localization(desc)
-    assert loc.scale == 1
-    assert Fraction(3) in loc and Fraction(1, 2) not in loc
+    assert desc.scale == 1
+    # q is in r*Z[1/S] exactly when q/r has no denominator once S is stripped
+    assert strip_primes(Fraction(3) / desc.scale, desc.prime_set).denominator == 1
+    assert strip_primes(Fraction(1, 2) / desc.scale, desc.prime_set).denominator != 1
 
 
 def test_scaled_image_with_nonuniform_eigenvector():
@@ -88,12 +88,12 @@ def test_scaled_image_with_nonuniform_eigenvector():
     assert isinstance(desc, RankOneForm)
     assert desc.eigenvalue == 2
     assert desc.left_vector == (1, 4)
-    loc = scaled_localization(desc)
     # v.1 = 5 survives stripping by {2}: the image is (1/5) * Z[1/2]
-    assert loc.scale == Fraction(1, 5)
-    assert Fraction(1, 5) in loc
-    assert Fraction(3, 10) in loc
-    assert Fraction(1, 15) not in loc
+    assert desc.scale == Fraction(1, 5)
+    S = desc.prime_set
+    assert strip_primes(Fraction(1, 5) / desc.scale, S).denominator == 1
+    assert strip_primes(Fraction(3, 10) / desc.scale, S).denominator == 1
+    assert strip_primes(Fraction(1, 15) / desc.scale, S).denominator != 1
 
 
 def test_diagonal_matrix_splits_into_blocks():
