@@ -98,6 +98,15 @@ def simple_bimodules(H: Subgroup, K: Subgroup) -> list[SimpleBimodule]:
     return [SimpleBimodule(H, K, rep, char) for rep in reps for char in chars]
 
 
+def simples_by_pair(G: FiniteAbelianGroup) -> dict[tuple, list[SimpleBimodule]]:
+    """``simple_bimodules(P, Q)`` per pair of ``subgroups(G)``, P outer and Q inner.
+
+    Its values, read in order, are the canonical order of the simples of Hilb(G).
+    """
+    reps = subgroups(G)
+    return {(P, Q): simple_bimodules(P, Q) for P in reps for Q in reps}
+
+
 def identity_bimodule(H: Subgroup) -> SimpleBimodule:
     """The unit morphism at H: the coset H itself with the trivial character."""
     return SimpleBimodule(H, H, H.group.zero(), Character(H, (0,) * H.order))
@@ -196,7 +205,7 @@ class FusionTable:
 def fusion_table(G: FiniteAbelianGroup) -> FusionTable:
     """The full composition table; quadratic in the simple count."""
     reps = subgroups(G)
-    by_pair = {(P, Q): simple_bimodules(P, Q) for P in reps for Q in reps}
+    by_pair = simples_by_pair(G)
     simples = [s for pair in by_pair.values() for s in pair]
     index = {s: i for i, s in enumerate(simples)}
     products = {}

@@ -26,6 +26,7 @@ from .bimodules import (
     fusion_table,
     qsystems,
     simple_bimodules,
+    simples_by_pair,
 )
 from .compare import compare
 from .crossed import crossed_product_blocks
@@ -250,9 +251,10 @@ def _cmd_oracle(args) -> int:
     pairs = []
     lines = [f"crossed-product oracle over Hilb({G})"]
     all_ok = True
+    by_pair = simples_by_pair(G)
     for i, P in enumerate(reps):
         for j, Q in enumerate(reps):
-            categorical = len(simple_bimodules(P, Q))
+            categorical = len(by_pair[P, Q])
             blocks = crossed_product_blocks(G, Q, P)
             ok = categorical == blocks.k0_rank
             all_ok = all_ok and ok

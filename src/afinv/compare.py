@@ -85,8 +85,6 @@ def _fmt_profile(profile) -> str:
 def _check_preconditions(inv1: InvariantData, inv2: InvariantData) -> None:
     if inv1.group != inv2.group:
         raise InvalidInputError("invariants live over different groups")
-    if inv1.labels != inv2.labels or inv1.representatives != inv2.representatives:
-        raise InvalidInputError("invariants enumerate different representative sets")
 
 
 def compare(
@@ -144,12 +142,9 @@ def compare(
         return Verdict(UNKNOWN, reason=reason)
 
     # Every object is rank-one: solve the naturality system exactly.
-    mult2 = dict(inv2.morphisms)
+    position = {P: k for k, P in enumerate(inv1.representatives)}
     pending: list[tuple[int, int, object, Fraction, Fraction]] = []
-    for X, f1 in inv1.morphisms:
-        if X not in mult2:
-            raise InvalidInputError("invariants tabulate different bimodules")
-        f2 = mult2[X]
+    for X, f1, f2 in zip(inv1.simples, inv1.multipliers, inv2.multipliers):
         if f1 is None or f2 is None:
             which = bimodule_label(X)
             return Verdict(
@@ -162,9 +157,7 @@ def compare(
                     "constraint-inconsistency", bimodule_label(X), str(f1), str(f2)
                 ),
             )
-        i = inv1.representatives.index(X.source)
-        j = inv1.representatives.index(X.target)
-        pending.append((i, j, X, f1, f2))
+        pending.append((position[X.source], position[X.target], X, f1, f2))
 
     # Spanning-tree propagation of the ratios c, anchored at the unit object.
     c: list[Fraction | None] = [None] * len(labels)
@@ -241,33 +234,29 @@ def verify_witness(inv1: InvariantData, inv2: InvariantData, witness) -> bool:
     """Replay a claimed witness against every defining constraint."""
     _check_preconditions(inv1, inv2)
     try:
-        u = {label: Fraction(witness[label]) for label in inv1.labels}
+        u = [Fraction(witness[label]) for label in inv1.labels]
     except (KeyError, ValueError, TypeError, ZeroDivisionError):
         return False
-    if any(q <= 0 for q in u.values()):
+    if any(q <= 0 for q in u):
         return False
 
-    for k, label in enumerate(inv1.labels):
-        d1, d2 = inv1.objects[k], inv2.objects[k]
+    for k, (d1, d2) in enumerate(zip(inv1.objects, inv2.objects)):
         if not isinstance(d1, RankOneForm) or not isinstance(d2, RankOneForm):
             return False
         if d1.prime_set != d2.prime_set:
             return False
-        if not is_s_unit(u[label] * inv1.scales[k] / inv2.scales[k], d1.prime_set):
+        if not is_s_unit(u[k] * inv1.scales[k] / inv2.scales[k], d1.prime_set):
             return False
 
-    mult2 = dict(inv2.morphisms)
-    for X, f1 in inv1.morphisms:
-        f2 = mult2.get(X)
+    position = {P: k for k, P in enumerate(inv1.representatives)}
+    for X, f1, f2 in zip(inv1.simples, inv1.multipliers, inv2.multipliers):
         if f1 is None or f2 is None:
             return False
-        i = inv1.labels[inv1.representatives.index(X.source)]
-        j = inv1.labels[inv1.representatives.index(X.target)]
-        if u[j] * f1 != f2 * u[i]:
+        if u[position[X.target]] * f1 != f2 * u[position[X.source]]:
             return False
 
     p1, p2 = inv1.pointed, inv2.pointed
     if not isinstance(p1, Fraction) or not isinstance(p2, Fraction):
         return False
-    return u[inv1.labels[0]] * p1 == p2
+    return u[0] * p1 == p2
 

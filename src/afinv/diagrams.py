@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .bimodules import (
     SimpleBimodule,
@@ -27,6 +27,7 @@ from .bimodules import (
     bimodule_label,
     fuse,
     simple_bimodules,
+    simples_by_pair,
 )
 from .errors import InternalConsistencyError, InvalidInputError
 from .groups import FiniteAbelianGroup, Subgroup, subgroups
@@ -122,6 +123,7 @@ class EnrichedBratteliDiagram:
                     "each level-0 vertex needs a positive generator weight"
                 )
             offset += size
+        object.__setattr__(self, "_bases", {})
 
     @classmethod
     def homogeneous(
@@ -141,6 +143,20 @@ class EnrichedBratteliDiagram:
     def is_stationary(self) -> bool:
         return len(self.levels) == 1
 
+    def level_bases(self, P: Subgroup) -> tuple[tuple[tuple[int, SimpleBimodule], ...], ...]:
+        """Per explicit level: the concatenated hom bases with their vertex index.
+
+        The canonical Z-basis of D(v -> P) is the ordered list of simple v-P
+        bimodules.  Each P's bases are built once and kept with the diagram.
+        """
+        bases = self._bases.get(P)  # type: ignore[attr-defined]
+        if bases is None:
+            bases = self._bases[P] = tuple(  # type: ignore[attr-defined]
+                tuple((vi, s) for vi, v in enumerate(level) for s in simple_bimodules(v, P))
+                for level in self.levels
+            )
+        return bases
+
 
 @dataclass(frozen=True)
 class InductiveSystem:
@@ -152,21 +168,6 @@ class InductiveSystem:
 
     prefix: tuple[tuple[tuple[int, ...], ...], ...]
     tail: StationarySystem
-
-
-def _level_bases(d: EnrichedBratteliDiagram, P: Subgroup):
-    """Per explicit level: the concatenated hom bases with their vertex index.
-
-    The canonical Z-basis of D(v -> P) is the ordered list of simple v-P bimodules.
-    """
-    out = []
-    for level in d.levels:
-        basis = []
-        for vi, v in enumerate(level):
-            for s in simple_bimodules(v, P):
-                basis.append((vi, s))
-        out.append(basis)
-    return out
 
 
 def _fusion_matrix(row_basis, columns):
@@ -188,15 +189,13 @@ def _fusion_matrix(row_basis, columns):
     return tuple(tuple(row) for row in rows)
 
 
-def object_diagram(d: EnrichedBratteliDiagram, P: Subgroup, bases=None) -> InductiveSystem:
+def object_diagram(d: EnrichedBratteliDiagram, P: Subgroup) -> InductiveSystem:
     """The Bratteli diagram of the functor at P: a prefix, then a stationary tail.
 
     Entry [(w, y), (v, x)] sums mult * (multiplicity of y in fuse(e, x)) over
-    edges e: v -> w.  ``bases`` is ``_level_bases(d, P)``, built here if the
-    caller has not built it.
+    edges e: v -> w, on the rows and columns of ``d.level_bases(P)``.
     """
-    if bases is None:
-        bases = _level_bases(d, P)
+    bases = d.level_bases(P)
     mats = []
     for n, block in enumerate(d.edges):
         by_source: dict[int, list] = {}
@@ -211,36 +210,62 @@ def object_diagram(d: EnrichedBratteliDiagram, P: Subgroup, bases=None) -> Induc
     return InductiveSystem(tuple(mats[:-1]), StationarySystem(mats[-1], tail_labels))
 
 
-def morphism_matrices(d: EnrichedBratteliDiagram, X: SimpleBimodule, basesP=None, basesQ=None):
+def morphism_matrices(d: EnrichedBratteliDiagram, X: SimpleBimodule):
     """Per explicit level, the matrix of (- fused with X): P-basis -> Q-basis.
 
     X is a P-Q bimodule; entry [y, x] is the multiplicity of y in fuse(x, X)
     for x in the level's P-basis and y in its Q-basis.  For stationary
-    diagrams the single returned matrix holds at every level.  ``basesP`` and
-    ``basesQ`` are the level bases of X's source and target, built here if
-    the caller has not built them.
+    diagrams the single returned matrix holds at every level.
     """
-    if basesP is None:
-        basesP = _level_bases(d, X.source)
-    if basesQ is None:
-        basesQ = _level_bases(d, X.target)
     return [
         _fusion_matrix(bQ, [[(vi, x, X, 1)] for vi, x in bP])
-        for bP, bQ in zip(basesP, basesQ)
+        for bP, bQ in zip(d.level_bases(X.source), d.level_bases(X.target))
     ]
 
 
 @dataclass(frozen=True)
 class InvariantData:
-    """The computed pointed invariant of a diagram, restricted to representatives."""
+    """The computed pointed invariant of a diagram, restricted to representatives.
+
+    The group fixes everything but the values: ``objects`` and ``scales`` run
+    over the representatives ``subgroups(group)``, labelled Q1, Q2, ..., and
+    ``multipliers`` over the simples in the order of ``simples_by_pair``.
+    """
 
     group: FiniteAbelianGroup
-    representatives: tuple[Subgroup, ...]
-    labels: tuple[str, ...]
     objects: tuple[K0Description, ...]
     scales: tuple[Fraction | None, ...]
-    morphisms: tuple[tuple[SimpleBimodule, Fraction | None], ...]
+    multipliers: tuple[Fraction | None, ...]
     pointed: Fraction | tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        for field, values, count, what in (
+            ("objects", self.objects, len(self.labels), "Q-systems"),
+            ("scales", self.scales, len(self.labels), "Q-systems"),
+            ("morphisms", self.multipliers, len(self.simples), "simple bimodules"),
+        ):
+            if len(values) != count:
+                raise InvalidInputError(f"{field} must list each of the {count} {what} once")
+        for name, desc, scale in zip(self.labels, self.objects, self.scales):
+            if isinstance(desc, RankOneForm) != (scale is not None and scale > 0):
+                raise InvalidInputError(f"scale of {name} must be positive if rank-one, else null")
+
+    @cached_property
+    def representatives(self) -> tuple[Subgroup, ...]:
+        return tuple(subgroups(self.group))
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        return tuple(f"Q{i + 1}" for i in range(len(self.representatives)))
+
+    @cached_property
+    def simples(self) -> tuple[SimpleBimodule, ...]:
+        return tuple(X for pair in simples_by_pair(self.group).values() for X in pair)
+
+    @cached_property
+    def morphisms(self) -> tuple[tuple[SimpleBimodule, Fraction | None], ...]:
+        """Each simple with its multiplier."""
+        return tuple(zip(self.simples, self.multipliers))
 
     def object_by_label(self, label: str) -> K0Description:
         return self.objects[self.labels.index(label)]
@@ -249,42 +274,37 @@ class InvariantData:
 def compute_invariant(d: EnrichedBratteliDiagram) -> InvariantData:
     """Objects, morphism multipliers, and the pointed class, all exact."""
     reps = subgroups(d.group)
-    labels = tuple(f"Q{i + 1}" for i in range(len(reps)))
+    systems = {P: object_diagram(d, P) for P in reps}
+    descs = {P: stationary_k0(sys.tail) for P, sys in systems.items()}
 
-    bases = [_level_bases(d, P) for P in reps]
-    systems = [object_diagram(d, P, b) for P, b in zip(reps, bases)]
-    descs = [stationary_k0(sys.tail) for sys in systems]
-    scales = tuple(desc.scale if isinstance(desc, RankOneForm) else None for desc in descs)
-
-    morphisms = []
-    for i, P in enumerate(reps):
-        for j, Q in enumerate(reps):
-            for X in simple_bimodules(P, Q):
-                mats = morphism_matrices(d, X, bases[i], bases[j])
-                _check_intertwining(systems[i], systems[j], mats, X)
-                if isinstance(descs[i], RankOneForm) and isinstance(descs[j], RankOneForm):
-                    # the tail intertwining was checked just above
-                    q = _multiplier(descs[i], descs[j], mats[-1])
-                else:
-                    q = None
-                morphisms.append((X, q))
+    multipliers = []
+    for (P, Q), simples in simples_by_pair(d.group).items():
+        for X in simples:
+            mats = morphism_matrices(d, X)
+            _check_intertwining(systems[P], systems[Q], mats, X)
+            if isinstance(descs[P], RankOneForm) and isinstance(descs[Q], RankOneForm):
+                # the tail intertwining was checked just above
+                q = _multiplier(descs[P], descs[Q], mats[-1])
+            else:
+                q = None
+            multipliers.append(q)
 
     # push the level-0 generator weights through the prefix to the tail start
+    unit = reps[0]
     w = tuple(int(x) for x in d.generator_weights)
-    for M in systems[0].prefix:
+    for M in systems[unit].prefix:
         w = mat_vec(M, w)
-    if isinstance(descs[0], RankOneForm):
-        pointed: Fraction | tuple[int, ...] = value_map(descs[0], 0, w)
+    if isinstance(descs[unit], RankOneForm):
+        pointed: Fraction | tuple[int, ...] = value_map(descs[unit], 0, w)
     else:
         pointed = tuple(w)
 
     inv = InvariantData(
         group=d.group,
-        representatives=tuple(reps),
-        labels=labels,
-        objects=tuple(descs),
-        scales=scales,
-        morphisms=tuple(morphisms),
+        objects=tuple(descs.values()),
+        scales=tuple(desc.scale if isinstance(desc, RankOneForm) else None
+                     for desc in descs.values()),
+        multipliers=tuple(multipliers),
         pointed=pointed,
     )
     _check_fusion_consistency(inv)

@@ -17,7 +17,7 @@ import json
 import re
 from fractions import Fraction
 
-from .bimodules import FusionTable, SimpleBimodule, bimodule_label, fusion_table, simple_bimodules
+from .bimodules import FusionTable, SimpleBimodule, bimodule_label, fusion_table, simples_by_pair
 from .compare import EQUIVALENT, INEQUIVALENT, UNKNOWN, Certificate, Verdict
 from .diagrams import DiagramEdge, EnrichedBratteliDiagram, InvariantData
 from .errors import InvalidInputError
@@ -66,6 +66,11 @@ __all__ = [
 ]
 
 
+def _cut(text: str) -> str:
+    """``text``, usually the ``repr`` of an input, cut to 60 characters for an error message."""
+    return text if len(text) <= 60 else text[:60] + "..."
+
+
 def frac_to_str(q: Fraction) -> str:
     return str(Fraction(q))
 
@@ -76,11 +81,11 @@ _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 def frac_from_str(s) -> Fraction:
     if not isinstance(s, str) or not _RATIONAL.fullmatch(s):
-        raise InvalidInputError(f"not a rational number: {s!r}")
+        raise InvalidInputError(f"not a rational number: {_cut(repr(s))}")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
-        raise InvalidInputError(f"not a rational number: {s!r}") from exc
+        raise InvalidInputError(f"not a rational number: {_cut(repr(s))}") from exc
 
 
 def _expect(doc, key, kind):
@@ -130,8 +135,10 @@ def _require_rendering(doc: dict, rendered: dict, what: str) -> None:
 
 def _element(G: FiniteAbelianGroup, raw) -> tuple[int, ...]:
     if not isinstance(raw, list) or len(raw) != G.rank:
-        raise InvalidInputError(f"element {raw!r} does not match the group rank")
-    return G.reduce(_ints(raw, f"element {raw!r}"))
+        raise InvalidInputError(f"element {_cut(repr(raw))} does not match the group rank")
+    if not all(_is_int(x) for x in raw):
+        raise InvalidInputError(f"element {_cut(repr(raw))} must be a list of integers")
+    return G.reduce(tuple(raw))
 
 
 # -- groups and subgroups ---------------------------------------------------
@@ -187,9 +194,9 @@ def character_from_json(domain: Subgroup, doc) -> Character:
         try:
             elem = _element(G, json.loads(key))
         except (json.JSONDecodeError, RecursionError, InvalidInputError) as exc:
-            raise InvalidInputError(f"bad element key {key!r}") from exc
+            raise InvalidInputError(f"bad element key {_cut(repr(key))}") from exc
         if not domain.contains(elem):
-            raise InvalidInputError(f"element {key} is outside the character domain")
+            raise InvalidInputError(f"element {_cut(key)} is outside the character domain")
         if elem in table:
             raise InvalidInputError(f"theta names the element {list(elem)} twice")
         table[elem] = frac_from_str(raw) * E % E
@@ -243,7 +250,7 @@ def fusion_table_from_json(doc) -> FusionTable:
     """
     G = group_from_json(_expect(doc, "group", dict))
     reps = subgroups(G)
-    by_pair = {(P, Q): simple_bimodules(P, Q) for P in reps for Q in reps}
+    by_pair = simples_by_pair(G)
     pairs = sum(len(by_pair[P, Q]) * len(by_pair[Q, R]) for P in reps for Q in reps for R in reps)
     if len(_expect(doc, "products", dict)) != pairs:
         raise InvalidInputError(f"products must list each of the {pairs} composable pairs once")
@@ -354,7 +361,7 @@ def _edge_from_json(G, doc, bimodules: dict, source=0, target=0) -> DiagramEdge:
     Edges that repeat a bimodule thus share one object, parsed and validated once.
     """
     if not isinstance(doc, dict):
-        raise InvalidInputError(f"edge {doc!r} must be an object")
+        raise InvalidInputError(f"edge {_cut(repr(doc))} must be an object")
     mult = doc.get("multiplicity", 1)
     if not _is_int(mult):
         raise InvalidInputError("edge multiplicity must be an integer")
@@ -395,81 +402,54 @@ def diagram_from_json(doc) -> EnrichedBratteliDiagram:
 
 # -- invariants ---------------------------------------------------------------
 
+def _optional_str(q: Fraction | None) -> str | None:
+    return None if q is None else frac_to_str(q)
+
+
+def _optional_frac(raw) -> Fraction | None:
+    return None if raw is None else frac_from_str(raw)
+
+
 def invariant_to_json(inv: InvariantData) -> dict:
-    objects = {}
-    scales = {}
-    for k, label in enumerate(inv.labels):
-        objects[label] = k0_to_json(inv.objects[k])
-        scales[label] = (
-            frac_to_str(inv.scales[k]) if inv.scales[k] is not None else None
-        )
-    morphisms = []
-    for X, q in inv.morphisms:
-        morphisms.append(
-            {
-                "label": bimodule_label(X),
-                "bimodule": bimodule_to_json(X),
-                "multiplier": frac_to_str(q) if q is not None else None,
-            }
-        )
-    pointed = (
-        frac_to_str(inv.pointed)
-        if isinstance(inv.pointed, Fraction)
-        else list(inv.pointed)
-    )
+    pointed = inv.pointed
     return {
         "group": group_to_json(inv.group),
         "representatives": [subgroup_to_json(H) for H in inv.representatives],
         "labels": list(inv.labels),
-        "objects": objects,
-        "scales": scales,
-        "morphisms": morphisms,
-        "pointed": pointed,
+        "objects": {label: k0_to_json(desc) for label, desc in zip(inv.labels, inv.objects)},
+        "scales": {label: _optional_str(r) for label, r in zip(inv.labels, inv.scales)},
+        "morphisms": [
+            {"label": bimodule_label(X), "bimodule": bimodule_to_json(X),
+             "multiplier": _optional_str(q)}
+            for X, q in inv.morphisms
+        ],
+        "pointed": frac_to_str(pointed) if isinstance(pointed, Fraction) else list(pointed),
     }
 
 
 def invariant_from_json(doc) -> InvariantData:
     """The invariant of the document's group, objects, scales, multipliers and pointed class.
 
-    Representatives, labels and bimodules come from the group, and ``doc``
-    must be exactly the rendering of the result.
+    Representatives, labels and bimodules come from the group, ``InvariantData``
+    checks the lengths and the scales, and ``doc`` must be exactly the
+    rendering of the result.
     """
     G = group_from_json(_expect(doc, "group", dict))
-    reps = tuple(subgroups(G))
-    labels = tuple(f"Q{i + 1}" for i in range(len(reps)))
+    labels = [f"Q{i + 1}" for i in range(len(subgroups(G)))]
     objects_doc = _expect(doc, "objects", dict)
     scales_doc = _expect(doc, "scales", dict)
-    objects = tuple(k0_from_json(_expect(objects_doc, label, dict)) for label in labels)
-    scales = []
-    for label, desc in zip(labels, objects):
-        raw = scales_doc.get(label)
-        scale = None if raw is None else frac_from_str(raw)
-        if isinstance(desc, RankOneForm) != (scale is not None and scale > 0):
-            raise InvalidInputError(f"scale of {label} must be positive if rank-one, else null")
-        scales.append(scale)
-    bimodules = [X for P in reps for Q in reps for X in simple_bimodules(P, Q)]
     morphisms_doc = _expect(doc, "morphisms", list)
-    if len(morphisms_doc) != len(bimodules):
-        raise InvalidInputError(
-            f"morphisms must list each of the {len(bimodules)} simple bimodules once"
-        )
-    morphisms = []
-    for X, m in zip(bimodules, morphisms_doc):
-        raw = _expect(m, "multiplier", None)
-        morphisms.append((X, frac_from_str(raw) if raw is not None else None))
-    pointed_raw = _expect(doc, "pointed", None)
-    if isinstance(pointed_raw, list):
-        pointed = _ints(pointed_raw, "pointed class vector")
-    else:
-        pointed = frac_from_str(pointed_raw)
+    pointed = _expect(doc, "pointed", None)
     inv = InvariantData(
         group=G,
-        representatives=reps,
-        labels=labels,
-        objects=objects,
-        scales=tuple(scales),
-        morphisms=tuple(morphisms),
-        pointed=pointed,
+        objects=tuple(k0_from_json(_expect(objects_doc, label, dict)) for label in labels),
+        scales=tuple(_optional_frac(scales_doc.get(label)) for label in labels),
+        multipliers=tuple(_optional_frac(_expect(m, "multiplier", None)) for m in morphisms_doc),
+        pointed=(
+            _ints(pointed, "pointed class vector")
+            if isinstance(pointed, list)
+            else frac_from_str(pointed)
+        ),
     )
     _require_rendering(doc, invariant_to_json(inv), "the invariant of its group and data")
     return inv
@@ -497,7 +477,7 @@ def verdict_to_json(v: Verdict) -> dict:
 def verdict_from_json(doc) -> Verdict:
     status = _expect(doc, "verdict", str)
     if status not in (EQUIVALENT, INEQUIVALENT, UNKNOWN):
-        raise InvalidInputError(f"unknown verdict status {status!r}")
+        raise InvalidInputError(f"unknown verdict status {_cut(repr(status))}")
     witness = None
     if "witness" in doc:
         witness = tuple(

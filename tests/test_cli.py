@@ -550,6 +550,39 @@ def test_deeply_nested_theta_key_is_an_input_error(tmp_path, z4_diagrams, capsys
     assert err.startswith("error: bad element key '[[[") and err.count("\n") == 1
 
 
+def _nest(text, depth):
+    return "[" * depth + text + "]" * depth
+
+
+@pytest.mark.parametrize(
+    "path, value, head",
+    [
+        (("edge", 1, "bimodule", "character", "theta"), {_nest("2", 5000): "1/2"},
+         "error: bad element key '[[["),
+        (("edge", 0, "bimodule", "coset_rep"), _nest("0", 900), "error: element [[["),
+        (("edge", 1, "bimodule", "character", "theta"), {"[2]": "1" * 100_000},
+         "error: not a rational number: '111"),
+        (("edge", 0), list(range(100_000)), "error: edge [0, 1, 2,"),
+    ],
+    ids=["theta-key-5000-deep", "coset-rep-900-deep", "phase-of-100000-digits",
+         "edge-of-100000-items"],
+)
+def test_error_lines_cut_the_input_they_repeat(tmp_path, z4_diagrams, path, value, head):
+    # a nested list is spliced in as text: encoding it would recurse once per level
+    doc = diagram_to_json(z4_diagrams["G"])
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = "@"
+    text = json.dumps(doc).replace('"@"', value if isinstance(value, str) else json.dumps(value))
+    (tmp_path / "big.json").write_text(text)
+    # a fresh interpreter, so that the 900 levels parse below the recursion limit
+    proc = run_process("invariant", str(tmp_path / "big.json"))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith(head) and proc.stderr.count("\n") == 1
+    assert len(proc.stderr) < 120
+
+
 def test_repeated_malformed_bimodule_fails_at_its_first_edge(tmp_path, z4_diagrams, capsys):
     # edges that repeat a bimodule share one parse, so the first bad one decides
     doc = diagram_to_json(z4_diagrams["H"])

@@ -23,7 +23,6 @@ from afinv.diagrams import (
     EnrichedBratteliDiagram,
     InductiveSystem,
     _check_fusion_consistency,
-    _level_bases,
     compute_invariant,
     morphism_matrices,
     object_diagram,
@@ -157,10 +156,10 @@ def test_fusion_consistency_of_multiplier_table(z4_invariants, z4_simples):
 def test_tampered_multipliers_are_caught(z4_invariants, z4_simples):
     inv = z4_invariants["F"]
     bad = tuple(
-        (X, Fraction(7) if X == z4_simples["M_{1-2,0}"] else q)
+        Fraction(7) if X == z4_simples["M_{1-2,0}"] else q
         for X, q in inv.morphisms
     )
-    tampered = dataclasses.replace(inv, morphisms=bad)
+    tampered = dataclasses.replace(inv, multipliers=bad)
     with pytest.raises(InternalConsistencyError):
         _check_fusion_consistency(tampered)
 
@@ -259,7 +258,7 @@ def test_unit_localization_of_translation_action(z4_invariants):
 def test_trivial_group_diagram_is_plain_integers():
     Q = qsystems(make_group(1))[0]
     d = EnrichedBratteliDiagram.homogeneous(Q, {identity_bimodule(Q): 1})
-    assert _level_bases(d, Q) == [[(0, s) for s in simple_bimodules(Q, Q)]]
+    assert d.level_bases(Q) == (tuple((0, s) for s in simple_bimodules(Q, Q)),)
     assert len(simple_bimodules(Q, Q)) == 1
     assert object_diagram(d, Q).tail.matrix == ((1,),)
     inv = compute_invariant(d)
@@ -297,7 +296,7 @@ def per_cell_connecting_matrix(d, n, bases):
 
 
 def per_cell_object_diagram(d, P):
-    bases = _level_bases(d, P)
+    bases = d.level_bases(P)
     mats = [per_cell_connecting_matrix(d, n, bases) for n in range(len(d.levels))]
     labels = tuple(bimodule_label(s) for _, s in bases[-1])
     return InductiveSystem(tuple(mats[:-1]), StationarySystem(mats[-1], labels))
@@ -310,7 +309,7 @@ def per_cell_morphism_matrices(d, X):
             tuple(_fused(x, X).get(y, 0) if vi == wi else 0 for vi, x in bP)
             for wi, y in bQ
         )
-        for bP, bQ in zip(_level_bases(d, X.source), _level_bases(d, X.target))
+        for bP, bQ in zip(d.level_bases(X.source), d.level_bases(X.target))
     ]
 
 
@@ -379,18 +378,22 @@ def test_fused_term_outside_the_basis_is_an_error(z4_diagrams, z4_reps, z4_simpl
 
 
 def test_invariant_builds_each_level_basis_once(z4_diagrams, two_level_diagram, monkeypatch):
-    built = []
-    level_bases = diagrams._level_bases
+    # a basis build asks for D(v -> P) once per vertex v of each level; fresh
+    # copies, since the session fixtures share diagrams that keep their bases
+    asked = []
 
-    def counting(d, P):
-        built.append(P)
-        return level_bases(d, P)
+    def counting(v, P):
+        asked.append(P)
+        return simple_bimodules(v, P)
 
-    monkeypatch.setattr(diagrams, "_level_bases", counting)
-    for d in (z4_diagrams["F"], z4_diagrams["G"], z4_diagrams["H"], two_level_diagram):
-        built.clear()
+    monkeypatch.setattr(diagrams, "simple_bimodules", counting)
+    for shared in (z4_diagrams["F"], z4_diagrams["G"], z4_diagrams["H"], two_level_diagram):
+        d = dataclasses.replace(shared)
+        asked.clear()
         compute_invariant(d)
-        assert built == qsystems(d.group)
+        compute_invariant(d)
+        vertices = sum(len(level) for level in d.levels)
+        assert asked == [P for P in qsystems(d.group) for _ in range(vertices)]
 
 
 def test_invariant_checks_each_tail_intertwining_once(z4_diagrams, monkeypatch):
@@ -496,8 +499,8 @@ def test_consistency_routes_agree_on_every_single_tampered_multiplier(z4_invaria
     for k, (X, q) in enumerate(inv.morphisms):
         if q is None:
             continue
-        bad = inv.morphisms[:k] + ((X, Fraction(7)),) + inv.morphisms[k + 1 :]
-        table = dataclasses.replace(inv, morphisms=bad)
+        bad = inv.multipliers[:k] + (Fraction(7),) + inv.multipliers[k + 1 :]
+        table = dataclasses.replace(inv, multipliers=bad)
         verdict = _rejects(_check_fusion_consistency, table)
         assert verdict == _rejects(pairwise_fusion_consistency, table), bimodule_label(X)
         tampered += verdict
@@ -529,6 +532,28 @@ def test_homogeneous_weight_validation(z4_reps):
         EnrichedBratteliDiagram.homogeneous(Q1, edge, generator_weights=(0, 0, 0, 0))
     with pytest.raises(InvalidInputError):
         EnrichedBratteliDiagram.homogeneous(Q1, edge, generator_weights=(1, -1, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda inv: {"objects": inv.objects[1:]}, "objects must list each of the 3 Q-systems"),
+        (lambda inv: {"scales": inv.scales[:2]}, "scales must list each of the 3 Q-systems"),
+        (
+            lambda inv: {"multipliers": inv.multipliers + (None,)},
+            "morphisms must list each of the 22 simple bimodules",
+        ),
+        (
+            lambda inv: {"scales": (Fraction(-1),) + inv.scales[1:]},
+            "scale of Q1 must be positive if rank-one, else null",
+        ),
+    ],
+    ids=["objects", "scales", "multipliers", "scale"],
+)
+def test_invariant_data_refuses_values_its_group_does_not_index(z4_invariants, change, message):
+    inv = z4_invariants["F"]
+    with pytest.raises(InvalidInputError, match=f"^{message}"):
+        dataclasses.replace(inv, **change(inv))
 
 
 def test_edge_validation(z4, z4_reps, z4_simples):
@@ -576,7 +601,7 @@ def test_edge_validation(z4, z4_reps, z4_simples):
 def test_hom_basis_matches_simple_bimodules(z4_reps, z4_diagrams):
     Q1, Q2, Q3 = z4_reps
     # the hom basis of D(v -> P) at the lone vertex v = Q3 of H
-    assert [s for _, s in _level_bases(z4_diagrams["H"], Q2)[0]] == simple_bimodules(Q3, Q2)
+    assert [s for _, s in z4_diagrams["H"].level_bases(Q2)[0]] == simple_bimodules(Q3, Q2)
     assert [bimodule_label(s) for s in simple_bimodules(Q1, Q1)] == [
         f"M_{{1-1,{g}}}" for g in range(4)
     ]
