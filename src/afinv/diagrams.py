@@ -101,7 +101,9 @@ class EnrichedBratteliDiagram:
                                             f"to {e.target}) points outside its levels")
                 if e.multiplicity < 1:
                     raise InvalidInputError("edge multiplicities must be >= 1")
-                if e.bimodule.source != upper[e.target] or e.bimodule.target != lower[e.source]:
+                # a tuple comparison skips the items that are one object
+                sides = (e.bimodule.source, e.bimodule.target)
+                if sides != (upper[e.target], lower[e.source]):
                     raise InvalidInputError(
                         f"edge bimodule {e.bimodule} must be a "
                         f"Q({upper[e.target]})-Q({lower[e.source]}) bimodule"
@@ -147,12 +149,15 @@ class EnrichedBratteliDiagram:
         """Per explicit level: the concatenated hom bases with their vertex index.
 
         The canonical Z-basis of D(v -> P) is the ordered list of simple v-P
-        bimodules.  Each P's bases are built once and kept with the diagram.
+        bimodules.  Each P's bases are built once and kept with the diagram, and
+        equal vertices share one enumeration, so their simples are one object.
         """
         bases = self._bases.get(P)  # type: ignore[attr-defined]
         if bases is None:
+            vertices = {v for level in self.levels for v in level}
+            simples = {v: simple_bimodules(v, P) for v in vertices}
             bases = self._bases[P] = tuple(  # type: ignore[attr-defined]
-                tuple((vi, s) for vi, v in enumerate(level) for s in simple_bimodules(v, P))
+                tuple((vi, s) for vi, v in enumerate(level) for s in simples[v])
                 for level in self.levels
             )
         return bases
@@ -311,13 +316,26 @@ def compute_invariant(d: EnrichedBratteliDiagram) -> InvariantData:
     return inv
 
 
+def _transpose(A):
+    return tuple(zip(*A))
+
+
+def _intertwines(AQ, M, N, AP) -> bool:
+    """Whether AQ·M == N·AP, with the sparse morphism matrices M and N as left factors.
+
+    AQ·M is compared as its transpose Mᵀ·AQᵀ, so both products skip the zeros
+    of a morphism matrix inside ``mat_mul``.
+    """
+    return mat_mul(_transpose(M), _transpose(AQ)) == _transpose(mat_mul(N, AP))
+
+
 def _check_intertwining(sysP, sysQ, mats, X) -> None:
-    if mat_mul(sysQ.tail.matrix, mats[-1]) != mat_mul(mats[-1], sysP.tail.matrix):
+    if not _intertwines(sysQ.tail.matrix, mats[-1], mats[-1], sysP.tail.matrix):
         raise InternalConsistencyError(
             f"morphism matrix of {X} does not intertwine the stationary tails"
         )
     for n, (MP, MQ) in enumerate(zip(sysP.prefix, sysQ.prefix)):
-        if mat_mul(MQ, mats[n]) != mat_mul(mats[n + 1], MP):
+        if not _intertwines(MQ, mats[n], mats[n + 1], MP):
             raise InternalConsistencyError(
                 f"morphism matrices of {X} do not intertwine at level {n}"
             )

@@ -264,9 +264,15 @@ def subgroup_sum(H: Subgroup, K: Subgroup) -> Subgroup:
 
 
 def subgroup_intersection(H: Subgroup, K: Subgroup) -> Subgroup:
+    """The subgroup H∩K: H or K itself when it lies in the other."""
     if H.group != K.group:
         raise InvalidInputError("subgroups live in different groups")
-    return Subgroup(H.group, tuple(e for e in H.elements if K.contains(e)))
+    common = tuple(e for e in H.elements if K.contains(e))
+    if len(common) == H.order:
+        return H
+    if len(common) == K.order:
+        return K
+    return Subgroup(H.group, common)
 
 
 @dataclass(frozen=True)
@@ -276,7 +282,7 @@ class Character:
     ``values[i]`` is an integer v in [0, E), E the exponent of the ambient
     group, standing for the phase v/E at ``domain.elements[i]``.  The table
     is not checked here: :func:`dual_characters` builds every character, and
-    a parser returns one of its members.
+    the parser checks that a table is additive before it builds one.
     """
 
     domain: Subgroup
@@ -301,10 +307,11 @@ def dual_characters(H: Subgroup) -> list[Character]:
     """All characters of H, sorted by value table; the trivial character is first.
 
     Every character of a subgroup extends to the ambient group (Q/Z is
-    divisible), so restricting all ambient characters is exhaustive.  The
-    values are integers over the common denominator E = exponent of G: the
-    ambient character with coefficients c takes e to
-    sum c_i * e_i * (E / n_i) mod E.
+    divisible), so the restrictions of the ambient characters are all of
+    them.  Those restrictions form the group spanned by the r coordinate
+    tables e -> e_i * (E / n_i) mod E, E the exponent of G, so the tables are
+    found by closing {0} under adding each coordinate table: |Ĥ|·r·|H|
+    additions at most.
 
     >>> H = Subgroup.generated(make_group([4]), [(2,)])
     >>> [chi.values for chi in dual_characters(H)]
@@ -312,14 +319,15 @@ def dual_characters(H: Subgroup) -> list[Character]:
     """
     G = H.group
     E = G.exponent
-    # each element of H as its integer weights e_i * (E / n_i)
-    weights = [
-        tuple(x * (E // n) for x, n in zip(e, G.cyclic_factors)) for e in H.elements
-    ]
-    tables = {
-        tuple(sum(c * w for c, w in zip(coeffs, ws)) % E for ws in weights)
-        for coeffs in itertools.product(*(range(n) for n in G.cyclic_factors))
-    }
+    tables = {(0,) * H.order}
+    for i, n in enumerate(G.cyclic_factors):
+        step = tuple(e[i] * (E // n) for e in H.elements)
+        frontier = tables
+        while True:
+            frontier = {tuple((a + b) % E for a, b in zip(t, step)) for t in frontier}
+            if frontier <= tables:
+                break
+            tables |= frontier
     if len(tables) != H.order:
         raise InvalidInputError(f"expected {H.order} characters, found {len(tables)}")
     return [Character(H, t) for t in sorted(tables)]

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from operator import mul
+from operator import add, mul
 
 from .errors import InvalidInputError, ResourceLimitError
 
@@ -49,12 +49,32 @@ def _as_matrix(rows) -> Matrix:
 
 
 def mat_mul(A, B):
+    """The product A·B, built row by row from each row of A alone.
+
+    A row of A with fewer nonzero entries than zeros gives the sum of its
+    nonzero entries times the matching rows of B; any other row takes the dot
+    product with each column of B.  So a sparse A costs its nonzeros times
+    the width of B, and a dense A the usual triple loop.
+    """
     if not A or not B:
         return tuple()
     if len(A[0]) != len(B):
         raise InvalidInputError(f"shape mismatch: {len(A[0])} columns vs {len(B)} rows")
-    cols = tuple(zip(*B))
-    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in A)
+    zero = (0,) * len(B[0])
+    cols = None
+    out = []
+    for row in A:
+        if 2 * row.count(0) > len(row):
+            acc = zero
+            for k in itertools.compress(range(len(row)), row):
+                a = row[k]
+                acc = tuple(map(add, acc, B[k] if a == 1 else [a * x for x in B[k]]))
+            out.append(acc)
+        else:
+            if cols is None:
+                cols = tuple(zip(*B))
+            out.append(tuple(sum(map(mul, row, col)) for col in cols))
+    return tuple(out)
 
 
 def mat_vec(A, x):

@@ -26,7 +26,6 @@ from .groups import (
     FiniteAbelianGroup,
     Subgroup,
     coset_rep,
-    dual_characters,
     make_group,
     subgroup_intersection,
     subgroup_sum,
@@ -163,6 +162,18 @@ def subgroup_from_json(G: FiniteAbelianGroup, doc) -> Subgroup:
     return Subgroup.generated(G, [_element(G, g) for g in gens])
 
 
+def _shared_subgroup(G: FiniteAbelianGroup, doc, lattice: dict | None) -> Subgroup:
+    """``subgroup_from_json``, as the equal key of ``lattice`` if one is given.
+
+    ``diagram_from_json`` passes each member of ``subgroups(G)`` keyed by
+    itself, so equal subgroups of a diagram are one object, the one that
+    ``compute_invariant`` enumerates, and comparisons and dict lookups among
+    them stop at identity.
+    """
+    H = subgroup_from_json(G, doc)
+    return H if lattice is None else lattice[H]
+
+
 # -- characters and bimodules -----------------------------------------------
 
 def _element_key(e) -> str:
@@ -179,12 +190,14 @@ def character_to_json(chi: Character) -> dict:
 
 
 def character_from_json(domain: Subgroup, doc) -> Character:
-    """The member of ``dual_characters(domain)`` with the phases ``theta`` lists.
+    """The character of ``domain`` with the phases ``theta`` lists.
 
     Each phase is read mod 1 as a numerator over the exponent E of the group;
-    unlisted phases are 0.  The characters of a subgroup are exactly its
-    homomorphisms to Q/Z, so this accepts exactly the homomorphism tables; a
-    phase that is not a multiple of 1/E matches none of them.
+    unlisted phases are 0.  The table is accepted exactly when chi(0) = 0 and
+    it is additive along ``domain.minimal_generators()``: chi(h + g) = chi(h)
+    + chi(g) for every h and every generator g.  That makes it a homomorphism
+    to Q/Z, and those are the characters of a subgroup; a phase that is not a
+    multiple of 1/E is no such value.
     """
     theta = _expect(doc, "theta", dict)
     G = domain.group
@@ -200,11 +213,18 @@ def character_from_json(domain: Subgroup, doc) -> Character:
         if elem in table:
             raise InvalidInputError(f"theta names the element {list(elem)} twice")
         table[elem] = frac_from_str(raw) * E % E
-    values = tuple(table.get(e, 0) for e in domain.elements)
-    for chi in dual_characters(domain):
-        if chi.values == values:
-            return chi
-    raise InvalidInputError("character table is not a homomorphism")
+    values = [table.get(e, 0) for e in domain.elements]
+    if any(v.denominator != 1 for v in values):
+        raise InvalidInputError("character table is not a homomorphism")
+    chi = Character(domain, tuple(int(v) for v in values))
+    additive = chi(G.zero()) == 0 and all(
+        chi(G.add(h, g)) == (chi(h) + chi(g)) % E
+        for g in domain.minimal_generators()
+        for h in domain.elements
+    )
+    if not additive:
+        raise InvalidInputError("character table is not a homomorphism")
+    return chi
 
 
 def bimodule_to_json(S: SimpleBimodule) -> dict:
@@ -216,9 +236,10 @@ def bimodule_to_json(S: SimpleBimodule) -> dict:
     }
 
 
-def bimodule_from_json(G: FiniteAbelianGroup, doc) -> SimpleBimodule:
-    H = subgroup_from_json(G, {"generators": _expect(doc, "source_generators", list)})
-    K = subgroup_from_json(G, {"generators": _expect(doc, "target_generators", list)})
+def bimodule_from_json(G: FiniteAbelianGroup, doc, lattice=None) -> SimpleBimodule:
+    """The bimodule ``doc`` names; ``lattice`` is as in ``_shared_subgroup``."""
+    H = _shared_subgroup(G, {"generators": _expect(doc, "source_generators", list)}, lattice)
+    K = _shared_subgroup(G, {"generators": _expect(doc, "target_generators", list)}, lattice)
     rep = coset_rep(G, subgroup_sum(H, K), _element(G, _expect(doc, "coset_rep", list)))
     chi = character_from_json(
         subgroup_intersection(H, K), _expect(doc, "character", dict)
@@ -355,10 +376,12 @@ def diagram_to_json(d: EnrichedBratteliDiagram) -> dict:
     }
 
 
-def _edge_from_json(G, doc, bimodules: dict, source=0, target=0) -> DiagramEdge:
-    """One edge; ``bimodules`` maps each bimodule already read, as JSON text, to its parse.
+def _edge_from_json(G, doc, bimodules: dict, lattice: dict, source=0, target=0) -> DiagramEdge:
+    """One edge; ``bimodules`` maps each bimodule already read, as its ``repr``, to its parse.
 
     Edges that repeat a bimodule thus share one object, parsed and validated once.
+    The ``repr`` tells ``True`` from ``1``; the same bimodule with its keys in
+    another order is only parsed once more.  ``lattice`` is as in ``_shared_subgroup``.
     """
     if not isinstance(doc, dict):
         raise InvalidInputError(f"edge {_cut(repr(doc))} must be an object")
@@ -366,10 +389,10 @@ def _edge_from_json(G, doc, bimodules: dict, source=0, target=0) -> DiagramEdge:
     if not _is_int(mult):
         raise InvalidInputError("edge multiplicity must be an integer")
     raw = _expect(doc, "bimodule", dict)
-    key = _json_text(raw)
+    key = repr(raw)
     bimodule = bimodules.get(key)
     if bimodule is None:
-        bimodule = bimodules[key] = bimodule_from_json(G, raw)
+        bimodule = bimodules[key] = bimodule_from_json(G, raw, lattice)
     return DiagramEdge(source, target, bimodule, mult)
 
 
@@ -379,14 +402,15 @@ def diagram_from_json(doc) -> EnrichedBratteliDiagram:
     if not all(_is_int(w) for w in weights):
         raise InvalidInputError("generator_weights must be integers")
     bimodules: dict[str, SimpleBimodule] = {}
+    lattice = {H: H for H in subgroups(G)}
     if "vertex" in doc:
-        vertex = subgroup_from_json(G, doc["vertex"])
+        vertex = _shared_subgroup(G, doc["vertex"], lattice)
         edges = tuple(
-            _edge_from_json(G, e, bimodules) for e in _expect(doc, "edge", list)
+            _edge_from_json(G, e, bimodules, lattice) for e in _expect(doc, "edge", list)
         )
         return EnrichedBratteliDiagram(G, ((vertex,),), (edges,), tuple(weights))
     levels = tuple(
-        tuple(subgroup_from_json(G, v) for v in _list(level, "level"))
+        tuple(_shared_subgroup(G, v, lattice) for v in _list(level, "level"))
         for level in _expect(doc, "levels", list)
     )
     blocks = []
@@ -394,7 +418,9 @@ def diagram_from_json(doc) -> EnrichedBratteliDiagram:
         parsed = []
         for e in _list(block, "edge block"):
             parsed.append(
-                _edge_from_json(G, e, bimodules, _expect_int(e, "from"), _expect_int(e, "to"))
+                _edge_from_json(
+                    G, e, bimodules, lattice, _expect_int(e, "from"), _expect_int(e, "to")
+                )
             )
         blocks.append(tuple(parsed))
     return EnrichedBratteliDiagram(G, levels, tuple(blocks), tuple(weights))

@@ -28,7 +28,7 @@ from afinv.diagrams import (
     object_diagram,
 )
 from afinv.errors import InternalConsistencyError, InvalidInputError
-from afinv.groups import make_group
+from afinv.groups import Subgroup, make_group
 from afinv.k0 import (
     DirectSumForm,
     RankOneForm,
@@ -421,6 +421,57 @@ def test_invariant_checks_each_tail_intertwining_once(z4_diagrams, monkeypatch):
         products.clear()
         inv = compute_invariant(d)
         assert len(products) == 2 * len(inv.morphisms), name
+
+
+def _one_entry_flipped(matrix):
+    rows = [list(row) for row in matrix]
+    rows[0][0] += 1
+    return tuple(map(tuple, rows))
+
+
+@pytest.mark.parametrize(
+    "level, message",
+    [(-1, "morphism matrix of {} does not intertwine the stationary tails"),
+     (0, "morphism matrices of {} do not intertwine at level 0")],
+    ids=["tail", "prefix"],
+)
+def test_a_flipped_morphism_entry_fails_the_intertwining_check(
+    two_level_diagram, z4_simples, monkeypatch, level, message
+):
+    X = z4_simples["M_{2-1,0}"]
+    matrices = diagrams.morphism_matrices
+
+    def flipped(d, Y):
+        mats = matrices(d, Y)
+        if Y == X:
+            mats[level] = _one_entry_flipped(mats[level])
+        return mats
+
+    monkeypatch.setattr(diagrams, "morphism_matrices", flipped)
+    with pytest.raises(InternalConsistencyError) as caught:
+        compute_invariant(two_level_diagram)
+    assert str(caught.value) == message.format(X)
+
+
+def test_equal_vertices_share_their_hom_basis_simples(z4, z4_reps, z4_simples):
+    _, Q2, _ = z4_reps
+    twin = Subgroup.generated(z4, [(2,)])  # equal to Q2, another object
+    assert twin == Q2 and twin is not Q2
+    triv = z4_simples["M_{2-2,0}^triv"]
+    d = EnrichedBratteliDiagram(
+        z4,
+        ((Q2, twin),),
+        (tuple(DiagramEdge(s, t, triv) for s in (0, 1) for t in (0, 1)),),
+        (1, 1, 1, 1),
+    )
+    for P in z4_reps:
+        (basis,) = d.level_bases(P)
+        half = len(basis) // 2
+        assert [vi for vi, _ in basis] == [0] * half + [1] * half
+        assert all(a is b for (_, a), (_, b) in zip(basis[:half], basis[half:]))
+    assert compute_invariant(d) == compute_invariant(
+        EnrichedBratteliDiagram(z4, ((Q2, Q2),), d.edges, d.generator_weights)
+    )
 
 
 # ------------------------------------- pairwise fusion-consistency reference

@@ -175,6 +175,29 @@ def test_dual_characters_match_fraction_sum(factors):
         assert got == fraction_sum_characters(H), H
 
 
+def enumerated_characters(H):
+    """Reference tables: restrict every ambient coefficient tuple c, |G|·|H|·r products."""
+    G = H.group
+    E = G.exponent
+    weights = [tuple(x * (E // n) for x, n in zip(e, G.cyclic_factors)) for e in H.elements]
+    return sorted({
+        tuple(sum(c * w for c, w in zip(coeffs, ws)) % E for ws in weights)
+        for coeffs in itertools.product(*(range(n) for n in G.cyclic_factors))
+    })
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [[64], [81], [3, 9], [2, 8], [32], [2, 2, 2, 2], [4, 16], [2] * 6, [9, 9]],
+    ids=str,
+)
+def test_dual_characters_match_the_enumerated_restrictions(factors):
+    for H in subgroups(make_group(factors)):
+        chars = dual_characters(H)
+        assert [chi.values for chi in chars] == enumerated_characters(H), H
+        assert all(chi.domain is H for chi in chars)
+
+
 def test_character_homomorphism_validation():
     G = make_group(4)
     H = Subgroup.generated(G, [(2,)])

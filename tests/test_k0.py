@@ -287,6 +287,53 @@ def test_every_form_matches_the_a_power_b_reference(monkeypatch):
     assert most_products >= 4  # some matrices need several steps to settle
 
 
+def triple_sum_product(A, B):
+    """Reference product: entry (i, j) is the sum over k of A[i][k] * B[k][j]."""
+    return tuple(
+        tuple(sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(len(B[0])))
+        for i in range(len(A))
+    )
+
+
+def _random_matrix(rng, rows, cols, shape, entry):
+    """A rows x cols matrix of ``entry()`` values laid out as ``shape`` says."""
+    if shape == "monomial":  # one nonzero per row, in distinct columns where it can
+        perm = rng.sample(range(cols), min(rows, cols)) + [rng.randrange(cols)] * (rows - cols)
+        return [[(entry() or 1) if j == perm[i] else 0 for j in range(cols)] for i in range(rows)]
+    if shape == "triangular":  # strictly upper triangular
+        return [[entry() if j > i else 0 for j in range(cols)] for i in range(rows)]
+    out = []
+    for _ in range(rows):
+        density = {"sparse": 0.1, "dense": 0.9}.get(shape) or rng.random()  # mixed: per row
+        out.append([entry() if rng.random() < density else 0 for _ in range(cols)])
+    return out
+
+
+def test_mat_mul_matches_the_triple_sum_reference():
+    rng = random.Random(2016)
+    entries = {
+        "small": lambda: rng.randint(0, 3),
+        "negative": lambda: rng.randint(-5, 5),
+        "huge": lambda: rng.choice((-1, 1)) * rng.randrange(10**299, 10**300),
+    }
+    shapes = ("monomial", "sparse", "dense", "triangular", "mixed")
+    sizes = [(n, n) for n in (1, 2, 3, 4, 7, 16, 33)] + [(1, 9), (9, 1), (1, 1), (5, 3), (3, 5)]
+    for (rows, inner), cols in ((size, rng.randint(1, 9)) for size in sizes for _ in range(2)):
+        for left, right in ((a, b) for a in shapes for b in shapes):
+            for kind, entry in entries.items():
+                A = _random_matrix(rng, rows, inner, left, entry)
+                B = _random_matrix(rng, inner, cols, right, entry)
+                want = triple_sum_product(A, B)
+                assert mat_mul(A, B) == want, (kind, left, right, rows, inner, cols)
+                assert mat_mul(tuple(map(tuple, A)), tuple(map(tuple, B))) == want
+
+
+def test_mat_mul_rows_at_half_density_take_either_route_to_the_same_product():
+    B = ((1, 2, 3), (4, 5, 6), (7, 8, 9), (10, 11, 12))
+    for row in ((0, 0, 0, 0), (2, 0, 0, 0), (0, -3, 0, 5), (1, 1, 1, 0), (1, 1, 1, 1)):
+        assert mat_mul((row,), B) == triple_sum_product((row,), B)
+
+
 def test_sixty_four_vertex_opaque_tail_is_identified_within_seconds():
     rng = random.Random(64)
     A = [[rng.randint(0, 3) + 5 * (i == j) for j in range(64)] for i in range(64)]

@@ -1,5 +1,6 @@
 """Wire-format round-trips and rejection of malformed documents."""
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from afinv.diagrams import (
     object_diagram,
 )
 from afinv.errors import InvalidInputError
-from afinv.groups import Subgroup, dual_characters, make_group, subgroups
+from afinv.groups import Character, Subgroup, dual_characters, make_group, subgroups
 from afinv.k0 import StationarySystem, stationary_k0
 from afinv.serialize import (
     bimodule_from_json,
@@ -113,12 +114,52 @@ def test_character_round_trip(z4):
         character_from_json(half, {})
 
 
-@pytest.mark.parametrize("factors", [[12], [2, 4], [2, 2, 2]], ids=["Z12", "Z2xZ4", "Z2^3"])
+@pytest.mark.parametrize(
+    "factors",
+    [[12], [2, 4], [2, 2, 2], [4], [2, 2], [6]],
+    ids=["Z12", "Z2xZ4", "Z2^3", "Z4", "Z2xZ2", "Z6"],
+)
 def test_every_character_round_trips(factors):
     for H in subgroups(make_group(factors)):
         for chi in dual_characters(H):
             doc = through_json(character_to_json(chi))
             assert character_from_json(H, doc) == chi, (H, chi)
+
+
+@pytest.mark.parametrize("factors", [[4], [2, 2], [6], [2, 4]], ids=["Z4", "Z2xZ2", "Z6", "Z2xZ4"])
+def test_a_shifted_phase_is_refused_unless_it_names_another_character(factors):
+    G = make_group(factors)
+    E = G.exponent
+    refused = 0
+    for H in subgroups(G):
+        characters = {chi.values for chi in dual_characters(H)}
+        for chi in dual_characters(H):
+            for i in range(H.order):
+                values = list(chi.values)
+                values[i] = (values[i] + 1) % E
+                doc = character_to_json(Character(H, tuple(values)))
+                if tuple(values) in characters:  # an order-2 element in exponent 2
+                    assert character_from_json(H, doc).values == tuple(values)
+                    continue
+                with pytest.raises(InvalidInputError, match="^character table is not a homomorphism$"):
+                    character_from_json(H, doc)
+                refused += 1
+    assert refused
+
+
+@pytest.mark.parametrize("factors", [[2, 2], [2, 4]], ids=["Z2xZ2", "Z2xZ4"])
+def test_exactly_the_character_tables_are_accepted(factors):
+    G = make_group(factors)
+    E = G.exponent
+    for H in (H for H in subgroups(G) if H.order <= 4):
+        characters = {chi.values for chi in dual_characters(H)}
+        for values in itertools.product(range(E), repeat=H.order):
+            doc = character_to_json(Character(H, values))
+            if values in characters:
+                assert character_from_json(H, doc).values == values
+            else:
+                with pytest.raises(InvalidInputError):
+                    character_from_json(H, doc)
 
 
 def test_bimodule_round_trip(z4, z4_simples):
@@ -345,15 +386,58 @@ def test_each_distinct_edge_bimodule_is_parsed_once(vertices, z4, z4_reps, monke
     calls = []
     parse = serialize.bimodule_from_json
 
-    def counting(G, raw):
+    def counting(G, raw, *lattice):
         calls.append(raw)
-        return parse(G, raw)
+        return parse(G, raw, *lattice)
 
     monkeypatch.setattr(serialize, "bimodule_from_json", counting)
     got = diagram_from_json(doc)
     assert got == d
     assert len(calls) == 3
     assert len({id(e.bimodule) for e in got.edges[0]}) == 3
+
+
+def test_equal_subgroups_of_a_parsed_diagram_are_one_object(z4, z4_reps):
+    _, Q2, Q3 = z4_reps
+    down = next(b for b in simple_bimodules(Q3, Q2) if not any(b.character.values))
+    d = EnrichedBratteliDiagram(
+        z4,
+        ((Q2, Q2), (Q3,)),
+        (
+            (DiagramEdge(0, 0, down), DiagramEdge(1, 0, down)),
+            tuple(DiagramEdge(0, 0, b) for b in simple_bimodules(Q3, Q3)),
+        ),
+        (1, 1, 1, 1),
+    )
+    doc = through_json(diagram_to_json(d))
+    # name Z/4 by other generating sets, so that no two documents of it are the same
+    doc["levels"][1][0]["generators"] = [[3]]
+    for k, e in enumerate(doc["edges"][1]):
+        e["bimodule"]["source_generators"] = [[3]] if k % 2 else [[1], [2]]
+        e["bimodule"]["target_generators"] = [[3], [2]] if k % 2 else [[1]]
+    got = diagram_from_json(doc)
+    assert got == d
+    (v0, v1), (w,) = got.levels
+    assert v0 is v1
+    for e in got.edges[0]:
+        assert e.bimodule.source is w and e.bimodule.target is v0
+    for e in got.edges[1]:
+        assert e.bimodule.source is w and e.bimodule.target is w
+    assert len({id(e.bimodule) for e in got.edges[1]}) == 4
+
+
+def test_a_repeated_edge_bimodule_reads_each_spelling_on_its_own(z4_diagrams):
+    doc = through_json(diagram_to_json(z4_diagrams["F"]))
+    one = next(e for e in doc["edge"] if e["bimodule"]["coset_rep"] == [1])
+    reordered = {key: one["bimodule"][key] for key in reversed(list(one["bimodule"]))}
+    doc["edge"].append({"bimodule": reordered, "multiplicity": 2})
+    got = diagram_from_json(doc)
+    assert got.edges[0][-1].bimodule == got.edges[0][1].bimodule
+    copy = json.loads(json.dumps(one))
+    copy["bimodule"]["coset_rep"] = [True]
+    doc["edge"].append(copy)
+    with pytest.raises(InvalidInputError, match="must be a list of integers"):
+        diagram_from_json(doc)
 
 
 def test_diagram_parser_validates(z4_diagrams):
