@@ -101,9 +101,7 @@ class EnrichedBratteliDiagram:
                                             f"to {e.target}) points outside its levels")
                 if e.multiplicity < 1:
                     raise InvalidInputError("edge multiplicities must be >= 1")
-                # a tuple comparison skips the items that are one object
-                sides = (e.bimodule.source, e.bimodule.target)
-                if sides != (upper[e.target], lower[e.source]):
+                if e.bimodule.source != upper[e.target] or e.bimodule.target != lower[e.source]:
                     raise InvalidInputError(
                         f"edge bimodule {e.bimodule} must be a "
                         f"Q({upper[e.target]})-Q({lower[e.source]}) bimodule"

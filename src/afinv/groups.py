@@ -10,6 +10,7 @@ its lexicographically least member.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, fields
@@ -23,6 +24,7 @@ __all__ = [
     "Character",
     "make_group",
     "subgroups",
+    "lattice_member",
     "dual_characters",
     "coset_space",
     "coset_rep",
@@ -250,6 +252,17 @@ def subgroups(group: FiniteAbelianGroup) -> list[Subgroup]:
     [1, 2, 4]
     """
     return list(_subgroups_cached(group))
+
+
+def lattice_member(H: Subgroup) -> Subgroup:
+    """The member of ``subgroups(H.group)`` equal to H.
+
+    Subgroups passed through it are one object per distinct subgroup, the one
+    the lattice enumeration holds, so comparisons and dict lookups among them
+    stop at identity.
+    """
+    lattice = _subgroups_cached(H.group)
+    return lattice[bisect.bisect_left(lattice, H.sort_key(), key=Subgroup.sort_key)]
 
 
 def subgroup_sum(H: Subgroup, K: Subgroup) -> Subgroup:

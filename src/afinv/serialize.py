@@ -26,6 +26,7 @@ from .groups import (
     FiniteAbelianGroup,
     Subgroup,
     coset_rep,
+    lattice_member,
     make_group,
     subgroup_intersection,
     subgroup_sum,
@@ -158,20 +159,13 @@ def subgroup_to_json(H: Subgroup) -> dict:
 
 
 def subgroup_from_json(G: FiniteAbelianGroup, doc) -> Subgroup:
-    gens = _expect(doc, "generators", list)
-    return Subgroup.generated(G, [_element(G, g) for g in gens])
+    """The subgroup ``doc`` generates, as the equal member of ``subgroups(G)``.
 
-
-def _shared_subgroup(G: FiniteAbelianGroup, doc, lattice: dict | None) -> Subgroup:
-    """``subgroup_from_json``, as the equal key of ``lattice`` if one is given.
-
-    ``diagram_from_json`` passes each member of ``subgroups(G)`` keyed by
-    itself, so equal subgroups of a diagram are one object, the one that
-    ``compute_invariant`` enumerates, and comparisons and dict lookups among
-    them stop at identity.
+    So equal subgroups of a document, and of two documents on one group, are
+    one object, the one ``compute_invariant`` enumerates.
     """
-    H = subgroup_from_json(G, doc)
-    return H if lattice is None else lattice[H]
+    gens = _expect(doc, "generators", list)
+    return lattice_member(Subgroup.generated(G, [_element(G, g) for g in gens]))
 
 
 # -- characters and bimodules -----------------------------------------------
@@ -236,10 +230,9 @@ def bimodule_to_json(S: SimpleBimodule) -> dict:
     }
 
 
-def bimodule_from_json(G: FiniteAbelianGroup, doc, lattice=None) -> SimpleBimodule:
-    """The bimodule ``doc`` names; ``lattice`` is as in ``_shared_subgroup``."""
-    H = _shared_subgroup(G, {"generators": _expect(doc, "source_generators", list)}, lattice)
-    K = _shared_subgroup(G, {"generators": _expect(doc, "target_generators", list)}, lattice)
+def bimodule_from_json(G: FiniteAbelianGroup, doc) -> SimpleBimodule:
+    H = subgroup_from_json(G, {"generators": _expect(doc, "source_generators", list)})
+    K = subgroup_from_json(G, {"generators": _expect(doc, "target_generators", list)})
     rep = coset_rep(G, subgroup_sum(H, K), _element(G, _expect(doc, "coset_rep", list)))
     chi = character_from_json(
         subgroup_intersection(H, K), _expect(doc, "character", dict)
@@ -376,12 +369,12 @@ def diagram_to_json(d: EnrichedBratteliDiagram) -> dict:
     }
 
 
-def _edge_from_json(G, doc, bimodules: dict, lattice: dict, source=0, target=0) -> DiagramEdge:
+def _edge_from_json(G, doc, bimodules: dict, source=0, target=0) -> DiagramEdge:
     """One edge; ``bimodules`` maps each bimodule already read, as its ``repr``, to its parse.
 
     Edges that repeat a bimodule thus share one object, parsed and validated once.
     The ``repr`` tells ``True`` from ``1``; the same bimodule with its keys in
-    another order is only parsed once more.  ``lattice`` is as in ``_shared_subgroup``.
+    another order is only parsed once more.
     """
     if not isinstance(doc, dict):
         raise InvalidInputError(f"edge {_cut(repr(doc))} must be an object")
@@ -392,7 +385,7 @@ def _edge_from_json(G, doc, bimodules: dict, lattice: dict, source=0, target=0) 
     key = repr(raw)
     bimodule = bimodules.get(key)
     if bimodule is None:
-        bimodule = bimodules[key] = bimodule_from_json(G, raw, lattice)
+        bimodule = bimodules[key] = bimodule_from_json(G, raw)
     return DiagramEdge(source, target, bimodule, mult)
 
 
@@ -402,15 +395,14 @@ def diagram_from_json(doc) -> EnrichedBratteliDiagram:
     if not all(_is_int(w) for w in weights):
         raise InvalidInputError("generator_weights must be integers")
     bimodules: dict[str, SimpleBimodule] = {}
-    lattice = {H: H for H in subgroups(G)}
     if "vertex" in doc:
-        vertex = _shared_subgroup(G, doc["vertex"], lattice)
+        vertex = subgroup_from_json(G, doc["vertex"])
         edges = tuple(
-            _edge_from_json(G, e, bimodules, lattice) for e in _expect(doc, "edge", list)
+            _edge_from_json(G, e, bimodules) for e in _expect(doc, "edge", list)
         )
         return EnrichedBratteliDiagram(G, ((vertex,),), (edges,), tuple(weights))
     levels = tuple(
-        tuple(_shared_subgroup(G, v, lattice) for v in _list(level, "level"))
+        tuple(subgroup_from_json(G, v) for v in _list(level, "level"))
         for level in _expect(doc, "levels", list)
     )
     blocks = []
@@ -418,9 +410,7 @@ def diagram_from_json(doc) -> EnrichedBratteliDiagram:
         parsed = []
         for e in _list(block, "edge block"):
             parsed.append(
-                _edge_from_json(
-                    G, e, bimodules, lattice, _expect_int(e, "from"), _expect_int(e, "to")
-                )
+                _edge_from_json(G, e, bimodules, _expect_int(e, "from"), _expect_int(e, "to"))
             )
         blocks.append(tuple(parsed))
     return EnrichedBratteliDiagram(G, levels, tuple(blocks), tuple(weights))

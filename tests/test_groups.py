@@ -10,6 +10,7 @@ from afinv.groups import (
     coset_rep,
     coset_space,
     dual_characters,
+    lattice_member,
     make_group,
     subgroup_intersection,
     subgroup_sum,
@@ -101,6 +102,12 @@ def test_subgroups_sorted_by_order_then_elements():
     assert orders[0] == 1 and orders[-1] == G.order
 
 
+@pytest.mark.parametrize("factors", [[1], [12], [2, 4], [2, 2, 2]], ids=["Z1", "Z12", "Z2xZ4", "Z2^3"])
+def test_lattice_member_is_the_enumerated_object(factors):
+    G = make_group(factors)
+    for H in subgroups(G):
+        copy = Subgroup.generated(G, H.minimal_generators())
+        assert copy == H and lattice_member(copy) is H
 def test_element_arithmetic():
     G = make_group([2, 4])
     assert G.add((1, 3), (1, 2)) == (0, 1)
