@@ -8,9 +8,9 @@ Composition reads the relative tensor product off the closed-form Mackey rule
 for module categories over Vec_G (Ostrik's (H, ψ) classification, untwisted
 abelian case), in integers only: character phases are integers mod the
 exponent of G.  ``fuse``, ``fusion_table`` and the fusion check of
-``afinv.diagrams`` read one block table per subgroup triple
-(``_mackey_blocks``).  The tests compare it with an independent
-floating-point trace computation over explicit induced modules.
+``afinv.diagrams`` read one block table per subgroup triple (``_mackey_blocks``)
+over the simples the caller holds, so each call enumerates them once.  The
+tests compare it with an independent float trace over explicit induced modules.
 """
 
 from __future__ import annotations
@@ -126,15 +126,15 @@ def _composable(S1: SimpleBimodule, S2: SimpleBimodule) -> None:
         )
 
 
-def _mackey_blocks(H: Subgroup, K: Subgroup, L: Subgroup):
+def _mackey_blocks(H: Subgroup, K: Subgroup, L: Subgroup, simples: list[SimpleBimodule]):
     """The Mackey rule of the subgroup triple (H, K, L), as (m, key, blocks).
 
-    ``blocks`` groups the simple H-L bimodules (d, ψ) by ``key``: the coset of
-    H+K+L through d, and ψ on H∩K∩L.  An H-K simple S1 = (c1, χ1) fused with a
-    K-L simple S2 = (c2, χ2) is m copies of the block key(S1, S2) of c1+c2 and
+    ``blocks`` groups the caller's ``simples``, the H-L simples (d, ψ) in
+    canonical order, by ``key``: the coset of H+K+L through d, and ψ on H∩K∩L;
+    each block keeps that order.  An H-K simple S1 = (c1, χ1) fused with a K-L
+    simple S2 = (c2, χ2) is m copies of the block key(S1, S2) of c1+c2 and
     χ1+χ2, where m = |H||K||L||H∩K∩L| / (|H∩K||K∩L||H+K+L||H∩L|).  A
-    non-integral m, a wrong block count or a block that changes total
-    dimension aborts rather than rounding.
+    non-integral m, a wrong block count or a wrong block dimension aborts.
     """
     G = H.group
     HK = subgroup_intersection(H, K)
@@ -154,12 +154,12 @@ def _mackey_blocks(H: Subgroup, K: Subgroup, L: Subgroup):
     E = G.exponent
     span_rep = coset_space(G, span)
 
-    def key(*simples):
-        phases = (sum(S.character(t) for S in simples) % E for t in HKL.elements)
-        return span_rep[reduce(G.add, (S.rep for S in simples))], tuple(phases)
+    def key(*terms):
+        phases = (sum(S.character(t) for S in terms) % E for t in HKL.elements)
+        return span_rep[reduce(G.add, (S.rep for S in terms))], tuple(phases)
 
     blocks: dict[tuple, list[SimpleBimodule]] = {}
-    for Z in simple_bimodules(H, L):
+    for Z in simples:
         blocks.setdefault(key(Z), []).append(Z)
     # [G : H+K+L]·|H∩K∩L| blocks, each of dimension |H+K||K+L| / (m|K|)
     count, want = G.order // span.order * HKL.order, sum_HK.order * subgroup_sum(K, L).order
@@ -175,7 +175,8 @@ def _mackey_blocks(H: Subgroup, K: Subgroup, L: Subgroup):
 def fuse(S1: SimpleBimodule, S2: SimpleBimodule) -> dict[SimpleBimodule, int]:
     """The relative tensor product S1 ⊗_K S2: m times one block of ``_mackey_blocks``."""
     _composable(S1, S2)
-    mult, key, blocks = _mackey_blocks(S1.source, S1.target, S2.target)
+    H, L = S1.source, S2.target
+    mult, key, blocks = _mackey_blocks(H, S1.target, L, simple_bimodules(H, L))
     block = blocks.get(key(S1, S2))
     if block is None:
         raise InternalConsistencyError(f"{S1} ⊗ {S2} has no Mackey block")
@@ -204,14 +205,13 @@ class FusionTable:
 
 def fusion_table(G: FiniteAbelianGroup) -> FusionTable:
     """The full composition table; quadratic in the simple count."""
-    reps = subgroups(G)
     by_pair = simples_by_pair(G)
     simples = [s for pair in by_pair.values() for s in pair]
     index = {s: i for i, s in enumerate(simples)}
     products = {}
-    for P, Q, R in itertools.product(reps, repeat=3):
-        mult, key, blocks = _mackey_blocks(P, Q, R)
-        entries = {k: tuple(sorted((index[Z], mult) for Z in b)) for k, b in blocks.items()}
+    for P, Q, R in itertools.product(subgroups(G), repeat=3):
+        mult, key, blocks = _mackey_blocks(P, Q, R, by_pair[P, R])
+        entries = {k: tuple((index[Z], mult) for Z in b) for k, b in blocks.items()}
         for s1 in by_pair[P, Q]:
             for s2 in by_pair[Q, R]:
                 products[index[s1], index[s2]] = entries[key(s1, s2)]

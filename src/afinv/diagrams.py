@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import groupby
 
 from .bimodules import (
     SimpleBimodule,
@@ -347,15 +348,14 @@ def _check_fusion_consistency(inv: InvariantData) -> None:
     multiplier is skipped.  Each block is summed once per triple.
     """
     defined = {X: q for X, q in inv.morphisms if q is not None}
-    by_pair: dict[tuple, list] = {}
-    for X, q in defined.items():
-        by_pair.setdefault((X.source, X.target), []).append((X, q))
+    simples = {pair: list(g) for pair, g in groupby(inv.simples, lambda X: (X.source, X.target))}
+    by_pair = {pair: [(X, defined[X]) for X in g if X in defined] for pair, g in simples.items()}
     for (P, Q), lefts in by_pair.items():
         for R in inv.representatives:
-            rights = by_pair.get((Q, R))
-            if rights is None:
+            rights = by_pair[Q, R]
+            if not (lefts and rights):
                 continue
-            mult, key, blocks = _mackey_blocks(P, Q, R)
+            mult, key, blocks = _mackey_blocks(P, Q, R, simples[P, R])
             qs = {k: [defined.get(Z) for Z in block] for k, block in blocks.items()}
             totals = {k: mult * sum(v) for k, v in qs.items() if None not in v}
             for X, qx in lefts:

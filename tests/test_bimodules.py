@@ -276,6 +276,23 @@ def test_fusion_table_is_deterministic_and_consistent(z4):
             assert t1.simples[k].target == tgt
 
 
+def test_fusion_table_enumerates_each_pair_of_simples_once(monkeypatch):
+    real = bimodules.simple_bimodules
+    calls = []
+
+    def counted(H, K):
+        calls.append((H, K))
+        return real(H, K)
+
+    monkeypatch.setattr(bimodules, "simple_bimodules", counted)
+    table = fusion_table(make_group([2, 2, 2]))
+    # one enumeration per pair of the 16 subgroups; no triple enumerates again
+    assert len(calls) == 16**2
+    for terms in table.products.values():
+        indices = [k for k, _ in terms]
+        assert indices == sorted(set(indices))
+
+
 # memoized only to keep the Z/4 x Z/4 sweep short; the characters are the same
 _characters = functools.lru_cache(maxsize=None)(dual_characters)
 

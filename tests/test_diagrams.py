@@ -571,6 +571,22 @@ def test_consistency_check_fuses_no_pair(z4_invariants, two_level_diagram, monke
         _check_fusion_consistency(checked)
 
 
+def test_consistency_check_enumerates_no_simples(monkeypatch):
+    inv = compute_invariant(regular_action([2, 4]))
+    assert len(inv.simples) == len(inv.multipliers)
+    calls = []
+    real = bimodules.simple_bimodules
+
+    def counted(H, K):
+        calls.append((H, K))
+        return real(H, K)
+
+    monkeypatch.setattr(bimodules, "simple_bimodules", counted)
+    monkeypatch.setattr(diagrams, "simple_bimodules", counted)
+    _check_fusion_consistency(inv)
+    assert calls == []
+
+
 # ------------------------------------------------------------------ validation
 
 
