@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass
 from functools import reduce
 
 from .errors import (
@@ -29,7 +28,7 @@ from .groups import (
     Character,
     FiniteAbelianGroup,
     Subgroup,
-    _stored_hash,
+    _Value,
     coset_rep,
     coset_space,
     dual_characters,
@@ -62,8 +61,7 @@ def qsystems(G: FiniteAbelianGroup) -> list[Subgroup]:
     return subs
 
 
-@dataclass(frozen=True)
-class SimpleBimodule:
+class SimpleBimodule(_Value):
     """An irreducible source-target bimodule: (coset of H+K, character of H∩K).
 
     ``rep`` is the least member of the coset of H+K.
@@ -74,7 +72,13 @@ class SimpleBimodule:
     rep: tuple
     character: Character
 
-    __hash__ = _stored_hash
+    def __init__(
+        self, source: Subgroup, target: Subgroup, rep: tuple, character: Character
+    ) -> None:
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "rep", rep)
+        object.__setattr__(self, "character", character)
 
     @property
     def group(self) -> FiniteAbelianGroup:
@@ -183,14 +187,23 @@ def fuse(S1: SimpleBimodule, S2: SimpleBimodule) -> dict[SimpleBimodule, int]:
     return {Z: mult for Z in block}
 
 
-@dataclass(frozen=True)
-class FusionTable:
+class FusionTable(_Value):
     """All simple bimodules of a group with their pairwise compositions."""
 
     group: FiniteAbelianGroup
     simples: tuple[SimpleBimodule, ...]
     # keyed by (i, j) in ascending order
     products: dict[tuple[int, int], tuple[tuple[int, int], ...]]
+
+    def __init__(
+        self,
+        group: FiniteAbelianGroup,
+        simples: tuple[SimpleBimodule, ...],
+        products: dict[tuple[int, int], tuple[tuple[int, int], ...]],
+    ) -> None:
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "simples", simples)
+        object.__setattr__(self, "products", products)
 
     def product(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
         """Composition of simples i and j as ((index, multiplicity), ...)."""

@@ -19,12 +19,12 @@ bounded shift-equivalence diagnostics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bimodules import bimodule_label
 from .diagrams import InvariantData
 from .errors import InternalConsistencyError, InvalidInputError, ResourceLimitError
+from .groups import _Value
 from .k0 import (
     DirectSumForm,
     RankOneForm,
@@ -44,8 +44,7 @@ INEQUIVALENT = "inequivalent"
 UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(_Value):
     """A violated constraint, pinned to the object or bimodule where it fails."""
 
     kind: str  # rank | prime-set | constraint-inconsistency | unit-obstruction | pointed-obstruction
@@ -53,13 +52,30 @@ class Certificate:
     left: str
     right: str
 
+    def __init__(self, kind: str, at: str, left: str, right: str) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "at", at)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
-@dataclass(frozen=True)
-class Verdict:
+
+class Verdict(_Value):
     status: str
-    witness: tuple[tuple[str, Fraction], ...] | None = None
-    certificate: Certificate | None = None
-    reason: str | None = None
+    witness: tuple[tuple[str, Fraction], ...] | None
+    certificate: Certificate | None
+    reason: str | None
+
+    def __init__(
+        self,
+        status: str,
+        witness: tuple[tuple[str, Fraction], ...] | None = None,
+        certificate: Certificate | None = None,
+        reason: str | None = None,
+    ) -> None:
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "reason", reason)
 
     @property
     def exit_code(self) -> int:

@@ -9,13 +9,12 @@ against the categorical count elsewhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InternalConsistencyError, InvalidInputError
 from .groups import (
     Character,
     FiniteAbelianGroup,
     Subgroup,
+    _Value,
     coset_space,
     dual_characters,
 )
@@ -27,21 +26,36 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CrossedBlock:
+class CrossedBlock(_Value):
     """One matrix block M_size(C), tagged by its orbit and stabilizer character."""
 
     orbit_representative: tuple  # the least member of the orbit's first coset
     character: Character
     size: int
 
+    def __init__(self, orbit_representative: tuple, character: Character, size: int) -> None:
+        object.__setattr__(self, "orbit_representative", orbit_representative)
+        object.__setattr__(self, "character", character)
+        object.__setattr__(self, "size", size)
 
-@dataclass(frozen=True)
-class CrossedProductBlocks:
+
+class CrossedProductBlocks(_Value):
     group: FiniteAbelianGroup
     base: Subgroup  # K, so the base space is G/K
     acting: Subgroup  # H, acting by translation
     blocks: tuple[CrossedBlock, ...]
+
+    def __init__(
+        self,
+        group: FiniteAbelianGroup,
+        base: Subgroup,
+        acting: Subgroup,
+        blocks: tuple[CrossedBlock, ...],
+    ) -> None:
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "acting", acting)
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def k0_rank(self) -> int:

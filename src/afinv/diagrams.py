@@ -17,7 +17,6 @@ invariant computed here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import groupby
@@ -31,7 +30,7 @@ from .bimodules import (
     simples_by_pair,
 )
 from .errors import InternalConsistencyError, InvalidInputError
-from .groups import FiniteAbelianGroup, Subgroup, subgroups
+from .groups import FiniteAbelianGroup, Subgroup, _Value, subgroups
 from .k0 import (
     K0Description,
     RankOneForm,
@@ -60,18 +59,24 @@ def _fuse_cached(S1: SimpleBimodule, S2: SimpleBimodule) -> dict[SimpleBimodule,
     return fuse(S1, S2)
 
 
-@dataclass(frozen=True)
-class DiagramEdge:
+class DiagramEdge(_Value):
     """An edge between consecutive levels, labeled by a simple bimodule."""
 
     source: int  # vertex index at the lower level
     target: int  # vertex index at the upper level
     bimodule: SimpleBimodule
-    multiplicity: int = 1
+    multiplicity: int
+
+    def __init__(
+        self, source: int, target: int, bimodule: SimpleBimodule, multiplicity: int = 1
+    ) -> None:
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "bimodule", bimodule)
+        object.__setattr__(self, "multiplicity", multiplicity)
 
 
-@dataclass(frozen=True)
-class EnrichedBratteliDiagram:
+class EnrichedBratteliDiagram(_Value):
     """Explicit levels 0..m-1; the final edge block repeats at all later levels.
 
     ``edges[i]`` connects level i to level i+1 for i < m-1, and ``edges[m-1]``
@@ -85,7 +90,17 @@ class EnrichedBratteliDiagram:
     edges: tuple[tuple[DiagramEdge, ...], ...]
     generator_weights: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        group: FiniteAbelianGroup,
+        levels: tuple[tuple[Subgroup, ...], ...],
+        edges: tuple[tuple[DiagramEdge, ...], ...],
+        generator_weights: tuple[int, ...],
+    ) -> None:
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "generator_weights", generator_weights)
         if len(self.levels) == 0 or len(self.edges) != len(self.levels):
             raise InvalidInputError(
                 "need edge blocks for each level gap plus a repeating final block"
@@ -162,8 +177,7 @@ class EnrichedBratteliDiagram:
         return bases
 
 
-@dataclass(frozen=True)
-class InductiveSystem:
+class InductiveSystem(_Value):
     """A finite prefix of rectangular connecting matrices, then a stationary tail.
 
     ``object_diagram`` returns one for every diagram; a stationary diagram
@@ -172,6 +186,12 @@ class InductiveSystem:
 
     prefix: tuple[tuple[tuple[int, ...], ...], ...]
     tail: StationarySystem
+
+    def __init__(
+        self, prefix: tuple[tuple[tuple[int, ...], ...], ...], tail: StationarySystem
+    ) -> None:
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "tail", tail)
 
 
 def _fusion_matrix(row_basis, columns):
@@ -227,8 +247,7 @@ def morphism_matrices(d: EnrichedBratteliDiagram, X: SimpleBimodule):
     ]
 
 
-@dataclass(frozen=True)
-class InvariantData:
+class InvariantData(_Value):
     """The computed pointed invariant of a diagram, restricted to representatives.
 
     The group fixes everything but the values: ``objects`` and ``scales`` run
@@ -242,7 +261,19 @@ class InvariantData:
     multipliers: tuple[Fraction | None, ...]
     pointed: Fraction | tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        group: FiniteAbelianGroup,
+        objects: tuple[K0Description, ...],
+        scales: tuple[Fraction | None, ...],
+        multipliers: tuple[Fraction | None, ...],
+        pointed: Fraction | tuple[int, ...],
+    ) -> None:
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "objects", objects)
+        object.__setattr__(self, "scales", scales)
+        object.__setattr__(self, "multipliers", multipliers)
+        object.__setattr__(self, "pointed", pointed)
         for field, values, count, what in (
             ("objects", self.objects, len(self.labels), "Q-systems"),
             ("scales", self.scales, len(self.labels), "Q-systems"),

@@ -13,8 +13,8 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass, fields
 from functools import lru_cache
+from operator import attrgetter
 
 from .errors import InvalidInputError
 
@@ -35,24 +35,50 @@ __all__ = [
 Element = tuple  # alias for readability; elements are tuples of ints
 
 
-def _stored_hash(self) -> int:
-    """The generated dataclass hash, computed on first use and then stored.
+class _Value:
+    """A frozen value, equal and hashed by its annotated fields in order.
 
-    A class sets ``__hash__ = _stored_hash`` in its own body, since
-    ``dataclass`` replaces an inherited ``__hash__`` with the generated one.
-    The stored value spares every later dict and cache lookup a walk over
-    the nested element tuples.
+    A subclass annotates its fields and sets each one in its own
+    ``__init__`` through ``object.__setattr__``.  Two values are equal when
+    they have the same class and equal field tuples; the hash is the hash of
+    the field tuple, computed on first use and then stored, which spares
+    every later dict and cache lookup a walk over the nested element tuples.
+    Assigning or deleting an attribute raises ``AttributeError``.
     """
-    try:
-        return self._hash
-    except AttributeError:
-        h = hash(tuple(getattr(self, f.name) for f in fields(self) if f.compare))
-        object.__setattr__(self, "_hash", h)
-        return h
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.__match_args__ = names = tuple(cls.__annotations__)
+        get = attrgetter(*names)
+        # attrgetter of one name returns the bare value, not a 1-tuple
+        cls._fields = get if len(names) > 1 else staticmethod(lambda self: (get(self),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            # a tuple equals itself item by item through identity, so ``is`` decides the same
+            return self is other or self._fields(self) == self._fields(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self._fields(self))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
+class FiniteAbelianGroup(_Value):
     """A finite abelian group presented as a direct product of cyclic factors.
 
     >>> G = make_group([4])
@@ -64,7 +90,8 @@ class FiniteAbelianGroup:
 
     cyclic_factors: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, cyclic_factors: tuple[int, ...]) -> None:
+        object.__setattr__(self, "cyclic_factors", cyclic_factors)
         if any(not isinstance(n, int) or n < 1 for n in self.cyclic_factors):
             raise InvalidInputError(
                 f"cyclic factors must be positive integers, got {self.cyclic_factors!r}"
@@ -117,21 +144,20 @@ class FiniteAbelianGroup:
         return " x ".join(f"Z/{n}" for n in self.cyclic_factors)
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(_Value):
     """A subgroup, stored as its full sorted element tuple (always contains 0)."""
 
     group: FiniteAbelianGroup
     elements: tuple[Element, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_member_set", frozenset(self.elements))
-        if tuple(sorted(self.elements)) != self.elements:
+    def __init__(self, group: FiniteAbelianGroup, elements: tuple[Element, ...]) -> None:
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "_member_set", frozenset(elements))
+        if tuple(sorted(elements)) != elements:
             raise InvalidInputError("subgroup elements must be sorted and duplicate-free")
-        if self.group.zero() not in self._member_set:
+        if group.zero() not in self._member_set:
             raise InvalidInputError("subgroup must contain the identity")
-
-    __hash__ = _stored_hash
 
     @classmethod
     def generated(cls, group: FiniteAbelianGroup, generators) -> "Subgroup":
@@ -288,8 +314,7 @@ def subgroup_intersection(H: Subgroup, K: Subgroup) -> Subgroup:
     return Subgroup(H.group, common)
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(_Value):
     """A homomorphism from a subgroup to Q/Z, tabulated on sorted elements.
 
     ``values[i]`` is an integer v in [0, E), E the exponent of the ambient
@@ -301,12 +326,10 @@ class Character:
     domain: Subgroup
     values: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_table", dict(zip(self.domain.elements, self.values))
-        )
-
-    __hash__ = _stored_hash
+    def __init__(self, domain: Subgroup, values: tuple[int, ...]) -> None:
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_table", dict(zip(domain.elements, values)))
 
     def __call__(self, element: Element) -> int:
         return self._table[element]  # type: ignore[attr-defined]

@@ -16,12 +16,12 @@ elimination on A alone, never on a power of A; values are exact Fractions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import add, mul
 
 from .errors import InvalidInputError, ResourceLimitError
+from .groups import _Value
 
 __all__ = [
     "StationarySystem",
@@ -230,16 +230,16 @@ def _prime_factors(n: int) -> frozenset[int]:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class StationarySystem:
+class StationarySystem(_Value):
     """A square nonnegative integer connecting matrix, repeated at every level."""
 
     matrix: Matrix
-    labels: tuple[str, ...] | None = None
+    labels: tuple[str, ...] | None
 
-    def __post_init__(self) -> None:
-        M = _as_matrix(self.matrix)
+    def __init__(self, matrix: Matrix, labels: tuple[str, ...] | None = None) -> None:
+        M = _as_matrix(matrix)
         object.__setattr__(self, "matrix", M)
+        object.__setattr__(self, "labels", labels)
         if len(M) == 0 or any(len(row) != len(M) for row in M):
             raise InvalidInputError("stationary system needs a nonempty square matrix")
         if any(x < 0 for row in M for x in row):
@@ -248,14 +248,25 @@ class StationarySystem:
             raise InvalidInputError("label count does not match matrix size")
 
 
-@dataclass(frozen=True)
-class RankOneForm:
+class RankOneForm(_Value):
     """Eventual row space of A is Q*v with vA = eigenvalue*v; limit is r*Z[1/S]."""
 
     matrix: Matrix
     eigenvalue: int
     left_vector: tuple[int, ...]
     prime_set: frozenset[int]
+
+    def __init__(
+        self,
+        matrix: Matrix,
+        eigenvalue: int,
+        left_vector: tuple[int, ...],
+        prime_set: frozenset[int],
+    ) -> None:
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "eigenvalue", eigenvalue)
+        object.__setattr__(self, "left_vector", left_vector)
+        object.__setattr__(self, "prime_set", prime_set)
 
     @property
     def rank(self) -> int:
@@ -267,25 +278,37 @@ class RankOneForm:
         return Fraction(1, _strip_primes(sum(self.left_vector), self.prime_set))
 
 
-@dataclass(frozen=True)
-class DirectSumForm:
+class DirectSumForm(_Value):
     """A permutation-disjoint direct sum of rank-one blocks."""
 
     matrix: Matrix
     blocks: tuple[RankOneForm, ...]
     partition: tuple[tuple[int, ...], ...]
 
+    def __init__(
+        self,
+        matrix: Matrix,
+        blocks: tuple[RankOneForm, ...],
+        partition: tuple[tuple[int, ...], ...],
+    ) -> None:
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "partition", partition)
+
     @property
     def rank(self) -> int:
         return len(self.blocks)
 
 
-@dataclass(frozen=True)
-class OpaquePresentation:
+class OpaquePresentation(_Value):
     """No normal form found; the limit is presented by the matrix itself."""
 
     matrix: Matrix
     rank: int
+
+    def __init__(self, matrix: Matrix, rank: int) -> None:
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "rank", rank)
 
 
 K0Description = RankOneForm | DirectSumForm | OpaquePresentation

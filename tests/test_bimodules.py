@@ -5,7 +5,6 @@ left factors, columns right factors, cells are "+"-joined decompositions).
 Together they cover all 162 composable pairs of simples.
 """
 
-import dataclasses
 import functools
 import itertools
 import random
@@ -37,6 +36,7 @@ from afinv.groups import (
 )
 
 from fuse_oracle import coset_members, float_oracle_fuse
+from values import as_tuple, fields_of, is_value
 from z4_tables import ALL_TABLES, cell_multiset
 
 
@@ -227,9 +227,9 @@ def test_dimension_conservation_spot_checks(z4_simples):
 
 
 def rebuilt(x):
-    """A fresh copy of x: each dataclass and tuple inside it built anew from its fields."""
-    if dataclasses.is_dataclass(x):
-        return type(x)(**{f.name: rebuilt(getattr(x, f.name)) for f in dataclasses.fields(x)})
+    """A fresh copy of x: each value and tuple inside it built anew from its fields."""
+    if is_value(x):
+        return type(x)(**{name: rebuilt(v) for name, v in fields_of(x).items()})
     if isinstance(x, tuple):
         return tuple(rebuilt(y) for y in x)
     return x
@@ -247,7 +247,7 @@ def test_stored_hashes_agree_with_equality(factors):
     for x in objects:
         y = rebuilt(x)
         assert y is not x and y == x and hash(y) == hash(x)
-    distinct = {(type(x), dataclasses.astuple(x)) for x in objects}
+    distinct = {(type(x), as_tuple(x)) for x in objects}
     assert len(set(objects)) == len(distinct)
 
 

@@ -611,6 +611,25 @@ def test_cli_imports_only_the_standard_library():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_code_generation_modules():
+    # every request is a fresh process; dataclasses and the inspect, ast and
+    # dis modules it pulls in cost start-up time that no afinv path needs
+    src = os.path.dirname(os.path.dirname(os.path.abspath(afinv.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import afinv.cli, afinv.crossed\n"
+        "new = set(sys.modules) - before\n"
+        "print(sorted(new & {'dataclasses', 'inspect', 'ast', 'dis'}))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_group_order_bound(files, capsys):
     code, _, err = run(capsys, "qsystems", files["z4"], "--max-group-order", "3")
     assert code == 1

@@ -1,6 +1,5 @@
 """Verdicts, witnesses, and certificates for pairs of computed invariants."""
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -19,6 +18,7 @@ from afinv.diagrams import EnrichedBratteliDiagram, InvariantData, compute_invar
 from afinv.errors import InvalidInputError
 from afinv.groups import make_group
 from afinv.k0 import strip_primes
+from values import replace
 
 
 def _with_multiplier(inv, label_of, new_value):
@@ -29,7 +29,7 @@ def _with_multiplier(inv, label_of, new_value):
         new_value if bimodule_label(X) == label_of else q
         for X, q in inv.morphisms
     )
-    return dataclasses.replace(inv, multipliers=multipliers)
+    return replace(inv, multipliers=multipliers)
 
 
 # ------------------------------------------------------------ positive results
@@ -132,7 +132,7 @@ def test_zero_nonzero_multiplier_mismatch(z4_invariants):
 
 
 def test_pointed_obstruction(z4_invariants):
-    zeroed = dataclasses.replace(z4_invariants["F"], pointed=Fraction(0))
+    zeroed = replace(z4_invariants["F"], pointed=Fraction(0))
     verdict = compare(z4_invariants["F"], zeroed)
     assert verdict.status == INEQUIVALENT
     assert verdict.certificate.kind == "pointed-obstruction"
@@ -174,7 +174,7 @@ def test_disconnected_naturality_graph_is_unknown(z4_invariants):
     crossless = tuple(
         Fraction(0) if X.source != X.target else q for X, q in inv.morphisms
     )
-    silent = dataclasses.replace(inv, multipliers=crossless)
+    silent = replace(inv, multipliers=crossless)
     verdict = compare(silent, silent)
     assert verdict.status == UNKNOWN
     assert "Q2" in verdict.reason and "Q3" in verdict.reason
@@ -197,7 +197,7 @@ def test_different_groups_are_rejected(z4_invariants):
 
 def test_mismatched_bimodule_tables_are_rejected(z4_invariants):
     with pytest.raises(InvalidInputError, match="each of the 22 simple bimodules"):
-        dataclasses.replace(
+        replace(
             z4_invariants["G"], multipliers=z4_invariants["G"].multipliers[1:]
         )
 

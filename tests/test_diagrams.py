@@ -1,6 +1,5 @@
 """Enriched diagrams: object diagrams, morphism matrices, the pointed invariant."""
 
-import dataclasses
 import random
 import warnings
 from fractions import Fraction
@@ -37,6 +36,7 @@ from afinv.k0 import (
     strip_primes,
     value_map,
 )
+from values import replace
 
 FAMILY_ORDER = ("1-1", "1-2", "1-3", "2-1", "2-2", "2-3", "3-1", "3-2", "3-3")
 
@@ -159,7 +159,7 @@ def test_tampered_multipliers_are_caught(z4_invariants, z4_simples):
         Fraction(7) if X == z4_simples["M_{1-2,0}"] else q
         for X, q in inv.morphisms
     )
-    tampered = dataclasses.replace(inv, multipliers=bad)
+    tampered = replace(inv, multipliers=bad)
     with pytest.raises(InternalConsistencyError):
         _check_fusion_consistency(tampered)
 
@@ -388,7 +388,7 @@ def test_invariant_builds_each_level_basis_once(z4_diagrams, two_level_diagram, 
 
     monkeypatch.setattr(diagrams, "simple_bimodules", counting)
     for shared in (z4_diagrams["F"], z4_diagrams["G"], z4_diagrams["H"], two_level_diagram):
-        d = dataclasses.replace(shared)
+        d = replace(shared)
         asked.clear()
         compute_invariant(d)
         compute_invariant(d)
@@ -551,7 +551,7 @@ def test_consistency_routes_agree_on_every_single_tampered_multiplier(z4_invaria
         if q is None:
             continue
         bad = inv.multipliers[:k] + (Fraction(7),) + inv.multipliers[k + 1 :]
-        table = dataclasses.replace(inv, multipliers=bad)
+        table = replace(inv, multipliers=bad)
         verdict = _rejects(_check_fusion_consistency, table)
         assert verdict == _rejects(pairwise_fusion_consistency, table), bimodule_label(X)
         tampered += verdict
@@ -620,7 +620,7 @@ def test_homogeneous_weight_validation(z4_reps):
 def test_invariant_data_refuses_values_its_group_does_not_index(z4_invariants, change, message):
     inv = z4_invariants["F"]
     with pytest.raises(InvalidInputError, match=f"^{message}"):
-        dataclasses.replace(inv, **change(inv))
+        replace(inv, **change(inv))
 
 
 def test_edge_validation(z4, z4_reps, z4_simples):

@@ -1,0 +1,197 @@
+"""The contract of the frozen value types: fields, equality, hash, repr, immutability."""
+
+import pytest
+
+from afinv.bimodules import FusionTable, SimpleBimodule, fusion_table, simple_bimodules
+from afinv.compare import Certificate, Verdict, compare
+from afinv.crossed import CrossedBlock, CrossedProductBlocks, crossed_product_blocks
+from afinv.diagrams import (
+    DiagramEdge,
+    EnrichedBratteliDiagram,
+    InductiveSystem,
+    InvariantData,
+    compute_invariant,
+    object_diagram,
+)
+from afinv.groups import (
+    Character,
+    FiniteAbelianGroup,
+    Subgroup,
+    dual_characters,
+    make_group,
+    subgroups,
+)
+from afinv.k0 import (
+    DirectSumForm,
+    OpaquePresentation,
+    RankOneForm,
+    StationarySystem,
+    stationary_k0,
+)
+from values import fields_of, replace
+
+FIELDS = {
+    FiniteAbelianGroup: ("cyclic_factors",),
+    Subgroup: ("group", "elements"),
+    Character: ("domain", "values"),
+    SimpleBimodule: ("source", "target", "rep", "character"),
+    FusionTable: ("group", "simples", "products"),
+    Certificate: ("kind", "at", "left", "right"),
+    Verdict: ("status", "witness", "certificate", "reason"),
+    CrossedBlock: ("orbit_representative", "character", "size"),
+    CrossedProductBlocks: ("group", "base", "acting", "blocks"),
+    DiagramEdge: ("source", "target", "bimodule", "multiplicity"),
+    EnrichedBratteliDiagram: ("group", "levels", "edges", "generator_weights"),
+    InductiveSystem: ("prefix", "tail"),
+    InvariantData: ("group", "objects", "scales", "multipliers", "pointed"),
+    StationarySystem: ("matrix", "labels"),
+    RankOneForm: ("matrix", "eigenvalue", "left_vector", "prime_set"),
+    DirectSumForm: ("matrix", "blocks", "partition"),
+    OpaquePresentation: ("matrix", "rank"),
+}
+
+
+@pytest.fixture(scope="module")
+def examples():
+    """One value of each of the 17 types, keyed by type."""
+    G = make_group([2, 4])
+    trivial, H = subgroups(G)[0], subgroups(G)[1]
+    S = simple_bimodules(H, trivial)[1]
+    edge = {s: 1 for s in simple_bimodules(trivial, trivial)[:2]}
+    d = EnrichedBratteliDiagram.homogeneous(trivial, edge)
+    inv = compute_invariant(d)
+    crossed = crossed_product_blocks(G, trivial, H)
+    certificate = Certificate("rank", "Q1", "1", "2")
+    out = [
+        G,
+        H,
+        dual_characters(H)[1],
+        S,
+        fusion_table(make_group(2)),
+        certificate,
+        Verdict("inequivalent", certificate=certificate),
+        crossed.blocks[0],
+        crossed,
+        DiagramEdge(0, 0, S, 2),
+        d,
+        object_diagram(d, trivial),
+        inv,
+        StationarySystem(((1, 1), (1, 0)), ("a", "b")),
+        stationary_k0(StationarySystem(((2,),))),
+        stationary_k0(StationarySystem(((1, 0), (0, 2)))),
+        stationary_k0(StationarySystem(((1, 1), (1, 0)))),
+    ]
+    assert [type(x) for x in out] == list(FIELDS)
+    return {type(x): x for x in out}
+
+
+def test_each_type_lists_its_fields_in_order(examples):
+    assert len(FIELDS) == 17
+    for cls, names in FIELDS.items():
+        assert cls.__match_args__ == names
+        assert tuple(fields_of(examples[cls])) == names
+
+
+def test_a_rebuilt_value_is_equal_and_hashes_as_its_field_tuple(examples):
+    for cls, x in examples.items():
+        y = replace(x)
+        assert y is not x and y == x and not y != x
+        if cls is FusionTable:
+            continue
+        assert hash(x) == hash(y) == hash(tuple(fields_of(x).values()))
+
+
+def test_a_changed_field_makes_an_unequal_value(examples):
+    G = examples[FiniteAbelianGroup]
+    assert replace(G, cyclic_factors=(4, 2)) != G
+    S = examples[SimpleBimodule]
+    assert replace(S, rep=(1, 1)) != S
+    assert replace(examples[Verdict], reason="other") != examples[Verdict]
+
+
+def test_values_of_different_classes_are_never_equal(examples):
+    for cls, x in examples.items():
+        as_tuple = tuple(fields_of(x).values())
+        assert x != as_tuple and as_tuple != x
+        assert x.__eq__(as_tuple) is NotImplemented
+        for other, y in examples.items():
+            if other is not cls:
+                assert x != y and not x == y
+    # equal fields in two classes are still two values
+    M = ((1, 1), (1, 0))
+    assert OpaquePresentation(M, 2) != StationarySystem(M, None)
+
+
+def test_values_refuse_assignment_and_deletion(examples):
+    for cls, x in examples.items():
+        before = fields_of(x)
+        for name in (*FIELDS[cls], "extra"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, None)
+        for name in FIELDS[cls]:
+            with pytest.raises(AttributeError):
+                delattr(x, name)
+        assert fields_of(x) == before and not hasattr(x, "extra")
+
+
+def test_fusion_table_stays_unhashable(examples):
+    with pytest.raises(TypeError):
+        hash(examples[FusionTable])
+
+
+def test_pinned_reprs(examples):
+    assert repr(make_group([2, 4])) == "FiniteAbelianGroup(cyclic_factors=(2, 4))"
+    assert repr(subgroups(make_group(2))[0]) == (
+        "Subgroup(group=FiniteAbelianGroup(cyclic_factors=(2,)), elements=((0,),))"
+    )
+    assert repr(examples[Verdict]) == (
+        "Verdict(status='inequivalent', witness=None, "
+        "certificate=Certificate(kind='rank', at='Q1', left='1', right='2'), reason=None)"
+    )
+    assert repr(examples[RankOneForm]) == (
+        "RankOneForm(matrix=((2,),), eigenvalue=2, left_vector=(1,), prime_set=frozenset({2}))"
+    )
+    assert repr(examples[OpaquePresentation]) == (
+        "OpaquePresentation(matrix=((1, 1), (1, 0)), rank=2)"
+    )
+    assert repr(examples[StationarySystem]) == (
+        "StationarySystem(matrix=((1, 1), (1, 0)), labels=('a', 'b'))"
+    )
+    S = examples[SimpleBimodule]
+    assert repr(DiagramEdge(0, 1, S)) == (
+        f"DiagramEdge(source=0, target=1, bimodule={S!r}, multiplicity=1)"
+    )
+
+
+def test_defaults_and_keywords(examples):
+    S = examples[SimpleBimodule]
+    assert DiagramEdge(0, 0, S).multiplicity == 1
+    assert DiagramEdge(source=0, target=0, bimodule=S, multiplicity=3).multiplicity == 3
+    v = Verdict("equivalent")
+    assert (v.status, v.witness, v.certificate, v.reason) == ("equivalent", None, None, None)
+    assert v.exit_code == 0 and v.witness_map() is None
+    assert Verdict(status="unknown", reason="r").exit_code == 4
+    assert StationarySystem([[2]]).labels is None
+    assert StationarySystem(matrix=[[2]]).matrix == ((2,),)
+    assert Certificate(kind="rank", at="Q1", left="1", right="2") == examples[Certificate]
+
+
+def test_values_match_by_position_and_keyword(examples):
+    match examples[Verdict]:
+        case Verdict("inequivalent", None, Certificate(kind=kind)):
+            assert kind == "rank"
+        case _:
+            pytest.fail("the verdict did not match its fields")
+
+
+def test_invariant_data_keeps_its_cached_properties(examples):
+    inv = examples[InvariantData]
+    assert inv.labels == ("Q1", "Q2", "Q3", "Q4", "Q5", "Q6", "Q7", "Q8")
+    assert inv.labels is inv.labels
+    assert inv.representatives == tuple(subgroups(inv.group))
+    assert len(inv.simples) == len(inv.multipliers)
+    assert inv.morphisms is inv.morphisms
+    copy = replace(inv)
+    assert copy == inv and hash(copy) == hash(inv)
+    assert compare(inv, copy).status == compare(inv, inv).status
+
