@@ -9,8 +9,10 @@ for module categories over Vec_G (Ostrik's (H, ψ) classification, untwisted
 abelian case), in integers only: character phases are integers mod the
 exponent of G.  ``fuse``, ``fusion_table`` and the fusion check of
 ``afinv.diagrams`` read one block table per subgroup triple (``_mackey_blocks``)
-over the simples the caller holds, so each call enumerates them once.  The
-tests compare it with an independent float trace over explicit induced modules.
+over the simples the caller holds.  Each pair's simples are built once per
+group, in the group's lattice index, so every layer holds the same objects.
+The tests compare it with an independent float trace over explicit induced
+modules.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .groups import (
     FiniteAbelianGroup,
     Subgroup,
     _Value,
+    _lattice_index,
     coset_rep,
     coset_space,
     dual_characters,
@@ -94,12 +97,25 @@ class SimpleBimodule(_Value):
 
 
 def simple_bimodules(H: Subgroup, K: Subgroup) -> list[SimpleBimodule]:
-    """All simple H-K bimodules, ordered by (coset rep, character index)."""
+    """All simple H-K bimodules, ordered by (coset rep, character index).
+
+    Each pair's simples are built once, kept in the lattice index of the
+    group, and listed afresh by every call, so every caller holds the same
+    objects.
+    """
     if H.group != K.group:
         raise InvalidInputError("Q-systems live over different groups")
+    index = _lattice_index(H.group)
+    simples = index.simples.get((H, K))
+    if simples is None:
+        simples = index.simples[H, K] = _enumerate_simples(index.member(H), index.member(K))
+    return list(simples)
+
+
+def _enumerate_simples(H: Subgroup, K: Subgroup) -> tuple[SimpleBimodule, ...]:
     reps = dict.fromkeys(coset_space(H.group, subgroup_sum(H, K)).values())
     chars = dual_characters(subgroup_intersection(H, K))
-    return [SimpleBimodule(H, K, rep, char) for rep in reps for char in chars]
+    return tuple(SimpleBimodule(H, K, rep, char) for rep in reps for char in chars)
 
 
 def simples_by_pair(G: FiniteAbelianGroup) -> dict[tuple, list[SimpleBimodule]]:
@@ -245,9 +261,9 @@ def bimodule_label(S: SimpleBimodule) -> str:
     part is omitted when the stabilizer H∩K is trivial.
     """
     G = S.group
-    subs = subgroups(G)
-    i = subs.index(S.source) + 1
-    j = subs.index(S.target) + 1
+    position = _lattice_index(G).position
+    i = position[S.source] + 1
+    j = position[S.target] + 1
     I = S.character.domain  # H∩K
     name = f"M_{{{i}-{j}"
     if S.dimension < G.order:  # more than one coset of H+K

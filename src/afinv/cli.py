@@ -16,6 +16,7 @@ the library functions take no bounds.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import warnings
@@ -39,7 +40,7 @@ from .errors import (
 )
 from .k0 import DirectSumForm, RankOneForm, stationary_k0
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 # The group-order bounds the CLI admits by default.  A fusion table is
 # quadratic in the simple count, so it gets the smaller one.
@@ -403,5 +404,19 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> None:
+    """The ``afinv`` process: run ``main`` and exit with its code.
+
+    Freezing every live object first spares the interpreter the full
+    collections of its shutdown, which would only walk objects about to be
+    freed.  ``main`` itself freezes nothing, so an in-process caller keeps
+    collecting its own garbage.  An exception, ``SystemExit`` from argparse
+    included, leaves as it leaves ``main``.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -5,12 +5,13 @@ length ``r`` with ``0 <= a_i < n_i``.  Characters take values in Q/Z; every
 such value is a multiple of 1/E, E the exponent of the group, so a character
 is stored as a table of integers v in ``[0, E)``, each standing for the phase
 v/E.  No floats appear anywhere in this module.  A coset x + D is named by
-its lexicographically least member.
+its lexicographically least member.  Each group's lattice, and the sums,
+intersections, coset maps and characters of its subgroups, are built once and
+kept in one lattice index per group.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from functools import lru_cache
@@ -249,8 +250,37 @@ def _cyclic_generators(group: FiniteAbelianGroup) -> list[Element]:
     return gens
 
 
-@lru_cache(maxsize=None)
-def _subgroups_cached(group: FiniteAbelianGroup) -> tuple[Subgroup, ...]:
+class _LatticeIndex:
+    """The subgroup lattice of one group, and the data read off it.
+
+    ``subgroups`` and ``position`` are built with the index; every other
+    table is filled on first use and then shared: ``sums[H, K]`` and
+    ``meets[H, K]`` are lattice members, ``coset_maps[D]`` is one
+    ``coset_space`` map and ``characters[H]`` one tuple of characters per
+    subgroup, and ``simples[H, K]`` is the slot where ``afinv.bimodules``
+    keeps each pair's simples.  The public functions return fresh containers
+    of these objects, so a caller may change what it gets without touching
+    the index.
+    """
+
+    def __init__(self, group: FiniteAbelianGroup) -> None:
+        self.subgroups = _enumerate_subgroups(group)
+        self.position = {H: i for i, H in enumerate(self.subgroups)}
+        self.sums: dict[tuple[Subgroup, Subgroup], Subgroup] = {}
+        self.meets: dict[tuple[Subgroup, Subgroup], Subgroup] = {}
+        self.coset_maps: dict[Subgroup, dict[Element, Element]] = {}
+        self.characters: dict[Subgroup, tuple[Character, ...]] = {}
+        self.simples: dict[tuple[Subgroup, Subgroup], tuple] = {}
+
+    def member(self, H: Subgroup) -> Subgroup:
+        """The member of the lattice equal to H."""
+        try:
+            return self.subgroups[self.position[H]]
+        except KeyError:
+            raise InvalidInputError(f"{H} is not a subgroup of {H.group}") from None
+
+
+def _enumerate_subgroups(group: FiniteAbelianGroup) -> tuple[Subgroup, ...]:
     # Every subgroup of a finite abelian group is a join of cyclic subgroups,
     # so closing {0} under H -> H + <g> reaches the whole lattice.
     gens = _cyclic_generators(group)
@@ -271,13 +301,25 @@ def _subgroups_cached(group: FiniteAbelianGroup) -> tuple[Subgroup, ...]:
     return tuple(sorted(found, key=Subgroup.sort_key))
 
 
+@lru_cache(maxsize=None)
+def _lattice_index(group: FiniteAbelianGroup) -> _LatticeIndex:
+    """The one lattice index of ``group``."""
+    return _LatticeIndex(group)
+
+
+def _common_index(H: Subgroup, K: Subgroup) -> _LatticeIndex:
+    if H.group != K.group:
+        raise InvalidInputError("subgroups live in different groups")
+    return _lattice_index(H.group)
+
+
 def subgroups(group: FiniteAbelianGroup) -> list[Subgroup]:
     """All subgroups, sorted by (order, element list); the trivial one is first.
 
     >>> [H.order for H in subgroups(make_group([4]))]
     [1, 2, 4]
     """
-    return list(_subgroups_cached(group))
+    return list(_lattice_index(group).subgroups)
 
 
 def lattice_member(H: Subgroup) -> Subgroup:
@@ -287,31 +329,30 @@ def lattice_member(H: Subgroup) -> Subgroup:
     the lattice enumeration holds, so comparisons and dict lookups among them
     stop at identity.
     """
-    lattice = _subgroups_cached(H.group)
-    return lattice[bisect.bisect_left(lattice, H.sort_key(), key=Subgroup.sort_key)]
+    return _lattice_index(H.group).member(H)
 
 
 def subgroup_sum(H: Subgroup, K: Subgroup) -> Subgroup:
-    """The subgroup H + K."""
-    if H.group != K.group:
-        raise InvalidInputError("subgroups live in different groups")
-    joined = set(H.elements)
-    for k in K.elements:
-        if k not in joined:
-            joined = _join(H.group, joined, k)
-    return Subgroup(H.group, tuple(sorted(joined)))
+    """The subgroup H + K, as the member of ``subgroups(H.group)``."""
+    index = _common_index(H, K)
+    got = index.sums.get((H, K))
+    if got is None:
+        joined = set(H.elements)
+        for k in K.elements:
+            if k not in joined:
+                joined = _join(H.group, joined, k)
+        got = index.sums[H, K] = index.member(Subgroup(H.group, tuple(sorted(joined))))
+    return got
 
 
 def subgroup_intersection(H: Subgroup, K: Subgroup) -> Subgroup:
-    """The subgroup H∩K: H or K itself when it lies in the other."""
-    if H.group != K.group:
-        raise InvalidInputError("subgroups live in different groups")
-    common = tuple(e for e in H.elements if K.contains(e))
-    if len(common) == H.order:
-        return H
-    if len(common) == K.order:
-        return K
-    return Subgroup(H.group, common)
+    """The subgroup H∩K, as the member of ``subgroups(H.group)``."""
+    index = _common_index(H, K)
+    got = index.meets.get((H, K))
+    if got is None:
+        common = tuple(e for e in H.elements if K.contains(e))
+        got = index.meets[H, K] = index.member(Subgroup(H.group, common))
+    return got
 
 
 class Character(_Value):
@@ -347,12 +388,21 @@ def dual_characters(H: Subgroup) -> list[Character]:
     them.  Those restrictions form the group spanned by the r coordinate
     tables e -> e_i * (E / n_i) mod E, E the exponent of G, so the tables are
     found by closing {0} under adding each coordinate table: |Ĥ|·r·|H|
-    additions at most.
+    additions at most.  They are found once per subgroup, with the lattice
+    member as their domain, and every call lists those same objects.
 
     >>> H = Subgroup.generated(make_group([4]), [(2,)])
     >>> [chi.values for chi in dual_characters(H)]
     [(0, 0), (0, 2)]
     """
+    index = _lattice_index(H.group)
+    chars = index.characters.get(H)
+    if chars is None:
+        chars = index.characters[H] = _characters_of(index.member(H))
+    return list(chars)
+
+
+def _characters_of(H: Subgroup) -> tuple[Character, ...]:
     G = H.group
     E = G.exponent
     tables = {(0,) * H.order}
@@ -366,17 +416,26 @@ def dual_characters(H: Subgroup) -> list[Character]:
             tables |= frontier
     if len(tables) != H.order:
         raise InvalidInputError(f"expected {H.order} characters, found {len(tables)}")
-    return [Character(H, t) for t in sorted(tables)]
+    return tuple(Character(H, t) for t in sorted(tables))
 
 
 def coset_space(group: FiniteAbelianGroup, D: Subgroup) -> dict[Element, Element]:
     """Each element of the group mapped to the least member of its coset of D.
 
     The cosets are met in lexicographic order, so the distinct values first
-    appear in ascending order.
+    appear in ascending order.  The map is built once per subgroup; each call
+    returns a copy.
     """
     if D.group != group:
         raise InvalidInputError("subgroup does not live in the given group")
+    index = _lattice_index(group)
+    rep_of = index.coset_maps.get(D)
+    if rep_of is None:
+        rep_of = index.coset_maps[D] = _coset_map(group, D)
+    return dict(rep_of)
+
+
+def _coset_map(group: FiniteAbelianGroup, D: Subgroup) -> dict[Element, Element]:
     rep_of: dict[Element, Element] = {}
     for x in group.elements():  # lex order, so the first unseen member is the rep
         if x not in rep_of:

@@ -17,7 +17,14 @@ import json
 import re
 from fractions import Fraction
 
-from .bimodules import FusionTable, SimpleBimodule, bimodule_label, fusion_table, simples_by_pair
+from .bimodules import (
+    FusionTable,
+    SimpleBimodule,
+    bimodule_label,
+    fusion_table,
+    simple_bimodules,
+    simples_by_pair,
+)
 from .compare import EQUIVALENT, INEQUIVALENT, UNKNOWN, Certificate, Verdict
 from .diagrams import DiagramEdge, EnrichedBratteliDiagram, InvariantData
 from .errors import InvalidInputError
@@ -231,13 +238,18 @@ def bimodule_to_json(S: SimpleBimodule) -> dict:
 
 
 def bimodule_from_json(G: FiniteAbelianGroup, doc) -> SimpleBimodule:
+    """The simple the document names, as the equal member of ``simple_bimodules``.
+
+    So a parsed edge and the simples every layer enumerates are one object.
+    """
     H = subgroup_from_json(G, {"generators": _expect(doc, "source_generators", list)})
     K = subgroup_from_json(G, {"generators": _expect(doc, "target_generators", list)})
     rep = coset_rep(G, subgroup_sum(H, K), _element(G, _expect(doc, "coset_rep", list)))
     chi = character_from_json(
         subgroup_intersection(H, K), _expect(doc, "character", dict)
     )
-    return SimpleBimodule(H, K, rep, chi)
+    simples = simple_bimodules(H, K)
+    return simples[simples.index(SimpleBimodule(H, K, rep, chi))]
 
 
 # -- fusion tables ----------------------------------------------------------

@@ -1,7 +1,9 @@
+import functools
 import warnings
 
 import pytest
 
+from afinv import bimodules, groups
 from afinv.bimodules import CompletenessWarning, qsystems, simple_bimodules
 from afinv.diagrams import DiagramEdge, EnrichedBratteliDiagram, compute_invariant
 from afinv.groups import make_group
@@ -14,6 +16,14 @@ def _quiet_completeness():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CompletenessWarning)
         yield
+
+
+@pytest.fixture()
+def fresh_lattice_index(monkeypatch):
+    """An empty lattice index cache for one test, so the builds it makes can be counted."""
+    fresh = functools.lru_cache(maxsize=None)(groups._lattice_index.__wrapped__)
+    for module in (groups, bimodules):
+        monkeypatch.setattr(module, "_lattice_index", fresh)
 
 
 @pytest.fixture(scope="session")

@@ -359,6 +359,27 @@ def test_fusion_table_matches_pairwise_mackey_rule(factors):
     assert tuple(table.products.items()) == expected
 
 
+def test_simple_bimodules_are_shared_in_fresh_lists():
+    subs = subgroups(make_group([2, 4]))
+    for P in subs:
+        for Q in subs:
+            first, second = simple_bimodules(P, Q), simple_bimodules(P, Q)
+            assert first == second and all(a is b for a, b in zip(first, second))
+            assert all(S.source is P and S.target is Q for S in first)
+            del first[-1]
+            assert simple_bimodules(P, Q) == second
+
+
+@pytest.mark.parametrize("factors", [[4], [2, 4], [2, 2]], ids=str)
+def test_fuse_returns_the_enumerated_simples(factors):
+    subs = subgroups(make_group(factors))
+    for H, K, L in itertools.product(subs, repeat=3):
+        targets = {id(Z) for Z in simple_bimodules(H, L)}
+        for S1 in simple_bimodules(H, K):
+            for S2 in simple_bimodules(K, L):
+                assert all(id(Z) in targets for Z in fuse(S1, S2))
+
+
 @pytest.mark.parametrize("drop", [0, -1])
 def test_fuse_with_a_missing_simple_is_an_internal_error(z4_simples, drop, monkeypatch):
     real = bimodules.simple_bimodules

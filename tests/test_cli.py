@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, run in-process through main(argv)."""
 
+import gc
 import io
 import json
 import os
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 
 import afinv
+from afinv import cli
 from afinv.bimodules import identity_bimodule, qsystems, simple_bimodules
 from afinv.cli import main
 from afinv.diagrams import DiagramEdge, EnrichedBratteliDiagram
@@ -707,6 +709,49 @@ def test_help_exits_zero():
     proc = run_process("--help")
     assert proc.returncode == 0
     assert "usage: afinv" in proc.stdout
+
+
+PYPROJECT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "pyproject.toml")
+
+
+def test_console_script_runs_the_function_of_the_main_block():
+    # a regex, not tomllib, so that the test runs on Python 3.10 too
+    with open(PYPROJECT, encoding="utf-8") as fh:
+        scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", fh.read(), re.M | re.S)
+    target = re.search(r'^afinv\s*=\s*"afinv\.cli:(\w+)"\s*$', scripts.group(1), re.M)
+    with open(cli.__file__, encoding="utf-8") as fh:
+        block = re.search(r'^if __name__ == "__main__":\n    (\w+)\(\)\n\Z', fh.read(), re.M)
+    assert target and block and target.group(1) == block.group(1)
+    assert callable(getattr(cli, target.group(1)))
+
+
+def test_in_process_main_freezes_no_objects(files, capsys):
+    before = gc.get_freeze_count()
+    code, _, _ = run(capsys, "invariant", files["F"])
+    assert code == 0 and gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["invariant", "F"], id="exit-0"),
+        pytest.param(["qsystems", "missing"], id="exit-1"),
+        pytest.param(["compare", "E", "F"], id="exit-3"),
+        pytest.param(["compare", "E", "E"], id="exit-4"),
+        pytest.param(["--help"], id="help"),
+    ],
+)
+def test_process_matches_in_process_main(argv, files, capsys, monkeypatch):
+    # argparse wraps help to the terminal width, so fix it for both runs
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [files.get(a, a) for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    proc = run_process(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
 
 
 def test_stdin_input(files, capsys, monkeypatch, z4):

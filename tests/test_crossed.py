@@ -6,9 +6,11 @@ the categorical simple count is a genuine cross-check of both routes.
 """
 
 import pathlib
+from collections import Counter
 
 import pytest
 
+from afinv import groups
 from afinv.bimodules import simple_bimodules
 from afinv.crossed import crossed_product_blocks
 from afinv.errors import InvalidInputError
@@ -100,6 +102,23 @@ def test_regular_blocks_need_no_generated_closure(monkeypatch):
     result = crossed_product_blocks(G, full, full)
     assert result.k0_rank == 127
     assert all(b.size == 1 for b in result.blocks)
+
+
+def test_all_pairs_build_one_coset_map_per_subgroup(fresh_lattice_index, monkeypatch):
+    built = Counter()
+    real = groups._coset_map
+
+    def counted(G, D):
+        built[D] += 1
+        return real(G, D)
+
+    monkeypatch.setattr(groups, "_coset_map", counted)
+    G = make_group([2, 2, 2])
+    subs = subgroups(G)
+    for K in subs:
+        for H in subs:
+            crossed_product_blocks(G, K, H)
+    assert set(built) == set(subs) and set(built.values()) == {1}
 
 
 def test_foreign_subgroups_are_rejected():

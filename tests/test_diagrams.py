@@ -2,12 +2,13 @@
 
 import random
 import warnings
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
-from afinv import bimodules, diagrams, k0
+from afinv import bimodules, diagrams, groups, k0
 from afinv.bimodules import (
     CompletenessWarning,
     bimodule_label,
@@ -569,6 +570,29 @@ def test_consistency_check_fuses_no_pair(z4_invariants, two_level_diagram, monke
     monkeypatch.setattr(diagrams, "_fuse_cached", refuse)
     for checked in (*z4_invariants.values(), inv):
         _check_fusion_consistency(checked)
+
+
+def test_invariant_builds_each_pair_of_simples_and_coset_map_at_most_once(
+    fresh_lattice_index, monkeypatch
+):
+    pairs, maps = Counter(), Counter()
+    real_simples, real_map = bimodules._enumerate_simples, groups._coset_map
+
+    def counted_simples(H, K):
+        pairs[H, K] += 1
+        return real_simples(H, K)
+
+    def counted_map(G, D):
+        maps[D] += 1
+        return real_map(G, D)
+
+    monkeypatch.setattr(bimodules, "_enumerate_simples", counted_simples)
+    monkeypatch.setattr(groups, "_coset_map", counted_map)
+    inv = compute_invariant(regular_action([2, 2, 2]))
+    assert len(inv.simples) == len(inv.multipliers)
+    # the multiplier loop, the level bases and InvariantData.simples share one build per pair
+    assert len(pairs) == 16**2 and set(pairs.values()) == {1}
+    assert set(maps.values()) == {1}
 
 
 def test_consistency_check_enumerates_no_simples(monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 from afinv.errors import InvalidInputError
 from afinv.groups import (
     Subgroup,
-    _subgroups_cached,
+    _lattice_index,
     coset_rep,
     coset_space,
     dual_characters,
@@ -92,7 +92,7 @@ def test_subgroup_enumeration_builds_no_generated_closure(monkeypatch):
 
     monkeypatch.setattr(Subgroup, "generated", classmethod(refuse))
     # bypass the cache, so the enumeration really runs under the patch
-    assert len(_subgroups_cached.__wrapped__(make_group([2, 2, 4]))) == 27
+    assert len(_lattice_index.__wrapped__(make_group([2, 2, 4])).subgroups) == 27
 
 
 def test_subgroups_sorted_by_order_then_elements():
@@ -239,6 +239,40 @@ def test_coset_space_partitions_group(factors):
             assert rep == members[0]
             assert all(rep_of[y] == rep for y in members)
             assert coset_rep(G, H, x) == rep
+
+
+@pytest.mark.parametrize("factors", [[12], [2, 4], [2, 2, 2]], ids=["Z12", "Z2xZ4", "Z2^3"])
+def test_sums_and_intersections_are_the_lattice_members(factors):
+    G = make_group(factors)
+    subs = subgroups(G)
+    # equal copies outside the lattice give the same members as the members do
+    copies = [Subgroup.generated(G, H.minimal_generators()) for H in subs]
+    for operands in (subs, copies):
+        for H in operands:
+            for K in operands:
+                S, I = subgroup_sum(H, K), subgroup_intersection(H, K)
+                assert S is lattice_member(S) and I is lattice_member(I)
+                assert set(S.elements) == {G.add(h, k) for h in H.elements for k in K.elements}
+                assert set(I.elements) == set(H.elements) & set(K.elements)
+
+
+def test_characters_and_coset_maps_are_shared_in_fresh_containers():
+    G = make_group([2, 4])
+    for H in subgroups(G):
+        first, second = dual_characters(H), dual_characters(H)
+        assert first == second and all(a is b for a, b in zip(first, second))
+        assert all(chi.domain is H for chi in first)
+        del first[0]
+        assert dual_characters(H) == second
+        rep_of = coset_space(G, H)
+        rep_of.clear()
+        assert len(coset_space(G, H)) == G.order
+
+
+def test_a_set_that_is_no_subgroup_is_refused():
+    G = make_group(4)
+    with pytest.raises(InvalidInputError):
+        lattice_member(Subgroup(G, ((0,), (1,))))
 
 
 def test_sum_and_intersection():
