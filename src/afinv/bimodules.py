@@ -75,14 +75,6 @@ class SimpleBimodule(_Value):
     rep: tuple
     character: Character
 
-    def __init__(
-        self, source: Subgroup, target: Subgroup, rep: tuple, character: Character
-    ) -> None:
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "rep", rep)
-        object.__setattr__(self, "character", character)
-
     @property
     def group(self) -> FiniteAbelianGroup:
         return self.source.group
@@ -210,16 +202,6 @@ class FusionTable(_Value):
     simples: tuple[SimpleBimodule, ...]
     # keyed by (i, j) in ascending order
     products: dict[tuple[int, int], tuple[tuple[int, int], ...]]
-
-    def __init__(
-        self,
-        group: FiniteAbelianGroup,
-        simples: tuple[SimpleBimodule, ...],
-        products: dict[tuple[int, int], tuple[tuple[int, int], ...]],
-    ) -> None:
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "simples", simples)
-        object.__setattr__(self, "products", products)
 
     def product(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
         """Composition of simples i and j as ((index, multiplicity), ...)."""

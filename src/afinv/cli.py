@@ -29,7 +29,7 @@ from .bimodules import (
     simple_bimodules,
     simples_by_pair,
 )
-from .compare import compare
+from .compare import _check_preconditions, compare
 from .crossed import crossed_product_blocks
 from .diagrams import compute_invariant
 from .errors import (
@@ -228,8 +228,10 @@ def _cmd_invariant(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    inv1 = compute_invariant(_load_diagram(args, args.first))
-    inv2 = compute_invariant(_load_diagram(args, args.second))
+    # Refuse a bad second document or a second group before either invariant is computed.
+    d1, d2 = _load_diagram(args, args.first), _load_diagram(args, args.second)
+    _check_preconditions(d1, d2)
+    inv1, inv2 = compute_invariant(d1), compute_invariant(d2)
     verdict = compare(inv1, inv2, se_lag=args.se_lag, se_entries=args.se_entries)
     doc = ser.verdict_to_json(verdict)
     lines = [f"verdict: {verdict.status}"]

@@ -42,40 +42,29 @@ __all__ = [
 EQUIVALENT = "equivalent"
 INEQUIVALENT = "inequivalent"
 UNKNOWN = "unknown"
+CERTIFICATE_KINDS = (
+    "rank",
+    "prime-set",
+    "constraint-inconsistency",
+    "unit-obstruction",
+    "pointed-obstruction",
+)
 
 
 class Certificate(_Value):
     """A violated constraint, pinned to the object or bimodule where it fails."""
 
-    kind: str  # rank | prime-set | constraint-inconsistency | unit-obstruction | pointed-obstruction
+    kind: str  # one of CERTIFICATE_KINDS
     at: str
     left: str
     right: str
 
-    def __init__(self, kind: str, at: str, left: str, right: str) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "at", at)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
 
 class Verdict(_Value):
     status: str
-    witness: tuple[tuple[str, Fraction], ...] | None
-    certificate: Certificate | None
-    reason: str | None
-
-    def __init__(
-        self,
-        status: str,
-        witness: tuple[tuple[str, Fraction], ...] | None = None,
-        certificate: Certificate | None = None,
-        reason: str | None = None,
-    ) -> None:
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "certificate", certificate)
-        object.__setattr__(self, "reason", reason)
+    witness: tuple[tuple[str, Fraction], ...] | None = None
+    certificate: Certificate | None = None
+    reason: str | None = None
 
     @property
     def exit_code(self) -> int:
@@ -98,8 +87,9 @@ def _fmt_profile(profile) -> str:
     return " + ".join("{" + ",".join(map(str, s)) + "}" for s in profile)
 
 
-def _check_preconditions(inv1: InvariantData, inv2: InvariantData) -> None:
-    if inv1.group != inv2.group:
+def _check_preconditions(x1, x2) -> None:
+    """Refuse two invariants, or the two diagrams they come from, over different groups."""
+    if x1.group != x2.group:
         raise InvalidInputError("invariants live over different groups")
 
 

@@ -33,29 +33,12 @@ class CrossedBlock(_Value):
     character: Character
     size: int
 
-    def __init__(self, orbit_representative: tuple, character: Character, size: int) -> None:
-        object.__setattr__(self, "orbit_representative", orbit_representative)
-        object.__setattr__(self, "character", character)
-        object.__setattr__(self, "size", size)
-
 
 class CrossedProductBlocks(_Value):
     group: FiniteAbelianGroup
     base: Subgroup  # K, so the base space is G/K
     acting: Subgroup  # H, acting by translation
     blocks: tuple[CrossedBlock, ...]
-
-    def __init__(
-        self,
-        group: FiniteAbelianGroup,
-        base: Subgroup,
-        acting: Subgroup,
-        blocks: tuple[CrossedBlock, ...],
-    ) -> None:
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "acting", acting)
-        object.__setattr__(self, "blocks", blocks)
 
     @property
     def k0_rank(self) -> int:

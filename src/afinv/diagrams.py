@@ -65,15 +65,7 @@ class DiagramEdge(_Value):
     source: int  # vertex index at the lower level
     target: int  # vertex index at the upper level
     bimodule: SimpleBimodule
-    multiplicity: int
-
-    def __init__(
-        self, source: int, target: int, bimodule: SimpleBimodule, multiplicity: int = 1
-    ) -> None:
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "bimodule", bimodule)
-        object.__setattr__(self, "multiplicity", multiplicity)
+    multiplicity: int = 1
 
 
 class EnrichedBratteliDiagram(_Value):
@@ -90,17 +82,8 @@ class EnrichedBratteliDiagram(_Value):
     edges: tuple[tuple[DiagramEdge, ...], ...]
     generator_weights: tuple[int, ...]
 
-    def __init__(
-        self,
-        group: FiniteAbelianGroup,
-        levels: tuple[tuple[Subgroup, ...], ...],
-        edges: tuple[tuple[DiagramEdge, ...], ...],
-        generator_weights: tuple[int, ...],
-    ) -> None:
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "generator_weights", generator_weights)
+    def __init__(self, group, levels, edges, generator_weights) -> None:
+        super().__init__(group, levels, edges, generator_weights)
         if len(self.levels) == 0 or len(self.edges) != len(self.levels):
             raise InvalidInputError(
                 "need edge blocks for each level gap plus a repeating final block"
@@ -187,12 +170,6 @@ class InductiveSystem(_Value):
     prefix: tuple[tuple[tuple[int, ...], ...], ...]
     tail: StationarySystem
 
-    def __init__(
-        self, prefix: tuple[tuple[tuple[int, ...], ...], ...], tail: StationarySystem
-    ) -> None:
-        object.__setattr__(self, "prefix", prefix)
-        object.__setattr__(self, "tail", tail)
-
 
 def _fusion_matrix(row_basis, columns):
     """The fusion matrix onto the (vertex, simple) rows of ``row_basis``.
@@ -261,19 +238,8 @@ class InvariantData(_Value):
     multipliers: tuple[Fraction | None, ...]
     pointed: Fraction | tuple[int, ...]
 
-    def __init__(
-        self,
-        group: FiniteAbelianGroup,
-        objects: tuple[K0Description, ...],
-        scales: tuple[Fraction | None, ...],
-        multipliers: tuple[Fraction | None, ...],
-        pointed: Fraction | tuple[int, ...],
-    ) -> None:
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "objects", objects)
-        object.__setattr__(self, "scales", scales)
-        object.__setattr__(self, "multipliers", multipliers)
-        object.__setattr__(self, "pointed", pointed)
+    def __init__(self, group, objects, scales, multipliers, pointed) -> None:
+        super().__init__(group, objects, scales, multipliers, pointed)
         for field, values, count, what in (
             ("objects", self.objects, len(self.labels), "Q-systems"),
             ("scales", self.scales, len(self.labels), "Q-systems"),

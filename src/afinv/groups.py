@@ -39,12 +39,15 @@ Element = tuple  # alias for readability; elements are tuples of ints
 class _Value:
     """A frozen value, equal and hashed by its annotated fields in order.
 
-    A subclass annotates its fields and sets each one in its own
-    ``__init__`` through ``object.__setattr__``.  Two values are equal when
-    they have the same class and equal field tuples; the hash is the hash of
-    the field tuple, computed on first use and then stored, which spares
-    every later dict and cache lookup a walk over the nested element tuples.
-    Assigning or deleting an attribute raises ``AttributeError``.
+    A subclass annotates its fields, and a field given a value in the class
+    body takes that value as its default.  The one ``__init__`` binds its
+    arguments to the fields as a function of that signature would, and a
+    subclass that checks or derives something calls it first.  Two values
+    are equal when they have the same class and equal field tuples; the hash
+    is the hash of the field tuple, computed on first use and then stored,
+    which spares every later dict and cache lookup a walk over the nested
+    element tuples.  Assigning or deleting an attribute raises
+    ``AttributeError``.
     """
 
     def __init_subclass__(cls, **kwargs) -> None:
@@ -53,6 +56,36 @@ class _Value:
         get = attrgetter(*names)
         # attrgetter of one name returns the bare value, not a 1-tuple
         cls._fields = get if len(names) > 1 else staticmethod(lambda self: (get(self),))
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self.__match_args__
+        if kwargs or len(args) != len(names):
+            args = self._bind(args, kwargs)
+        self.__dict__.update(zip(names, args))
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The field values in order, or the ``TypeError`` a signature would raise."""
+        names = cls.__match_args__
+        if len(args) > len(names):
+            raise TypeError(
+                f"{cls.__name__}() takes {len(names)} positional arguments "
+                f"but {len(args)} were given"
+            )
+        values = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names:
+                raise TypeError(f"{cls.__name__}() got an unexpected keyword argument {name!r}")
+            if name in values:
+                raise TypeError(f"{cls.__name__}() got multiple values for argument {name!r}")
+            values[name] = value
+        defaults = vars(cls)
+        for name in names:
+            if name not in values:
+                if name not in defaults:
+                    raise TypeError(f"{cls.__name__}() missing required argument {name!r}")
+                values[name] = defaults[name]
+        return [values[name] for name in names]
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -92,7 +125,7 @@ class FiniteAbelianGroup(_Value):
     cyclic_factors: tuple[int, ...]
 
     def __init__(self, cyclic_factors: tuple[int, ...]) -> None:
-        object.__setattr__(self, "cyclic_factors", cyclic_factors)
+        super().__init__(cyclic_factors)
         if any(not isinstance(n, int) or n < 1 for n in self.cyclic_factors):
             raise InvalidInputError(
                 f"cyclic factors must be positive integers, got {self.cyclic_factors!r}"
@@ -152,8 +185,7 @@ class Subgroup(_Value):
     elements: tuple[Element, ...]
 
     def __init__(self, group: FiniteAbelianGroup, elements: tuple[Element, ...]) -> None:
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "elements", elements)
+        super().__init__(group, elements)
         object.__setattr__(self, "_member_set", frozenset(elements))
         if tuple(sorted(elements)) != elements:
             raise InvalidInputError("subgroup elements must be sorted and duplicate-free")
@@ -368,8 +400,7 @@ class Character(_Value):
     values: tuple[int, ...]
 
     def __init__(self, domain: Subgroup, values: tuple[int, ...]) -> None:
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "values", values)
+        super().__init__(domain, values)
         object.__setattr__(self, "_table", dict(zip(domain.elements, values)))
 
     def __call__(self, element: Element) -> int:

@@ -238,8 +238,7 @@ class StationarySystem(_Value):
 
     def __init__(self, matrix: Matrix, labels: tuple[str, ...] | None = None) -> None:
         M = _as_matrix(matrix)
-        object.__setattr__(self, "matrix", M)
-        object.__setattr__(self, "labels", labels)
+        super().__init__(M, labels)
         if len(M) == 0 or any(len(row) != len(M) for row in M):
             raise InvalidInputError("stationary system needs a nonempty square matrix")
         if any(x < 0 for row in M for x in row):
@@ -255,18 +254,6 @@ class RankOneForm(_Value):
     eigenvalue: int
     left_vector: tuple[int, ...]
     prime_set: frozenset[int]
-
-    def __init__(
-        self,
-        matrix: Matrix,
-        eigenvalue: int,
-        left_vector: tuple[int, ...],
-        prime_set: frozenset[int],
-    ) -> None:
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "eigenvalue", eigenvalue)
-        object.__setattr__(self, "left_vector", left_vector)
-        object.__setattr__(self, "prime_set", prime_set)
 
     @property
     def rank(self) -> int:
@@ -285,16 +272,6 @@ class DirectSumForm(_Value):
     blocks: tuple[RankOneForm, ...]
     partition: tuple[tuple[int, ...], ...]
 
-    def __init__(
-        self,
-        matrix: Matrix,
-        blocks: tuple[RankOneForm, ...],
-        partition: tuple[tuple[int, ...], ...],
-    ) -> None:
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "partition", partition)
-
     @property
     def rank(self) -> int:
         return len(self.blocks)
@@ -305,10 +282,6 @@ class OpaquePresentation(_Value):
 
     matrix: Matrix
     rank: int
-
-    def __init__(self, matrix: Matrix, rank: int) -> None:
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "rank", rank)
 
 
 K0Description = RankOneForm | DirectSumForm | OpaquePresentation

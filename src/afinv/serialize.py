@@ -25,7 +25,7 @@ from .bimodules import (
     simple_bimodules,
     simples_by_pair,
 )
-from .compare import EQUIVALENT, INEQUIVALENT, UNKNOWN, Certificate, Verdict
+from .compare import CERTIFICATE_KINDS, EQUIVALENT, INEQUIVALENT, UNKNOWN, Certificate, Verdict
 from .diagrams import DiagramEdge, EnrichedBratteliDiagram, InvariantData
 from .errors import InvalidInputError
 from .groups import (
@@ -502,24 +502,30 @@ def verdict_to_json(v: Verdict) -> dict:
     return doc
 
 
+# the one field that comes with each verdict status
+_COMPANION = {EQUIVALENT: "witness", INEQUIVALENT: "certificate", UNKNOWN: "reason"}
+
+
 def verdict_from_json(doc) -> Verdict:
+    """A verdict as ``compare`` emits one: its status with exactly its companion field."""
     status = _expect(doc, "verdict", str)
-    if status not in (EQUIVALENT, INEQUIVALENT, UNKNOWN):
+    if status not in _COMPANION:
         raise InvalidInputError(f"unknown verdict status {_cut(repr(status))}")
-    witness = None
-    if "witness" in doc:
+    for key in _COMPANION.values():
+        if key != _COMPANION[status] and key in doc:
+            raise InvalidInputError(f"a verdict {status!r} carries no {key!r}")
+    if status == EQUIVALENT:
         witness = tuple(
-            (str(label), frac_from_str(u))
-            for label, u in _expect(doc, "witness", dict).items()
+            (label, frac_from_str(u)) for label, u in _expect(doc, "witness", dict).items()
         )
-    certificate = None
-    if "certificate" in doc:
-        c = doc["certificate"]
-        certificate = Certificate(
-            kind=str(_expect(c, "kind", str)),
-            at=str(_expect(c, "at", str)),
-            left=str(_expect(c, "left", str)),
-            right=str(_expect(c, "right", str)),
-        )
-    reason = _expect(doc, "reason", str) if "reason" in doc else None
-    return Verdict(status, witness, certificate, reason)
+        if not witness or any(u <= 0 for _, u in witness):
+            raise InvalidInputError("a witness must give each Q-system a positive rational")
+        return Verdict(status, witness=witness)
+    if status == INEQUIVALENT:
+        c = _expect(doc, "certificate", None)
+        kind = _expect(c, "kind", str)
+        if kind not in CERTIFICATE_KINDS:
+            raise InvalidInputError(f"unknown certificate kind {_cut(repr(kind))}")
+        at, left, right = (_expect(c, key, str) for key in ("at", "left", "right"))
+        return Verdict(status, certificate=Certificate(kind, at, left, right))
+    return Verdict(status, reason=_expect(doc, "reason", str))

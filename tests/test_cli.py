@@ -261,6 +261,27 @@ def test_compare_unknown_with_probe(files, capsys):
     assert "witness at lag 1" in out
 
 
+@pytest.mark.parametrize(
+    "second, message",
+    [
+        ("trivdiag", "invariants live over different groups"),
+        ("kleindiag", "invariants live over different groups"),
+        ("missing", "No such file or directory"),
+        ("bad", "not valid JSON"),
+    ],
+)
+def test_compare_refuses_its_inputs_before_computing_an_invariant(
+    second, message, files, capsys, monkeypatch
+):
+    def refuse(d):
+        raise AssertionError("an invariant was computed before both inputs were admitted")
+
+    monkeypatch.setattr("afinv.cli.compute_invariant", refuse)
+    code, out, err = run(capsys, "compare", files["F"], files[second])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------- README
 
 README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")

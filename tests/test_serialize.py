@@ -592,6 +592,24 @@ def test_verdict_parser_validates():
     for reason in (None, 4, ["r"], {}):
         with pytest.raises(InvalidInputError):
             verdict_from_json({"verdict": "unknown", "reason": reason})
+    # shapes compare never emits: each status comes with exactly its one companion field
+    cert = {"kind": "rank", "at": "Q1", "left": "1", "right": "2"}
+    for doc in (
+        {"verdict": "equivalent"},
+        {"verdict": "equivalent", "witness": {}},
+        {"verdict": "equivalent", "witness": {"Q1": "1", "Q2": "0"}},
+        {"verdict": "equivalent", "witness": {"Q1": "-1/2"}},
+        {"verdict": "equivalent", "witness": {"Q1": "1"}, "reason": "r"},
+        {"verdict": "inequivalent"},
+        {"verdict": "inequivalent", "witness": {"Q1": "-3"}},
+        {"verdict": "inequivalent", "certificate": cert, "witness": {"Q1": "1"}},
+        {"verdict": "inequivalent", "certificate": {**cert, "kind": "bogus"}},
+        {"verdict": "unknown"},
+        {"verdict": "unknown", "certificate": {**cert, "kind": "bogus"}},
+        {"verdict": "unknown", "reason": "r", "certificate": cert},
+    ):
+        with pytest.raises(InvalidInputError):
+            verdict_from_json(doc)
 
 
 # ---------------------------------------------------- object-diagram documents

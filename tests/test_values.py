@@ -174,6 +174,20 @@ def test_defaults_and_keywords(examples):
     assert StationarySystem([[2]]).labels is None
     assert StationarySystem(matrix=[[2]]).matrix == ((2,),)
     assert Certificate(kind="rank", at="Q1", left="1", right="2") == examples[Certificate]
+    # the arguments bind as a signature binds them, and a wrong call is a TypeError
+    G, H = examples[FiniteAbelianGroup], examples[Subgroup]
+    for cls, args in ((DiagramEdge, (0, 0, S, 1)), (Subgroup, (G, H.elements))):
+        by_name = dict(zip(cls.__match_args__, args))
+        first = cls.__match_args__[0]
+        for bad_args, bad_kwargs in (
+            ((*args, None), {}),  # too many positionals
+            (args, {"extra": None}),  # an unknown keyword
+            (args, {first: args[0]}),  # a field by position and by keyword
+            ((), {k: v for k, v in by_name.items() if k != first}),  # a field with no default
+        ):
+            with pytest.raises(TypeError):
+                cls(*bad_args, **bad_kwargs)
+        assert cls(**by_name) == cls(*args)
 
 
 def test_values_match_by_position_and_keyword(examples):

@@ -1,7 +1,9 @@
 """Field-level helpers over afinv's frozen value types, read off ``__match_args__``.
 
-Every value type lists its fields, in order, in ``__match_args__``, and its
-``__init__`` takes them under the same names.
+Every value type lists its fields, in order, in ``__match_args__``.  Its
+constructor, the one ``__init__`` of ``afinv.groups._Value`` or a checking
+type's own, takes them by position or under the same names as keywords, and
+an omitted field takes the default its class body gives it.
 """
 
 
