@@ -7,10 +7,11 @@ with a character of H∩K.
 Composition reads the relative tensor product off the closed-form Mackey rule
 for module categories over Vec_G (Ostrik's (H, ψ) classification, untwisted
 abelian case), in integers only: character phases are integers mod the
-exponent of G.  ``fuse``, ``fusion_table`` and the fusion check of
-``afinv.diagrams`` read one block table per subgroup triple (``_mackey_blocks``)
-over the simples the caller holds.  Each pair's simples are built once per
-group, in the group's lattice index, so every layer holds the same objects.
+exponent of G.  ``fuse``, ``fusion_table`` and the fusion check
+``_check_fusion_consistency`` read one block table per subgroup triple
+(``_mackey_blocks``), which takes only the triple.  The group's lattice index
+owns each pair's simples: it builds them once, and the table and every layer
+list the same objects.
 The tests compare it with an independent float trace over explicit induced
 modules.
 """
@@ -51,10 +52,11 @@ def qsystems(G: FiniteAbelianGroup) -> list[Subgroup]:
     It is ``subgroups(G)``; the trivial subgroup (the monoidal unit) is always
     index 0.  A warning is issued when some subgroup admits nontrivial cocycle
     classes, since the returned list is then not a complete set of Q-system
-    representatives.
+    representatives.  A finite abelian group has a non-cyclic subgroup exactly
+    when it is not cyclic itself, that is when its exponent is not its order.
     """
     subs = subgroups(G)
-    if any(not H.is_cyclic() for H in subs):
+    if G.exponent != G.order:
         warnings.warn(
             "some subgroups are non-cyclic: twisted Q-system classes exist "
             "but are not enumerated",
@@ -138,12 +140,12 @@ def _composable(S1: SimpleBimodule, S2: SimpleBimodule) -> None:
         )
 
 
-def _mackey_blocks(H: Subgroup, K: Subgroup, L: Subgroup, simples: list[SimpleBimodule]):
+def _mackey_blocks(H: Subgroup, K: Subgroup, L: Subgroup):
     """The Mackey rule of the subgroup triple (H, K, L), as (m, key, blocks).
 
-    ``blocks`` groups the caller's ``simples``, the H-L simples (d, ψ) in
-    canonical order, by ``key``: the coset of H+K+L through d, and ψ on H∩K∩L;
-    each block keeps that order.  An H-K simple S1 = (c1, χ1) fused with a K-L
+    ``blocks`` groups the H-L simples (d, ψ) of ``simple_bimodules(H, L)``, in
+    its order, by ``key``: the coset of H+K+L through d, and ψ on H∩K∩L; each
+    block keeps that order.  An H-K simple S1 = (c1, χ1) fused with a K-L
     simple S2 = (c2, χ2) is m copies of the block key(S1, S2) of c1+c2 and
     χ1+χ2, where m = |H||K||L||H∩K∩L| / (|H∩K||K∩L||H+K+L||H∩L|).  A
     non-integral m, a wrong block count or a wrong block dimension aborts.
@@ -171,7 +173,7 @@ def _mackey_blocks(H: Subgroup, K: Subgroup, L: Subgroup, simples: list[SimpleBi
         return span_rep[reduce(G.add, (S.rep for S in terms))], tuple(phases)
 
     blocks: dict[tuple, list[SimpleBimodule]] = {}
-    for Z in simples:
+    for Z in simple_bimodules(H, L):
         blocks.setdefault(key(Z), []).append(Z)
     # [G : H+K+L]·|H∩K∩L| blocks, each of dimension |H+K||K+L| / (m|K|)
     count, want = G.order // span.order * HKL.order, sum_HK.order * subgroup_sum(K, L).order
@@ -187,8 +189,7 @@ def _mackey_blocks(H: Subgroup, K: Subgroup, L: Subgroup, simples: list[SimpleBi
 def fuse(S1: SimpleBimodule, S2: SimpleBimodule) -> dict[SimpleBimodule, int]:
     """The relative tensor product S1 ⊗_K S2: m times one block of ``_mackey_blocks``."""
     _composable(S1, S2)
-    H, L = S1.source, S2.target
-    mult, key, blocks = _mackey_blocks(H, S1.target, L, simple_bimodules(H, L))
+    mult, key, blocks = _mackey_blocks(S1.source, S1.target, S2.target)
     block = blocks.get(key(S1, S2))
     if block is None:
         raise InternalConsistencyError(f"{S1} ⊗ {S2} has no Mackey block")
@@ -221,12 +222,42 @@ def fusion_table(G: FiniteAbelianGroup) -> FusionTable:
     index = {s: i for i, s in enumerate(simples)}
     products = {}
     for P, Q, R in itertools.product(subgroups(G), repeat=3):
-        mult, key, blocks = _mackey_blocks(P, Q, R, by_pair[P, R])
+        mult, key, blocks = _mackey_blocks(P, Q, R)
         entries = {k: tuple((index[Z], mult) for Z in b) for k, b in blocks.items()}
         for s1 in by_pair[P, Q]:
             for s2 in by_pair[Q, R]:
                 products[index[s1], index[s2]] = entries[key(s1, s2)]
     return FusionTable(G, tuple(simples), dict(sorted(products.items())))
+
+
+def _check_fusion_consistency(G: FiniteAbelianGroup, morphisms) -> None:
+    """Multiplier of a composite must equal the multiplicity-weighted product.
+
+    ``morphisms`` pairs simples of G with their multipliers, None where
+    undefined.  Per triple of ``subgroups(G)``, m times the multiplier sum of
+    the Mackey block of X ∘ Y must equal q_X · q_Y; a block holding an
+    undefined multiplier is skipped.  Each block is summed once per triple.
+    """
+    defined = {X: q for X, q in morphisms if q is not None}
+    by_pair = {pair: [(X, defined[X]) for X in simples if X in defined]
+               for pair, simples in simples_by_pair(G).items()}
+    reps = subgroups(G)
+    for (P, Q), lefts in by_pair.items():
+        for R in reps:
+            rights = by_pair[Q, R]
+            if not (lefts and rights):
+                continue
+            mult, key, blocks = _mackey_blocks(P, Q, R)
+            qs = {k: [defined.get(Z) for Z in block] for k, block in blocks.items()}
+            totals = {k: mult * sum(v) for k, v in qs.items() if None not in v}
+            for X, qx in lefts:
+                for Y, qy in rights:
+                    total = totals.get(key(X, Y))
+                    if total is not None and total != qx * qy:
+                        raise InternalConsistencyError(
+                            f"multiplier table violates fusion: "
+                            f"{bimodule_label(X)} ∘ {bimodule_label(Y)}: {total} != {qx * qy}"
+                        )
 
 
 def _format_rep(rep: tuple) -> str:

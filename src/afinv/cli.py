@@ -140,18 +140,17 @@ def _cmd_qsystems(args) -> int:
     entries = []
     lines = [f"Q-systems of Hilb({G}): {len(reps)}"]
     for k, H in enumerate(reps):
-        entries.append(
-            {
-                "label": f"Q{k + 1}",
-                "subgroup": ser.subgroup_to_json(H),
-                "order": H.order,
-                "schur_trivial": H.is_cyclic(),
-            }
-        )
-        gens = ", ".join(str(list(g)) for g in H.minimal_generators()) or "0"
+        entry = {
+            "label": f"Q{k + 1}",
+            "subgroup": ser.subgroup_to_json(H),
+            "order": H.order,
+            "schur_trivial": H.is_cyclic(),
+        }
+        entries.append(entry)
+        gens = ", ".join(str(g) for g in entry["subgroup"]["generators"]) or "0"
         lines.append(
             f"  Q{k + 1}: order {H.order}, generated by {gens}"
-            + ("" if H.is_cyclic() else "  [may admit nontrivial twists]")
+            + ("" if entry["schur_trivial"] else "  [may admit nontrivial twists]")
         )
     doc = {"group": ser.group_to_json(G), "qsystems": entries}
     _emit(args, doc, lines)

@@ -19,11 +19,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import groupby
 
 from .bimodules import (
     SimpleBimodule,
-    _mackey_blocks,
+    _check_fusion_consistency,
     bimodule_label,
     fuse,
     simple_bimodules,
@@ -122,7 +121,6 @@ class EnrichedBratteliDiagram(_Value):
                     "each level-0 vertex needs a positive generator weight"
                 )
             offset += size
-        object.__setattr__(self, "_bases", {})
 
     @classmethod
     def homogeneous(
@@ -146,18 +144,15 @@ class EnrichedBratteliDiagram(_Value):
         """Per explicit level: the concatenated hom bases with their vertex index.
 
         The canonical Z-basis of D(v -> P) is the ordered list of simple v-P
-        bimodules.  Each P's bases are built once and kept with the diagram, and
-        equal vertices share one enumeration, so their simples are one object.
+        bimodules.  The lattice index of the group owns those simples; each
+        call lists them once per distinct vertex and holds nothing itself.
         """
-        bases = self._bases.get(P)  # type: ignore[attr-defined]
-        if bases is None:
-            vertices = {v for level in self.levels for v in level}
-            simples = {v: simple_bimodules(v, P) for v in vertices}
-            bases = self._bases[P] = tuple(  # type: ignore[attr-defined]
-                tuple((vi, s) for vi, v in enumerate(level) for s in simples[v])
-                for level in self.levels
-            )
-        return bases
+        vertices = dict.fromkeys(v for level in self.levels for v in level)
+        simples = {v: simple_bimodules(v, P) for v in vertices}
+        return tuple(
+            tuple((vi, s) for vi, v in enumerate(level) for s in simples[v])
+            for level in self.levels
+        )
 
 
 class InductiveSystem(_Value):
@@ -308,7 +303,7 @@ def compute_invariant(d: EnrichedBratteliDiagram) -> InvariantData:
         multipliers=tuple(multipliers),
         pointed=pointed,
     )
-    _check_fusion_consistency(inv)
+    _check_fusion_consistency(inv.group, inv.morphisms)
     return inv
 
 
@@ -336,30 +331,3 @@ def _check_intertwining(sysP, sysQ, mats, X) -> None:
                 f"morphism matrices of {X} do not intertwine at level {n}"
             )
 
-
-def _check_fusion_consistency(inv: InvariantData) -> None:
-    """Multiplier of a composite must equal the multiplicity-weighted product.
-
-    Per triple of representatives, m times the multiplier sum of the Mackey
-    block of X ∘ Y must equal q_X · q_Y; a block holding an undefined
-    multiplier is skipped.  Each block is summed once per triple.
-    """
-    defined = {X: q for X, q in inv.morphisms if q is not None}
-    simples = {pair: list(g) for pair, g in groupby(inv.simples, lambda X: (X.source, X.target))}
-    by_pair = {pair: [(X, defined[X]) for X in g if X in defined] for pair, g in simples.items()}
-    for (P, Q), lefts in by_pair.items():
-        for R in inv.representatives:
-            rights = by_pair[Q, R]
-            if not (lefts and rights):
-                continue
-            mult, key, blocks = _mackey_blocks(P, Q, R, simples[P, R])
-            qs = {k: [defined.get(Z) for Z in block] for k, block in blocks.items()}
-            totals = {k: mult * sum(v) for k, v in qs.items() if None not in v}
-            for X, qx in lefts:
-                for Y, qy in rights:
-                    total = totals.get(key(X, Y))
-                    if total is not None and total != qx * qy:
-                        raise InternalConsistencyError(
-                            f"multiplier table violates fusion: "
-                            f"{bimodule_label(X)} ∘ {bimodule_label(Y)}: {total} != {qx * qy}"
-                        )

@@ -276,4 +276,5 @@ def test_criterion_7_property_battery(z4_simples, z4_diagrams, z4_invariants):
         f"float oracle {float_pairs} pairs (tol 1e-6), {coherence_checks} coherence "
         f"checks, {replayed} witnesses replayed",
         t0,
+        bound=150.0,
     )

@@ -9,6 +9,7 @@ import functools
 import itertools
 import random
 import warnings
+from collections import Counter
 
 import pytest
 
@@ -261,6 +262,16 @@ def test_completeness_warning_for_noncyclic_subgroups():
         qsystems(make_group(9))
 
 
+@pytest.mark.parametrize("factors", [[1], [2], [6], [2, 3], [2, 2], [2, 4], [3, 9], [2, 3, 5]])
+def test_completeness_warning_exactly_when_some_subgroup_is_non_cyclic(factors):
+    G = make_group(factors)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", CompletenessWarning)
+        qsystems(G)
+    warned = any(issubclass(w.category, CompletenessWarning) for w in caught)
+    assert warned == any(not H.is_cyclic() for H in subgroups(G))
+
+
 def test_fusion_table_is_deterministic_and_consistent(z4):
     t1 = fusion_table(z4)
     assert fusion_table(z4) == t1
@@ -276,18 +287,18 @@ def test_fusion_table_is_deterministic_and_consistent(z4):
             assert t1.simples[k].target == tgt
 
 
-def test_fusion_table_enumerates_each_pair_of_simples_once(monkeypatch):
-    real = bimodules.simple_bimodules
-    calls = []
+def test_fusion_table_enumerates_each_pair_of_simples_once(fresh_lattice_index, monkeypatch):
+    real = bimodules._enumerate_simples
+    calls = Counter()
 
     def counted(H, K):
-        calls.append((H, K))
+        calls[H, K] += 1
         return real(H, K)
 
-    monkeypatch.setattr(bimodules, "simple_bimodules", counted)
+    monkeypatch.setattr(bimodules, "_enumerate_simples", counted)
     table = fusion_table(make_group([2, 2, 2]))
     # one enumeration per pair of the 16 subgroups; no triple enumerates again
-    assert len(calls) == 16**2
+    assert len(calls) == 16**2 and set(calls.values()) == {1}
     for terms in table.products.values():
         indices = [k for k, _ in terms]
         assert indices == sorted(set(indices))

@@ -1,5 +1,7 @@
 """Verdicts, witnesses, and certificates for pairs of computed invariants."""
 
+import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,6 +20,7 @@ from afinv.diagrams import EnrichedBratteliDiagram, InvariantData, compute_invar
 from afinv.errors import InvalidInputError
 from afinv.groups import make_group
 from afinv.k0 import strip_primes
+from fuse_oracle import float_oracle_fuse
 from values import replace
 
 
@@ -90,6 +93,37 @@ def test_doubled_generator_is_a_two_unit_away(z4_reps, z4_invariants):
     verdict = compare(z4_invariants["F"], compute_invariant(doubled))
     assert verdict.status == EQUIVALENT
     assert set(verdict.witness_map().values()) == {Fraction(2)}
+
+
+def _telescoped(d):
+    """The homogeneous diagram d with every two consecutive edge blocks fused into one.
+
+    The products come from the float oracle, not from ``afinv.fuse``.
+    """
+    ((vertex,),), (edges,) = d.levels, d.edges
+    fused = Counter()
+    for e1 in edges:
+        for e2 in edges:
+            for Z, m in float_oracle_fuse(e2.bimodule, e1.bimodule).items():
+                fused[Z] += e1.multiplicity * e2.multiplicity * m
+    return EnrichedBratteliDiagram.homogeneous(vertex, fused, d.generator_weights)
+
+
+def test_telescoping_a_homogeneous_diagram_keeps_its_invariant():
+    t0 = time.perf_counter()
+    pairs = 0
+    for factors in ([2], [3], [4], [2, 2]):
+        for P in qsystems(make_group(factors)):
+            for k in (1, 2):
+                d = EnrichedBratteliDiagram.homogeneous(P, dict.fromkeys(simple_bimodules(P, P), k))
+                telescope = _telescoped(d)
+                assert telescope.edges != d.edges
+                verdict = compare(compute_invariant(d), compute_invariant(telescope))
+                assert verdict.status == EQUIVALENT, (factors, P, k)
+                assert set(verdict.witness_map().values()) == {1}, (factors, P, k)
+                pairs += 1
+    assert pairs == 2 * (2 + 2 + 3 + 5)
+    assert time.perf_counter() - t0 < 15
 
 
 # ------------------------------------------------------------------ negatives

@@ -11,6 +11,7 @@ import pytest
 from afinv import bimodules, diagrams, groups, k0
 from afinv.bimodules import (
     CompletenessWarning,
+    _check_fusion_consistency,
     bimodule_label,
     fuse,
     fusion_table,
@@ -22,7 +23,6 @@ from afinv.diagrams import (
     DiagramEdge,
     EnrichedBratteliDiagram,
     InductiveSystem,
-    _check_fusion_consistency,
     compute_invariant,
     morphism_matrices,
     object_diagram,
@@ -46,6 +46,11 @@ MULTIPLIER_ROWS = {
     "G": (1, 1, 2, 2, 1, 2, 2, 1, 1),
     "H": (1, 1, 1, 2, 1, 1, 4, 2, 1),
 }
+
+
+def fusion_check(inv):
+    """The fusion-consistency check on an invariant, as ``compute_invariant`` calls it."""
+    _check_fusion_consistency(inv.group, inv.morphisms)
 
 
 # ------------------------------------------------------------- object diagrams
@@ -162,7 +167,7 @@ def test_tampered_multipliers_are_caught(z4_invariants, z4_simples):
     )
     tampered = replace(inv, multipliers=bad)
     with pytest.raises(InternalConsistencyError):
-        _check_fusion_consistency(tampered)
+        fusion_check(tampered)
 
 
 # ------------------------------------------------------------- pointed classes
@@ -378,25 +383,6 @@ def test_fused_term_outside_the_basis_is_an_error(z4_diagrams, z4_reps, z4_simpl
         morphism_matrices(z4_diagrams["F"], z4_simples["M_{1-1,1}"])
 
 
-def test_invariant_builds_each_level_basis_once(z4_diagrams, two_level_diagram, monkeypatch):
-    # a basis build asks for D(v -> P) once per vertex v of each level; fresh
-    # copies, since the session fixtures share diagrams that keep their bases
-    asked = []
-
-    def counting(v, P):
-        asked.append(P)
-        return simple_bimodules(v, P)
-
-    monkeypatch.setattr(diagrams, "simple_bimodules", counting)
-    for shared in (z4_diagrams["F"], z4_diagrams["G"], z4_diagrams["H"], two_level_diagram):
-        d = replace(shared)
-        asked.clear()
-        compute_invariant(d)
-        compute_invariant(d)
-        vertices = sum(len(level) for level in d.levels)
-        assert asked == [P for P in qsystems(d.group) for _ in range(vertices)]
-
-
 def test_invariant_checks_each_tail_intertwining_once(z4_diagrams, monkeypatch):
     """Two products per simple bimodule, A_Q M and M A_P, outside object identification."""
     products = []
@@ -500,7 +486,7 @@ def pairwise_fusion_consistency(inv):
 
 
 def both_consistency_routes(inv):
-    _check_fusion_consistency(inv)
+    fusion_check(inv)
     pairwise_fusion_consistency(inv)
 
 
@@ -553,7 +539,7 @@ def test_consistency_routes_agree_on_every_single_tampered_multiplier(z4_invaria
             continue
         bad = inv.multipliers[:k] + (Fraction(7),) + inv.multipliers[k + 1 :]
         table = replace(inv, multipliers=bad)
-        verdict = _rejects(_check_fusion_consistency, table)
+        verdict = _rejects(fusion_check, table)
         assert verdict == _rejects(pairwise_fusion_consistency, table), bimodule_label(X)
         tampered += verdict
     assert tampered == len(inv.morphisms) == 22
@@ -569,7 +555,7 @@ def test_consistency_check_fuses_no_pair(z4_invariants, two_level_diagram, monke
     monkeypatch.setattr(diagrams, "fuse", refuse)
     monkeypatch.setattr(diagrams, "_fuse_cached", refuse)
     for checked in (*z4_invariants.values(), inv):
-        _check_fusion_consistency(checked)
+        fusion_check(checked)
 
 
 def test_invariant_builds_each_pair_of_simples_and_coset_map_at_most_once(
@@ -599,16 +585,47 @@ def test_consistency_check_enumerates_no_simples(monkeypatch):
     inv = compute_invariant(regular_action([2, 4]))
     assert len(inv.simples) == len(inv.multipliers)
     calls = []
-    real = bimodules.simple_bimodules
+    real = bimodules._enumerate_simples
 
     def counted(H, K):
         calls.append((H, K))
         return real(H, K)
 
-    monkeypatch.setattr(bimodules, "simple_bimodules", counted)
-    monkeypatch.setattr(diagrams, "simple_bimodules", counted)
-    _check_fusion_consistency(inv)
+    # the check lists the simples the lattice index already holds and builds none
+    monkeypatch.setattr(bimodules, "_enumerate_simples", counted)
+    fusion_check(inv)
     assert calls == []
+
+
+FIRST_FAILURES = {
+    (8,): (
+        "M_{1-1,0} ∘ M_{1-1,0}: 3 != 9",
+        "M_{1-3,0} ∘ M_{3-1,0}: 4 != 12",
+        "M_{1-4} ∘ M_{4-4}^chi7: 8 != 24",
+    ),
+    (2, 4): (
+        "M_{1-1,(0,0)} ∘ M_{1-1,(0,0)}: 3 != 9",
+        "M_{1-5,(0,0)} ∘ M_{5-1,(0,0)}: 4 != 12",
+        "M_{1-8} ∘ M_{8-8}^chi7: 8 != 24",
+    ),
+    (2, 2, 2): (
+        "M_{1-1,(0,0,0)} ∘ M_{1-1,(0,0,0)}: 3 != 9",
+        "M_{1-9,(0,0,0)} ∘ M_{9-1,(0,0,0)}: 4 != 12",
+        "M_{1-16} ∘ M_{16-16}^chi7: 8 != 24",
+    ),
+}
+
+
+@pytest.mark.parametrize("factors", list(FIRST_FAILURES))
+def test_consistency_check_reports_the_first_violated_pair(factors):
+    # one multiplier tripled at the first, middle and last simple of a regular action
+    inv = compute_invariant(regular_action(list(factors)))
+    n = len(inv.multipliers)
+    for k, message in zip((0, n // 2, n - 1), FIRST_FAILURES[factors]):
+        bad = inv.multipliers[:k] + (3 * inv.multipliers[k],) + inv.multipliers[k + 1 :]
+        with pytest.raises(InternalConsistencyError) as caught:
+            fusion_check(replace(inv, multipliers=bad))
+        assert str(caught.value) == f"multiplier table violates fusion: {message}"
 
 
 # ------------------------------------------------------------------ validation
