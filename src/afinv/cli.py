@@ -390,12 +390,8 @@ def main(argv=None) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = args.handler(args)
-        seen = set()
         for w in caught:
-            msg = str(w.message)
-            if msg not in seen:
-                seen.add(msg)
-                print(f"warning: {msg}", file=sys.stderr)
+            print(f"warning: {w.message}", file=sys.stderr)
         return code
     except (InvalidInputError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -393,7 +393,7 @@ class Character(_Value):
     ``values[i]`` is an integer v in [0, E), E the exponent of the ambient
     group, standing for the phase v/E at ``domain.elements[i]``.  The table
     is not checked here: :func:`dual_characters` builds every character, and
-    the parser checks that a table is additive before it builds one.
+    the parser returns one of those.
     """
 
     domain: Subgroup

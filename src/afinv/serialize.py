@@ -3,28 +3,26 @@
 All documents are plain JSON-compatible dicts; rationals travel as strings
 ("1/2", integers as "1") and group elements as integer arrays.  Parsers
 validate structure and raise InvalidInputError on malformed input so the CLI
-can map those to its input-error exit code.  For every renderer here,
-``parse(render(x)) == x``.
+can map those to its input-error exit code.  For every renderer with a
+parser here, ``parse(render(x)) == x``; fusion tables are output only, as
+``fusion_table`` of their group is the table.
 
 Input documents (groups, characters, bimodules, matrices, diagrams) are
-canonicalized.  K0 descriptions, fusion tables and invariants are recomputed
-from their defining fields and refused unless they re-render exactly.
+canonicalized: a subgroup, character or bimodule parses to the member the
+lattice index of its group holds.  K0 descriptions and invariants are
+recomputed from their defining fields and refused unless they re-render
+exactly.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_left
 from fractions import Fraction
+from operator import attrgetter
 
-from .bimodules import (
-    FusionTable,
-    SimpleBimodule,
-    bimodule_label,
-    fusion_table,
-    simple_bimodules,
-    simples_by_pair,
-)
+from .bimodules import FusionTable, SimpleBimodule, bimodule_label, simple_bimodules
 from .compare import CERTIFICATE_KINDS, EQUIVALENT, INEQUIVALENT, UNKNOWN, Certificate, Verdict
 from .diagrams import DiagramEdge, EnrichedBratteliDiagram, InvariantData
 from .errors import InvalidInputError
@@ -33,6 +31,7 @@ from .groups import (
     FiniteAbelianGroup,
     Subgroup,
     coset_rep,
+    dual_characters,
     lattice_member,
     make_group,
     subgroup_intersection,
@@ -59,7 +58,6 @@ __all__ = [
     "bimodule_to_json",
     "bimodule_from_json",
     "fusion_table_to_json",
-    "fusion_table_from_json",
     "matrix_to_json",
     "matrix_from_json",
     "k0_to_json",
@@ -191,14 +189,12 @@ def character_to_json(chi: Character) -> dict:
 
 
 def character_from_json(domain: Subgroup, doc) -> Character:
-    """The character of ``domain`` with the phases ``theta`` lists.
+    """The member of ``dual_characters(domain)`` with the phases ``theta`` lists.
 
     Each phase is read mod 1 as a numerator over the exponent E of the group;
-    unlisted phases are 0.  The table is accepted exactly when chi(0) = 0 and
-    it is additive along ``domain.minimal_generators()``: chi(h + g) = chi(h)
-    + chi(g) for every h and every generator g.  That makes it a homomorphism
-    to Q/Z, and those are the characters of a subgroup; a phase that is not a
-    multiple of 1/E is no such value.
+    unlisted phases are 0.  A table that is none of those members, one with a
+    phase that is not a multiple of 1/E included, is no homomorphism to Q/Z
+    and is refused.
     """
     theta = _expect(doc, "theta", dict)
     G = domain.group
@@ -214,18 +210,12 @@ def character_from_json(domain: Subgroup, doc) -> Character:
         if elem in table:
             raise InvalidInputError(f"theta names the element {list(elem)} twice")
         table[elem] = frac_from_str(raw) * E % E
-    values = [table.get(e, 0) for e in domain.elements]
-    if any(v.denominator != 1 for v in values):
+    values = tuple(table.get(e, 0) for e in domain.elements)
+    chars = dual_characters(domain)
+    i = bisect_left(chars, values, key=attrgetter("values"))
+    if i == len(chars) or chars[i].values != values:
         raise InvalidInputError("character table is not a homomorphism")
-    chi = Character(domain, tuple(int(v) for v in values))
-    additive = chi(G.zero()) == 0 and all(
-        chi(G.add(h, g)) == (chi(h) + chi(g)) % E
-        for g in domain.minimal_generators()
-        for h in domain.elements
-    )
-    if not additive:
-        raise InvalidInputError("character table is not a homomorphism")
-    return chi
+    return chars[i]
 
 
 def bimodule_to_json(S: SimpleBimodule) -> dict:
@@ -266,30 +256,6 @@ def fusion_table_to_json(table: FusionTable) -> dict:
         "labels": list(table.labels()),
         "products": products,
     }
-
-
-def fusion_table_from_json(doc) -> FusionTable:
-    """``fusion_table`` of the document's group, if ``doc`` is exactly its rendering.
-
-    The table is built only once ``doc`` has one product per composable pair
-    and the group's simples and labels, so a short document costs no fusion.
-    """
-    G = group_from_json(_expect(doc, "group", dict))
-    reps = subgroups(G)
-    by_pair = simples_by_pair(G)
-    pairs = sum(len(by_pair[P, Q]) * len(by_pair[Q, R]) for P in reps for Q in reps for R in reps)
-    if len(_expect(doc, "products", dict)) != pairs:
-        raise InvalidInputError(f"products must list each of the {pairs} composable pairs once")
-    simples = [s for pair in by_pair.values() for s in pair]
-    head = {
-        "group": group_to_json(G),
-        "simples": [bimodule_to_json(s) for s in simples],
-        "labels": [bimodule_label(s) for s in simples],
-    }
-    _require_rendering({key: doc.get(key) for key in head}, head, f"the simples of Hilb({G})")
-    table = fusion_table(G)
-    _require_rendering(doc, fusion_table_to_json(table), "the fusion table of its group")
-    return table
 
 
 # -- matrices and K0 descriptions -------------------------------------------

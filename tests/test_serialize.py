@@ -29,7 +29,6 @@ from afinv.serialize import (
     diagram_to_json,
     frac_from_str,
     frac_to_str,
-    fusion_table_from_json,
     fusion_table_to_json,
     group_from_json,
     group_to_json,
@@ -126,6 +125,14 @@ def test_every_character_round_trips(factors):
             assert character_from_json(H, doc) == chi, (H, chi)
 
 
+@pytest.mark.parametrize("factors", [[12], [2, 4], [2, 2, 2]], ids=["Z12", "Z2xZ4", "Z2^3"])
+def test_parsed_characters_are_the_lattice_members(factors):
+    for H in subgroups(make_group(factors)):
+        for chi in dual_characters(H):
+            doc = through_json(character_to_json(chi))
+            assert character_from_json(H, doc) is chi, (H, chi)
+
+
 @pytest.mark.parametrize("factors", [[4], [2, 2], [6], [2, 4]], ids=["Z4", "Z2xZ2", "Z6", "Z2xZ4"])
 def test_a_shifted_phase_is_refused_unless_it_names_another_character(factors):
     G = make_group(factors)
@@ -170,67 +177,24 @@ def test_bimodule_round_trip(z4, z4_simples):
         bimodule_from_json(z4, {"source_generators": []})
 
 
-def test_fusion_table_round_trip(z4):
-    table = fusion_table(z4)
-    doc = through_json(fusion_table_to_json(table))
-    assert fusion_table_from_json(doc) == table
-
-    with pytest.raises(InvalidInputError):
-        fusion_table_from_json({**doc, "labels": doc["labels"][::-1]})
-    bad_key = dict(doc["products"])
-    bad_key["x,y"] = bad_key.pop("0,0")
-    with pytest.raises(InvalidInputError):
-        fusion_table_from_json({**doc, "products": bad_key})
-    out_of_range = dict(doc["products"])
-    out_of_range["99,0"] = out_of_range["0,0"]
-    with pytest.raises(InvalidInputError):
-        fusion_table_from_json({**doc, "products": out_of_range})
-
-
 SMALL_GROUPS = [[1], [2], [3], [4], [2, 2], [5], [6], [7], [8], [2, 4], [2, 2, 2]]
 
 
 @pytest.mark.parametrize("factors", SMALL_GROUPS, ids=str)
-def test_every_small_fusion_table_round_trips(factors):
+def test_every_small_fusion_table_renders_its_table(factors):
     table = fusion_table(make_group(factors))
-    assert fusion_table_from_json(through_json(fusion_table_to_json(table))) == table
-
-
-def _z2_table_doc():
-    return through_json(fusion_table_to_json(fusion_table(make_group(2))))
-
-
-# On Z/2, simples 0 and 1 are Q1-Q1, 2 is Q1-Q2, 3 is Q2-Q1, 4 and 5 are Q2-Q2.
-@pytest.mark.parametrize(
-    "tamper",
-    [
-        pytest.param(lambda p: p.update({"2,0": p["0,0"]}), id="non-composable-pair-added"),
-        pytest.param(lambda p: p.pop("0,0"), id="composable-pair-left-out"),
-        pytest.param(lambda p: p.update({"2,0": p.pop("0,0")}),
-                     id="pair-swapped-for-a-non-composable-one"),
-        pytest.param(lambda p: p.update({"0,0": [{"index": 2, "multiplicity": 1}]}),
-                     id="term-with-the-wrong-target"),
-        pytest.param(lambda p: p.update({"0,0": [{"index": 3, "multiplicity": 1}]}),
-                     id="term-with-the-wrong-source"),
-        pytest.param(lambda p: p.update({"0,0": [{"index": 0, "multiplicity": 2}]}),
-                     id="wrong-multiplicity"),
-    ],
-)
-def test_fusion_table_documents_must_be_the_rendered_table(tamper):
-    doc = _z2_table_doc()
-    tamper(doc["products"])
-    with pytest.raises(InvalidInputError):
-        fusion_table_from_json(doc)
-
-
-def test_short_table_document_is_refused_before_any_fusion(monkeypatch):
-    def no_fusion(*args):
-        raise AssertionError("the parser fused a triple")
-
-    monkeypatch.setattr("afinv.bimodules._mackey_blocks", no_fusion)
-    doc = {"group": {"cyclic_factors": [2, 2, 2, 2]}, "simples": [], "labels": [], "products": {}}
-    with pytest.raises(InvalidInputError):
-        fusion_table_from_json(doc)
+    doc = through_json(fusion_table_to_json(table))
+    assert doc["group"] == {"cyclic_factors": factors}
+    assert doc["simples"] == [bimodule_to_json(s) for s in table.simples]
+    assert doc["labels"] == list(table.labels())
+    products = {
+        tuple(int(i) for i in key.split(",")): tuple(
+            (term["index"], term["multiplicity"]) for term in terms
+        )
+        for key, terms in doc["products"].items()
+    }
+    assert products == table.products
+    assert list(products) == list(table.products)
 
 
 # ------------------------------------------------------------ matrices and K0
@@ -294,19 +258,6 @@ def _k0_doc(matrix):
     return k0_to_json(stationary_k0(StationarySystem(matrix)))
 
 
-def _z2_table_with_term(key, term):
-    """The Z/2 table document with ``term`` as the only term of product ``key``."""
-    doc = _z2_table_doc()
-    doc["products"][key] = [term]
-    return doc
-
-
-def _table_with_bool_multiplicity():
-    doc = _z2_table_doc()
-    doc["products"]["0,0"][0]["multiplicity"] = True
-    return doc
-
-
 def _invariant_with_bool_pointed():
     return {**invariant_to_json(_identity_action_invariant()), "pointed": [True, 1, 1, 1]}
 
@@ -326,17 +277,6 @@ def _invariant_with_bool_pointed():
                      id="bool-partition-index"),
         pytest.param(k0_from_json, lambda: {**_k0_doc(((1, 1), (0, 1))), "rank": True},
                      id="bool-rank"),
-        pytest.param(fusion_table_from_json, _table_with_bool_multiplicity,
-                     id="bool-table-multiplicity"),
-        pytest.param(fusion_table_from_json,
-                     lambda: _z2_table_with_term("0,0", {"index": 999, "multiplicity": 1}),
-                     id="table-index-outside-the-simples"),
-        pytest.param(fusion_table_from_json,
-                     lambda: _z2_table_with_term("0,0", {"index": 0, "multiplicity": -3}),
-                     id="table-multiplicity-below-one"),
-        pytest.param(fusion_table_from_json,
-                     lambda: _z2_table_with_term("0,0 ", {"index": 0, "multiplicity": 1}),
-                     id="table-repeated-pair"),
         pytest.param(invariant_from_json, _invariant_with_bool_pointed, id="bool-pointed"),
     ],
 )
@@ -641,7 +581,6 @@ def _names_a_small_group(doc) -> bool:
 # Each parser the contract covers, and a function that makes valid documents for it.
 CONTRACT_PARSERS = {
     "k0": (k0_from_json, lambda invs: [_k0_doc(m) for m in (RANK_ONE, DIRECT_SUM, OPAQUE)]),
-    "fusion-table": (fusion_table_from_json, lambda invs: [_z2_table_doc()]),
     "invariant": (
         invariant_from_json,
         lambda invs: [
