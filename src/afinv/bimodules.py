@@ -10,8 +10,11 @@ abelian case), in integers only: character phases are integers mod the
 exponent of G.  ``fuse``, ``fusion_table`` and the fusion check
 ``_check_fusion_consistency`` read one block table per subgroup triple
 (``_mackey_blocks``), which takes only the triple.  The group's lattice index
-owns each pair's simples: it builds them once, and the table and every layer
-list the same objects.
+owns each pair's simples: ``_enumerate_simples`` builds them once, and the
+table and every layer list the same objects.  ``simple_bimodule`` is the one
+lookup of a simple by its coset and character, and ``identity_bimodule`` and
+``dual`` return the index's members through it; characters are looked up in
+``afinv.groups``.
 The tests compare it with an independent float trace over explicit induced
 modules.
 """
@@ -66,6 +69,11 @@ def qsystems(G: FiniteAbelianGroup) -> list[Subgroup]:
     return subs
 
 
+def qsystem_label(k: int) -> str:
+    """The label of ``qsystems(G)[k]``: Q1, Q2, ..., numbered from 1."""
+    return f"Q{k + 1}"
+
+
 class SimpleBimodule(_Value):
     """An irreducible source-target bimodule: (coset of H+K, character of H∩K).
 
@@ -112,6 +120,22 @@ def _enumerate_simples(H: Subgroup, K: Subgroup) -> tuple[SimpleBimodule, ...]:
     return tuple(SimpleBimodule(H, K, rep, char) for rep in reps for char in chars)
 
 
+def simple_bimodule(H: Subgroup, K: Subgroup, x: tuple, character: Character) -> SimpleBimodule:
+    """The member of ``simple_bimodules(H, K)`` on the coset of H+K through x.
+
+    ``character`` is a character of H∩K; a pair that names no member is refused.
+    """
+    simples = simple_bimodules(H, K)
+    probe = SimpleBimodule(H, K, coset_rep(H.group, subgroup_sum(H, K), x), character)
+    try:
+        return simples[simples.index(probe)]
+    except ValueError:
+        raise InvalidInputError(
+            f"no simple Q({H})-Q({K}) bimodule has coset rep {probe.rep} "
+            f"and character {character.values}"
+        ) from None
+
+
 def simples_by_pair(G: FiniteAbelianGroup) -> dict[tuple, list[SimpleBimodule]]:
     """``simple_bimodules(P, Q)`` per pair of ``subgroups(G)``, P outer and Q inner.
 
@@ -122,15 +146,17 @@ def simples_by_pair(G: FiniteAbelianGroup) -> dict[tuple, list[SimpleBimodule]]:
 
 
 def identity_bimodule(H: Subgroup) -> SimpleBimodule:
-    """The unit morphism at H: the coset H itself with the trivial character."""
-    return SimpleBimodule(H, H, H.group.zero(), Character(H, (0,) * H.order))
+    """The unit morphism at H: the coset H itself with the trivial character.
+
+    It is the first H-H simple: 0 is the least coset rep and the trivial
+    character the first character.
+    """
+    return simple_bimodules(H, H)[0]
 
 
 def dual(S: SimpleBimodule) -> SimpleBimodule:
     """The adjoint bimodule: negated coset, conjugated character, sides swapped."""
-    G = S.group
-    rep = coset_rep(G, subgroup_sum(S.source, S.target), G.neg(S.rep))
-    return SimpleBimodule(S.target, S.source, rep, S.character.conjugate())
+    return simple_bimodule(S.target, S.source, S.group.neg(S.rep), S.character.conjugate())
 
 
 def _composable(S1: SimpleBimodule, S2: SimpleBimodule) -> None:

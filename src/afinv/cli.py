@@ -25,6 +25,7 @@ from . import serialize as ser
 from .bimodules import (
     bimodule_label,
     fusion_table,
+    qsystem_label,
     qsystems,
     simple_bimodules,
     simples_by_pair,
@@ -121,7 +122,7 @@ def _cmd_fusion_table(args) -> int:
         rows_of = [i for i, s in enumerate(table.simples) if s.target == mid]
         cols_of = [j for j, s in enumerate(table.simples) if s.source == mid]
         lines.append("")
-        lines.append(f"products through Q{mi + 1}:")
+        lines.append(f"products through {qsystem_label(mi)}:")
         header = ["left \\ right"] + [labels[j] for j in cols_of]
         rows = []
         for i in rows_of:
@@ -141,7 +142,7 @@ def _cmd_qsystems(args) -> int:
     lines = [f"Q-systems of Hilb({G}): {len(reps)}"]
     for k, H in enumerate(reps):
         entry = {
-            "label": f"Q{k + 1}",
+            "label": qsystem_label(k),
             "subgroup": ser.subgroup_to_json(H),
             "order": H.order,
             "schur_trivial": H.is_cyclic(),
@@ -149,7 +150,7 @@ def _cmd_qsystems(args) -> int:
         entries.append(entry)
         gens = ", ".join(str(g) for g in entry["subgroup"]["generators"]) or "0"
         lines.append(
-            f"  Q{k + 1}: order {H.order}, generated by {gens}"
+            f"  {entry['label']}: order {H.order}, generated by {gens}"
             + ("" if entry["schur_trivial"] else "  [may admit nontrivial twists]")
         )
     doc = {"group": ser.group_to_json(G), "qsystems": entries}
@@ -167,10 +168,11 @@ def _cmd_bimodules(args) -> int:
     P = reps[args.source - 1]
     Q = reps[args.target - 1]
     sims = simple_bimodules(P, Q)
+    source, target = qsystem_label(args.source - 1), qsystem_label(args.target - 1)
     doc = {
         "group": ser.group_to_json(G),
-        "source": f"Q{args.source}",
-        "target": f"Q{args.target}",
+        "source": source,
+        "target": target,
         "bimodules": [
             {
                 "label": bimodule_label(s),
@@ -180,7 +182,7 @@ def _cmd_bimodules(args) -> int:
             for s in sims
         ],
     }
-    lines = [f"simple Q{args.source}-Q{args.target} bimodules: {len(sims)}"]
+    lines = [f"simple {source}-{target} bimodules: {len(sims)}"]
     for s in sims:
         lines.append(
             f"  {bimodule_label(s)}: dimension {s.dimension}, "
@@ -260,17 +262,18 @@ def _cmd_oracle(args) -> int:
             blocks = crossed_product_blocks(G, Q, P)
             ok = categorical == blocks.k0_rank
             all_ok = all_ok and ok
+            source, target = qsystem_label(i), qsystem_label(j)
             pairs.append(
                 {
-                    "source": f"Q{i + 1}",
-                    "target": f"Q{j + 1}",
+                    "source": source,
+                    "target": target,
                     "categorical": categorical,
                     "crossed_rank": blocks.k0_rank,
                     "ok": ok,
                 }
             )
             lines.append(
-                f"  Q{i + 1} -> Q{j + 1}: bimodules {categorical}, "
+                f"  {source} -> {target}: bimodules {categorical}, "
                 f"crossed K0 rank {blocks.k0_rank}: {'PASS' if ok else 'FAIL'}"
             )
     lines.append("oracle: " + ("PASS" if all_ok else "FAIL"))

@@ -25,11 +25,12 @@ from .bimodules import (
     _check_fusion_consistency,
     bimodule_label,
     fuse,
+    qsystem_label,
     simple_bimodules,
     simples_by_pair,
 )
 from .errors import InternalConsistencyError, InvalidInputError
-from .groups import FiniteAbelianGroup, Subgroup, _Value, subgroups
+from .groups import FiniteAbelianGroup, Subgroup, _is_int, _Value, subgroups
 from .k0 import (
     K0Description,
     RankOneForm,
@@ -73,7 +74,8 @@ class EnrichedBratteliDiagram(_Value):
     ``edges[i]`` connects level i to level i+1 for i < m-1, and ``edges[m-1]``
     connects level m-1 to itself, repeated forever.  ``generator_weights`` is
     the class of the level-0 generator over the level-0 hom basis of the
-    trivial Q-system (blocks per vertex, all-ones by default).
+    trivial Q-system (blocks per vertex, all-ones by default).  Edge ends,
+    multiplicities and weights must be integers; nothing is converted.
     """
 
     group: FiniteAbelianGroup
@@ -94,6 +96,10 @@ class EnrichedBratteliDiagram(_Value):
                 raise InvalidInputError(f"edge block {n} is empty")
             covered = set()
             for k, e in enumerate(block):
+                if not all(map(_is_int, (e.source, e.target, e.multiplicity))):
+                    raise InvalidInputError(
+                        f"edge {k} of block {n} needs integer ends and multiplicity"
+                    )
                 if not (0 <= e.source < len(lower) and 0 <= e.target < len(upper)):
                     raise InvalidInputError(f"edge {k} of block {n} (from {e.source} "
                                             f"to {e.target}) points outside its levels")
@@ -112,6 +118,8 @@ class EnrichedBratteliDiagram(_Value):
             raise InvalidInputError(
                 f"generator weights must have length {sum(blocks)}"
             )
+        if not all(map(_is_int, self.generator_weights)):
+            raise InvalidInputError("generator weights must be integers")
         if any(w < 0 for w in self.generator_weights):
             raise InvalidInputError("generator weights must be nonnegative")
         offset = 0
@@ -252,7 +260,7 @@ class InvariantData(_Value):
 
     @cached_property
     def labels(self) -> tuple[str, ...]:
-        return tuple(f"Q{i + 1}" for i in range(len(self.representatives)))
+        return tuple(qsystem_label(i) for i in range(len(self.representatives)))
 
     @cached_property
     def simples(self) -> tuple[SimpleBimodule, ...]:
@@ -287,7 +295,7 @@ def compute_invariant(d: EnrichedBratteliDiagram) -> InvariantData:
 
     # push the level-0 generator weights through the prefix to the tail start
     unit = reps[0]
-    w = tuple(int(x) for x in d.generator_weights)
+    w = d.generator_weights
     for M in systems[unit].prefix:
         w = mat_vec(M, w)
     if isinstance(descs[unit], RankOneForm):

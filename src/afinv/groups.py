@@ -8,12 +8,20 @@ v/E.  No floats appear anywhere in this module.  A coset x + D is named by
 its lexicographically least member.  Each group's lattice, and the sums,
 intersections, coset maps and characters of its subgroups, are built once and
 kept in one lattice index per group.
+
+This module owns two rules.  The integer rule, ``_is_int``: every constructor
+that takes integers, here and in ``k0`` and ``diagrams``, refuses anything
+else.  And the lookups of the index's members: ``lattice_member`` finds a
+subgroup and ``character_with_values`` a character; ``afinv.bimodules`` owns
+the one lookup of a simple bimodule.  Only ``_characters_of`` builds a
+``Character``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from functools import lru_cache
 from operator import attrgetter
 
@@ -27,6 +35,7 @@ __all__ = [
     "subgroups",
     "lattice_member",
     "dual_characters",
+    "character_with_values",
     "coset_space",
     "coset_rep",
     "subgroup_sum",
@@ -34,6 +43,11 @@ __all__ = [
 ]
 
 Element = tuple  # alias for readability; elements are tuples of ints
+
+
+def _is_int(x) -> bool:
+    """The one integer rule: an ``int`` that is not a ``bool`` (JSON true is no number)."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 class _Value:
@@ -126,7 +140,7 @@ class FiniteAbelianGroup(_Value):
 
     def __init__(self, cyclic_factors: tuple[int, ...]) -> None:
         super().__init__(cyclic_factors)
-        if any(not isinstance(n, int) or n < 1 for n in self.cyclic_factors):
+        if any(not _is_int(n) or n < 1 for n in self.cyclic_factors):
             raise InvalidInputError(
                 f"cyclic factors must be positive integers, got {self.cyclic_factors!r}"
             )
@@ -237,11 +251,17 @@ class Subgroup(_Value):
 def make_group(cyclic_factors) -> FiniteAbelianGroup:
     """Build the direct product of cyclic groups Z/n_1 x ... x Z/n_r.
 
-    A bare integer n is shorthand for the cyclic group Z/n.
+    A bare integer n is shorthand for the cyclic group Z/n.  A factor that is
+    not an integer is refused, not converted.
     """
     if isinstance(cyclic_factors, int):
         cyclic_factors = (cyclic_factors,)
-    factors = tuple(int(n) for n in cyclic_factors)
+    try:
+        factors = tuple(cyclic_factors)
+    except TypeError:
+        raise InvalidInputError(
+            f"cyclic factors must be positive integers, got {cyclic_factors!r}"
+        ) from None
     if not factors:
         raise InvalidInputError("need at least one cyclic factor (use [1] for the trivial group)")
     return FiniteAbelianGroup(factors)
@@ -393,7 +413,7 @@ class Character(_Value):
     ``values[i]`` is an integer v in [0, E), E the exponent of the ambient
     group, standing for the phase v/E at ``domain.elements[i]``.  The table
     is not checked here: :func:`dual_characters` builds every character, and
-    the parser returns one of those.
+    :func:`character_with_values` finds one by its table.
     """
 
     domain: Subgroup
@@ -407,8 +427,9 @@ class Character(_Value):
         return self._table[element]  # type: ignore[attr-defined]
 
     def conjugate(self) -> "Character":
+        """The pointwise negative, as the member of ``dual_characters(domain)``."""
         E = self.domain.group.exponent
-        return Character(self.domain, tuple((-v) % E for v in self.values))
+        return character_with_values(self.domain, tuple((-v) % E for v in self.values))
 
 
 def dual_characters(H: Subgroup) -> list[Character]:
@@ -448,6 +469,19 @@ def _characters_of(H: Subgroup) -> tuple[Character, ...]:
     if len(tables) != H.order:
         raise InvalidInputError(f"expected {H.order} characters, found {len(tables)}")
     return tuple(Character(H, t) for t in sorted(tables))
+
+
+def character_with_values(H: Subgroup, values: tuple[int, ...]) -> Character:
+    """The member of ``dual_characters(H)`` whose value table is ``values``.
+
+    The members are sorted by table, so this is one binary search.  A table
+    that is no member is no homomorphism from H to Q/Z and is refused.
+    """
+    chars = dual_characters(H)
+    i = bisect_left(chars, values, key=attrgetter("values"))
+    if i == len(chars) or chars[i].values != values:
+        raise InvalidInputError("character table is not a homomorphism")
+    return chars[i]
 
 
 def coset_space(group: FiniteAbelianGroup, D: Subgroup) -> dict[Element, Element]:

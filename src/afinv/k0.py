@@ -21,7 +21,7 @@ from math import gcd
 from operator import add, mul
 
 from .errors import InvalidInputError, ResourceLimitError
-from .groups import _Value
+from .groups import _is_int, _Value
 
 __all__ = [
     "StationarySystem",
@@ -42,7 +42,10 @@ SHIFT_SEARCH_BUDGET = 200_000
 
 
 def _as_matrix(rows) -> Matrix:
-    M = tuple(tuple(int(x) for x in row) for row in rows)
+    """``rows`` as a tuple of tuples; an entry that is not an integer is refused."""
+    M = tuple(map(tuple, rows))
+    if not all(map(_is_int, itertools.chain.from_iterable(M))):
+        raise InvalidInputError("matrix entries must be integers")
     if M and any(len(row) != len(M[0]) for row in M):
         raise InvalidInputError("ragged matrix")
     return M
@@ -231,7 +234,10 @@ def _prime_factors(n: int) -> frozenset[int]:
 
 
 class StationarySystem(_Value):
-    """A square nonnegative integer connecting matrix, repeated at every level."""
+    """A square nonnegative integer connecting matrix, repeated at every level.
+
+    ``labels``, if given, names each row with a string.
+    """
 
     matrix: Matrix
     labels: tuple[str, ...] | None
@@ -243,8 +249,11 @@ class StationarySystem(_Value):
             raise InvalidInputError("stationary system needs a nonempty square matrix")
         if any(x < 0 for row in M for x in row):
             raise InvalidInputError("connecting matrix must be nonnegative")
-        if self.labels is not None and len(self.labels) != len(M):
-            raise InvalidInputError("label count does not match matrix size")
+        if self.labels is not None:
+            if len(self.labels) != len(M):
+                raise InvalidInputError("label count does not match matrix size")
+            if not all(isinstance(x, str) for x in self.labels):
+                raise InvalidInputError("matrix labels must be strings")
 
 
 class RankOneForm(_Value):

@@ -9,20 +9,29 @@ parser here, ``parse(render(x)) == x``; fusion tables are output only, as
 
 Input documents (groups, characters, bimodules, matrices, diagrams) are
 canonicalized: a subgroup, character or bimodule parses to the member the
-lattice index of its group holds.  K0 descriptions and invariants are
-recomputed from their defining fields and refused unless they re-render
-exactly.
+lattice index of its group holds, found by the lookup its owner keeps
+(``groups.lattice_member``, ``groups.character_with_values``,
+``bimodules.simple_bimodule``); this module keeps none of its own.  The reads
+are lenient where the formats say so: elements are reduced mod the factors,
+phases mod 1, and matrix labels become strings.  Integers are checked with the
+one rule, ``groups._is_int``, which the constructors apply too.  K0
+descriptions and invariants are recomputed from their defining fields and
+refused unless they re-render exactly.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from bisect import bisect_left
 from fractions import Fraction
-from operator import attrgetter
 
-from .bimodules import FusionTable, SimpleBimodule, bimodule_label, simple_bimodules
+from .bimodules import (
+    FusionTable,
+    SimpleBimodule,
+    bimodule_label,
+    qsystem_label,
+    simple_bimodule,
+)
 from .compare import CERTIFICATE_KINDS, EQUIVALENT, INEQUIVALENT, UNKNOWN, Certificate, Verdict
 from .diagrams import DiagramEdge, EnrichedBratteliDiagram, InvariantData
 from .errors import InvalidInputError
@@ -30,12 +39,11 @@ from .groups import (
     Character,
     FiniteAbelianGroup,
     Subgroup,
-    coset_rep,
-    dual_characters,
+    _is_int,
+    character_with_values,
     lattice_member,
     make_group,
     subgroup_intersection,
-    subgroup_sum,
     subgroups,
 )
 from .k0 import (
@@ -100,11 +108,6 @@ def _expect(doc, key, kind):
     if kind is not None and not isinstance(value, kind):
         raise InvalidInputError(f"key {key!r} has the wrong type")
     return value
-
-
-def _is_int(x) -> bool:
-    # bool subclasses int in Python, but JSON true/false are not numbers
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _expect_int(doc, key) -> int:
@@ -210,12 +213,7 @@ def character_from_json(domain: Subgroup, doc) -> Character:
         if elem in table:
             raise InvalidInputError(f"theta names the element {list(elem)} twice")
         table[elem] = frac_from_str(raw) * E % E
-    values = tuple(table.get(e, 0) for e in domain.elements)
-    chars = dual_characters(domain)
-    i = bisect_left(chars, values, key=attrgetter("values"))
-    if i == len(chars) or chars[i].values != values:
-        raise InvalidInputError("character table is not a homomorphism")
-    return chars[i]
+    return character_with_values(domain, tuple(table.get(e, 0) for e in domain.elements))
 
 
 def bimodule_to_json(S: SimpleBimodule) -> dict:
@@ -234,12 +232,11 @@ def bimodule_from_json(G: FiniteAbelianGroup, doc) -> SimpleBimodule:
     """
     H = subgroup_from_json(G, {"generators": _expect(doc, "source_generators", list)})
     K = subgroup_from_json(G, {"generators": _expect(doc, "target_generators", list)})
-    rep = coset_rep(G, subgroup_sum(H, K), _element(G, _expect(doc, "coset_rep", list)))
+    x = _element(G, _expect(doc, "coset_rep", list))
     chi = character_from_json(
         subgroup_intersection(H, K), _expect(doc, "character", dict)
     )
-    simples = simple_bimodules(H, K)
-    return simples[simples.index(SimpleBimodule(H, K, rep, chi))]
+    return simple_bimodule(H, K, x, chi)
 
 
 # -- fusion tables ----------------------------------------------------------
@@ -429,7 +426,7 @@ def invariant_from_json(doc) -> InvariantData:
     rendering of the result.
     """
     G = group_from_json(_expect(doc, "group", dict))
-    labels = [f"Q{i + 1}" for i in range(len(subgroups(G)))]
+    labels = [qsystem_label(i) for i in range(len(subgroups(G)))]
     objects_doc = _expect(doc, "objects", dict)
     scales_doc = _expect(doc, "scales", dict)
     morphisms_doc = _expect(doc, "morphisms", list)

@@ -147,6 +147,19 @@ def test_duals_pair_with_the_identity(z4_simples):
         assert dual(dual(s)) == s
 
 
+@pytest.mark.parametrize("factors", [[4], [2, 4], [2, 2, 2]])
+def test_identity_and_duals_are_the_lattice_members(factors):
+    subs = subgroups(make_group(factors))
+    for H in subs:
+        assert identity_bimodule(H) is simple_bimodules(H, H)[0]
+        for K in subs:
+            backs = simple_bimodules(K, H)
+            for S in simple_bimodules(H, K):
+                D = dual(S)
+                assert any(D is member for member in backs)
+                assert dual(D) is S
+
+
 def test_frobenius_reciprocity_exhaustively(z4_simples):
     simples = list(z4_simples.values())
     for s1 in simples:

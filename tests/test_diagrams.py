@@ -706,6 +706,18 @@ def test_edge_validation(z4, z4_reps, z4_simples):
         EnrichedBratteliDiagram(z4, ((Q2,),), (), (1, 1))
 
 
+@pytest.mark.parametrize(
+    "ends, multiplicity, weights",
+    [((0, 0), 1.5, (1, 1)), ((0, 0), 1, (1.5, 1)), ((0.5, 0), 1, (1, 1))],
+    ids=["float-multiplicity", "float-weight", "float-edge-end"],
+)
+def test_diagrams_refuse_what_is_not_an_integer(z4_reps, z4_simples, ends, multiplicity, weights):
+    Q2 = z4_reps[1]
+    edge = DiagramEdge(*ends, z4_simples["M_{2-2,0}^triv"], multiplicity)
+    with pytest.raises(InvalidInputError):
+        EnrichedBratteliDiagram(Q2.group, ((Q2,),), ((edge,),), weights)
+
+
 def test_hom_basis_matches_simple_bimodules(z4_reps, z4_diagrams):
     Q1, Q2, Q3 = z4_reps
     # the hom basis of D(v -> P) at the lone vertex v = Q3 of H

@@ -5,6 +5,7 @@ import pytest
 
 from afinv.errors import InvalidInputError
 from afinv.groups import (
+    FiniteAbelianGroup,
     Subgroup,
     _lattice_index,
     coset_rep,
@@ -329,6 +330,32 @@ def test_schur_trivial_is_cyclicity():
     # only the full Klein group is non-cyclic
     assert sum(1 for v in names.values() if not v) == 1
     assert all(H.is_cyclic() for H in subgroups(make_group(4)))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: make_group([2.5]),
+        lambda: make_group(["4"]),
+        lambda: make_group("44"),
+        lambda: make_group([True, 2]),
+        lambda: FiniteAbelianGroup((True, 2)),
+    ],
+    ids=["float", "numeric-string", "string", "bool", "bool-in-constructor"],
+)
+def test_group_constructors_refuse_what_is_not_an_integer(build):
+    with pytest.raises(InvalidInputError):
+        build()
+
+
+@pytest.mark.parametrize("factors", [[4], [2, 4], [2, 2, 2]])
+def test_conjugate_characters_are_the_lattice_members(factors):
+    for H in subgroups(make_group(factors)):
+        chars = dual_characters(H)
+        for chi in chars:
+            conj = chi.conjugate()
+            assert any(conj is member for member in chars)
+            assert conj.conjugate() is chi
 
 
 def test_make_group_rejects_bad_factors():

@@ -344,6 +344,20 @@ def test_sixty_four_vertex_opaque_tail_is_identified_within_seconds():
     assert desc.rank == 64
 
 
+@pytest.mark.parametrize(
+    "matrix, labels",
+    [
+        (((1.5, 0.7), (2, "3")), None),
+        (((True, 1), (1, 1)), None),
+        (((1,),), (5,)),
+    ],
+    ids=["float-and-string-entries", "bool-entry", "integer-label"],
+)
+def test_stationary_system_refuses_what_it_would_have_to_convert(matrix, labels):
+    with pytest.raises(InvalidInputError):
+        StationarySystem(matrix, labels)
+
+
 def test_stationary_system_validation():
     with pytest.raises(InvalidInputError):
         StationarySystem([[1, 2]])
