@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 import warnings
 
@@ -410,10 +411,18 @@ def run() -> None:
     Freezing every live object first spares the interpreter the full
     collections of its shutdown, which would only walk objects about to be
     freed.  ``main`` itself freezes nothing, so an in-process caller keeps
-    collecting its own garbage.  An exception, ``SystemExit`` from argparse
-    included, leaves as it leaves ``main``.
+    collecting its own garbage.  A reader that closes the output pipe early
+    (``afinv ... | head``) ends the process with exit code 1 and no
+    traceback.  Any other exception, ``SystemExit`` from argparse included,
+    leaves as it leaves ``main``.
     """
-    code = main()
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # what is left in the buffer goes nowhere, so the final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
     gc.freeze()
     sys.exit(code)
 

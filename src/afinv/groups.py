@@ -140,9 +140,10 @@ class FiniteAbelianGroup(_Value):
 
     def __init__(self, cyclic_factors: tuple[int, ...]) -> None:
         super().__init__(cyclic_factors)
-        if any(not _is_int(n) or n < 1 for n in self.cyclic_factors):
+        factors = self.cyclic_factors
+        if not isinstance(factors, tuple) or any(not _is_int(n) or n < 1 for n in factors):
             raise InvalidInputError(
-                f"cyclic factors must be positive integers, got {self.cyclic_factors!r}"
+                f"cyclic factors must be a tuple of positive integers, got {factors!r}"
             )
 
     @property

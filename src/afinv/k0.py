@@ -249,11 +249,11 @@ class StationarySystem(_Value):
             raise InvalidInputError("stationary system needs a nonempty square matrix")
         if any(x < 0 for row in M for x in row):
             raise InvalidInputError("connecting matrix must be nonnegative")
-        if self.labels is not None:
-            if len(self.labels) != len(M):
+        if labels is not None:
+            if not isinstance(labels, tuple) or not all(isinstance(x, str) for x in labels):
+                raise InvalidInputError("matrix labels must be a tuple of strings")
+            if len(labels) != len(M):
                 raise InvalidInputError("label count does not match matrix size")
-            if not all(isinstance(x, str) for x in self.labels):
-                raise InvalidInputError("matrix labels must be strings")
 
 
 class RankOneForm(_Value):

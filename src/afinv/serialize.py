@@ -1,22 +1,23 @@
 """JSON wire formats for every exported object.
 
 All documents are plain JSON-compatible dicts; rationals travel as strings
-("1/2", integers as "1") and group elements as integer arrays.  Parsers
-validate structure and raise InvalidInputError on malformed input so the CLI
-can map those to its input-error exit code.  For every renderer with a
-parser here, ``parse(render(x)) == x``; fusion tables are output only, as
-``fusion_table`` of their group is the table.
+("1/2", integers as "1") and group elements as integer arrays.
 
-Input documents (groups, characters, bimodules, matrices, diagrams) are
-canonicalized: a subgroup, character or bimodule parses to the member the
-lattice index of its group holds, found by the lookup its owner keeps
-(``groups.lattice_member``, ``groups.character_with_values``,
+Input documents are the ones a command reads: groups, subgroups, characters,
+bimodules, matrices and diagrams.  Each has a parser here that validates its
+structure, raises InvalidInputError on malformed input so the CLI can map it
+to its input-error exit code, and gives ``parse(render(x)) == x``.  Fusion
+tables, K0 descriptions, invariants and verdicts are output only: afinv
+computes them and no command reads them back, so they have renderers and no
+parsers.
+
+The input documents are canonicalized: a subgroup, character or bimodule
+parses to the member the lattice index of its group holds, found by the lookup
+its owner keeps (``groups.lattice_member``, ``groups.character_with_values``,
 ``bimodules.simple_bimodule``); this module keeps none of its own.  The reads
 are lenient where the formats say so: elements are reduced mod the factors,
 phases mod 1, and matrix labels become strings.  Integers are checked with the
-one rule, ``groups._is_int``, which the constructors apply too.  K0
-descriptions and invariants are recomputed from their defining fields and
-refused unless they re-render exactly.
+one rule, ``groups._is_int``, which the constructors apply too.
 """
 
 from __future__ import annotations
@@ -29,10 +30,8 @@ from .bimodules import (
     FusionTable,
     SimpleBimodule,
     bimodule_label,
-    qsystem_label,
     simple_bimodule,
 )
-from .compare import CERTIFICATE_KINDS, EQUIVALENT, INEQUIVALENT, UNKNOWN, Certificate, Verdict
 from .diagrams import DiagramEdge, EnrichedBratteliDiagram, InvariantData
 from .errors import InvalidInputError
 from .groups import (
@@ -44,15 +43,8 @@ from .groups import (
     lattice_member,
     make_group,
     subgroup_intersection,
-    subgroups,
 )
-from .k0 import (
-    DirectSumForm,
-    K0Description,
-    RankOneForm,
-    StationarySystem,
-    stationary_k0,
-)
+from .k0 import DirectSumForm, K0Description, RankOneForm, StationarySystem
 
 __all__ = [
     "frac_to_str",
@@ -69,13 +61,10 @@ __all__ = [
     "matrix_to_json",
     "matrix_from_json",
     "k0_to_json",
-    "k0_from_json",
     "diagram_to_json",
     "diagram_from_json",
     "invariant_to_json",
-    "invariant_from_json",
     "verdict_to_json",
-    "verdict_from_json",
 ]
 
 
@@ -127,18 +116,6 @@ def _list(raw, what: str) -> list:
     if not isinstance(raw, list):
         raise InvalidInputError(f"each {what} must be a list")
     return raw
-
-
-def _json_text(value) -> str:
-    return json.dumps(value, sort_keys=True)
-
-
-def _require_rendering(doc: dict, rendered: dict, what: str) -> None:
-    """Refuse ``doc`` unless it is ``rendered``, compared as JSON text: ``True == 1`` in Python."""
-    shared = doc.keys() & rendered.keys()
-    for key in sorted(doc.keys() | rendered.keys()):
-        if key not in shared or _json_text(doc[key]) != _json_text(rendered[key]):
-            raise InvalidInputError(f"field {key!r} is not that of {what}")
 
 
 def _element(G: FiniteAbelianGroup, raw) -> tuple[int, ...]:
@@ -302,14 +279,6 @@ def k0_to_json(desc: K0Description) -> dict:
     }
 
 
-def k0_from_json(doc) -> K0Description:
-    """``stationary_k0`` of the document's ``matrix``, if ``doc`` is exactly its rendering."""
-    rows = tuple(_ints(row, "matrix rows") for row in _expect(doc, "matrix", list))
-    desc = stationary_k0(StationarySystem(rows))
-    _require_rendering(doc, k0_to_json(desc), "the K0 description of its matrix")
-    return desc
-
-
 # -- diagrams ----------------------------------------------------------------
 
 def diagram_to_json(d: EnrichedBratteliDiagram) -> dict:
@@ -397,10 +366,6 @@ def _optional_str(q: Fraction | None) -> str | None:
     return None if q is None else frac_to_str(q)
 
 
-def _optional_frac(raw) -> Fraction | None:
-    return None if raw is None else frac_from_str(raw)
-
-
 def invariant_to_json(inv: InvariantData) -> dict:
     pointed = inv.pointed
     return {
@@ -418,37 +383,10 @@ def invariant_to_json(inv: InvariantData) -> dict:
     }
 
 
-def invariant_from_json(doc) -> InvariantData:
-    """The invariant of the document's group, objects, scales, multipliers and pointed class.
-
-    Representatives, labels and bimodules come from the group, ``InvariantData``
-    checks the lengths and the scales, and ``doc`` must be exactly the
-    rendering of the result.
-    """
-    G = group_from_json(_expect(doc, "group", dict))
-    labels = [qsystem_label(i) for i in range(len(subgroups(G)))]
-    objects_doc = _expect(doc, "objects", dict)
-    scales_doc = _expect(doc, "scales", dict)
-    morphisms_doc = _expect(doc, "morphisms", list)
-    pointed = _expect(doc, "pointed", None)
-    inv = InvariantData(
-        group=G,
-        objects=tuple(k0_from_json(_expect(objects_doc, label, dict)) for label in labels),
-        scales=tuple(_optional_frac(scales_doc.get(label)) for label in labels),
-        multipliers=tuple(_optional_frac(_expect(m, "multiplier", None)) for m in morphisms_doc),
-        pointed=(
-            _ints(pointed, "pointed class vector")
-            if isinstance(pointed, list)
-            else frac_from_str(pointed)
-        ),
-    )
-    _require_rendering(doc, invariant_to_json(inv), "the invariant of its group and data")
-    return inv
-
-
 # -- verdicts ------------------------------------------------------------------
 
-def verdict_to_json(v: Verdict) -> dict:
+def verdict_to_json(v) -> dict:
+    """The document of a ``compare`` verdict: its status and the one field that comes with it."""
     doc: dict = {"verdict": v.status}
     if v.witness is not None:
         doc["witness"] = {label: frac_to_str(u) for label, u in v.witness}
@@ -463,32 +401,3 @@ def verdict_to_json(v: Verdict) -> dict:
     if v.reason is not None:
         doc["reason"] = v.reason
     return doc
-
-
-# the one field that comes with each verdict status
-_COMPANION = {EQUIVALENT: "witness", INEQUIVALENT: "certificate", UNKNOWN: "reason"}
-
-
-def verdict_from_json(doc) -> Verdict:
-    """A verdict as ``compare`` emits one: its status with exactly its companion field."""
-    status = _expect(doc, "verdict", str)
-    if status not in _COMPANION:
-        raise InvalidInputError(f"unknown verdict status {_cut(repr(status))}")
-    for key in _COMPANION.values():
-        if key != _COMPANION[status] and key in doc:
-            raise InvalidInputError(f"a verdict {status!r} carries no {key!r}")
-    if status == EQUIVALENT:
-        witness = tuple(
-            (label, frac_from_str(u)) for label, u in _expect(doc, "witness", dict).items()
-        )
-        if not witness or any(u <= 0 for _, u in witness):
-            raise InvalidInputError("a witness must give each Q-system a positive rational")
-        return Verdict(status, witness=witness)
-    if status == INEQUIVALENT:
-        c = _expect(doc, "certificate", None)
-        kind = _expect(c, "kind", str)
-        if kind not in CERTIFICATE_KINDS:
-            raise InvalidInputError(f"unknown certificate kind {_cut(repr(kind))}")
-        at, left, right = (_expect(c, key, str) for key in ("at", "left", "right"))
-        return Verdict(status, certificate=Certificate(kind, at, left, right))
-    return Verdict(status, reason=_expect(doc, "reason", str))

@@ -25,7 +25,7 @@ from afinv.serialize import (
     bimodule_to_json,
     diagram_to_json,
     group_to_json,
-    invariant_from_json,
+    invariant_to_json,
     matrix_to_json,
 )
 from afinv.k0 import StationarySystem
@@ -199,7 +199,8 @@ def test_invariant_of_noncyclic_group_prints_no_warning(files, capsys):
 def test_invariant_json_round_trips(files, capsys, z4_invariants):
     code, out, _ = run(capsys, "invariant", files["F"], "--format", "json")
     assert code == 0
-    assert invariant_from_json(json.loads(out)) == z4_invariants["F"]
+    # invariant documents are output only: the CLI prints the rendering, through real JSON text
+    assert json.loads(out) == json.loads(json.dumps(invariant_to_json(z4_invariants["F"])))
 
 
 def test_invariant_of_trivial_tail_shows_blocks(files, capsys):
@@ -616,10 +617,19 @@ def test_repeated_malformed_bimodule_fails_at_its_first_edge(tmp_path, z4_diagra
     assert (code, out, err) == (1, "", "error: character table is not a homomorphism\n")
 
 
-def test_cli_imports_only_the_standard_library():
-    # the README and pyproject.toml promise no runtime dependencies
+def _fresh_interpreter(probe: str) -> str:
+    """What ``probe`` prints, run in a new interpreter that imports afinv from this tree."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(afinv.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_cli_imports_only_the_standard_library():
+    # the README and pyproject.toml promise no runtime dependencies
     probe = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -627,18 +637,12 @@ def test_cli_imports_only_the_standard_library():
         "new = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
         "print(sorted(new - set(sys.stdlib_module_names) - {'afinv'}))\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert _fresh_interpreter(probe) == "[]"
 
 
 def test_cli_import_loads_no_code_generation_modules():
     # every request is a fresh process; dataclasses and the inspect, ast and
     # dis modules it pulls in cost start-up time that no afinv path needs
-    src = os.path.dirname(os.path.dirname(os.path.abspath(afinv.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
     probe = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -646,11 +650,13 @@ def test_cli_import_loads_no_code_generation_modules():
         "new = set(sys.modules) - before\n"
         "print(sorted(new & {'dataclasses', 'inspect', 'ast', 'dis'}))\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert _fresh_interpreter(probe) == "[]"
+
+
+def test_serialize_import_loads_no_decision_layer():
+    # the wire formats read no verdict, so they need nothing of afinv.compare
+    probe = "import sys, afinv.serialize\nprint('afinv.compare' in sys.modules)\n"
+    assert _fresh_interpreter(probe) == "False"
 
 
 def test_group_order_bound(files, capsys):
@@ -773,6 +779,21 @@ def test_process_matches_in_process_main(argv, files, capsys, monkeypatch):
     captured = capsys.readouterr()
     proc = run_process(*argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
+
+
+def test_a_closed_output_pipe_ends_without_a_traceback(files):
+    # Z/12's table is about 600 kB, more than a pipe holds, so the write meets the closed end
+    src = os.path.dirname(os.path.dirname(os.path.abspath(afinv.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "afinv.cli", "fusion-table", files["z12"], "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert first == b"{\n"
+    assert (proc.wait(timeout=60), err) == (1, b"")
 
 
 def test_stdin_input(files, capsys, monkeypatch, z4):

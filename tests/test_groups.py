@@ -348,6 +348,12 @@ def test_group_constructors_refuse_what_is_not_an_integer(build):
         build()
 
 
+def test_group_constructor_refuses_a_list_of_factors():
+    # a list would be accepted and then fail its first hash, in the lattice index's cache
+    with pytest.raises(InvalidInputError, match="must be a tuple"):
+        FiniteAbelianGroup([2])
+
+
 @pytest.mark.parametrize("factors", [[4], [2, 4], [2, 2, 2]])
 def test_conjugate_characters_are_the_lattice_members(factors):
     for H in subgroups(make_group(factors)):

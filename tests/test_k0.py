@@ -350,8 +350,9 @@ def test_sixty_four_vertex_opaque_tail_is_identified_within_seconds():
         (((1.5, 0.7), (2, "3")), None),
         (((True, 1), (1, 1)), None),
         (((1,),), (5,)),
+        (((1,),), ["a"]),  # a list would fail its first hash
     ],
-    ids=["float-and-string-entries", "bool-entry", "integer-label"],
+    ids=["float-and-string-entries", "bool-entry", "integer-label", "list-of-labels"],
 )
 def test_stationary_system_refuses_what_it_would_have_to_convert(matrix, labels):
     with pytest.raises(InvalidInputError):
