@@ -232,6 +232,10 @@ def _rank_one_doc(matrix, eigenvalue, left_vector, prime_set, scale):
             ((1, 1), (0, 1)), {"variant": "opaque", "matrix": [[1, 1], [0, 1]], "rank": 2},
             id="opaque",
         ),
+        pytest.param(
+            ((2, 8), (0, 0)), _rank_one_doc([[2, 8], [0, 0]], 2, [1, 4], [2], "1/5"),
+            id="rank-one-zero-row",
+        ),
     ],
 )
 def test_k0_renderings(matrix, rendered):
@@ -241,7 +245,8 @@ def test_k0_renderings(matrix, rendered):
 
 def test_rank_one_documents_carry_a_derived_scale():
     doc = k0_to_json(stationary_k0(StationarySystem(((2, 8), (0, 0)))))
-    assert doc == _rank_one_doc([[2, 8], [0, 0]], 2, [1, 4], [2], "1/5")
+    # the scale is derived: 1 over the sum of the left vector [1, 4], off the primes of S = {2}
+    assert doc["scale"] == "1/5"
 
 
 # -------------------------------------------------------------------- diagrams
