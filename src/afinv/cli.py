@@ -40,7 +40,7 @@ from .errors import (
     OracleFailureError,
     ResourceLimitError,
 )
-from .k0 import DirectSumForm, RankOneForm, stationary_k0
+from .k0 import DirectSumForm, RankOneForm, prime_set_text, stationary_k0
 
 __all__ = ["main", "run"]
 
@@ -195,16 +195,12 @@ def _cmd_bimodules(args) -> int:
 
 def _describe_object(label, desc) -> str:
     if isinstance(desc, RankOneForm):
-        S = "{" + ",".join(map(str, sorted(desc.prime_set))) + "}"
         return (
-            f"  {label}: rank 1, image {desc.scale} * Z[1/{S}] "
+            f"  {label}: rank 1, image {desc.scale} * Z[1/{prime_set_text(desc.prime_set)}] "
             f"(eigenvalue {desc.eigenvalue})"
         )
     if isinstance(desc, DirectSumForm):
-        parts = []
-        for b in desc.blocks:
-            S = "{" + ",".join(map(str, sorted(b.prime_set))) + "}"
-            parts.append(f"{b.scale} * Z[1/{S}]")
+        parts = [f"{b.scale} * Z[1/{prime_set_text(b.prime_set)}]" for b in desc.blocks]
         return f"  {label}: rank {desc.rank}, direct sum " + " + ".join(parts)
     return f"  {label}: rank {desc.rank} (no closed identification)"
 

@@ -29,6 +29,7 @@ from .k0 import (
     DirectSumForm,
     RankOneForm,
     is_s_unit,
+    prime_set_text,
     shift_equivalent_bounded,
 )
 
@@ -42,19 +43,12 @@ __all__ = [
 EQUIVALENT = "equivalent"
 INEQUIVALENT = "inequivalent"
 UNKNOWN = "unknown"
-CERTIFICATE_KINDS = (
-    "rank",
-    "prime-set",
-    "constraint-inconsistency",
-    "unit-obstruction",
-    "pointed-obstruction",
-)
 
 
 class Certificate(_Value):
     """A violated constraint, pinned to the object or bimodule where it fails."""
 
-    kind: str  # one of CERTIFICATE_KINDS
+    kind: str  # rank, prime-set, constraint-inconsistency, unit-obstruction, pointed-obstruction
     at: str
     left: str
     right: str
@@ -84,7 +78,7 @@ def _prime_profile(desc):
 
 
 def _fmt_profile(profile) -> str:
-    return " + ".join("{" + ",".join(map(str, s)) + "}" for s in profile)
+    return " + ".join(map(prime_set_text, profile))
 
 
 def _check_preconditions(x1, x2) -> None:
@@ -227,7 +221,7 @@ def compare(
                     "unit-obstruction",
                     label,
                     str(ratio),
-                    "S={" + ",".join(map(str, sorted(S))) + "}",
+                    "S=" + prime_set_text(S),
                 ),
             )
 

@@ -1,6 +1,11 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit, and how much of an input a message repeats."""
 
 from __future__ import annotations
+
+
+def _cut(text: str) -> str:
+    """``text``, usually the ``repr`` of an input, cut to 60 characters for an error message."""
+    return text if len(text) <= 60 else text[:60] + "..."
 
 
 class AfinvError(Exception):

@@ -9,12 +9,13 @@ its lexicographically least member.  Each group's lattice, and the sums,
 intersections, coset maps and characters of its subgroups, are built once and
 kept in one lattice index per group.
 
-This module owns two rules.  The integer rule, ``_is_int``: every constructor
-that takes integers, here and in ``k0`` and ``diagrams``, refuses anything
-else.  And the lookups of the index's members: ``lattice_member`` finds a
-subgroup and ``character_with_values`` a character; ``afinv.bimodules`` owns
-the one lookup of a simple bimodule.  Only ``_characters_of`` builds a
-``Character``.
+This module owns three rules.  The integer rule, ``_is_int``: every
+constructor that takes integers, here and in ``k0`` and ``diagrams``, refuses
+anything else.  The element rule, ``FiniteAbelianGroup.reduce``: an element
+given as input holds one integer per factor and is read mod the factors.  And
+the lookups of the index's members: ``lattice_member`` finds a subgroup and
+``character_with_values`` a character; ``afinv.bimodules`` owns the one
+lookup of a simple bimodule.  Only ``_characters_of`` builds a ``Character``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from bisect import bisect_left
 from functools import lru_cache
 from operator import attrgetter
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _cut
 
 __all__ = [
     "FiniteAbelianGroup",
@@ -141,9 +142,11 @@ class FiniteAbelianGroup(_Value):
     def __init__(self, cyclic_factors: tuple[int, ...]) -> None:
         super().__init__(cyclic_factors)
         factors = self.cyclic_factors
-        if not isinstance(factors, tuple) or any(not _is_int(n) or n < 1 for n in factors):
+        if not isinstance(factors, tuple):
+            raise InvalidInputError(f"cyclic factors must be a tuple, got {_cut(repr(factors))}")
+        if any(not _is_int(n) or n < 1 for n in factors):
             raise InvalidInputError(
-                f"cyclic factors must be a tuple of positive integers, got {factors!r}"
+                f"cyclic factors {_cut(repr(factors))} must be positive integers"
             )
 
     @property
@@ -162,9 +165,17 @@ class FiniteAbelianGroup(_Value):
         return (0,) * len(self.cyclic_factors)
 
     def reduce(self, a) -> Element:
-        if len(a) != len(self.cyclic_factors):
-            raise InvalidInputError(f"element {a!r} has wrong length for {self}")
-        return tuple(x % n for x, n in zip(a, self.cyclic_factors))
+        """``a``, a tuple or list of one integer per factor, reduced mod the factors.
+
+        This is the one rule for an element given as input: a float, string or
+        bool is refused, not converted.
+        """
+        factors = self.cyclic_factors
+        if not isinstance(a, (tuple, list)) or len(a) != len(factors):
+            raise InvalidInputError(f"element {_cut(repr(a))} does not match the group rank")
+        if not all(map(_is_int, a)):
+            raise InvalidInputError(f"element {_cut(repr(a))} must be a list of integers")
+        return tuple(x % n for x, n in zip(a, factors))
 
     def add(self, a: Element, b: Element) -> Element:
         return tuple((x + y) % n for x, y, n in zip(a, b, self.cyclic_factors))
@@ -261,7 +272,7 @@ def make_group(cyclic_factors) -> FiniteAbelianGroup:
         factors = tuple(cyclic_factors)
     except TypeError:
         raise InvalidInputError(
-            f"cyclic factors must be positive integers, got {cyclic_factors!r}"
+            f"cyclic factors must be positive integers, got {_cut(repr(cyclic_factors))}"
         ) from None
     if not factors:
         raise InvalidInputError("need at least one cyclic factor (use [1] for the trivial group)")

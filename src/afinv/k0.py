@@ -315,6 +315,11 @@ def is_s_unit(q: Fraction, primes) -> bool:
     return q > 0 and strip_primes(q, primes) == 1
 
 
+def prime_set_text(primes) -> str:
+    """A prime set S as text and in certificates: ascending, comma-separated, ``{2,3}``."""
+    return "{" + ",".join(map(str, sorted(primes))) + "}"
+
+
 def _try_rank_one(A: Matrix, rows) -> RankOneForm | None:
     """The rank-one form of A, given the echelon rows of its eventual row space.
 

@@ -11,13 +11,17 @@ tables, K0 descriptions, invariants and verdicts are output only: afinv
 computes them and no command reads them back, so they have renderers and no
 parsers.
 
-The input documents are canonicalized: a subgroup, character or bimodule
-parses to the member the lattice index of its group holds, found by the lookup
-its owner keeps (``groups.lattice_member``, ``groups.character_with_values``,
-``bimodules.simple_bimodule``); this module keeps none of its own.  The reads
-are lenient where the formats say so: elements are reduced mod the factors,
-phases mod 1, and matrix labels become strings.  Integers are checked with the
-one rule, ``groups._is_int``, which the constructors apply too.
+The parsers check the shape of a document only: it is an object, a key is
+present, a value is a list.  Every value goes to its owner, which checks it:
+``make_group`` the cyclic factors, ``FiniteAbelianGroup.reduce`` each element,
+``EnrichedBratteliDiagram`` the edge ends, multiplicities and generator weights,
+and ``StationarySystem`` the matrix entries.  A subgroup, character or
+bimodule parses to the member the lattice index of its group holds, found by
+the lookup its owner keeps (``groups.lattice_member``,
+``groups.character_with_values``, ``bimodules.simple_bimodule``); this module
+keeps none of its own.  The reads are lenient where the formats say so:
+elements are reduced mod the factors, phases mod 1, and matrix labels become
+strings.
 """
 
 from __future__ import annotations
@@ -33,12 +37,11 @@ from .bimodules import (
     simple_bimodule,
 )
 from .diagrams import DiagramEdge, EnrichedBratteliDiagram, InvariantData
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _cut
 from .groups import (
     Character,
     FiniteAbelianGroup,
     Subgroup,
-    _is_int,
     character_with_values,
     lattice_member,
     make_group,
@@ -68,11 +71,6 @@ __all__ = [
 ]
 
 
-def _cut(text: str) -> str:
-    """``text``, usually the ``repr`` of an input, cut to 60 characters for an error message."""
-    return text if len(text) <= 60 else text[:60] + "..."
-
-
 def frac_to_str(q: Fraction) -> str:
     return str(Fraction(q))
 
@@ -99,19 +97,6 @@ def _expect(doc, key, kind):
     return value
 
 
-def _expect_int(doc, key) -> int:
-    value = _expect(doc, key, None)
-    if not _is_int(value):
-        raise InvalidInputError(f"key {key!r} must be an integer")
-    return value
-
-
-def _ints(raw, what: str) -> tuple[int, ...]:
-    if not isinstance(raw, list) or not all(_is_int(x) for x in raw):
-        raise InvalidInputError(f"{what} must be a list of integers")
-    return tuple(raw)
-
-
 def _list(raw, what: str) -> list:
     if not isinstance(raw, list):
         raise InvalidInputError(f"each {what} must be a list")
@@ -119,11 +104,7 @@ def _list(raw, what: str) -> list:
 
 
 def _element(G: FiniteAbelianGroup, raw) -> tuple[int, ...]:
-    if not isinstance(raw, list) or len(raw) != G.rank:
-        raise InvalidInputError(f"element {_cut(repr(raw))} does not match the group rank")
-    if not all(_is_int(x) for x in raw):
-        raise InvalidInputError(f"element {_cut(repr(raw))} must be a list of integers")
-    return G.reduce(tuple(raw))
+    return G.reduce(_list(raw, "element"))
 
 
 # -- groups and subgroups ---------------------------------------------------
@@ -133,10 +114,7 @@ def group_to_json(G: FiniteAbelianGroup) -> dict:
 
 
 def group_from_json(doc) -> FiniteAbelianGroup:
-    factors = _expect(doc, "cyclic_factors", list)
-    if not factors or not all(_is_int(n) and n >= 1 for n in factors):
-        raise InvalidInputError("cyclic_factors must be a nonempty list of positive ints")
-    return make_group(factors)
+    return make_group(_expect(doc, "cyclic_factors", list))
 
 
 def subgroup_to_json(H: Subgroup) -> dict:
@@ -242,7 +220,7 @@ def matrix_to_json(sys: StationarySystem) -> dict:
 
 
 def matrix_from_json(doc) -> StationarySystem:
-    matrix = tuple(_ints(row, "matrix rows") for row in _expect(doc, "rows", list))
+    matrix = [_list(row, "matrix row") for row in _expect(doc, "rows", list)]
     labels = doc.get("labels")
     if labels is not None:
         if not isinstance(labels, list):
@@ -322,22 +300,17 @@ def _edge_from_json(G, doc, bimodules: dict, source=0, target=0) -> DiagramEdge:
     """
     if not isinstance(doc, dict):
         raise InvalidInputError(f"edge {_cut(repr(doc))} must be an object")
-    mult = doc.get("multiplicity", 1)
-    if not _is_int(mult):
-        raise InvalidInputError("edge multiplicity must be an integer")
     raw = _expect(doc, "bimodule", dict)
     key = repr(raw)
     bimodule = bimodules.get(key)
     if bimodule is None:
         bimodule = bimodules[key] = bimodule_from_json(G, raw)
-    return DiagramEdge(source, target, bimodule, mult)
+    return DiagramEdge(source, target, bimodule, doc.get("multiplicity", 1))
 
 
 def diagram_from_json(doc) -> EnrichedBratteliDiagram:
     G = group_from_json(_expect(doc, "group", dict))
     weights = _expect(doc, "generator_weights", list)
-    if not all(_is_int(w) for w in weights):
-        raise InvalidInputError("generator_weights must be integers")
     bimodules: dict[str, SimpleBimodule] = {}
     if "vertex" in doc:
         vertex = subgroup_from_json(G, doc["vertex"])
@@ -354,7 +327,7 @@ def diagram_from_json(doc) -> EnrichedBratteliDiagram:
         parsed = []
         for e in _list(block, "edge block"):
             parsed.append(
-                _edge_from_json(G, e, bimodules, _expect_int(e, "from"), _expect_int(e, "to"))
+                _edge_from_json(G, e, bimodules, _expect(e, "from", None), _expect(e, "to", None))
             )
         blocks.append(tuple(parsed))
     return EnrichedBratteliDiagram(G, levels, tuple(blocks), tuple(weights))

@@ -587,9 +587,10 @@ def _nest(text, depth):
         (("edge", 1, "bimodule", "character", "theta"), {"[2]": "1" * 100_000},
          "error: not a rational number: '111"),
         (("edge", 0), list(range(100_000)), "error: edge [0, 1, 2,"),
+        (("group", "cyclic_factors"), list(range(100_000)), "error: cyclic factors (0, 1, 2,"),
     ],
     ids=["theta-key-5000-deep", "coset-rep-900-deep", "phase-of-100000-digits",
-         "edge-of-100000-items"],
+         "edge-of-100000-items", "cyclic-factors-of-100000-items"],
 )
 def test_error_lines_cut_the_input_they_repeat(tmp_path, z4_diagrams, path, value, head):
     # a nested list is spliced in as text: encoding it would recurse once per level

@@ -340,8 +340,12 @@ def test_schur_trivial_is_cyclicity():
         lambda: make_group("44"),
         lambda: make_group([True, 2]),
         lambda: FiniteAbelianGroup((True, 2)),
+        lambda: Subgroup.generated(make_group([4]), [(1.5,)]),
+        lambda: make_group([4]).reduce(("1",)),
+        lambda: make_group([4]).reduce((True,)),
     ],
-    ids=["float", "numeric-string", "string", "bool", "bool-in-constructor"],
+    ids=["float", "numeric-string", "string", "bool", "bool-in-constructor",
+         "float-generator", "numeric-string-element", "bool-element"],
 )
 def test_group_constructors_refuse_what_is_not_an_integer(build):
     with pytest.raises(InvalidInputError):
