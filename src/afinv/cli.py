@@ -11,16 +11,46 @@ oracle, 3 verdict "inequivalent", 4 verdict "unknown".
 
 The CLI alone bounds the order of the groups it reads (``--max-group-order``);
 the library functions take no bounds.
+
+Each request is one process, so the CLI loads only what its subcommand runs.
+Importing this module registers ``compare``, ``crossed``, ``diagrams`` and
+``k0`` to be executed on their first attribute access; ``qsystems``,
+``bimodules`` and ``fusion-table`` run none of them, ``oracle`` runs
+``crossed`` and ``k0`` runs ``k0``.  A module imported before this one is
+reused as it is.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import importlib.util
 import json
 import os
 import sys
 import warnings
+
+
+def _lazy(name: str):
+    """``afinv.<name>``, compiled and executed on its first attribute access.
+
+    A module imported before is returned as it is, so no second copy appears.
+    A new one goes into ``sys.modules`` and onto the package, where
+    ``from . import name`` finds it without loading it.
+    """
+    full = f"{__package__}.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    spec = importlib.util.find_spec(full)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[full] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# Before serialize, which takes diagrams and k0 from the package.
+compare, crossed, diagrams, k0 = map(_lazy, ("compare", "crossed", "diagrams", "k0"))
 
 from . import serialize as ser
 from .bimodules import (
@@ -31,16 +61,12 @@ from .bimodules import (
     simple_bimodules,
     simples_by_pair,
 )
-from .compare import _check_preconditions, compare
-from .crossed import crossed_product_blocks
-from .diagrams import compute_invariant
 from .errors import (
     InternalConsistencyError,
     InvalidInputError,
     OracleFailureError,
     ResourceLimitError,
 )
-from .k0 import DirectSumForm, RankOneForm, prime_set_text, stationary_k0
 
 __all__ = ["main", "run"]
 
@@ -194,19 +220,19 @@ def _cmd_bimodules(args) -> int:
 
 
 def _describe_object(label, desc) -> str:
-    if isinstance(desc, RankOneForm):
+    if isinstance(desc, k0.RankOneForm):
         return (
-            f"  {label}: rank 1, image {desc.scale} * Z[1/{prime_set_text(desc.prime_set)}] "
+            f"  {label}: rank 1, image {desc.scale} * Z[1/{k0.prime_set_text(desc.prime_set)}] "
             f"(eigenvalue {desc.eigenvalue})"
         )
-    if isinstance(desc, DirectSumForm):
-        parts = [f"{b.scale} * Z[1/{prime_set_text(b.prime_set)}]" for b in desc.blocks]
+    if isinstance(desc, k0.DirectSumForm):
+        parts = [f"{b.scale} * Z[1/{k0.prime_set_text(b.prime_set)}]" for b in desc.blocks]
         return f"  {label}: rank {desc.rank}, direct sum " + " + ".join(parts)
     return f"  {label}: rank {desc.rank} (no closed identification)"
 
 
 def _cmd_invariant(args) -> int:
-    inv = compute_invariant(_load_diagram(args, args.diagram))
+    inv = diagrams.compute_invariant(_load_diagram(args, args.diagram))
     doc = ser.invariant_to_json(inv)
     lines = [f"invariant over Hilb({inv.group})", "objects:"]
     for k, label in enumerate(inv.labels):
@@ -228,9 +254,9 @@ def _cmd_invariant(args) -> int:
 def _cmd_compare(args) -> int:
     # Refuse a bad second document or a second group before either invariant is computed.
     d1, d2 = _load_diagram(args, args.first), _load_diagram(args, args.second)
-    _check_preconditions(d1, d2)
-    inv1, inv2 = compute_invariant(d1), compute_invariant(d2)
-    verdict = compare(inv1, inv2, se_lag=args.se_lag, se_entries=args.se_entries)
+    compare._check_preconditions(d1, d2)
+    inv1, inv2 = diagrams.compute_invariant(d1), diagrams.compute_invariant(d2)
+    verdict = compare.compare(inv1, inv2, se_lag=args.se_lag, se_entries=args.se_entries)
     doc = ser.verdict_to_json(verdict)
     lines = [f"verdict: {verdict.status}"]
     if verdict.witness is not None:
@@ -256,7 +282,7 @@ def _cmd_oracle(args) -> int:
     for i, P in enumerate(reps):
         for j, Q in enumerate(reps):
             categorical = len(by_pair[P, Q])
-            blocks = crossed_product_blocks(G, Q, P)
+            blocks = crossed.crossed_product_blocks(G, Q, P)
             ok = categorical == blocks.k0_rank
             all_ok = all_ok and ok
             source, target = qsystem_label(i), qsystem_label(j)
@@ -283,7 +309,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_k0(args) -> int:
     sys_ = ser.matrix_from_json(_load_json(args.matrix))
-    desc = stationary_k0(sys_)
+    desc = k0.stationary_k0(sys_)
     doc = ser.k0_to_json(desc)
     lines = [_describe_object("matrix", desc).strip()]
     _emit(args, doc, lines)

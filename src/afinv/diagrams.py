@@ -59,6 +59,27 @@ def _fuse_cached(S1: SimpleBimodule, S2: SimpleBimodule) -> dict[SimpleBimodule,
     return fuse(S1, S2)
 
 
+def _check_generator_weights(group: FiniteAbelianGroup, level0, weights) -> None:
+    """The weight rule: one nonnegative integer per hom-basis element over ``level0``.
+
+    A level-0 vertex v has |G|/|v| basis elements, and each vertex needs a
+    positive weight among its own.  It reads no edge, so ``diagram_from_json``
+    applies it before it parses any.
+    """
+    blocks = [group.order // v.order for v in level0]
+    if len(weights) != sum(blocks):
+        raise InvalidInputError(f"generator weights must have length {sum(blocks)}")
+    if not all(map(_is_int, weights)):
+        raise InvalidInputError("generator weights must be integers")
+    if any(w < 0 for w in weights):
+        raise InvalidInputError("generator weights must be nonnegative")
+    offset = 0
+    for size in blocks:
+        if not any(weights[offset : offset + size]):
+            raise InvalidInputError("each level-0 vertex needs a positive generator weight")
+        offset += size
+
+
 class DiagramEdge(_Value):
     """An edge between consecutive levels, labeled by a simple bimodule."""
 
@@ -113,22 +134,7 @@ class EnrichedBratteliDiagram(_Value):
                 covered.add(e.target)
             if covered != set(range(len(upper))):
                 raise InvalidInputError(f"level {n + 1} has unreachable vertices")
-        blocks = [self.group.order // v.order for v in self.levels[0]]
-        if len(self.generator_weights) != sum(blocks):
-            raise InvalidInputError(
-                f"generator weights must have length {sum(blocks)}"
-            )
-        if not all(map(_is_int, self.generator_weights)):
-            raise InvalidInputError("generator weights must be integers")
-        if any(w < 0 for w in self.generator_weights):
-            raise InvalidInputError("generator weights must be nonnegative")
-        offset = 0
-        for size in blocks:
-            if not any(self.generator_weights[offset : offset + size]):
-                raise InvalidInputError(
-                    "each level-0 vertex needs a positive generator weight"
-                )
-            offset += size
+        _check_generator_weights(self.group, self.levels[0], self.generator_weights)
 
     @classmethod
     def homogeneous(

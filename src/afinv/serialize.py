@@ -15,9 +15,11 @@ The parsers check the shape of a document only: it is an object, a key is
 present, a value is a list.  Every value goes to its owner, which checks it:
 ``make_group`` the cyclic factors, ``FiniteAbelianGroup.reduce`` each element,
 ``EnrichedBratteliDiagram`` the edge ends, multiplicities and generator weights,
-and ``StationarySystem`` the matrix entries.  A subgroup, character or
-bimodule parses to the member the lattice index of its group holds, found by
-the lookup its owner keeps (``groups.lattice_member``,
+and ``StationarySystem`` the matrix entries.  The weight rule,
+``diagrams._check_generator_weights``, reads no edge, so ``diagram_from_json``
+also applies it once level 0 is read, before any edge is parsed.  A subgroup,
+character or bimodule parses to the member the lattice index of its group
+holds, found by the lookup its owner keeps (``groups.lattice_member``,
 ``groups.character_with_values``, ``bimodules.simple_bimodule``); this module
 keeps none of its own.  The reads are lenient where the formats say so:
 elements are reduced mod the factors, phases mod 1, and matrix labels become
@@ -30,13 +32,13 @@ import json
 import re
 from fractions import Fraction
 
+from . import diagrams, k0
 from .bimodules import (
     FusionTable,
     SimpleBimodule,
     bimodule_label,
     simple_bimodule,
 )
-from .diagrams import DiagramEdge, EnrichedBratteliDiagram, InvariantData
 from .errors import InvalidInputError, _cut
 from .groups import (
     Character,
@@ -47,7 +49,6 @@ from .groups import (
     make_group,
     subgroup_intersection,
 )
-from .k0 import DirectSumForm, K0Description, RankOneForm, StationarySystem
 
 __all__ = [
     "frac_to_str",
@@ -212,24 +213,24 @@ def fusion_table_to_json(table: FusionTable) -> dict:
 
 # -- matrices and K0 descriptions -------------------------------------------
 
-def matrix_to_json(sys: StationarySystem) -> dict:
+def matrix_to_json(sys: k0.StationarySystem) -> dict:
     doc = {"rows": [list(r) for r in sys.matrix]}
     if sys.labels is not None:
         doc["labels"] = list(sys.labels)
     return doc
 
 
-def matrix_from_json(doc) -> StationarySystem:
+def matrix_from_json(doc) -> k0.StationarySystem:
     matrix = [_list(row, "matrix row") for row in _expect(doc, "rows", list)]
     labels = doc.get("labels")
     if labels is not None:
         if not isinstance(labels, list):
             raise InvalidInputError("matrix labels must be a list")
         labels = tuple(str(x) for x in labels)
-    return StationarySystem(matrix, labels)
+    return k0.StationarySystem(matrix, labels)
 
 
-def _rank_one_to_json(desc: RankOneForm) -> dict:
+def _rank_one_to_json(desc: k0.RankOneForm) -> dict:
     return {
         "variant": "rank-one",
         "matrix": [list(r) for r in desc.matrix],
@@ -240,10 +241,10 @@ def _rank_one_to_json(desc: RankOneForm) -> dict:
     }
 
 
-def k0_to_json(desc: K0Description) -> dict:
-    if isinstance(desc, RankOneForm):
+def k0_to_json(desc: k0.K0Description) -> dict:
+    if isinstance(desc, k0.RankOneForm):
         return _rank_one_to_json(desc)
-    if isinstance(desc, DirectSumForm):
+    if isinstance(desc, k0.DirectSumForm):
         return {
             "variant": "direct-sum",
             "matrix": [list(r) for r in desc.matrix],
@@ -259,7 +260,7 @@ def k0_to_json(desc: K0Description) -> dict:
 
 # -- diagrams ----------------------------------------------------------------
 
-def diagram_to_json(d: EnrichedBratteliDiagram) -> dict:
+def diagram_to_json(d: diagrams.EnrichedBratteliDiagram) -> dict:
     if d.is_stationary and len(d.levels[0]) == 1:
         return {
             "group": group_to_json(d.group),
@@ -291,7 +292,7 @@ def diagram_to_json(d: EnrichedBratteliDiagram) -> dict:
     }
 
 
-def _edge_from_json(G, doc, bimodules: dict, source=0, target=0) -> DiagramEdge:
+def _edge_from_json(G, doc, bimodules: dict, source=0, target=0) -> diagrams.DiagramEdge:
     """One edge; ``bimodules`` maps each bimodule already read, as its ``repr``, to its parse.
 
     Edges that repeat a bimodule thus share one object, parsed and validated once.
@@ -305,23 +306,26 @@ def _edge_from_json(G, doc, bimodules: dict, source=0, target=0) -> DiagramEdge:
     bimodule = bimodules.get(key)
     if bimodule is None:
         bimodule = bimodules[key] = bimodule_from_json(G, raw)
-    return DiagramEdge(source, target, bimodule, doc.get("multiplicity", 1))
+    return diagrams.DiagramEdge(source, target, bimodule, doc.get("multiplicity", 1))
 
 
-def diagram_from_json(doc) -> EnrichedBratteliDiagram:
+def diagram_from_json(doc) -> diagrams.EnrichedBratteliDiagram:
     G = group_from_json(_expect(doc, "group", dict))
     weights = _expect(doc, "generator_weights", list)
     bimodules: dict[str, SimpleBimodule] = {}
     if "vertex" in doc:
         vertex = subgroup_from_json(G, doc["vertex"])
+        diagrams._check_generator_weights(G, (vertex,), weights)
         edges = tuple(
             _edge_from_json(G, e, bimodules) for e in _expect(doc, "edge", list)
         )
-        return EnrichedBratteliDiagram(G, ((vertex,),), (edges,), tuple(weights))
+        return diagrams.EnrichedBratteliDiagram(G, ((vertex,),), (edges,), tuple(weights))
     levels = tuple(
         tuple(subgroup_from_json(G, v) for v in _list(level, "level"))
         for level in _expect(doc, "levels", list)
     )
+    if levels:
+        diagrams._check_generator_weights(G, levels[0], weights)
     blocks = []
     for block in _expect(doc, "edges", list):
         parsed = []
@@ -330,7 +334,7 @@ def diagram_from_json(doc) -> EnrichedBratteliDiagram:
                 _edge_from_json(G, e, bimodules, _expect(e, "from", None), _expect(e, "to", None))
             )
         blocks.append(tuple(parsed))
-    return EnrichedBratteliDiagram(G, levels, tuple(blocks), tuple(weights))
+    return diagrams.EnrichedBratteliDiagram(G, levels, tuple(blocks), tuple(weights))
 
 
 # -- invariants ---------------------------------------------------------------
@@ -339,7 +343,7 @@ def _optional_str(q: Fraction | None) -> str | None:
     return None if q is None else frac_to_str(q)
 
 
-def invariant_to_json(inv: InvariantData) -> dict:
+def invariant_to_json(inv: diagrams.InvariantData) -> dict:
     pointed = inv.pointed
     return {
         "group": group_to_json(inv.group),

@@ -277,7 +277,7 @@ def test_compare_refuses_its_inputs_before_computing_an_invariant(
     def refuse(d):
         raise AssertionError("an invariant was computed before both inputs were admitted")
 
-    monkeypatch.setattr("afinv.cli.compute_invariant", refuse)
+    monkeypatch.setattr("afinv.diagrams.compute_invariant", refuse)
     code, out, err = run(capsys, "compare", files["F"], files[second])
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
@@ -345,7 +345,7 @@ def test_oracle_z12_covers_all_thirty_six_pairs(files, capsys):
 
 def test_oracle_failure_exits_two(files, capsys, monkeypatch):
     fake = types.SimpleNamespace(k0_rank=0)
-    monkeypatch.setattr("afinv.cli.crossed_product_blocks", lambda *a: fake)
+    monkeypatch.setattr("afinv.crossed.crossed_product_blocks", lambda *a: fake)
     code, out, err = run(capsys, "oracle", files["z4"])
     assert code == 2
     assert "FAIL" in out
@@ -660,6 +660,41 @@ def test_serialize_import_loads_no_decision_layer():
     assert _fresh_interpreter(probe) == "False"
 
 
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["qsystems", "G"], []),
+        (["bimodules", "G", "--source", "1", "--target", "2"], []),
+        (["fusion-table", "G"], []),
+        (["oracle", "G"], ["crossed"]),
+        (["k0", "--matrix", "M"], ["k0"]),
+    ],
+)
+def test_cli_compiles_only_the_modules_a_subcommand_runs(argv, loaded, tmp_path):
+    # every request is a fresh process, and compiling a module it never calls is start-up waste
+    paths = {"G": write_json(tmp_path, "z4.json", {"cyclic_factors": [4]}),
+             "M": write_json(tmp_path, "m.json", {"rows": [[2, 1], [1, 1]]})}
+    probe = (
+        "import json, sys, types\n"
+        "from afinv.cli import main\n"
+        f"assert main({[paths.get(a, a) for a in argv]!r}) == 0\n"
+        "lazy = ('compare', 'crossed', 'diagrams', 'k0')\n"
+        "print(json.dumps([n for n in lazy if type(sys.modules['afinv.' + n]) is types.ModuleType]))\n"
+    )
+    assert json.loads(_fresh_interpreter(probe).splitlines()[-1]) == loaded
+
+
+def test_cli_import_reuses_a_module_imported_before():
+    # a second copy would hold its own classes and caches beside the first's
+    probe = (
+        "import sys, afinv.diagrams\n"
+        "before = afinv.diagrams\n"
+        "import afinv.cli\n"
+        "print(afinv.cli.diagrams is before is afinv.diagrams is sys.modules['afinv.diagrams'])\n"
+    )
+    assert _fresh_interpreter(probe) == "True"
+
+
 def test_group_order_bound(files, capsys):
     code, _, err = run(capsys, "qsystems", files["z4"], "--max-group-order", "3")
     assert code == 1
@@ -696,6 +731,24 @@ def test_diagram_group_is_refused_before_any_bimodule_is_parsed(
     code, _, err = run(capsys, command, *argv)
     assert code == 1
     assert "group order 4000 exceeds the bound 512" in err
+
+
+@pytest.mark.parametrize("shape", ["vertex", "levels"])
+def test_bad_generator_weight_is_refused_before_any_bimodule_is_parsed(
+    shape, tmp_path, z4_diagrams, capsys, monkeypatch
+):
+    # the weight rule needs level 0 only, not the edges, which are O(n^2) to parse
+    doc = diagram_to_json(z4_diagrams["F"])
+    if shape == "levels":
+        _two_vertex_level(doc, {})
+    doc["generator_weights"][0] = True
+
+    def refuse(*args):
+        raise AssertionError("a bimodule was parsed before the generator weights were checked")
+
+    monkeypatch.setattr("afinv.serialize.bimodule_from_json", refuse)
+    code, out, err = run(capsys, "invariant", write_json(tmp_path, "weight.json", doc))
+    assert (code, out, err) == (1, "", "error: generator weights must be integers\n")
 
 
 def test_fusion_table_default_bound_is_sixteen(tmp_path, capsys):
