@@ -29,6 +29,7 @@ from .errors import (
     InternalConsistencyError,
     InvalidCompositionError,
     InvalidInputError,
+    _cut,
 )
 from .groups import (
     Character,
@@ -36,7 +37,6 @@ from .groups import (
     Subgroup,
     _Value,
     _lattice_index,
-    coset_rep,
     coset_space,
     dual_characters,
     subgroup_intersection,
@@ -49,12 +49,12 @@ class CompletenessWarning(UserWarning):
     """Twisted Q-system classes exist for this group but are not enumerated."""
 
 
-def qsystems(G: FiniteAbelianGroup) -> list[Subgroup]:
+def qsystems(G: FiniteAbelianGroup) -> tuple[Subgroup, ...]:
     """The canonical representative set: one untwisted Q-system C[H] per subgroup H.
 
     It is ``subgroups(G)``; the trivial subgroup (the monoidal unit) is always
     index 0.  A warning is issued when some subgroup admits nontrivial cocycle
-    classes, since the returned list is then not a complete set of Q-system
+    classes, since the returned tuple is then not a complete set of Q-system
     representatives.  A finite abelian group has a non-cyclic subgroup exactly
     when it is not cyclic itself, that is when its exponent is not its order.
     """
@@ -98,12 +98,11 @@ class SimpleBimodule(_Value):
         return bimodule_label(self)
 
 
-def simple_bimodules(H: Subgroup, K: Subgroup) -> list[SimpleBimodule]:
+def simple_bimodules(H: Subgroup, K: Subgroup) -> tuple[SimpleBimodule, ...]:
     """All simple H-K bimodules, ordered by (coset rep, character index).
 
-    Each pair's simples are built once, kept in the lattice index of the
-    group, and listed afresh by every call, so every caller holds the same
-    objects.
+    Each pair's simples are built once and kept in the lattice index of the
+    group, and every call returns that one tuple.
     """
     if H.group != K.group:
         raise InvalidInputError("Q-systems live over different groups")
@@ -111,11 +110,11 @@ def simple_bimodules(H: Subgroup, K: Subgroup) -> list[SimpleBimodule]:
     simples = index.simples.get((H, K))
     if simples is None:
         simples = index.simples[H, K] = _enumerate_simples(index.member(H), index.member(K))
-    return list(simples)
+    return simples
 
 
 def _enumerate_simples(H: Subgroup, K: Subgroup) -> tuple[SimpleBimodule, ...]:
-    reps = dict.fromkeys(coset_space(H.group, subgroup_sum(H, K)).values())
+    reps = dict.fromkeys(coset_space(subgroup_sum(H, K)).values())
     chars = dual_characters(subgroup_intersection(H, K))
     return tuple(SimpleBimodule(H, K, rep, char) for rep in reps for char in chars)
 
@@ -123,10 +122,13 @@ def _enumerate_simples(H: Subgroup, K: Subgroup) -> tuple[SimpleBimodule, ...]:
 def simple_bimodule(H: Subgroup, K: Subgroup, x: tuple, character: Character) -> SimpleBimodule:
     """The member of ``simple_bimodules(H, K)`` on the coset of H+K through x.
 
-    ``character`` is a character of H∩K; a pair that names no member is refused.
+    ``character`` is a character of H∩K; an x outside G or a pair naming no member is refused.
     """
     simples = simple_bimodules(H, K)
-    probe = SimpleBimodule(H, K, coset_rep(H.group, subgroup_sum(H, K), x), character)
+    rep_of = coset_space(subgroup_sum(H, K))
+    if x not in rep_of:
+        raise InvalidInputError(f"{_cut(repr(x))} is not an element of {H.group}")
+    probe = SimpleBimodule(H, K, rep_of[x], character)
     try:
         return simples[simples.index(probe)]
     except ValueError:
@@ -136,7 +138,7 @@ def simple_bimodule(H: Subgroup, K: Subgroup, x: tuple, character: Character) ->
         ) from None
 
 
-def simples_by_pair(G: FiniteAbelianGroup) -> dict[tuple, list[SimpleBimodule]]:
+def simples_by_pair(G: FiniteAbelianGroup) -> dict[tuple, tuple[SimpleBimodule, ...]]:
     """``simple_bimodules(P, Q)`` per pair of ``subgroups(G)``, P outer and Q inner.
 
     Its values, read in order, are the canonical order of the simples of Hilb(G).
@@ -192,7 +194,7 @@ def _mackey_blocks(H: Subgroup, K: Subgroup, L: Subgroup):
         )
 
     E = G.exponent
-    span_rep = coset_space(G, span)
+    span_rep = coset_space(span)
 
     def key(*terms):
         phases = (sum(S.character(t) for S in terms) % E for t in HKL.elements)

@@ -49,11 +49,9 @@ class CrossedProductBlocks(_Value):
         return sum(b.size * b.size for b in self.blocks)
 
 
-def _orbits(G: FiniteAbelianGroup, rep_of: dict, H: Subgroup):
-    """Orbits of H translating G/K, each as the sorted tuple of its cosets' reps.
-
-    ``rep_of`` is ``coset_space(G, K)``.
-    """
+def _orbits(G: FiniteAbelianGroup, K: Subgroup, H: Subgroup):
+    """Orbits of H translating G/K, each as the sorted tuple of its cosets' reps."""
+    rep_of = coset_space(K)
     remaining = set(rep_of.values())
     orbits = []
     while remaining:
@@ -72,8 +70,8 @@ def crossed_product_blocks(
         raise InvalidInputError("subgroups must live in the given group")
     blocks = []
     stabilizer = None
-    rep_of = coset_space(G, K)
-    for orbit in _orbits(G, rep_of, H):
+    rep_of = coset_space(K)
+    for orbit in _orbits(G, K, H):
         x = orbit[0]
         # filtered from the sorted H.elements, so already a sorted subgroup
         stab = Subgroup(G, tuple(h for h in H.elements if rep_of[G.add(x, h)] == x))

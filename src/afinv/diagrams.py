@@ -262,7 +262,7 @@ class InvariantData(_Value):
 
     @cached_property
     def representatives(self) -> tuple[Subgroup, ...]:
-        return tuple(subgroups(self.group))
+        return subgroups(self.group)
 
     @cached_property
     def labels(self) -> tuple[str, ...]:

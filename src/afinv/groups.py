@@ -23,8 +23,10 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left
+from collections.abc import Mapping
 from functools import lru_cache
 from operator import attrgetter
+from types import MappingProxyType
 
 from .errors import InvalidInputError, _cut
 
@@ -38,7 +40,6 @@ __all__ = [
     "dual_characters",
     "character_with_values",
     "coset_space",
-    "coset_rep",
     "subgroup_sum",
     "subgroup_intersection",
 ]
@@ -319,11 +320,11 @@ class _LatticeIndex:
 
     ``subgroups`` and ``position`` are built with the index; every other
     table is filled on first use and then shared: ``sums[H, K]`` and
-    ``meets[H, K]`` are lattice members, ``coset_maps[D]`` is one
+    ``meets[H, K]`` are lattice members, ``coset_maps[D]`` is one read-only
     ``coset_space`` map and ``characters[H]`` one tuple of characters per
     subgroup, and ``simples[H, K]`` is the slot where ``afinv.bimodules``
-    keeps each pair's simples.  The public functions return fresh containers
-    of these objects, so a caller may change what it gets without touching
+    keeps each pair's simples.  The public functions return these tuples and
+    maps themselves; neither takes item assignment, so no caller can change
     the index.
     """
 
@@ -332,7 +333,7 @@ class _LatticeIndex:
         self.position = {H: i for i, H in enumerate(self.subgroups)}
         self.sums: dict[tuple[Subgroup, Subgroup], Subgroup] = {}
         self.meets: dict[tuple[Subgroup, Subgroup], Subgroup] = {}
-        self.coset_maps: dict[Subgroup, dict[Element, Element]] = {}
+        self.coset_maps: dict[Subgroup, Mapping[Element, Element]] = {}
         self.characters: dict[Subgroup, tuple[Character, ...]] = {}
         self.simples: dict[tuple[Subgroup, Subgroup], tuple] = {}
 
@@ -377,13 +378,15 @@ def _common_index(H: Subgroup, K: Subgroup) -> _LatticeIndex:
     return _lattice_index(H.group)
 
 
-def subgroups(group: FiniteAbelianGroup) -> list[Subgroup]:
+def subgroups(group: FiniteAbelianGroup) -> tuple[Subgroup, ...]:
     """All subgroups, sorted by (order, element list); the trivial one is first.
+
+    Every call returns the one tuple the lattice index holds.
 
     >>> [H.order for H in subgroups(make_group([4]))]
     [1, 2, 4]
     """
-    return list(_lattice_index(group).subgroups)
+    return _lattice_index(group).subgroups
 
 
 def lattice_member(H: Subgroup) -> Subgroup:
@@ -444,7 +447,7 @@ class Character(_Value):
         return character_with_values(self.domain, tuple((-v) % E for v in self.values))
 
 
-def dual_characters(H: Subgroup) -> list[Character]:
+def dual_characters(H: Subgroup) -> tuple[Character, ...]:
     """All characters of H, sorted by value table; the trivial character is first.
 
     Every character of a subgroup extends to the ambient group (Q/Z is
@@ -453,7 +456,7 @@ def dual_characters(H: Subgroup) -> list[Character]:
     tables e -> e_i * (E / n_i) mod E, E the exponent of G, so the tables are
     found by closing {0} under adding each coordinate table: |Ĥ|·r·|H|
     additions at most.  They are found once per subgroup, with the lattice
-    member as their domain, and every call lists those same objects.
+    member as their domain, and every call returns that one tuple.
 
     >>> H = Subgroup.generated(make_group([4]), [(2,)])
     >>> [chi.values for chi in dual_characters(H)]
@@ -463,7 +466,7 @@ def dual_characters(H: Subgroup) -> list[Character]:
     chars = index.characters.get(H)
     if chars is None:
         chars = index.characters[H] = _characters_of(index.member(H))
-    return list(chars)
+    return chars
 
 
 def _characters_of(H: Subgroup) -> tuple[Character, ...]:
@@ -496,20 +499,18 @@ def character_with_values(H: Subgroup, values: tuple[int, ...]) -> Character:
     return chars[i]
 
 
-def coset_space(group: FiniteAbelianGroup, D: Subgroup) -> dict[Element, Element]:
-    """Each element of the group mapped to the least member of its coset of D.
+def coset_space(D: Subgroup) -> Mapping[Element, Element]:
+    """Each element of ``D.group`` mapped to the least member of its coset of D.
 
     The cosets are met in lexicographic order, so the distinct values first
-    appear in ascending order.  The map is built once per subgroup; each call
-    returns a copy.
+    appear in ascending order.  The map is built once per subgroup, wrapped
+    read-only, and every call returns that one map.
     """
-    if D.group != group:
-        raise InvalidInputError("subgroup does not live in the given group")
-    index = _lattice_index(group)
+    index = _lattice_index(D.group)
     rep_of = index.coset_maps.get(D)
     if rep_of is None:
-        rep_of = index.coset_maps[D] = _coset_map(group, D)
-    return dict(rep_of)
+        rep_of = index.coset_maps[D] = MappingProxyType(_coset_map(D.group, D))
+    return rep_of
 
 
 def _coset_map(group: FiniteAbelianGroup, D: Subgroup) -> dict[Element, Element]:
@@ -519,8 +520,3 @@ def _coset_map(group: FiniteAbelianGroup, D: Subgroup) -> dict[Element, Element]
             for d in D.elements:
                 rep_of[group.add(x, d)] = x
     return rep_of
-
-
-def coset_rep(group: FiniteAbelianGroup, D: Subgroup, x: Element) -> Element:
-    """The least member of the coset x + D."""
-    return min(group.add(x, d) for d in D.elements)

@@ -19,7 +19,7 @@ import numpy as np
 
 from afinv.bimodules import SimpleBimodule, _composable
 from afinv.errors import InvalidInputError, OracleFailureError
-from afinv.groups import coset_rep, dual_characters, subgroup_intersection, subgroup_sum
+from afinv.groups import dual_characters, subgroup_intersection, subgroup_sum
 
 FLOAT_ORACLE_TOLERANCE = 1e-6
 
@@ -133,7 +133,8 @@ def float_oracle_fuse(
     sum_HL = subgroup_sum(H, L)
     points = [(i1, i2) for i1 in range(n1) for i2 in range(n2)]
     degree = {p: G.add(m1.grading[p[0]], m2.grading[p[1]]) for p in points}
-    target_reps = sorted({coset_rep(G, sum_HL, g) for g in degree.values()})
+    # the least member of each degree's coset of H+L, found here, not by the engine's coset maps
+    target_reps = sorted({min(G.add(g, d) for d in sum_HL.elements) for g in degree.values()})
 
     def phase(theta: Fraction) -> complex:
         return cmath.exp(2j * cmath.pi * float(theta))

@@ -8,6 +8,7 @@ Together they cover all 162 composable pairs of simples.
 import functools
 import itertools
 import random
+import re
 import warnings
 from collections import Counter
 
@@ -24,9 +25,10 @@ from afinv.bimodules import (
     fusion_table,
     identity_bimodule,
     qsystems,
+    simple_bimodule,
     simple_bimodules,
 )
-from afinv.errors import InternalConsistencyError, InvalidCompositionError
+from afinv.errors import InternalConsistencyError, InvalidCompositionError, InvalidInputError
 from afinv.groups import (
     Subgroup,
     dual_characters,
@@ -383,15 +385,40 @@ def test_fusion_table_matches_pairwise_mackey_rule(factors):
     assert tuple(table.products.items()) == expected
 
 
-def test_simple_bimodules_are_shared_in_fresh_lists():
+def test_simple_bimodules_are_the_index_tuples_read_only():
     subs = subgroups(make_group([2, 4]))
     for P in subs:
         for Q in subs:
-            first, second = simple_bimodules(P, Q), simple_bimodules(P, Q)
-            assert first == second and all(a is b for a, b in zip(first, second))
-            assert all(S.source is P and S.target is Q for S in first)
-            del first[-1]
-            assert simple_bimodules(P, Q) == second
+            simples = simple_bimodules(P, Q)
+            before = list(simples)
+            assert simple_bimodules(P, Q) is simples
+            assert all(S.source is P and S.target is Q for S in simples)
+            with pytest.raises(TypeError):
+                simples[0] = simples[-1]
+            with pytest.raises(TypeError):
+                del simples[-1]
+            assert simple_bimodules(P, Q) is simples and list(simples) == before
+
+
+def test_simple_bimodule_finds_the_least_coset_member():
+    G = make_group([2, 4])
+    subs = subgroups(G)
+    for H, K in itertools.product(subs, repeat=2):
+        span = subgroup_sum(H, K)
+        simples = simple_bimodules(H, K)
+        for x in G.elements():
+            least = min(G.add(x, d) for d in span.elements)
+            for chi in dual_characters(subgroup_intersection(H, K)):
+                S = simple_bimodule(H, K, x, chi)
+                assert any(S is member for member in simples)
+                assert S.rep == least and S.character is chi
+    # no element of the group: a wrong length or an unreduced entry
+    bad = [(G, x) for x in [(0,), (0, 0, 0), (2, 0), (0, 4), (0, -1)]] + [(make_group(4), (5,))]
+    for group, x in bad:
+        trivial = subgroups(group)[0]
+        (chi,) = dual_characters(trivial)
+        with pytest.raises(InvalidInputError, match=re.escape(repr(x))):
+            simple_bimodule(trivial, trivial, x, chi)
 
 
 @pytest.mark.parametrize("factors", [[4], [2, 4], [2, 2]], ids=str)
@@ -409,7 +436,7 @@ def test_fuse_with_a_missing_simple_is_an_internal_error(z4_simples, drop, monke
     real = bimodules.simple_bimodules
 
     def one_short(P, Q):
-        out = real(P, Q)
+        out = list(real(P, Q))
         del out[drop]
         return out
 

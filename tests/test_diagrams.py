@@ -721,7 +721,7 @@ def test_diagrams_refuse_what_is_not_an_integer(z4_reps, z4_simples, ends, multi
 def test_hom_basis_matches_simple_bimodules(z4_reps, z4_diagrams):
     Q1, Q2, Q3 = z4_reps
     # the hom basis of D(v -> P) at the lone vertex v = Q3 of H
-    assert [s for _, s in z4_diagrams["H"].level_bases(Q2)[0]] == simple_bimodules(Q3, Q2)
+    assert tuple(s for _, s in z4_diagrams["H"].level_bases(Q2)[0]) == simple_bimodules(Q3, Q2)
     assert [bimodule_label(s) for s in simple_bimodules(Q1, Q1)] == [
         f"M_{{1-1,{g}}}" for g in range(4)
     ]

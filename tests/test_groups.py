@@ -1,4 +1,5 @@
 import itertools
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,6 @@ from afinv.groups import (
     FiniteAbelianGroup,
     Subgroup,
     _lattice_index,
-    coset_rep,
     coset_space,
     dual_characters,
     lattice_member,
@@ -230,7 +230,7 @@ def test_character_conjugate_and_product():
 def test_coset_space_partitions_group(factors):
     G = make_group(factors)
     for H in subgroups(G):
-        rep_of = coset_space(G, H)
+        rep_of = coset_space(H)
         assert sorted(rep_of) == sorted(G.elements())
         reps = list(dict.fromkeys(rep_of.values()))
         assert len(reps) == G.order // H.order
@@ -239,7 +239,6 @@ def test_coset_space_partitions_group(factors):
             members = sorted(G.add(x, h) for h in H.elements)
             assert rep == members[0]
             assert all(rep_of[y] == rep for y in members)
-            assert coset_rep(G, H, x) == rep
 
 
 @pytest.mark.parametrize("factors", [[12], [2, 4], [2, 2, 2]], ids=["Z12", "Z2xZ4", "Z2^3"])
@@ -257,17 +256,28 @@ def test_sums_and_intersections_are_the_lattice_members(factors):
                 assert set(I.elements) == set(H.elements) & set(K.elements)
 
 
-def test_characters_and_coset_maps_are_shared_in_fresh_containers():
+def test_subgroups_characters_and_coset_maps_are_the_index_tables_read_only():
     G = make_group([2, 4])
-    for H in subgroups(G):
-        first, second = dual_characters(H), dual_characters(H)
-        assert first == second and all(a is b for a, b in zip(first, second))
-        assert all(chi.domain is H for chi in first)
-        del first[0]
-        assert dual_characters(H) == second
-        rep_of = coset_space(G, H)
-        rep_of.clear()
-        assert len(coset_space(G, H)) == G.order
+    subs = subgroups(G)
+    assert subgroups(G) is subs
+    tables = [subs]
+    for H in subs:
+        chars, rep_of = dual_characters(H), coset_space(H)
+        assert dual_characters(H) is chars and coset_space(H) is rep_of
+        assert all(chi.domain is H for chi in chars)
+        tables += [chars, rep_of]
+
+    def contents():
+        return [dict(t) if isinstance(t, Mapping) else list(t) for t in tables]
+
+    before = contents()
+    for table in tables:
+        key = next(iter(table)) if isinstance(table, Mapping) else 0
+        with pytest.raises(TypeError):
+            table[key] = table[key]
+        with pytest.raises(TypeError):
+            del table[key]
+    assert subgroups(G) is subs and contents() == before
 
 
 def test_a_set_that_is_no_subgroup_is_refused():
