@@ -118,24 +118,23 @@ def compare(
     )
     if not rank_one:
         opaque = [
-            labels[i]
+            i
             for i in range(len(labels))
             if not isinstance(inv1.objects[i], RankOneForm)
             or not isinstance(inv2.objects[i], RankOneForm)
         ]
-        reason = "objects not rank-one identified: " + ", ".join(opaque)
+        reason = "objects not rank-one identified: " + ", ".join(labels[i] for i in opaque)
         if se_lag > 0 and se_entries > 0:
             notes = []
-            for label in opaque:
-                A = inv1.object_by_label(label).matrix
-                B = inv2.object_by_label(label).matrix
+            for i in opaque:
+                A, B = inv1.objects[i].matrix, inv2.objects[i].matrix
                 try:
                     found = shift_equivalent_bounded(A, B, se_lag, se_entries)
                 except ResourceLimitError:
-                    notes.append(f"{label}: bounded shift equivalence search too large")
+                    notes.append(f"{labels[i]}: bounded shift equivalence search too large")
                     continue
                 notes.append(
-                    f"{label}: bounded shift equivalence "
+                    f"{labels[i]}: bounded shift equivalence "
                     + (f"witness at lag {found[2]}" if found else "not found")
                 )
             reason += "; " + "; ".join(notes)

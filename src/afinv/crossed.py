@@ -50,15 +50,19 @@ class CrossedProductBlocks(_Value):
 
 
 def _orbits(G: FiniteAbelianGroup, K: Subgroup, H: Subgroup):
-    """Orbits of H translating G/K, each as the sorted tuple of its cosets' reps."""
+    """Orbits of H translating G/K, each as the sorted tuple of its cosets' reps.
+
+    The coset reps first appear in ascending order, so each orbit starts at
+    the least rep that no earlier orbit holds.
+    """
     rep_of = coset_space(K)
-    remaining = set(rep_of.values())
+    seen = set()
     orbits = []
-    while remaining:
-        rep = min(remaining)
-        orbit = tuple(sorted({rep_of[G.add(rep, h)] for h in H.elements}))
-        remaining.difference_update(orbit)
-        orbits.append(orbit)
+    for rep in dict.fromkeys(rep_of.values()):
+        if rep not in seen:
+            orbit = tuple(sorted({rep_of[G.add(rep, h)] for h in H.elements}))
+            seen.update(orbit)
+            orbits.append(orbit)
     return orbits
 
 
@@ -73,14 +77,14 @@ def crossed_product_blocks(
     rep_of = coset_space(K)
     for orbit in _orbits(G, K, H):
         x = orbit[0]
-        # filtered from the sorted H.elements, so already a sorted subgroup
-        stab = Subgroup(G, tuple(h for h in H.elements if rep_of[G.add(x, h)] == x))
+        # filtered from the sorted H.elements, so the sorted elements of a subgroup
+        stab = tuple(h for h in H.elements if rep_of[G.add(x, h)] == x)
         if stabilizer is None:
             stabilizer = stab
-            characters = dual_characters(stab)
+            characters = dual_characters(Subgroup(G, stab))
         elif stab != stabilizer:
             raise InternalConsistencyError("stabilizers differ across orbits")
-        if len(orbit) * stab.order != H.order:
+        if len(orbit) * len(stab) != H.order:
             raise InternalConsistencyError("orbit-stabilizer count is off")
         for chi in characters:
             blocks.append(CrossedBlock(orbit[0], chi, len(orbit)))

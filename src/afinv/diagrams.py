@@ -23,7 +23,6 @@ from functools import cached_property, lru_cache
 from .bimodules import (
     SimpleBimodule,
     _check_fusion_consistency,
-    bimodule_label,
     fuse,
     qsystem_label,
     simple_bimodules,
@@ -203,7 +202,8 @@ def object_diagram(d: EnrichedBratteliDiagram, P: Subgroup) -> InductiveSystem:
     """The Bratteli diagram of the functor at P: a prefix, then a stationary tail.
 
     Entry [(w, y), (v, x)] sums mult * (multiplicity of y in fuse(e, x)) over
-    edges e: v -> w, on the rows and columns of ``d.level_bases(P)``.
+    edges e: v -> w.  Rows and columns run over ``d.level_bases(P)`` in its
+    order, which is all that ties a matrix index to a simple.
     """
     bases = d.level_bases(P)
     mats = []
@@ -216,8 +216,7 @@ def object_diagram(d: EnrichedBratteliDiagram, P: Subgroup) -> InductiveSystem:
             for vi, x in bases[n]
         ]
         mats.append(_fusion_matrix(bases[min(n + 1, len(bases) - 1)], columns))
-    tail_labels = tuple(bimodule_label(s) for _, s in bases[-1])
-    return InductiveSystem(tuple(mats[:-1]), StationarySystem(mats[-1], tail_labels))
+    return InductiveSystem(tuple(mats[:-1]), StationarySystem(mats[-1]))
 
 
 def morphism_matrices(d: EnrichedBratteliDiagram, X: SimpleBimodule):
@@ -276,9 +275,6 @@ class InvariantData(_Value):
     def morphisms(self) -> tuple[tuple[SimpleBimodule, Fraction | None], ...]:
         """Each simple with its multiplier."""
         return tuple(zip(self.simples, self.multipliers))
-
-    def object_by_label(self, label: str) -> K0Description:
-        return self.objects[self.labels.index(label)]
 
 
 def compute_invariant(d: EnrichedBratteliDiagram) -> InvariantData:

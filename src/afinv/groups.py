@@ -158,10 +158,6 @@ class FiniteAbelianGroup(_Value):
     def exponent(self) -> int:
         return math.lcm(*self.cyclic_factors) if self.cyclic_factors else 1
 
-    @property
-    def rank(self) -> int:
-        return len(self.cyclic_factors)
-
     def zero(self) -> Element:
         return (0,) * len(self.cyclic_factors)
 
@@ -183,9 +179,6 @@ class FiniteAbelianGroup(_Value):
 
     def neg(self, a: Element) -> Element:
         return tuple((-x) % n for x, n in zip(a, self.cyclic_factors))
-
-    def sub(self, a: Element, b: Element) -> Element:
-        return tuple((x - y) % n for x, y, n in zip(a, b, self.cyclic_factors))
 
     def elements(self) -> tuple[Element, ...]:
         """All elements in lexicographic order."""

@@ -236,24 +236,18 @@ def _prime_factors(n: int) -> frozenset[int]:
 class StationarySystem(_Value):
     """A square nonnegative integer connecting matrix, repeated at every level.
 
-    ``labels``, if given, names each row with a string.
+    Its limit is read off the matrix alone, so the matrix is the whole value.
     """
 
     matrix: Matrix
-    labels: tuple[str, ...] | None
 
-    def __init__(self, matrix: Matrix, labels: tuple[str, ...] | None = None) -> None:
+    def __init__(self, matrix: Matrix) -> None:
         M = _as_matrix(matrix)
-        super().__init__(M, labels)
+        super().__init__(M)
         if len(M) == 0 or any(len(row) != len(M) for row in M):
             raise InvalidInputError("stationary system needs a nonempty square matrix")
         if any(x < 0 for row in M for x in row):
             raise InvalidInputError("connecting matrix must be nonnegative")
-        if labels is not None:
-            if not isinstance(labels, tuple) or not all(isinstance(x, str) for x in labels):
-                raise InvalidInputError("matrix labels must be a tuple of strings")
-            if len(labels) != len(M):
-                raise InvalidInputError("label count does not match matrix size")
 
 
 class RankOneForm(_Value):
@@ -420,12 +414,10 @@ def _multiplier(descP: RankOneForm, descQ: RankOneForm, M: Matrix) -> Fraction |
     if descP.eigenvalue != descQ.eigenvalue:
         return None  # levels scale differently; no level-independent multiplier
     nz = next(i for i, x in enumerate(vP) if x)
-    if w[nz] == 0:
+    # w = c·vP with c = w[nz]/vP[nz], tested by integer cross-products
+    if any(x * vP[nz] != w[nz] * y for x, y in zip(w, vP)):
         return None
-    c = Fraction(w[nz], vP[nz])
-    if tuple(c * x for x in vP) != tuple(Fraction(x) for x in w):
-        return None
-    return c * Fraction(sum(vP), sum(descQ.left_vector))
+    return Fraction(w[nz] * sum(vP), vP[nz] * sum(descQ.left_vector))
 
 
 def shift_equivalent_bounded(A, B, lag_bound: int, entry_bound: int):

@@ -22,8 +22,8 @@ character or bimodule parses to the member the lattice index of its group
 holds, found by the lookup its owner keeps (``groups.lattice_member``,
 ``groups.character_with_values``, ``bimodules.simple_bimodule``); this module
 keeps none of its own.  The reads are lenient where the formats say so:
-elements are reduced mod the factors, phases mod 1, and matrix labels become
-strings.
+elements are reduced mod the factors and phases mod 1.  A matrix document may
+carry a ``labels`` list, one entry per row; nothing reads its entries.
 """
 
 from __future__ import annotations
@@ -214,20 +214,18 @@ def fusion_table_to_json(table: FusionTable) -> dict:
 # -- matrices and K0 descriptions -------------------------------------------
 
 def matrix_to_json(sys: k0.StationarySystem) -> dict:
-    doc = {"rows": [list(r) for r in sys.matrix]}
-    if sys.labels is not None:
-        doc["labels"] = list(sys.labels)
-    return doc
+    return {"rows": [list(r) for r in sys.matrix]}
 
 
 def matrix_from_json(doc) -> k0.StationarySystem:
     matrix = [_list(row, "matrix row") for row in _expect(doc, "rows", list)]
     labels = doc.get("labels")
-    if labels is not None:
-        if not isinstance(labels, list):
-            raise InvalidInputError("matrix labels must be a list")
-        labels = tuple(str(x) for x in labels)
-    return k0.StationarySystem(matrix, labels)
+    if labels is not None and not isinstance(labels, list):
+        raise InvalidInputError("matrix labels must be a list")
+    sys = k0.StationarySystem(matrix)
+    if labels is not None and len(labels) != len(sys.matrix):
+        raise InvalidInputError("label count does not match matrix size")
+    return sys
 
 
 def _rank_one_to_json(desc: k0.RankOneForm) -> dict:

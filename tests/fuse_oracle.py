@@ -73,9 +73,9 @@ def realize(S: SimpleBimodule, base_point: tuple | None = None) -> ExplicitBimod
     index = {g: i for i, g in enumerate(grading)}
     section = {}
     for gamma in grading:
-        delta = G.sub(gamma, base_point)
+        delta = G.add(gamma, G.neg(base_point))
         for h in H.elements:  # ascending, so the first hit is lex-least in (h, k)
-            k = G.sub(delta, h)
+            k = G.add(delta, G.neg(h))
             if K.contains(k):
                 section[gamma] = (h, k)
                 break
@@ -85,7 +85,7 @@ def realize(S: SimpleBimodule, base_point: tuple | None = None) -> ExplicitBimod
         maps = []
         for gamma in grading:
             gamma2 = G.add(a, gamma)
-            t = G.sub(G.add(a, section[gamma][0]), section[gamma2][0])
+            t = G.add(G.add(a, section[gamma][0]), G.neg(section[gamma2][0]))
             maps.append((index[gamma2], chi(t)))
         left_action[a] = tuple(maps)
     right_action = {}
@@ -93,7 +93,7 @@ def realize(S: SimpleBimodule, base_point: tuple | None = None) -> ExplicitBimod
         maps = []
         for gamma in grading:
             gamma2 = G.add(gamma, b)
-            t = G.sub(section[gamma][0], section[gamma2][0])
+            t = G.add(section[gamma][0], G.neg(section[gamma2][0]))
             maps.append((index[gamma2], chi(t)))
         right_action[b] = tuple(maps)
 

@@ -372,6 +372,7 @@ def test_k0_identifies_matrix(files, capsys):
         pytest.param({"rows": [["3", 1], [1, 1]]}, id="string"),
         pytest.param({"rows": [[True, 1], [1, 1]]}, id="bool"),
         pytest.param({"rows": [[1, 1], [1, 1]], "labels": 5}, id="labels-not-a-list"),
+        pytest.param({"rows": [[1, 1], [1, 1]], "labels": ["a"]}, id="labels-one-short"),
     ],
 )
 def test_k0_rejects_nonsquare(doc, tmp_path, capsys):
@@ -379,6 +380,16 @@ def test_k0_rejects_nonsquare(doc, tmp_path, capsys):
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_k0_prints_the_same_bytes_with_one_label_per_row(fmt, tmp_path, capsys):
+    rows = [[2, 1], [1, 1]]
+    bare = write_json(tmp_path, "bare.json", {"rows": rows})
+    labelled = write_json(tmp_path, "labelled.json", {"rows": rows, "labels": ["a", 7]})
+    assert run(capsys, "k0", "--matrix", labelled, "--format", fmt) == run(
+        capsys, "k0", "--matrix", bare, "--format", fmt
+    )
 
 
 def test_k0_of_a_prime_eigenvalue_near_ten_to_the_twenty_is_quick(tmp_path):
@@ -888,7 +899,8 @@ def test_any_json_input_ends_in_a_documented_exit(command, z4_diagrams):
     valid = {
         "group": [{"cyclic_factors": [4]}, {"cyclic_factors": [2, 2]}],
         "diagram": [F, two_level],
-        "matrix": [matrix_to_json(StationarySystem(((2, 2), (2, 2)), ("a", "b")))],
+        # written out, so the fuzzer also mutates a labels list, which the reader still checks
+        "matrix": [{"rows": [[2, 2], [2, 2]], "labels": ["a", "b"]}],
     }
     kind, template = CONTRACT_COMMANDS[command]
 

@@ -345,18 +345,13 @@ def test_sixty_four_vertex_opaque_tail_is_identified_within_seconds():
 
 
 @pytest.mark.parametrize(
-    "matrix, labels",
-    [
-        (((1.5, 0.7), (2, "3")), None),
-        (((True, 1), (1, 1)), None),
-        (((1,),), (5,)),
-        (((1,),), ["a"]),  # a list would fail its first hash
-    ],
-    ids=["float-and-string-entries", "bool-entry", "integer-label", "list-of-labels"],
+    "matrix",
+    [((1.5, 0.7), (2, "3")), ((True, 1), (1, 1))],
+    ids=["float-and-string-entries", "bool-entry"],
 )
-def test_stationary_system_refuses_what_it_would_have_to_convert(matrix, labels):
+def test_stationary_system_refuses_what_it_would_have_to_convert(matrix):
     with pytest.raises(InvalidInputError):
-        StationarySystem(matrix, labels)
+        StationarySystem(matrix)
 
 
 def test_stationary_system_validation():
@@ -364,8 +359,12 @@ def test_stationary_system_validation():
         StationarySystem([[1, 2]])
     with pytest.raises(InvalidInputError):
         StationarySystem([[1, -1], [0, 1]])
-    with pytest.raises(InvalidInputError):
-        StationarySystem([[1]], labels=("a", "b"))
+
+
+def test_stationary_system_is_its_matrix():
+    assert StationarySystem.__match_args__ == ("matrix",)
+    with pytest.raises(TypeError):
+        StationarySystem(((1,),), ("a",))
 
 
 # ----------------------------------------------------------------- value maps
@@ -454,6 +453,15 @@ def test_multiplier_respects_value_maps():
     assert q == 2
     for x in [(1, 0, 0, 0), (1, 2, 3, 4), (0, 0, 0, 1)]:
         assert value_map(descQ, 0, mat_vec(M, x)) == q * value_map(descP, 0, x)
+
+
+def test_multiplier_refuses_a_row_not_proportional_to_v_p():
+    # An intertwiner maps v_Q into the eigenline of v_P, so no intertwiner
+    # reaches the refusal; these matrices intertwine nothing and drive it directly.
+    descP, descQ = k0([[1, 1], [1, 1]]), k0([[2]])
+    assert k0_module._multiplier(descP, descQ, ((1, 1),)) == 2
+    assert k0_module._multiplier(descP, descQ, ((1, 0),)) is None
+    assert k0_module._multiplier(descP, descQ, ((0, 3),)) is None
 
 
 # ---------------------------------------------------- bounded shift equivalence

@@ -195,7 +195,7 @@ def test_every_small_fusion_table_renders_its_table(factors):
 
 
 def test_matrix_round_trip():
-    sys = StationarySystem(((2, 2), (2, 2)), ("a", "b"))
+    sys = StationarySystem(((2, 2), (2, 2)))
     assert matrix_from_json(through_json(matrix_to_json(sys))) == sys
     bare = StationarySystem(((4,),))
     assert matrix_from_json(through_json(matrix_to_json(bare))) == bare
@@ -203,6 +203,26 @@ def test_matrix_round_trip():
         matrix_from_json({"rows": [["x"]]})
     with pytest.raises(InvalidInputError):
         matrix_from_json({})
+
+
+@pytest.mark.parametrize(
+    "labels", [5, {"0": "a"}, [], ["a"], ["a", "b", "c"]],
+    ids=["number", "object", "empty", "too-few", "too-many"],
+)
+def test_matrix_reader_refuses_labels_that_are_not_one_per_row(labels):
+    with pytest.raises(InvalidInputError, match="label"):
+        matrix_from_json({"rows": [[1, 1], [1, 1]], "labels": labels})
+
+
+def test_matrix_reader_checks_rows_before_the_label_count():
+    with pytest.raises(InvalidInputError, match="nonempty square matrix"):
+        matrix_from_json({"rows": [[1, 2]], "labels": ["a", "b"]})
+
+
+def test_matrix_reader_reads_no_label_entry():
+    bare = matrix_from_json({"rows": [[2, 2], [2, 2]]})
+    for labels in (["a", "b"], [5, None], None):
+        assert matrix_from_json({"rows": [[2, 2], [2, 2]], "labels": labels}) == bare
 
 
 def _rank_one_doc(matrix, eigenvalue, left_vector, prime_set, scale):
@@ -494,8 +514,8 @@ def test_certificate_and_reason_verdict_wire_formats(z4_invariants):
 # ---------------------------------------------------- object-diagram documents
 
 
-def test_object_diagram_documents_are_labelled(z4_diagrams, z4_reps):
+def test_object_diagram_tails_render_as_bare_matrices(z4_diagrams, z4_reps):
     sys = object_diagram(z4_diagrams["F"], z4_reps[1]).tail
     doc = through_json(matrix_to_json(sys))
-    assert doc["labels"] == ["M_{1-2,0}", "M_{1-2,1}"]
+    assert doc == {"rows": [[2, 2], [2, 2]]}
     assert matrix_from_json(doc) == sys
