@@ -5,9 +5,9 @@ length ``r`` with ``0 <= a_i < n_i``.  Characters take values in Q/Z; every
 such value is a multiple of 1/E, E the exponent of the group, so a character
 is stored as a table of integers v in ``[0, E)``, each standing for the phase
 v/E.  No floats appear anywhere in this module.  A coset x + D is named by
-its lexicographically least member.  Each group's lattice, and the sums,
-intersections, coset maps and characters of its subgroups, are built once and
-kept in one lattice index per group.
+its lexicographically least member.  Each group's lattice, one H' + <g> per
+subgroup, and the sums, intersections, coset maps and characters of its
+subgroups, are built once and kept in one lattice index per group.
 
 This module owns three rules.  The integer rule, ``_is_int``: every
 constructor that takes integers, here and in ``k0`` and ``diagrams``, refuses
@@ -28,7 +28,7 @@ from functools import lru_cache
 from operator import attrgetter
 from types import MappingProxyType
 
-from .errors import InvalidInputError, _cut
+from .errors import InternalConsistencyError, InvalidInputError, _cut
 
 __all__ = [
     "FiniteAbelianGroup",
@@ -287,27 +287,6 @@ def _join(group: FiniteAbelianGroup, H, g: Element) -> set:
     return joined
 
 
-def _cyclic_generators(group: FiniteAbelianGroup) -> list[Element]:
-    """One generator g of each nontrivial cyclic subgroup <g>, in lex order of g.
-
-    The multiples k*g with gcd(k, |g|) = 1 generate the same subgroup, so they
-    are marked and skipped; each cyclic subgroup is walked once.
-    """
-    gens = []
-    done = {group.zero()}
-    for g in group.elements():
-        if g in done:
-            continue
-        gens.append(g)
-        n = group.element_order(g)
-        x = g
-        for k in range(1, n + 1):
-            if math.gcd(k, n) == 1:
-                done.add(x)
-            x = group.add(x, g)
-    return gens
-
-
 class _LatticeIndex:
     """The subgroup lattice of one group, and the data read off it.
 
@@ -339,23 +318,28 @@ class _LatticeIndex:
 
 
 def _enumerate_subgroups(group: FiniteAbelianGroup) -> tuple[Subgroup, ...]:
-    # Every subgroup of a finite abelian group is a join of cyclic subgroups,
-    # so closing {0} under H -> H + <g> reaches the whole lattice.
-    gens = _cyclic_generators(group)
-    seen = {frozenset([group.zero()])}
-    frontier = list(seen)
-    while frontier:
-        new_frontier = []
-        for H in frontier:
-            for g in gens:
-                if g in H:
+    # G_i: the elements whose coordinates before i are zero.  A subgroup H of
+    # G_i is H' + <g> for H' = H ∩ G_{i+1} and one g: g_i = d with d·Z/e_i the
+    # i-th coordinates of H, and g's tail b the least member of b + H' in
+    # G_{i+1}, with (e_i/d)·b in H'.  So from G_n = {0} up to G_0 = G, each
+    # subgroup is built once, from one triple (H', d, b).
+    factors = group.cyclic_factors
+    found = [{group.zero()}]
+    for i in reversed(range(len(factors))):
+        e = factors[i]
+        tail = [(0,) * (i + 1) + x for x in itertools.product(*map(range, factors[i + 1 :]))]
+        grown = list(found)
+        for H in found:
+            covered = set()
+            for b in tail:  # lex order, so the first uncovered member is its coset's least
+                if b in covered:
                     continue
-                joined = frozenset(_join(group, H, g))
-                if joined not in seen:
-                    seen.add(joined)
-                    new_frontier.append(joined)
-        frontier = new_frontier
-    found = [Subgroup(group, tuple(sorted(H))) for H in seen]
+                covered.update(group.add(b, h) for h in H)
+                for d in range(1, e):
+                    if e % d == 0 and tuple(e // d * x % n for x, n in zip(b, factors)) in H:
+                        grown.append(_join(group, H, b[:i] + (d,) + b[i + 1 :]))
+        found = grown
+    found = [Subgroup(group, tuple(sorted(H))) for H in found]
     return tuple(sorted(found, key=Subgroup.sort_key))
 
 
@@ -475,7 +459,7 @@ def _characters_of(H: Subgroup) -> tuple[Character, ...]:
                 break
             tables |= frontier
     if len(tables) != H.order:
-        raise InvalidInputError(f"expected {H.order} characters, found {len(tables)}")
+        raise InternalConsistencyError(f"expected {H.order} characters, found {len(tables)}")
     return tuple(Character(H, t) for t in sorted(tables))
 
 

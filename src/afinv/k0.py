@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd
 from operator import add, mul
 
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import InternalConsistencyError, InvalidInputError, ResourceLimitError
 from .groups import _is_int, _Value
 
 __all__ = [
@@ -393,9 +393,10 @@ def morphism_multiplier(
 ) -> Fraction | None:
     """The rational q with val_Q(Mx) = q * val_P(x), if a single one exists.
 
-    Requires M to intertwine the connecting matrices exactly (A_Q M = M A_P);
-    returns None when v_Q M is not proportional to v_P.  The returned q can be
-    zero only in degenerate cases where v_Q annihilates the image of M.
+    Requires M to intertwine the connecting matrices exactly (A_Q M = M A_P).
+    Returns None when v_Q M is not zero and the two eigenvalues differ, since
+    the value maps then rescale differently from level to level.  The returned
+    q is zero only in degenerate cases where v_Q annihilates the image of M.
     """
     M = _as_matrix(M)
     if len(M) != len(descQ.left_vector) or (M and len(M[0]) != len(descP.left_vector)):
@@ -406,7 +407,12 @@ def morphism_multiplier(
 
 
 def _multiplier(descP: RankOneForm, descQ: RankOneForm, M: Matrix) -> Fraction | None:
-    """``morphism_multiplier`` of a matrix already known to intertwine, of the right shape."""
+    """``morphism_multiplier`` of a matrix already known to intertwine, of the right shape.
+
+    With equal eigenvalues λ, w = v_Q·M satisfies w·A_P = λ·w, so w lies in
+    the eventual row space Q·v_P of A_P.  A w not proportional to v_P is a
+    failed self-check and raises ``InternalConsistencyError``.
+    """
     w = vec_mat(descQ.left_vector, M)
     vP = descP.left_vector
     if all(x == 0 for x in w):
@@ -416,7 +422,7 @@ def _multiplier(descP: RankOneForm, descQ: RankOneForm, M: Matrix) -> Fraction |
     nz = next(i for i, x in enumerate(vP) if x)
     # w = c·vP with c = w[nz]/vP[nz], tested by integer cross-products
     if any(x * vP[nz] != w[nz] * y for x, y in zip(w, vP)):
-        return None
+        raise InternalConsistencyError("v_Q·M is not proportional to v_P")
     return Fraction(w[nz] * sum(vP), vP[nz] * sum(descQ.left_vector))
 
 

@@ -1,13 +1,17 @@
+import importlib.util
 import itertools
+import pathlib
+import time
 from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
 
-from afinv.errors import InvalidInputError
+from afinv.errors import InternalConsistencyError, InvalidInputError
 from afinv.groups import (
     FiniteAbelianGroup,
     Subgroup,
+    _characters_of,
     _lattice_index,
     coset_space,
     dual_characters,
@@ -18,6 +22,8 @@ from afinv.groups import (
     subgroups,
 )
 from afinv.serialize import character_from_json
+
+GEN = pathlib.Path(__file__).resolve().parents[1] / "bench" / "gen.py"
 
 
 def brute_force_subgroups(G):
@@ -68,15 +74,60 @@ def generator_closure_subgroups(G):
     return sorted(seen.values(), key=Subgroup.sort_key)
 
 
+def invariant_factors(n, d=1):
+    """Each list d_1 | d_2 | ... of factors above 1, each a multiple of d, with product n."""
+    if n == 1:
+        yield []
+    for m in range(2, n + 1):
+        if n % m == 0 and m % d == 0:
+            yield from ([m] + rest for rest in invariant_factors(n // m, m))
+
+
+def group_types(max_order, max_rank=None):
+    """One presentation of each finite abelian group of order at most ``max_order``."""
+    return [[1]] + [
+        f
+        for n in range(2, max_order + 1)
+        for f in invariant_factors(n)
+        if max_rank is None or len(f) <= max_rank
+    ]
+
+
+# unsorted, non-primary and padded presentations
+PRESENTATIONS = [[4, 2], [9, 3], [6, 4], [1, 4], [4, 1], [2, 1, 2], [4, 4, 2]]
+
+
 @pytest.mark.parametrize(
     "factors,count",
-    [([2, 2, 4], 27), ([4, 4], 15), ([3, 9], 10), ([2, 2, 2, 2], 67), ([9, 9], 23)],
+    [([2, 2, 4], 27), ([4, 4], 15), ([3, 9], 10), ([2, 2, 2, 2], 67), ([9, 9], 23)]
+    + [pytest.param(f, None, id=str(f)) for f in group_types(32) + PRESENTATIONS],
 )
 def test_subgroups_match_generator_closure(factors, count):
     G = make_group(factors)
     got = [H.elements for H in subgroups(G)]
     assert got == [H.elements for H in generator_closure_subgroups(G)]
-    assert len(got) == count
+    assert count is None or len(got) == count
+
+
+def load_gen():
+    spec = importlib.util.spec_from_file_location("bench_gen", GEN)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_subgroup_counts_of_large_lattices():
+    # each lattice is enumerated afresh, so the bound catches an enumeration
+    # that rebuilds subgroups it has found: a closure under H -> H + <g> took
+    # over 35 s on Z/2 x Z/4 x Z/8 x Z/8 alone (2 CPUs, Python 3.11)
+    counts = {(2, 4, 8, 8): 1922}
+    closed_form = [[2] * 5, [2] * 6, [3] * 4] + group_types(128, max_rank=2)
+    gen = load_gen()
+    counts.update((tuple(f), gen.subgroup_count(f)) for f in closed_form)
+    start = time.perf_counter()
+    for factors, count in counts.items():
+        assert len(_lattice_index.__wrapped__(make_group(factors)).subgroups) == count, factors
+    assert time.perf_counter() - start < 5
 
 
 @pytest.mark.parametrize("n", [1, 12, 30, 128, 512])
@@ -204,6 +255,15 @@ def test_dual_characters_match_the_enumerated_restrictions(factors):
         chars = dual_characters(H)
         assert [chi.values for chi in chars] == enumerated_characters(H), H
         assert all(chi.domain is H for chi in chars)
+
+
+def test_a_character_count_off_the_order_is_an_internal_error(monkeypatch):
+    # a fresh index, so no cached character tuple answers first; an exponent of
+    # 1 collapses every coordinate table to zero
+    H = _lattice_index.__wrapped__(make_group([4])).subgroups[-1]
+    monkeypatch.setattr(FiniteAbelianGroup, "exponent", property(lambda self: 1))
+    with pytest.raises(InternalConsistencyError, match="expected 4 characters, found 1"):
+        _characters_of(H)
 
 
 def test_character_homomorphism_validation():

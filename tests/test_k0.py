@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from afinv import k0 as k0_module
-from afinv.errors import InvalidInputError, ResourceLimitError
+from afinv.errors import InternalConsistencyError, InvalidInputError, ResourceLimitError
 from afinv.k0 import (
     DirectSumForm,
     OpaquePresentation,
@@ -457,11 +457,12 @@ def test_multiplier_respects_value_maps():
 
 def test_multiplier_refuses_a_row_not_proportional_to_v_p():
     # An intertwiner maps v_Q into the eigenline of v_P, so no intertwiner
-    # reaches the refusal; these matrices intertwine nothing and drive it directly.
+    # reaches the self-check; these matrices intertwine nothing and drive it directly.
     descP, descQ = k0([[1, 1], [1, 1]]), k0([[2]])
     assert k0_module._multiplier(descP, descQ, ((1, 1),)) == 2
-    assert k0_module._multiplier(descP, descQ, ((1, 0),)) is None
-    assert k0_module._multiplier(descP, descQ, ((0, 3),)) is None
+    for M in (((1, 0),), ((0, 3),)):
+        with pytest.raises(InternalConsistencyError, match="not proportional to v_P"):
+            k0_module._multiplier(descP, descQ, M)
 
 
 # ---------------------------------------------------- bounded shift equivalence
