@@ -5,9 +5,10 @@ bimodules, printing composition tables, computing the invariant of a diagram,
 comparing two diagrams, running the crossed-product consistency oracle, and
 identifying a single stationary matrix.
 
-Exit codes: 0 success (or verdict "equivalent"), 1 bad input, a usage error
-or a refused resource bound, 2 internal consistency failure or a failed
-oracle, 3 verdict "inequivalent", 4 verdict "unknown".
+Exit codes: 0 success (or verdict "equivalent"), 1 bad input, a usage error,
+a refused resource bound or a result too long to print, 2 internal
+consistency failure or a failed oracle, 3 verdict "inequivalent", 4 verdict
+"unknown".
 
 The CLI alone bounds the order of the groups it reads (``--max-group-order``);
 the library functions take no bounds.
@@ -282,8 +283,8 @@ def _cmd_oracle(args) -> int:
     for i, P in enumerate(reps):
         for j, Q in enumerate(reps):
             categorical = len(by_pair[P, Q])
-            blocks = crossed.crossed_product_blocks(G, Q, P)
-            ok = categorical == blocks.k0_rank
+            rank = len(crossed.crossed_product_blocks(G, Q, P))
+            ok = categorical == rank
             all_ok = all_ok and ok
             source, target = qsystem_label(i), qsystem_label(j)
             pairs.append(
@@ -291,13 +292,13 @@ def _cmd_oracle(args) -> int:
                     "source": source,
                     "target": target,
                     "categorical": categorical,
-                    "crossed_rank": blocks.k0_rank,
+                    "crossed_rank": rank,
                     "ok": ok,
                 }
             )
             lines.append(
                 f"  {source} -> {target}: bimodules {categorical}, "
-                f"crossed K0 rank {blocks.k0_rank}: {'PASS' if ok else 'FAIL'}"
+                f"crossed K0 rank {rank}: {'PASS' if ok else 'FAIL'}"
             )
     lines.append("oracle: " + ("PASS" if all_ok else "FAIL"))
     doc = {"group": ser.group_to_json(G), "pairs": pairs, "all_ok": all_ok}
@@ -425,6 +426,12 @@ def main(argv=None) -> int:
     except (InternalConsistencyError, OracleFailureError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        # a result too long to print: every renderer converts before anything is printed
+        if "integer string conversion" not in str(exc):
+            raise
+        print("error: a result is too long to print (sys.set_int_max_str_digits)", file=sys.stderr)
+        return 1
 
 
 def run() -> None:

@@ -327,6 +327,8 @@ def _enumerate_subgroups(group: FiniteAbelianGroup) -> tuple[Subgroup, ...]:
     found = [{group.zero()}]
     for i in reversed(range(len(factors))):
         e = factors[i]
+        if e == 1:  # no divisor d < 1, so no subgroup grows at this coordinate
+            continue
         tail = [(0,) * (i + 1) + x for x in itertools.product(*map(range, factors[i + 1 :]))]
         grown = list(found)
         for H in found:

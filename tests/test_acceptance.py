@@ -156,7 +156,7 @@ def test_criterion_6_crossed_product_oracle():
         for K in subgroups(G):
             for H in subgroups(G):
                 categorical = len(simple_bimodules(K, H))
-                assert crossed_product_blocks(G, K, H).k0_rank == categorical, (factors, K, H)
+                assert len(crossed_product_blocks(G, K, H)) == categorical, (factors, K, H)
                 pairs += 1
     assert pairs == 9 + 16 + 16 + 36
     _passline(6, f"crossed-product block counts match on all {pairs} subgroup pairs", t0, bound=30.0)

@@ -446,3 +446,27 @@ def test_fuse_with_a_missing_simple_is_an_internal_error(z4_simples, drop, monke
         if s1.target == s2.source:
             with pytest.raises(InternalConsistencyError):
                 fuse(s1, s2)
+
+
+def test_a_fractional_triple_multiplicity_is_an_internal_error(z4_reps, monkeypatch):
+    # every meet read as all of Z/4: m = 2·2·2·4 / (4·4·2·4) for the triple Q2-Q2-Q2
+    Q2, Q3 = z4_reps[1], z4_reps[2]
+    S = identity_bimodule(Q2)
+    monkeypatch.setattr(bimodules, "subgroup_intersection", lambda A, B: Q3)
+    with pytest.raises(InternalConsistencyError, match="is not a positive integer"):
+        fuse(S, S)
+
+
+def test_a_block_table_without_the_pair_s_block_is_an_internal_error(z4_simples, monkeypatch):
+    # with every simple present the dimension check fails before a block can go missing,
+    # so the table itself loses the block the pair falls in
+    S1, S2 = z4_simples["M_{2-1,0}"], z4_simples["M_{1-2,1}"]
+    real = bimodules._mackey_blocks
+
+    def tampered(H, K, L):
+        mult, key, blocks = real(H, K, L)
+        return mult, key, {k: b for k, b in blocks.items() if k != key(S1, S2)}
+
+    monkeypatch.setattr(bimodules, "_mackey_blocks", tampered)
+    with pytest.raises(InternalConsistencyError, match="has no Mackey block"):
+        fuse(S1, S2)

@@ -9,7 +9,6 @@ import subprocess
 import sys
 import tempfile
 import time
-import types
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -344,8 +343,7 @@ def test_oracle_z12_covers_all_thirty_six_pairs(files, capsys):
 
 
 def test_oracle_failure_exits_two(files, capsys, monkeypatch):
-    fake = types.SimpleNamespace(k0_rank=0)
-    monkeypatch.setattr("afinv.crossed.crossed_product_blocks", lambda *a: fake)
+    monkeypatch.setattr("afinv.crossed.crossed_product_blocks", lambda *a: ())
     code, out, err = run(capsys, "oracle", files["z4"])
     assert code == 2
     assert "FAIL" in out
@@ -416,6 +414,30 @@ def test_k0_refuses_an_eigenvalue_it_cannot_factor_exactly(tmp_path, capsys):
     code, out, err = run(capsys, "k0", "--matrix", path)
     assert (code, out) == (1, "")
     assert err == "error: cannot prove prime a 89-bit factor of the eigenvalue\n"
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="no limit on integer string conversion",
+)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_k0_refuses_a_result_longer_than_the_interpreter_prints(fmt, tmp_path, capsys):
+    # every entry is within the digit limit, so the document parses, but the eigenvalue is not
+    c = 6 * 10 ** (sys.get_int_max_str_digits() - 1)
+    path = write_json(tmp_path, "m.json", {"rows": [[c, c], [c, c]]})
+    code, out, err = run(capsys, "k0", "--matrix", path, "--format", fmt)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "sys.set_int_max_str_digits" in err
+
+
+def test_any_other_value_error_still_propagates(files, monkeypatch):
+    def fail(*args):
+        raise ValueError("not a digit limit")
+
+    monkeypatch.setattr("afinv.k0.stationary_k0", fail)
+    with pytest.raises(ValueError, match="not a digit limit"):
+        main(["k0", "--matrix", files["mat"]])
 
 
 # ------------------------------------------------------------- error handling

@@ -17,7 +17,7 @@ from afinv.compare import (
     verify_witness,
 )
 from afinv.diagrams import EnrichedBratteliDiagram, InvariantData, compute_invariant
-from afinv.errors import InvalidInputError
+from afinv.errors import InternalConsistencyError, InvalidInputError
 from afinv.groups import make_group
 from afinv.k0 import strip_primes
 from fuse_oracle import float_oracle_fuse
@@ -252,6 +252,14 @@ def test_verify_witness_accepts_and_rejects(z4_invariants):
     # a 3 on the unit breaks the 2-unit requirement even though 3 > 0
     assert not verify_witness(F, F, {"Q1": 3, "Q2": 3, "Q3": 3})
     assert not verify_witness(E, E, {"Q1": 1, "Q2": 1, "Q3": 1})
+
+
+def test_a_witness_that_fails_its_replay_is_an_internal_error(z4_invariants, monkeypatch):
+    F, G = z4_invariants["F"], z4_invariants["G"]
+    assert compare(F, G).status == EQUIVALENT
+    monkeypatch.setattr("afinv.compare.verify_witness", lambda *args: False)
+    with pytest.raises(InternalConsistencyError, match="failed replay verification"):
+        compare(F, G)
 
 
 # ------------------------------------------------------------------ rescaling

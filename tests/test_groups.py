@@ -130,6 +130,17 @@ def test_subgroup_counts_of_large_lattices():
     assert time.perf_counter() - start < 5
 
 
+def test_factors_of_one_add_no_work_to_the_lattice(fresh_lattice_index):
+    # a factor of 1 has no divisor d < 1, so its coordinate grows no subgroup;
+    # walking it anyway took about 6 s here for 5 000 such factors (2 CPUs, Python 3.11)
+    start = time.perf_counter()
+    subs = subgroups(make_group([1] * 5000))
+    assert time.perf_counter() - start < 1
+    assert [H.elements for H in subs] == [((0,) * 5000,)]
+    padded = make_group([1] * 2000 + [2] + [1] * 2000)
+    assert [H.order for H in subgroups(padded)] == [1, 2]
+
+
 @pytest.mark.parametrize("n", [1, 12, 30, 128, 512])
 def test_cyclic_subgroup_count_is_divisor_count(n):
     divisors = [d for d in range(1, n + 1) if n % d == 0]

@@ -4,7 +4,6 @@ import pytest
 
 from afinv.bimodules import FusionTable, SimpleBimodule, fusion_table, simple_bimodules
 from afinv.compare import Certificate, Verdict, compare
-from afinv.crossed import CrossedBlock, CrossedProductBlocks, crossed_product_blocks
 from afinv.diagrams import (
     DiagramEdge,
     EnrichedBratteliDiagram,
@@ -38,8 +37,6 @@ FIELDS = {
     FusionTable: ("group", "simples", "products"),
     Certificate: ("kind", "at", "left", "right"),
     Verdict: ("status", "witness", "certificate", "reason"),
-    CrossedBlock: ("orbit_representative", "character", "size"),
-    CrossedProductBlocks: ("group", "base", "acting", "blocks"),
     DiagramEdge: ("source", "target", "bimodule", "multiplicity"),
     EnrichedBratteliDiagram: ("group", "levels", "edges", "generator_weights"),
     InductiveSystem: ("prefix", "tail"),
@@ -53,14 +50,13 @@ FIELDS = {
 
 @pytest.fixture(scope="module")
 def examples():
-    """One value of each of the 17 types, keyed by type."""
+    """One value of each of the 15 types, keyed by type."""
     G = make_group([2, 4])
     trivial, H = subgroups(G)[0], subgroups(G)[1]
     S = simple_bimodules(H, trivial)[1]
     edge = {s: 1 for s in simple_bimodules(trivial, trivial)[:2]}
     d = EnrichedBratteliDiagram.homogeneous(trivial, edge)
     inv = compute_invariant(d)
-    crossed = crossed_product_blocks(G, trivial, H)
     certificate = Certificate("rank", "Q1", "1", "2")
     out = [
         G,
@@ -70,8 +66,6 @@ def examples():
         fusion_table(make_group(2)),
         certificate,
         Verdict("inequivalent", certificate=certificate),
-        crossed.blocks[0],
-        crossed,
         DiagramEdge(0, 0, S, 2),
         d,
         object_diagram(d, trivial),
@@ -86,7 +80,7 @@ def examples():
 
 
 def test_each_type_lists_its_fields_in_order(examples):
-    assert len(FIELDS) == 17
+    assert len(FIELDS) == 15
     for cls, names in FIELDS.items():
         assert cls.__match_args__ == names
         assert tuple(fields_of(examples[cls])) == names
