@@ -147,6 +147,11 @@ def simples_by_pair(G: FiniteAbelianGroup) -> dict[tuple, tuple[SimpleBimodule, 
     return {(P, Q): simple_bimodules(P, Q) for P in reps for Q in reps}
 
 
+def simples_of(G: FiniteAbelianGroup) -> tuple[SimpleBimodule, ...]:
+    """Every simple of Hilb(G) in the canonical order: ``simples_by_pair(G)`` read in order."""
+    return tuple(S for simples in simples_by_pair(G).values() for S in simples)
+
+
 def identity_bimodule(H: Subgroup) -> SimpleBimodule:
     """The unit morphism at H: the coset H itself with the trivial character.
 
@@ -224,30 +229,14 @@ def fuse(S1: SimpleBimodule, S2: SimpleBimodule) -> dict[SimpleBimodule, int]:
     return {Z: mult for Z in block}
 
 
-class FusionTable(_Value):
-    """All simple bimodules of a group with their pairwise compositions."""
+def fusion_table(G: FiniteAbelianGroup) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
+    """Every composition of two simples, as ((index, multiplicity), ...) per (i, j).
 
-    group: FiniteAbelianGroup
-    simples: tuple[SimpleBimodule, ...]
-    # keyed by (i, j) in ascending order
-    products: dict[tuple[int, int], tuple[tuple[int, int], ...]]
-
-    def product(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
-        """Composition of simples i and j as ((index, multiplicity), ...)."""
-        got = self.products.get((i, j))
-        if got is None:
-            raise InvalidCompositionError(f"simples {i} and {j} are not composable")
-        return got
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(bimodule_label(s) for s in self.simples)
-
-
-def fusion_table(G: FiniteAbelianGroup) -> FusionTable:
-    """The full composition table; quadratic in the simple count."""
+    Indices are positions in ``simples_of(G)``, and the keys are the composable
+    pairs in ascending order.  Quadratic in the simple count.
+    """
     by_pair = simples_by_pair(G)
-    simples = [s for pair in by_pair.values() for s in pair]
-    index = {s: i for i, s in enumerate(simples)}
+    index = {s: i for i, s in enumerate(simples_of(G))}
     products = {}
     for P, Q, R in itertools.product(subgroups(G), repeat=3):
         mult, key, blocks = _mackey_blocks(P, Q, R)
@@ -255,7 +244,7 @@ def fusion_table(G: FiniteAbelianGroup) -> FusionTable:
         for s1 in by_pair[P, Q]:
             for s2 in by_pair[Q, R]:
                 products[index[s1], index[s2]] = entries[key(s1, s2)]
-    return FusionTable(G, tuple(simples), dict(sorted(products.items())))
+    return dict(sorted(products.items()))
 
 
 def _check_fusion_consistency(G: FiniteAbelianGroup, morphisms) -> None:
@@ -299,7 +288,9 @@ def bimodule_label(S: SimpleBimodule) -> str:
 
     i and j are the 1-based positions of the source and target subgroups; the
     coset part k is omitted when there is a single coset, and the character
-    part is omitted when the stabilizer H∩K is trivial.
+    part is omitted when the stabilizer H∩K is trivial.  A table that is no
+    character of H∩K, which only a direct constructor call builds, is shown
+    by its values, so every simple has a label.
     """
     G = S.group
     position = _lattice_index(G).position
@@ -310,9 +301,11 @@ def bimodule_label(S: SimpleBimodule) -> str:
     if S.dimension < G.order:  # more than one coset of H+K
         name += f",{_format_rep(S.rep)}"
     name += "}"
+    try:
+        k = dual_characters(I).index(S.character)
+    except ValueError:  # no character of H∩K, so no index: name its value table
+        return name + "^(" + ",".join(map(str, S.character.values)) + ")"
     if I.order > 1:
-        chars = dual_characters(I)
-        k = chars.index(S.character)
         if k == 0:
             name += "^triv"
         elif I.order == 2:

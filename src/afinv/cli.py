@@ -61,6 +61,7 @@ from .bimodules import (
     qsystems,
     simple_bimodules,
     simples_by_pair,
+    simples_of,
 )
 from .errors import (
     InternalConsistencyError,
@@ -141,14 +142,15 @@ def _render_columns(header, rows) -> list[str]:
 
 def _cmd_fusion_table(args) -> int:
     G = _load_group(args, args.group)
-    table = fusion_table(G)
-    labels = table.labels()
-    doc = ser.fusion_table_to_json(table)
+    products = fusion_table(G)
+    simples = simples_of(G)
+    labels = [bimodule_label(s) for s in simples]
+    doc = ser.fusion_table_to_json(G, products)
 
     lines = [f"simple bimodules of Hilb({G}): {len(labels)}"]
     for mi, mid in enumerate(qsystems(G)):
-        rows_of = [i for i, s in enumerate(table.simples) if s.target == mid]
-        cols_of = [j for j, s in enumerate(table.simples) if s.source == mid]
+        rows_of = [i for i, s in enumerate(simples) if s.target == mid]
+        cols_of = [j for j, s in enumerate(simples) if s.source == mid]
         lines.append("")
         lines.append(f"products through {qsystem_label(mi)}:")
         header = ["left \\ right"] + [labels[j] for j in cols_of]
@@ -156,7 +158,7 @@ def _cmd_fusion_table(args) -> int:
         for i in rows_of:
             row = [labels[i]]
             for j in cols_of:
-                row.append(_fmt_terms(labels, table.product(i, j)))
+                row.append(_fmt_terms(labels, products[i, j]))
             rows.append(row)
         lines.extend(_render_columns(header, rows))
     _emit(args, doc, lines)

@@ -8,11 +8,10 @@ level.  Only eventually-stationary diagrams are supported: explicit levels
 0..m-1 followed by the last edge block repeating forever.
 
 For each representative subgroup P the diagram induces an inductive system on
-the free abelian groups over hom bases: the connecting matrices of the
-explicit levels, then a stationary tail (a stationary diagram has an empty
-prefix).  Identifying those limits plus the multipliers of all simple
-bimodules and the class of the level-0 generator yields the complete
-invariant computed here.
+the free abelian groups over hom bases: one connecting matrix per edge block,
+the last of which repeats forever (a stationary diagram has only that one).
+Identifying those limits plus the multipliers of all simple bimodules and the
+class of the level-0 generator yields the complete invariant computed here.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ from .bimodules import (
     qsystem_label,
     simple_bimodules,
     simples_by_pair,
+    simples_of,
 )
 from .errors import InternalConsistencyError, InvalidInputError
 from .groups import FiniteAbelianGroup, Subgroup, _is_int, _Value, subgroups
@@ -44,7 +44,6 @@ from .k0 import (
 __all__ = [
     "DiagramEdge",
     "EnrichedBratteliDiagram",
-    "InductiveSystem",
     "InvariantData",
     "object_diagram",
     "morphism_matrices",
@@ -168,17 +167,6 @@ class EnrichedBratteliDiagram(_Value):
         )
 
 
-class InductiveSystem(_Value):
-    """A finite prefix of rectangular connecting matrices, then a stationary tail.
-
-    ``object_diagram`` returns one for every diagram; a stationary diagram
-    gives the empty prefix.
-    """
-
-    prefix: tuple[tuple[tuple[int, ...], ...], ...]
-    tail: StationarySystem
-
-
 def _fusion_matrix(row_basis, columns):
     """The fusion matrix onto the (vertex, simple) rows of ``row_basis``.
 
@@ -198,12 +186,13 @@ def _fusion_matrix(row_basis, columns):
     return tuple(tuple(row) for row in rows)
 
 
-def object_diagram(d: EnrichedBratteliDiagram, P: Subgroup) -> InductiveSystem:
-    """The Bratteli diagram of the functor at P: a prefix, then a stationary tail.
+def object_diagram(d: EnrichedBratteliDiagram, P: Subgroup) -> tuple:
+    """The Bratteli diagram of the functor at P: one matrix per edge block.
 
-    Entry [(w, y), (v, x)] sums mult * (multiplicity of y in fuse(e, x)) over
-    edges e: v -> w.  Rows and columns run over ``d.level_bases(P)`` in its
-    order, which is all that ties a matrix index to a simple.
+    The last one repeats forever.  Entry [(w, y), (v, x)] sums mult *
+    (multiplicity of y in fuse(e, x)) over edges e: v -> w.  Rows and columns
+    run over ``d.level_bases(P)`` in its order, which is all that ties a
+    matrix index to a simple.
     """
     bases = d.level_bases(P)
     mats = []
@@ -216,7 +205,7 @@ def object_diagram(d: EnrichedBratteliDiagram, P: Subgroup) -> InductiveSystem:
             for vi, x in bases[n]
         ]
         mats.append(_fusion_matrix(bases[min(n + 1, len(bases) - 1)], columns))
-    return InductiveSystem(tuple(mats[:-1]), StationarySystem(mats[-1]))
+    return tuple(mats)
 
 
 def morphism_matrices(d: EnrichedBratteliDiagram, X: SimpleBimodule):
@@ -237,7 +226,7 @@ class InvariantData(_Value):
 
     The group fixes everything but the values: ``objects`` and ``scales`` run
     over the representatives ``subgroups(group)``, labelled Q1, Q2, ..., and
-    ``multipliers`` over the simples in the order of ``simples_by_pair``.
+    ``multipliers`` over ``simples_of(group)``.
     """
 
     group: FiniteAbelianGroup
@@ -269,7 +258,7 @@ class InvariantData(_Value):
 
     @cached_property
     def simples(self) -> tuple[SimpleBimodule, ...]:
-        return tuple(X for pair in simples_by_pair(self.group).values() for X in pair)
+        return simples_of(self.group)
 
     @cached_property
     def morphisms(self) -> tuple[tuple[SimpleBimodule, Fraction | None], ...]:
@@ -281,7 +270,7 @@ def compute_invariant(d: EnrichedBratteliDiagram) -> InvariantData:
     """Objects, morphism multipliers, and the pointed class, all exact."""
     reps = subgroups(d.group)
     systems = {P: object_diagram(d, P) for P in reps}
-    descs = {P: stationary_k0(sys.tail) for P, sys in systems.items()}
+    descs = {P: stationary_k0(StationarySystem(mats[-1])) for P, mats in systems.items()}
 
     multipliers = []
     for (P, Q), simples in simples_by_pair(d.group).items():
@@ -298,7 +287,7 @@ def compute_invariant(d: EnrichedBratteliDiagram) -> InvariantData:
     # push the level-0 generator weights through the prefix to the tail start
     unit = reps[0]
     w = d.generator_weights
-    for M in systems[unit].prefix:
+    for M in systems[unit][:-1]:
         w = mat_vec(M, w)
     if isinstance(descs[unit], RankOneForm):
         pointed: Fraction | tuple[int, ...] = value_map(descs[unit], 0, w)
@@ -331,11 +320,11 @@ def _intertwines(AQ, M, N, AP) -> bool:
 
 
 def _check_intertwining(sysP, sysQ, mats, X) -> None:
-    if not _intertwines(sysQ.tail.matrix, mats[-1], mats[-1], sysP.tail.matrix):
+    if not _intertwines(sysQ[-1], mats[-1], mats[-1], sysP[-1]):
         raise InternalConsistencyError(
             f"morphism matrix of {X} does not intertwine the stationary tails"
         )
-    for n, (MP, MQ) in enumerate(zip(sysP.prefix, sysQ.prefix)):
+    for n, (MP, MQ) in enumerate(zip(sysP[:-1], sysQ[:-1])):
         if not _intertwines(MQ, mats[n], mats[n + 1], MP):
             raise InternalConsistencyError(
                 f"morphism matrices of {X} do not intertwine at level {n}"

@@ -34,10 +34,10 @@ from fractions import Fraction
 
 from . import diagrams, k0
 from .bimodules import (
-    FusionTable,
     SimpleBimodule,
     bimodule_label,
     simple_bimodule,
+    simples_of,
 )
 from .errors import InvalidInputError, _cut
 from .groups import (
@@ -197,17 +197,17 @@ def bimodule_from_json(G: FiniteAbelianGroup, doc) -> SimpleBimodule:
 
 # -- fusion tables ----------------------------------------------------------
 
-def fusion_table_to_json(table: FusionTable) -> dict:
-    products = {}
-    for (i, j), terms in table.products.items():
-        products[f"{i},{j}"] = [
-            {"index": k, "multiplicity": m} for k, m in terms
-        ]
+def fusion_table_to_json(G: FiniteAbelianGroup, products: dict) -> dict:
+    """The document of ``fusion_table(G)``, whose indices are positions in ``simples_of(G)``."""
+    simples = simples_of(G)
     return {
-        "group": group_to_json(table.group),
-        "simples": [bimodule_to_json(s) for s in table.simples],
-        "labels": list(table.labels()),
-        "products": products,
+        "group": group_to_json(G),
+        "simples": [bimodule_to_json(s) for s in simples],
+        "labels": [bimodule_label(s) for s in simples],
+        "products": {
+            f"{i},{j}": [{"index": k, "multiplicity": m} for k, m in terms]
+            for (i, j), terms in products.items()
+        },
     }
 
 

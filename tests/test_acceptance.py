@@ -18,6 +18,7 @@ from afinv.bimodules import (
     identity_bimodule,
     qsystems,
     simple_bimodules,
+    simples_of,
 )
 from afinv.compare import EQUIVALENT, INEQUIVALENT, compare, verify_witness
 from afinv.crossed import crossed_product_blocks
@@ -50,21 +51,21 @@ def _checked_fuse(s1, s2):
 def test_criterion_1_composition_tables_cell_for_cell(z4):
     t0 = time.perf_counter()
     table = fusion_table(z4)
-    labels = table.labels()
+    labels = [bimodule_label(s) for s in simples_of(z4)]
     index = {label: i for i, label in enumerate(labels)}
     cells = 0
     mismatches = []
     for block in ALL_TABLES:
         for row_label, row in block.items():
             for col_label, cell in row.items():
-                terms = table.product(index[row_label], index[col_label])
+                terms = table[index[row_label], index[col_label]]
                 got = {labels[k]: m for k, m in terms}
                 if got != cell_multiset(cell):
                     mismatches.append((row_label, col_label))
                 cells += 1
     assert mismatches == []
     assert cells == 162
-    assert len(table.products) == 162  # the tables cover every composable pair
+    assert len(table) == 162  # the tables cover every composable pair
     _passline(1, f"{cells}/{cells} composition cells on Z/4 match", t0, bound=5.0)
 
 

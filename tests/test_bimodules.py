@@ -27,9 +27,12 @@ from afinv.bimodules import (
     qsystems,
     simple_bimodule,
     simple_bimodules,
+    simples_of,
 )
 from afinv.errors import InternalConsistencyError, InvalidCompositionError, InvalidInputError
+from afinv.diagrams import DiagramEdge, EnrichedBratteliDiagram
 from afinv.groups import (
+    Character,
     Subgroup,
     dual_characters,
     make_group,
@@ -289,17 +292,18 @@ def test_completeness_warning_exactly_when_some_subgroup_is_non_cyclic(factors):
 
 def test_fusion_table_is_deterministic_and_consistent(z4):
     t1 = fusion_table(z4)
+    simples = simples_of(z4)
     assert fusion_table(z4) == t1
-    assert len(t1.simples) == 22
-    assert len(t1.products) == 162
+    assert len(simples) == 22
+    assert len(t1) == 162
     # every product entry decomposes into simples of the right type
-    for (i, j), terms in t1.products.items():
-        src = t1.simples[i].source
-        tgt = t1.simples[j].target
+    for (i, j), terms in t1.items():
+        src = simples[i].source
+        tgt = simples[j].target
         for k, m in terms:
             assert m >= 1
-            assert t1.simples[k].source == src
-            assert t1.simples[k].target == tgt
+            assert simples[k].source == src
+            assert simples[k].target == tgt
 
 
 def test_fusion_table_enumerates_each_pair_of_simples_once(fresh_lattice_index, monkeypatch):
@@ -314,7 +318,7 @@ def test_fusion_table_enumerates_each_pair_of_simples_once(fresh_lattice_index, 
     table = fusion_table(make_group([2, 2, 2]))
     # one enumeration per pair of the 16 subgroups; no triple enumerates again
     assert len(calls) == 16**2 and set(calls.values()) == {1}
-    for terms in table.products.values():
+    for terms in table.values():
         indices = [k for k, _ in terms]
         assert indices == sorted(set(indices))
 
@@ -374,15 +378,17 @@ def pairwise_mackey_fuse(S1, S2):
 @pytest.mark.parametrize("factors", [[9], [12], [2, 6], [16], [4, 4]])
 def test_fusion_table_matches_pairwise_mackey_rule(factors):
     # above order 8 the float oracle is not run on every pair
-    table = fusion_table(make_group(factors))
-    index = {s: i for i, s in enumerate(table.simples)}
+    G = make_group(factors)
+    table = fusion_table(G)
+    simples = simples_of(G)
+    index = {s: i for i, s in enumerate(simples)}
     expected = tuple(
         ((i, j), tuple(sorted((index[z], m) for z, m in pairwise_mackey_fuse(s1, s2).items())))
-        for i, s1 in enumerate(table.simples)
-        for j, s2 in enumerate(table.simples)
+        for i, s1 in enumerate(simples)
+        for j, s2 in enumerate(simples)
         if s1.target == s2.source
     )
-    assert tuple(table.products.items()) == expected
+    assert tuple(table.items()) == expected
 
 
 def test_simple_bimodules_are_the_index_tuples_read_only():
@@ -470,3 +476,16 @@ def test_a_block_table_without_the_pair_s_block_is_an_internal_error(z4_simples,
     monkeypatch.setattr(bimodules, "_mackey_blocks", tampered)
     with pytest.raises(InternalConsistencyError, match="has no Mackey block"):
         fuse(S1, S2)
+
+
+def test_a_simple_outside_the_index_is_labelled_by_its_values(z4, z4_reps):
+    # character tables that are no homomorphisms: only a direct constructor call builds them
+    Q1, Q3 = z4_reps[0], z4_reps[2]
+    S = SimpleBimodule(Q3, Q3, (0,), Character(Q3, (0, 1, 0, 0)))
+    assert str(S) == "M_{3-3}^(0,1,0,0)"
+    assert bimodule_label(SimpleBimodule(Q1, Q1, (0,), Character(Q1, (1,)))) == "M_{1-1,0}^(1)"
+    # so the messages that name such a simple are the errors they report
+    with pytest.raises(InternalConsistencyError, match="has no Mackey block"):
+        fuse(S, identity_bimodule(Q3))
+    with pytest.raises(InvalidInputError, match=r"M_\{3-3\}\^\(0,1,0,0\) must be a Q\("):
+        EnrichedBratteliDiagram(z4, ((Q1,),), ((DiagramEdge(0, 0, S),),), (1, 1, 1, 1))

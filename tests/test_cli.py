@@ -16,9 +16,15 @@ from hypothesis import given, settings
 
 import afinv
 from afinv import cli
-from afinv.bimodules import identity_bimodule, qsystems, simple_bimodules
+from afinv.bimodules import (
+    bimodule_label,
+    identity_bimodule,
+    qsystems,
+    simple_bimodules,
+    simples_of,
+)
 from afinv.cli import main
-from afinv.diagrams import DiagramEdge, EnrichedBratteliDiagram
+from afinv.diagrams import DiagramEdge, EnrichedBratteliDiagram, compute_invariant
 from afinv.groups import make_group
 from afinv.serialize import (
     bimodule_to_json,
@@ -152,6 +158,28 @@ def test_fusion_table_trivial_group_is_one_by_one(files, capsys):
     doc = json.loads(out)
     assert doc["labels"] == ["M_{1-1}"]
     assert doc["products"] == {"0,0": [{"index": 0, "multiplicity": 1}]}
+
+
+@pytest.mark.parametrize("factors", [[4], [2, 2], [6], [8]], ids=str)
+def test_every_reader_lists_the_simples_in_one_order(tmp_path, capsys, factors):
+    """The fusion table, the invariant and ``simples_of`` name the same simples in order."""
+    G = make_group(factors)
+    Q1 = qsystems(G)[0]
+    regular = EnrichedBratteliDiagram.homogeneous(Q1, {b: 1 for b in simple_bimodules(Q1, Q1)})
+    group, diagram = tmp_path / "group.json", tmp_path / "regular.json"
+    group.write_text(json.dumps(group_to_json(G)))
+    diagram.write_text(json.dumps(diagram_to_json(regular)))
+
+    code, out, _ = run(capsys, "fusion-table", str(group), "--format", "json")
+    assert code == 0
+    table_labels = json.loads(out)["labels"]
+    code, out, _ = run(capsys, "invariant", str(diagram), "--format", "json")
+    assert code == 0
+    invariant_labels = [m["label"] for m in json.loads(out)["morphisms"]]
+    expected = [bimodule_label(s) for s in simples_of(G)]
+    assert len(set(expected)) == len(expected)
+    assert table_labels == invariant_labels == expected
+    assert compute_invariant(regular).simples == simples_of(G)
 
 
 # ------------------------------------------------------------------- bimodules

@@ -22,7 +22,6 @@ from afinv.bimodules import (
 from afinv.diagrams import (
     DiagramEdge,
     EnrichedBratteliDiagram,
-    InductiveSystem,
     compute_invariant,
     morphism_matrices,
     object_diagram,
@@ -64,28 +63,28 @@ def test_object_diagrams_of_translation_action(z4_diagrams, z4_reps):
         """The simples the tail rows stand for, in row order."""
         return [bimodule_label(s) for _, s in F.level_bases(P)[-1]]
 
-    sys = object_diagram(F, Q1)
-    assert isinstance(sys, InductiveSystem) and sys.prefix == ()
-    at1 = sys.tail
-    assert isinstance(at1, StationarySystem)
+    mats = object_diagram(F, Q1)
+    assert isinstance(mats, tuple) and mats[:-1] == ()
+    at1 = mats[-1]
+    assert StationarySystem(at1).matrix == at1
     assert tail_rows(Q1) == ["M_{1-1,0}", "M_{1-1,1}", "M_{1-1,2}", "M_{1-1,3}"]
-    assert at1.matrix == tuple((1, 1, 1, 1) for _ in range(4))
+    assert at1 == tuple((1, 1, 1, 1) for _ in range(4))
 
-    at2 = object_diagram(F, Q2).tail
+    at2 = object_diagram(F, Q2)[-1]
     assert tail_rows(Q2) == ["M_{1-2,0}", "M_{1-2,1}"]
-    assert at2.matrix == ((2, 2), (2, 2))
+    assert at2 == ((2, 2), (2, 2))
 
-    at3 = object_diagram(F, Q3).tail
+    at3 = object_diagram(F, Q3)[-1]
     assert tail_rows(Q3) == ["M_{1-3}"]
-    assert at3.matrix == ((4,),)
+    assert at3 == ((4,),)
 
 
 def test_object_diagrams_of_trivial_tail(z4_diagrams, z4_reps):
     E = z4_diagrams["E"]
     Q1, Q2, Q3 = z4_reps
-    assert object_diagram(E, Q1).tail.matrix == ((4,),)
-    assert object_diagram(E, Q2).tail.matrix == ((4, 0), (0, 4))
-    at3 = object_diagram(E, Q3).tail.matrix
+    assert object_diagram(E, Q1)[-1] == ((4,),)
+    assert object_diagram(E, Q2)[-1] == ((4, 0), (0, 4))
+    at3 = object_diagram(E, Q3)[-1]
     assert at3 == tuple(
         tuple(4 if i == j else 0 for j in range(4)) for i in range(4)
     )
@@ -214,12 +213,12 @@ def test_two_level_diagram_shapes(two_level_diagram, z4_reps):
     d = two_level_diagram
     assert not d.is_stationary
     at1 = object_diagram(d, z4_reps[0])
-    assert isinstance(at1, InductiveSystem)
-    assert at1.prefix == (((1, 0, 1, 0), (0, 1, 0, 1)),)
-    assert at1.tail.matrix == ((2, 2), (2, 2))
+    assert isinstance(at1, tuple)
+    assert at1[:-1] == (((1, 0, 1, 0), (0, 1, 0, 1)),)
+    assert at1[-1] == ((2, 2), (2, 2))
     at2 = object_diagram(d, z4_reps[1])
-    assert len(at2.prefix[0]) == 4 and len(at2.prefix[0][0]) == 2
-    assert at2.tail.matrix == tuple((1, 1, 1, 1) for _ in range(4))
+    assert len(at2[0]) == 4 and len(at2[0][0]) == 2
+    assert at2[-1] == tuple((1, 1, 1, 1) for _ in range(4))
 
 
 def test_two_level_invariant(two_level_diagram):
@@ -269,7 +268,7 @@ def test_trivial_group_diagram_is_plain_integers():
     d = EnrichedBratteliDiagram.homogeneous(Q, {identity_bimodule(Q): 1})
     assert d.level_bases(Q) == (tuple((0, s) for s in simple_bimodules(Q, Q)),)
     assert len(simple_bimodules(Q, Q)) == 1
-    assert object_diagram(d, Q).tail.matrix == ((1,),)
+    assert object_diagram(d, Q)[-1] == ((1,),)
     inv = compute_invariant(d)
     (obj,) = inv.objects
     assert isinstance(obj, RankOneForm)
@@ -307,7 +306,7 @@ def per_cell_connecting_matrix(d, n, bases):
 def per_cell_object_diagram(d, P):
     bases = d.level_bases(P)
     mats = [per_cell_connecting_matrix(d, n, bases) for n in range(len(d.levels))]
-    return InductiveSystem(tuple(mats[:-1]), StationarySystem(mats[-1]))
+    return tuple(mats)
 
 
 def per_cell_morphism_matrices(d, X):

@@ -7,7 +7,14 @@ from fractions import Fraction
 import pytest
 
 from afinv import serialize
-from afinv.bimodules import fusion_table, identity_bimodule, qsystems, simple_bimodules
+from afinv.bimodules import (
+    bimodule_label,
+    fusion_table,
+    identity_bimodule,
+    qsystems,
+    simple_bimodules,
+    simples_of,
+)
 from afinv.compare import compare
 from afinv.diagrams import (
     DiagramEdge,
@@ -176,19 +183,20 @@ SMALL_GROUPS = [[1], [2], [3], [4], [2, 2], [5], [6], [7], [8], [2, 4], [2, 2, 2
 
 @pytest.mark.parametrize("factors", SMALL_GROUPS, ids=str)
 def test_every_small_fusion_table_renders_its_table(factors):
-    table = fusion_table(make_group(factors))
-    doc = through_json(fusion_table_to_json(table))
+    G = make_group(factors)
+    table = fusion_table(G)
+    doc = through_json(fusion_table_to_json(G, table))
     assert doc["group"] == {"cyclic_factors": factors}
-    assert doc["simples"] == [bimodule_to_json(s) for s in table.simples]
-    assert doc["labels"] == list(table.labels())
+    assert doc["simples"] == [bimodule_to_json(s) for s in simples_of(G)]
+    assert doc["labels"] == [bimodule_label(s) for s in simples_of(G)]
     products = {
         tuple(int(i) for i in key.split(",")): tuple(
             (term["index"], term["multiplicity"]) for term in terms
         )
         for key, terms in doc["products"].items()
     }
-    assert products == table.products
-    assert list(products) == list(table.products)
+    assert products == table
+    assert list(products) == list(table)
 
 
 # ------------------------------------------------------------ matrices and K0
@@ -515,7 +523,7 @@ def test_certificate_and_reason_verdict_wire_formats(z4_invariants):
 
 
 def test_object_diagram_tails_render_as_bare_matrices(z4_diagrams, z4_reps):
-    sys = object_diagram(z4_diagrams["F"], z4_reps[1]).tail
+    sys = StationarySystem(object_diagram(z4_diagrams["F"], z4_reps[1])[-1])
     doc = through_json(matrix_to_json(sys))
     assert doc == {"rows": [[2, 2], [2, 2]]}
     assert matrix_from_json(doc) == sys
