@@ -250,10 +250,11 @@ def fusion_table(G: FiniteAbelianGroup) -> dict[tuple[int, int], tuple[tuple[int
 def _check_fusion_consistency(G: FiniteAbelianGroup, morphisms) -> None:
     """Multiplier of a composite must equal the multiplicity-weighted product.
 
-    ``morphisms`` pairs simples of G with their multipliers, None where
-    undefined.  Per triple of ``subgroups(G)``, m times the multiplier sum of
-    the Mackey block of X ∘ Y must equal q_X · q_Y; a block holding an
-    undefined multiplier is skipped.  Each block is summed once per triple.
+    ``morphisms`` pairs simples of G with their multipliers, None where an
+    end object is not rank-one.  Per triple of ``subgroups(G)``, m times the
+    multiplier sum of the Mackey block of X ∘ Y must equal q_X · q_Y; a block
+    holding an undefined multiplier is skipped.  Each block is summed once
+    per triple.
     """
     defined = {X: q for X, q in morphisms if q is not None}
     by_pair = {pair: [(X, defined[X]) for X in simples if X in defined]

@@ -24,7 +24,6 @@ reused as it is.
 from __future__ import annotations
 
 import argparse
-import gc
 import importlib.util
 import json
 import os
@@ -437,25 +436,23 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    """The ``afinv`` process: run ``main`` and exit with its code.
+    """The ``afinv`` process: run ``main``, flush its output and exit with its code.
 
-    Freezing every live object first spares the interpreter the full
-    collections of its shutdown, which would only walk objects about to be
-    freed.  ``main`` itself freezes nothing, so an in-process caller keeps
-    collecting its own garbage.  A reader that closes the output pipe early
-    (``afinv ... | head``) ends the process with exit code 1 and no
-    traceback.  Any other exception, ``SystemExit`` from argparse included,
-    leaves as it leaves ``main``.
+    The process ends by ``os._exit`` right after the flushes, so the
+    interpreter's shutdown, and the full collections it would make of objects
+    about to be freed, never run.  ``main`` itself ends nothing, so an
+    in-process caller keeps its interpreter.  A reader that closes the output
+    pipe early (``afinv ... | head``) ends the process with exit code 1 and no
+    traceback: what is left in the buffer goes nowhere.  Any other exception,
+    ``SystemExit`` from argparse included, leaves as it leaves ``main``.
     """
     try:
         code = main()
         sys.stdout.flush()
     except BrokenPipeError:
-        # what is left in the buffer goes nowhere, so the final flush cannot raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
-    gc.freeze()
-    sys.exit(code)
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

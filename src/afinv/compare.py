@@ -144,6 +144,8 @@ def compare(
     position = {P: k for k, P in enumerate(inv1.representatives)}
     pending: list[tuple[int, int, object, Fraction, Fraction]] = []
     for X, f1, f2 in zip(inv1.simples, inv1.multipliers, inv2.multipliers):
+        # compute_invariant gives every simple between rank-one objects a
+        # multiplier; only an invariant built by hand can lack one here
         if f1 is None or f2 is None:
             which = bimodule_label(X)
             return Verdict(

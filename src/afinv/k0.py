@@ -317,8 +317,10 @@ def prime_set_text(primes) -> str:
 def _try_rank_one(A: Matrix, rows) -> RankOneForm | None:
     """The rank-one form of A, given the echelon rows of its eventual row space.
 
-    That is one row v with vA = lambda*v, lambda > 0.  Q*v holds a nonnegative
-    row of a power of A, so v, whose pivot is positive, is nonnegative.
+    None unless that space is one row v.  Q*v holds a nonnegative row of a
+    power of A, so v, whose pivot is positive, is nonnegative and primitive;
+    as the space W has W*A = W, vA = lambda*v for a positive integer lambda.
+    A v that fails this is a failed self-check: InternalConsistencyError.
     """
     if len(rows) != 1:
         return None
@@ -327,7 +329,7 @@ def _try_rank_one(A: Matrix, rows) -> RankOneForm | None:
     nz = next(i for i, x in enumerate(v) if x)
     lam = w[nz] // v[nz]
     if lam <= 0 or w != tuple(lam * x for x in v):
-        return None
+        raise InternalConsistencyError("the one eventual row of A is not an eigenvector")
     return RankOneForm(A, lam, v, _prime_factors(lam))
 
 
@@ -388,15 +390,12 @@ def value_map(desc: RankOneForm, n: int, x) -> Fraction:
     return Fraction(dot, sum(v)) / desc.eigenvalue**n
 
 
-def morphism_multiplier(
-    descP: RankOneForm, descQ: RankOneForm, M
-) -> Fraction | None:
-    """The rational q with val_Q(Mx) = q * val_P(x), if a single one exists.
+def morphism_multiplier(descP: RankOneForm, descQ: RankOneForm, M) -> Fraction:
+    """The rational q with val_Q(Mx) = q * val_P(x).
 
-    Requires M to intertwine the connecting matrices exactly (A_Q M = M A_P).
-    Returns None when v_Q M is not zero and the two eigenvalues differ, since
-    the value maps then rescale differently from level to level.  The returned
-    q is zero only in degenerate cases where v_Q annihilates the image of M.
+    Requires M to intertwine the connecting matrices exactly (A_Q M = M A_P),
+    so one q always exists.  It is zero exactly when v_Q annihilates the
+    image of M, as it does whenever the two eigenvalues differ.
     """
     M = _as_matrix(M)
     if len(M) != len(descQ.left_vector) or (M and len(M[0]) != len(descP.left_vector)):
@@ -406,19 +405,18 @@ def morphism_multiplier(
     return _multiplier(descP, descQ, M)
 
 
-def _multiplier(descP: RankOneForm, descQ: RankOneForm, M: Matrix) -> Fraction | None:
+def _multiplier(descP: RankOneForm, descQ: RankOneForm, M: Matrix) -> Fraction:
     """``morphism_multiplier`` of a matrix already known to intertwine, of the right shape.
 
-    With equal eigenvalues λ, w = v_Q·M satisfies w·A_P = λ·w, so w lies in
-    the eventual row space Q·v_P of A_P.  A w not proportional to v_P is a
+    w = v_Q·M satisfies w·A_P = λ_Q·w, so w lies in every row space of the
+    powers of A_P and thus in the eventual one, Q·v_P.  Hence w = 0, or
+    w = c·v_P and λ_Q = λ_P.  A nonzero w not proportional to v_P is a
     failed self-check and raises ``InternalConsistencyError``.
     """
     w = vec_mat(descQ.left_vector, M)
     vP = descP.left_vector
     if all(x == 0 for x in w):
         return Fraction(0)
-    if descP.eigenvalue != descQ.eigenvalue:
-        return None  # levels scale differently; no level-independent multiplier
     nz = next(i for i, x in enumerate(vP) if x)
     # w = c·vP with c = w[nz]/vP[nz], tested by integer cross-products
     if any(x * vP[nz] != w[nz] * y for x, y in zip(w, vP)):

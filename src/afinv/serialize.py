@@ -290,15 +290,20 @@ def diagram_to_json(d: diagrams.EnrichedBratteliDiagram) -> dict:
     }
 
 
-def _edge_from_json(G, doc, bimodules: dict, source=0, target=0) -> diagrams.DiagramEdge:
+def _edge_from_json(G, doc, bimodules: dict, ends: bool) -> diagrams.DiagramEdge:
     """One edge; ``bimodules`` maps each bimodule already read, as its ``repr``, to its parse.
 
-    Edges that repeat a bimodule thus share one object, parsed and validated once.
-    The ``repr`` tells ``True`` from ``1``; the same bimodule with its keys in
-    another order is only parsed once more.
+    Its ``from`` and ``to`` are read when ``ends`` is true; otherwise the edge
+    runs from vertex 0 to vertex 0.  Edges that repeat a bimodule share one
+    object, parsed and validated once.  The ``repr`` tells ``True`` from
+    ``1``; the same bimodule with its keys in another order is only parsed
+    once more.
     """
     if not isinstance(doc, dict):
         raise InvalidInputError(f"edge {_cut(repr(doc))} must be an object")
+    source = target = 0
+    if ends:
+        source, target = _expect(doc, "from", None), _expect(doc, "to", None)
     raw = _expect(doc, "bimodule", dict)
     key = repr(raw)
     bimodule = bimodules.get(key)
@@ -308,31 +313,26 @@ def _edge_from_json(G, doc, bimodules: dict, source=0, target=0) -> diagrams.Dia
 
 
 def diagram_from_json(doc) -> diagrams.EnrichedBratteliDiagram:
+    """A diagram document; the single-vertex shape is read as one level of one vertex."""
     G = group_from_json(_expect(doc, "group", dict))
     weights = _expect(doc, "generator_weights", list)
-    bimodules: dict[str, SimpleBimodule] = {}
-    if "vertex" in doc:
-        vertex = subgroup_from_json(G, doc["vertex"])
-        diagrams._check_generator_weights(G, (vertex,), weights)
-        edges = tuple(
-            _edge_from_json(G, e, bimodules) for e in _expect(doc, "edge", list)
+    ends = "vertex" not in doc
+    if ends:
+        levels = tuple(
+            tuple(subgroup_from_json(G, v) for v in _list(level, "level"))
+            for level in _expect(doc, "levels", list)
         )
-        return diagrams.EnrichedBratteliDiagram(G, ((vertex,),), (edges,), tuple(weights))
-    levels = tuple(
-        tuple(subgroup_from_json(G, v) for v in _list(level, "level"))
-        for level in _expect(doc, "levels", list)
-    )
+    else:
+        levels = ((subgroup_from_json(G, doc["vertex"]),),)
     if levels:
         diagrams._check_generator_weights(G, levels[0], weights)
-    blocks = []
-    for block in _expect(doc, "edges", list):
-        parsed = []
-        for e in _list(block, "edge block"):
-            parsed.append(
-                _edge_from_json(G, e, bimodules, _expect(e, "from", None), _expect(e, "to", None))
-            )
-        blocks.append(tuple(parsed))
-    return diagrams.EnrichedBratteliDiagram(G, levels, tuple(blocks), tuple(weights))
+    raw_blocks = _expect(doc, "edges", list) if ends else [_expect(doc, "edge", list)]
+    bimodules: dict[str, SimpleBimodule] = {}
+    blocks = tuple(
+        tuple(_edge_from_json(G, e, bimodules, ends) for e in _list(block, "edge block"))
+        for block in raw_blocks
+    )
+    return diagrams.EnrichedBratteliDiagram(G, levels, blocks, tuple(weights))
 
 
 # -- invariants ---------------------------------------------------------------

@@ -408,6 +408,14 @@ def test_k0_rejects_nonsquare(doc, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_k0_failed_self_check_exits_two(files, capsys, monkeypatch):
+    # a tampered eventual row space: (1, 0) is no eigenvector of ((2, 2), (2, 2))
+    monkeypatch.setattr("afinv.k0._eventual_rows", lambda A: [(1, 0)])
+    code, out, err = run(capsys, "k0", "--matrix", files["mat"])
+    assert (code, out) == (2, "")
+    assert err.startswith("internal error:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_k0_prints_the_same_bytes_with_one_label_per_row(fmt, tmp_path, capsys):
     rows = [[2, 1], [1, 1]]
@@ -909,6 +917,31 @@ def test_a_closed_output_pipe_ends_without_a_traceback(files):
     proc.stderr.close()
     assert first == b"{\n"
     assert (proc.wait(timeout=60), err) == (1, b"")
+
+
+def test_output_redirected_to_files_is_flushed_whole(files, capsys, tmp_path):
+    # a file, unlike a terminal, is block-buffered (unless PYTHONUNBUFFERED is set):
+    # the process ends without an interpreter shutdown, so only run's own flushes
+    # can write the last block
+    src = os.path.dirname(os.path.dirname(os.path.abspath(afinv.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+
+    def run_to_files(*argv):
+        out, err = tmp_path / "out", tmp_path / "err"
+        with open(out, "wb") as fout, open(err, "wb") as ferr:
+            proc = subprocess.run([sys.executable, "-m", "afinv.cli", *argv],
+                                  stdout=fout, stderr=ferr, env=env, timeout=60)
+        return proc.returncode, out.read_bytes(), err.read_text()
+
+    argv = ["fusion-table", files["z12"], "--format", "json"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out.encode()
+    assert len(printed) > 500_000
+    assert run_to_files(*argv) == (0, printed, "")
+    code, out, err = run_to_files("qsystems", files["missing"])
+    assert (code, out) == (1, b"")
+    assert err.count("\n") == 1 and err.startswith("error:")
 
 
 def test_stdin_input(files, capsys, monkeypatch, z4):

@@ -165,6 +165,19 @@ def test_zero_nonzero_multiplier_mismatch(z4_invariants):
     assert verdict.certificate.at == "M_{1-1,1}"
 
 
+def test_propagation_reaches_objects_through_simples_into_the_unit(z4_invariants):
+    # every simple out of Q1 into Q2 or Q3 is zero, so Q2 and Q3 are reached
+    # only backwards, through the simples from them into Q1
+    inv = z4_invariants["F"]
+    Q1 = inv.representatives[0]
+    one_way = replace(inv, multipliers=tuple(
+        Fraction(0) if X.source == Q1 != X.target else q for X, q in inv.morphisms
+    ))
+    verdict = compare(one_way, one_way)
+    assert verdict.status == EQUIVALENT
+    assert verdict.witness_map() == {"Q1": 1, "Q2": 1, "Q3": 1}
+
+
 def test_pointed_obstruction(z4_invariants):
     zeroed = replace(z4_invariants["F"], pointed=Fraction(0))
     verdict = compare(z4_invariants["F"], zeroed)
@@ -194,6 +207,13 @@ def test_shift_equivalence_diagnostics(z4_invariants, monkeypatch):
     monkeypatch.setattr(k0, "SHIFT_SEARCH_BUDGET", 0)
     verdict = compare(z4_invariants["E"], z4_invariants["E"], se_lag=1, se_entries=2)
     assert "Q2: bounded shift equivalence search too large" in verdict.reason
+
+
+def test_a_pointed_class_that_is_no_rational_is_unknown(z4_invariants):
+    vector = replace(z4_invariants["F"], pointed=(1, 1, 1, 1))
+    verdict = compare(vector, vector)
+    assert verdict.status == UNKNOWN
+    assert verdict.reason == "pointed class is not a rational value"
 
 
 def test_missing_multiplier_is_unknown(z4_invariants):

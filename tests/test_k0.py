@@ -424,7 +424,7 @@ def test_multiplier_zero_map_is_degenerate_zero():
     assert morphism_multiplier(descP, descQ, [[0], [0]]) == Fraction(0)
 
 
-def test_multiplier_none_when_eigenvalues_differ():
+def test_multiplier_zero_when_eigenvalues_differ():
     descP = k0([[2]])
     descQ = k0([[4]])
     # the zero matrix intertwines anything of the right shape, but the two
@@ -434,6 +434,10 @@ def test_multiplier_none_when_eigenvalues_differ():
     desc44 = k0([[2, 2], [2, 2]])
     M = [[0, 0], [0, 0]]
     assert morphism_multiplier(descQ2, desc44, M) == Fraction(0)
+    # a nonzero intertwiner between eigenvalues 2 and 4: v_Q M = 0, so the
+    # multiplier is 0, never undefined
+    M = [[0, 0], [0, 1]]
+    assert morphism_multiplier(k0([[2, 0], [0, 0]]), k0([[4, 0], [0, 0]]), M) == Fraction(0)
 
 
 def test_multiplier_rejects_non_intertwiners():
@@ -463,6 +467,14 @@ def test_multiplier_refuses_a_row_not_proportional_to_v_p():
     for M in (((1, 0),), ((0, 3),)):
         with pytest.raises(InternalConsistencyError, match="not proportional to v_P"):
             k0_module._multiplier(descP, descQ, M)
+
+
+def test_a_one_row_eventual_space_that_is_no_eigenvector_is_a_failed_self_check(monkeypatch):
+    # The one eventual row of a nonnegative matrix is always a positive-eigenvalue
+    # eigenvector, so a tampered row space drives the self-check directly.
+    monkeypatch.setattr(k0_module, "_eventual_rows", lambda A: [(1, 0)])
+    with pytest.raises(InternalConsistencyError, match="not an eigenvector"):
+        k0([[1, 1], [1, 1]])
 
 
 # ---------------------------------------------------- bounded shift equivalence

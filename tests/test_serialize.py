@@ -382,6 +382,18 @@ def test_diagram_parser_validates(z4_diagrams):
     del missing["group"]
     with pytest.raises(InvalidInputError):
         diagram_from_json(missing)
+    # a non-object edge is refused as such in either shape, before any key of it is read
+    levels = {
+        "group": doc["group"],
+        "levels": [[doc["vertex"]]],
+        "edges": [[{"from": 0, "to": 0, **e} for e in doc["edge"]]],
+        "generator_weights": doc["generator_weights"],
+    }
+    assert diagram_from_json(levels) == z4_diagrams["F"]
+    for shaped, block in ((doc, doc["edge"]), (levels, levels["edges"][0])):
+        block.append(5)
+        with pytest.raises(InvalidInputError, match="^edge 5 must be an object$"):
+            diagram_from_json(shaped)
 
 
 # ------------------------------------------------------------------ invariants
