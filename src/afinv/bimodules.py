@@ -15,7 +15,7 @@ table and every layer list the same objects.  ``simple_bimodule`` is the one
 lookup of a simple by its coset and character, and ``identity_bimodule`` and
 ``dual`` return the index's members through it; characters are looked up in
 ``afinv.groups``.
-The tests compare it with an independent float trace over explicit induced
+The tests compare it with an independent exact trace over explicit induced
 modules.
 """
 

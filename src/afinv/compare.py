@@ -113,16 +113,13 @@ def compare(
                 ),
             )
 
-    rank_one = all(
-        isinstance(d, RankOneForm) for d in inv1.objects + inv2.objects
-    )
-    if not rank_one:
-        opaque = [
-            i
-            for i in range(len(labels))
-            if not isinstance(inv1.objects[i], RankOneForm)
-            or not isinstance(inv2.objects[i], RankOneForm)
-        ]
+    opaque = [
+        i
+        for i in range(len(labels))
+        if not isinstance(inv1.objects[i], RankOneForm)
+        or not isinstance(inv2.objects[i], RankOneForm)
+    ]
+    if opaque:
         reason = "objects not rank-one identified: " + ", ".join(labels[i] for i in opaque)
         if se_lag > 0 and se_entries > 0:
             notes = []

@@ -1,27 +1,26 @@
-"""Test support: an independent floating-point route for composing bimodules.
+"""Test support: an independent exact route for composing bimodules.
 
 `afinv.bimodules.fuse` reads S1 ⊗_K S2 off the closed-form Mackey rule.  This
 module recomputes it the long way: it realizes both factors as explicit
-induced modules with monomial actions (`realize`), builds the averaging
-idempotent e = |K|^-1 Σ_k right_k ⊗ left_-k as a numpy matrix on each graded
-component, and reads each multiplicity off character-projected traces.  No
-production code calls it; the tests compare `fuse` against it.
+induced modules with monomial actions (`realize`), and reads each multiplicity
+off the traces of the averaging idempotent e = |K|^-1 Σ_k right_k ⊗ left_-k,
+projected onto each character of H∩L.  Every action is monomial, so each trace
+is a count of fixed points weighted by roots of unity, and it is counted in F_p
+for a prime p with an element w of order exactly E, the exponent of G (Dixon's
+reduction mod p).  No matrix is built and no float is rounded.  No production
+code calls it; the tests compare `fuse` against it.
 """
 
 from __future__ import annotations
 
-import cmath
-from collections import Counter
+import functools
+import itertools
+import math
 from dataclasses import dataclass
-from fractions import Fraction
-
-import numpy as np
 
 from afinv.bimodules import SimpleBimodule, _composable
 from afinv.errors import InvalidInputError, OracleFailureError
-from afinv.groups import dual_characters, subgroup_intersection, subgroup_sum
-
-FLOAT_ORACLE_TOLERANCE = 1e-6
+from afinv.groups import Subgroup, dual_characters, subgroup_intersection, subgroup_sum
 
 
 def coset_members(S: SimpleBimodule) -> tuple:
@@ -30,13 +29,37 @@ def coset_members(S: SimpleBimodule) -> tuple:
     return tuple(sorted({G.add(S.rep, d) for d in subgroup_sum(S.source, S.target).elements}))
 
 
-@dataclass
+@functools.cache
+def root_of_unity(E: int) -> tuple[int, int]:
+    """(p, w): the least prime p ≡ 1 (mod E) above 2^31, and w of order exactly E mod p.
+
+    w^v stands for the root of unity e^(2*pi*i*v/E).  A multiplicity is at most
+    the dimension of its component, far below p, so its residue is the number.
+    """
+    p = 2**31 + 1
+    p += -(p - 1) % E
+    while any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        p += E
+    for x in itertools.count(2):
+        w = pow(x, (p - 1) // E, p)  # w^E = 1; its order is E when no w^(E/q), q | E, is 1
+        if all(pow(w, E // q, p) != 1 for q in range(2, E + 1) if E % q == 0):
+            return p, w
+
+
+@functools.cache
+def least_member(S: Subgroup, g: tuple) -> tuple:
+    """The least member of the coset g + S, found here, not by the engine's coset maps."""
+    return min(S.group.add(g, d) for d in S.elements)
+
+
+@dataclass(frozen=True)
 class ExplicitBimoduleModel:
     """A concrete graded unitary model of a simple bimodule.
 
     ``basis[i]`` is the chosen section pair (h, k) over the grading value
-    ``grading[i]``; actions are monomial: ``left_action[h][i] = (j, theta)``
-    sends basis vector i to e^(2*pi*i*theta) times basis vector j.
+    ``grading[i]``; actions are monomial: ``left_action[h][i] = (j, v)`` sends
+    basis vector i to e^(2*pi*i*v/E) times basis vector j, for E the exponent
+    of G and v an integer mod E.
     """
 
     bimodule: SimpleBimodule
@@ -47,22 +70,18 @@ class ExplicitBimoduleModel:
     right_action: dict
 
 
+@functools.cache
 def realize(S: SimpleBimodule, base_point: tuple | None = None) -> ExplicitBimoduleModel:
-    """Build the induced-module model of S.
+    """Build the induced-module model of S, once per (S, base point).
 
     The basis is indexed by the grading values (the coset members); the
     section picks, for each grading value, the lexicographically least pair
     (h, k) with h + base_point + k equal to that value.  The pair (t, -t)
     with t in H∩K then acts by the scalar character(t) on every basis vector.
-    Each phase is kept as the Fraction v/E of the character's integer value v
-    over the exponent E of G.
+    Each phase is the character's integer value, mod the exponent of G.
     """
     G = S.group
     H, K = S.source, S.target
-    E = G.exponent
-
-    def chi(t) -> Fraction:
-        return Fraction(S.character(t), E)
 
     grading = coset_members(S)  # sorted; the grading map is a bijection
     if base_point is None:
@@ -80,103 +99,78 @@ def realize(S: SimpleBimodule, base_point: tuple | None = None) -> ExplicitBimod
                 section[gamma] = (h, k)
                 break
 
-    left_action = {}
-    for a in H.elements:
+    def action(x, a):
+        # x moves gamma to gamma2 = gamma + x; a is x's part in H (x itself on the left,
+        # 0 on the right), so the phase is character(a + h(gamma) - h(gamma2))
         maps = []
         for gamma in grading:
-            gamma2 = G.add(a, gamma)
+            gamma2 = G.add(x, gamma)
             t = G.add(G.add(a, section[gamma][0]), G.neg(section[gamma2][0]))
-            maps.append((index[gamma2], chi(t)))
-        left_action[a] = tuple(maps)
-    right_action = {}
-    for b in K.elements:
-        maps = []
-        for gamma in grading:
-            gamma2 = G.add(gamma, b)
-            t = G.add(section[gamma][0], G.neg(section[gamma2][0]))
-            maps.append((index[gamma2], chi(t)))
-        right_action[b] = tuple(maps)
+            maps.append((index[gamma2], S.character(t)))
+        return tuple(maps)
 
     return ExplicitBimoduleModel(
         bimodule=S,
         base_point=base_point,
         basis=tuple(section[g] for g in grading),
         grading=grading,
-        left_action=left_action,
-        right_action=right_action,
+        left_action={a: action(a, a) for a in H.elements},
+        right_action={b: action(b, G.zero()) for b in K.elements},
     )
 
 
-
-
-def float_oracle_fuse(
+def oracle_fuse(
     S1: SimpleBimodule,
     S2: SimpleBimodule,
     base_point1: tuple | None = None,
     base_point2: tuple | None = None,
 ) -> dict[SimpleBimodule, int]:
-    """Floating-point S1 ⊗_K S2 from explicit models (numpy matrices, tolerance 1e-6).
+    """Exact S1 ⊗_K S2 from explicit models, by fixed-point traces in F_p.
 
     The base points pick the sections of the two induced-module models; the
-    multiplicities must not depend on them.
+    multiplicities must not depend on them.  A projected trace above its
+    component's dimension is no multiplicity and raises OracleFailureError.
     """
     _composable(S1, S2)
     G = S1.group
-    K = S1.target
-    H = S1.source
-    L = S2.target
+    H, K, L = S1.source, S1.target, S2.target
+    E = G.exponent
+    p, w = root_of_unity(E)
+    power = [pow(w, v, p) for v in range(E)]
     m1 = realize(S1, base_point1)
     m2 = realize(S2, base_point2)
-    n1, n2 = len(m1.grading), len(m2.grading)
-
     HL = subgroup_intersection(H, L)
     sum_HL = subgroup_sum(H, L)
-    points = [(i1, i2) for i1 in range(n1) for i2 in range(n2)]
-    degree = {p: G.add(m1.grading[p[0]], m2.grading[p[1]]) for p in points}
-    # the least member of each degree's coset of H+L, found here, not by the engine's coset maps
-    target_reps = sorted({min(G.add(g, d) for d in sum_HL.elements) for g in degree.values()})
+    twists = [(m1.left_action[t], m2.right_action[G.neg(t)]) for t in HL.elements]
+    scale = pow(K.order * HL.order, -1, p)
 
-    def phase(theta: Fraction) -> complex:
-        return cmath.exp(2j * cmath.pi * float(theta))
+    components: dict[tuple, list[tuple[int, int]]] = {}
+    for (i1, g1), (i2, g2) in itertools.product(enumerate(m1.grading), enumerate(m2.grading)):
+        components.setdefault(G.add(g1, g2), []).append((i1, i2))
 
-    result: Counter[SimpleBimodule] = Counter()
-    chars3 = dual_characters(HL)
-    for g3 in target_reps:
-        comp = [p for p in points if degree[p] == g3]
-        pos = {p: i for i, p in enumerate(comp)}
-        dim = len(comp)
-        e_mat = np.zeros((dim, dim), dtype=complex)
+    result = {}
+    for g3, comp in components.items():
+        if g3 != least_member(sum_HL, g3):  # one component per coset of H+L
+            continue
+        # trace[j]: the points that right_k ⊗ left_-k, then the j-th left_t ⊗ right_-t,
+        # send back to themselves, summed over k, each weighted by its root of unity
+        trace = [0] * len(twists)
         for k in K.elements:
-            r1 = m1.right_action[k]
-            l2 = m2.left_action[G.neg(k)]
-            for (i1, i2) in comp:
-                a1, ph1 = r1[i1]
-                a2, ph2 = l2[i2]
-                e_mat[pos[(a1, a2)], pos[(i1, i2)]] += phase(ph1 + ph2)
-        e_mat /= K.order
-        stacked = {}
-        for t in HL.elements:
-            lt = m1.left_action[t]
-            rt = m2.right_action[G.neg(t)]
-            m_t = np.zeros((dim, dim), dtype=complex)
-            for (i1, i2) in comp:
-                b1, ph4 = lt[i1]
-                b2, ph3 = rt[i2]
-                m_t[pos[(b1, b2)], pos[(i1, i2)]] = phase(ph3 + ph4)
-            stacked[t] = m_t @ e_mat
-        for chi3 in chars3:
-            tr = sum(
-                phase(Fraction(-chi3(t), G.exponent) % 1) * np.trace(stacked[t])
-                for t in HL.elements
-            ) / HL.order
-            mult = round(tr.real)
-            if abs(tr.real - mult) > FLOAT_ORACLE_TOLERANCE or abs(tr.imag) > FLOAT_ORACLE_TOLERANCE:
+            r1, l2 = m1.right_action[k], m2.left_action[G.neg(k)]
+            for i1, i2 in comp:
+                (a1, v1), (a2, v2) = r1[i1], l2[i2]
+                for j, (lt, rt) in enumerate(twists):
+                    (b1, v3), (b2, v4) = lt[a1], rt[a2]
+                    if b1 == i1 and b2 == i2:
+                        trace[j] += power[(v1 + v2 + v3 + v4) % E]
+        for chi3 in dual_characters(HL):
+            total = sum(power[-chi3(t) % E] * tr for t, tr in zip(HL.elements, trace))
+            mult = scale * total % p
+            if mult > len(comp):
                 raise OracleFailureError(
-                    f"trace {tr} did not resolve to an integer for {S1} ⊗ {S2}"
+                    f"projected trace {mult} mod {p} exceeds the dimension {len(comp)} "
+                    f"for {S1} ⊗ {S2}"
                 )
-            if mult < 0:
-                raise OracleFailureError(f"negative multiplicity {mult} for {S1}{S2}")
             if mult:
-                result[SimpleBimodule(S1.source, S2.target, g3, chi3)] = mult
-    return dict(result)
-
+                result[SimpleBimodule(H, L, g3, chi3)] = mult
+    return result

@@ -26,7 +26,7 @@ from afinv.diagrams import morphism_matrices
 from afinv.groups import make_group, subgroups
 from afinv.k0 import RankOneForm, mat_vec, value_map
 
-from fuse_oracle import float_oracle_fuse
+from fuse_oracle import oracle_fuse
 from z4_tables import ALL_TABLES, cell_multiset
 
 FAMILY_ORDER = ("1-1", "1-2", "1-3", "2-1", "2-2", "2-3", "3-1", "3-2", "3-3")
@@ -219,18 +219,29 @@ def test_criterion_7_property_battery(z4_simples, z4_diagrams, z4_invariants):
         assert _checked_fuse(s, identity_bimodule(s.target)) == {s: 1}
         assert _checked_fuse(s, dual(s)).get(identity_bimodule(s.source)) == 1
 
-    # exact vs float oracle, exhaustively for every abelian group of order <= 8
-    float_pairs = 0
-    for factors in ([1], [2], [3], [4], [2, 2], [5], [6], [7], [8], [2, 4], [2, 2, 2]):
-        G = make_group(factors)
-        reps = qsystems(G)
-        sims = [s for P in reps for Q in reps for s in simple_bimodules(P, Q)]
+    # fuse vs the exact oracle, exhaustively for every abelian group of order <= 8 and for
+    # Z/12 and Z/2 x Z/6, and on 2 000 seeded pairs each of Z/16 and Z/4 x Z/4
+    oracle_pairs = 0
+    exhaustive = ([1], [2], [3], [4], [2, 2], [5], [6], [7], [8], [2, 4], [2, 2, 2], [12], [2, 6])
+    for factors in exhaustive:
+        sims = simples_of(make_group(factors))
         for s1 in sims:
             for s2 in sims:
                 if s1.target != s2.source:
                     continue
-                assert fuse(s1, s2) == float_oracle_fuse(s1, s2), (factors, s1, s2)
-                float_pairs += 1
+                assert fuse(s1, s2) == oracle_fuse(s1, s2), (factors, s1, s2)
+                oracle_pairs += 1
+    rng = random.Random(16044)
+    for factors in ([16], [4, 4]):
+        sims = simples_of(make_group(factors))
+        by_source = {}
+        for s in sims:
+            by_source.setdefault(s.source, []).append(s)
+        for _ in range(2000):
+            s1 = rng.choice(sims)
+            s2 = rng.choice(by_source[s1.target])
+            assert fuse(s1, s2) == oracle_fuse(s1, s2), (factors, s1, s2)
+            oracle_pairs += 1
 
     # value-map level coherence and multiplier compositionality on the
     # translation-action invariants
@@ -274,8 +285,8 @@ def test_criterion_7_property_battery(z4_simples, z4_diagrams, z4_invariants):
     _passline(
         7,
         f"associativity {triples}+{random_triples} triples, unit/dual laws, "
-        f"float oracle {float_pairs} pairs (tol 1e-6), {coherence_checks} coherence "
+        f"exact oracle {oracle_pairs} pairs, {coherence_checks} coherence "
         f"checks, {replayed} witnesses replayed",
         t0,
-        bound=150.0,
+        bound=45.0,
     )

@@ -41,7 +41,7 @@ from afinv.groups import (
     subgroups,
 )
 
-from fuse_oracle import coset_members, float_oracle_fuse
+from fuse_oracle import coset_members, oracle_fuse
 from values import as_tuple, fields_of, is_value
 from z4_tables import ALL_TABLES, cell_multiset
 
@@ -232,7 +232,33 @@ def test_base_point_invariance(z4_simples):
     expected = fuse(s1, s2)
     for bp1 in coset_members(s1):
         for bp2 in coset_members(s2):
-            assert float_oracle_fuse(s1, s2, bp1, bp2) == expected
+            assert oracle_fuse(s1, s2, bp1, bp2) == expected
+
+
+def test_oracle_catches_products_moved_to_the_wrong_block(z4, monkeypatch):
+    # a Mackey rule that negates the phases of S1 + S2 on H∩K∩L still passes every
+    # self-check (the blocks themselves are unchanged) but composes into the wrong block
+    honest = bimodules._mackey_blocks
+
+    def tampered(H, K, L):
+        mult, key, blocks = honest(H, K, L)
+        E = H.group.exponent
+
+        def wrong_key(*terms):
+            coset, phases = key(*terms)
+            if len(terms) == 2:
+                phases = tuple(-v % E for v in phases)
+            return coset, phases
+
+        return mult, wrong_key, blocks
+
+    simples = simples_of(z4)
+    pairs = [(s1, s2) for s1 in simples for s2 in simples if s1.target == s2.source]
+    expected = {pair: fuse(*pair) for pair in pairs}
+    monkeypatch.setattr(bimodules, "_mackey_blocks", tampered)
+    moved = {pair for pair in pairs if fuse(*pair) != expected[pair]}
+    assert len(moved) == 8
+    assert {pair for pair in pairs if oracle_fuse(*pair) != fuse(*pair)} == moved
 
 
 def test_dimension_conservation_spot_checks(z4_simples):
@@ -377,7 +403,8 @@ def pairwise_mackey_fuse(S1, S2):
 
 @pytest.mark.parametrize("factors", [[9], [12], [2, 6], [16], [4, 4]])
 def test_fusion_table_matches_pairwise_mackey_rule(factors):
-    # above order 8 the float oracle is not run on every pair
+    # above order 8 the exact oracle covers every pair of Z/12 and Z/2 x Z/6 only, and samples
+    # Z/16 and Z/4 x Z/4 (criterion 7)
     G = make_group(factors)
     table = fusion_table(G)
     simples = simples_of(G)

@@ -76,13 +76,23 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_process(*argv):
-    """Run the CLI in a fresh interpreter, as a shell would."""
+def child_env():
+    """The environment of a fresh interpreter that imports afinv from this tree.
+
+    PYTHONUNBUFFERED is dropped, so output to a pipe or a file is block-buffered,
+    as a shell leaves it.
+    """
     src = os.path.dirname(os.path.dirname(os.path.abspath(afinv.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def run_process(*argv):
+    """Run the CLI in a fresh interpreter, as a shell would."""
     return subprocess.run(
         [sys.executable, "-m", "afinv.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=child_env(), timeout=60,
     )
 
 
@@ -689,10 +699,8 @@ def test_repeated_malformed_bimodule_fails_at_its_first_edge(tmp_path, z4_diagra
 
 def _fresh_interpreter(probe: str) -> str:
     """What ``probe`` prints, run in a new interpreter that imports afinv from this tree."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(afinv.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=child_env(), timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
@@ -906,10 +914,9 @@ def test_process_matches_in_process_main(argv, files, capsys, monkeypatch):
 
 def test_a_closed_output_pipe_ends_without_a_traceback(files):
     # Z/12's table is about 600 kB, more than a pipe holds, so the write meets the closed end
-    src = os.path.dirname(os.path.dirname(os.path.abspath(afinv.__file__)))
     proc = subprocess.Popen(
         [sys.executable, "-m", "afinv.cli", "fusion-table", files["z12"], "--format", "json"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
     )
     first = proc.stdout.readline()
     proc.stdout.close()
@@ -920,18 +927,14 @@ def test_a_closed_output_pipe_ends_without_a_traceback(files):
 
 
 def test_output_redirected_to_files_is_flushed_whole(files, capsys, tmp_path):
-    # a file, unlike a terminal, is block-buffered (unless PYTHONUNBUFFERED is set):
+    # a file, unlike a terminal, is block-buffered (child_env drops PYTHONUNBUFFERED):
     # the process ends without an interpreter shutdown, so only run's own flushes
     # can write the last block
-    src = os.path.dirname(os.path.dirname(os.path.abspath(afinv.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    env.pop("PYTHONUNBUFFERED", None)
-
     def run_to_files(*argv):
         out, err = tmp_path / "out", tmp_path / "err"
         with open(out, "wb") as fout, open(err, "wb") as ferr:
             proc = subprocess.run([sys.executable, "-m", "afinv.cli", *argv],
-                                  stdout=fout, stderr=ferr, env=env, timeout=60)
+                                  stdout=fout, stderr=ferr, env=child_env(), timeout=60)
         return proc.returncode, out.read_bytes(), err.read_text()
 
     argv = ["fusion-table", files["z12"], "--format", "json"]

@@ -20,7 +20,7 @@ from afinv.diagrams import EnrichedBratteliDiagram, InvariantData, compute_invar
 from afinv.errors import InternalConsistencyError, InvalidInputError
 from afinv.groups import make_group
 from afinv.k0 import strip_primes
-from fuse_oracle import float_oracle_fuse
+from fuse_oracle import oracle_fuse
 from values import replace
 
 
@@ -98,13 +98,13 @@ def test_doubled_generator_is_a_two_unit_away(z4_reps, z4_invariants):
 def _telescoped(d):
     """The homogeneous diagram d with every two consecutive edge blocks fused into one.
 
-    The products come from the float oracle, not from ``afinv.fuse``.
+    The products come from the exact oracle, not from ``afinv.fuse``.
     """
     ((vertex,),), (edges,) = d.levels, d.edges
     fused = Counter()
     for e1 in edges:
         for e2 in edges:
-            for Z, m in float_oracle_fuse(e2.bimodule, e1.bimodule).items():
+            for Z, m in oracle_fuse(e2.bimodule, e1.bimodule).items():
                 fused[Z] += e1.multiplicity * e2.multiplicity * m
     return EnrichedBratteliDiagram.homogeneous(vertex, fused, d.generator_weights)
 

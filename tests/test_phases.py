@@ -2,13 +2,12 @@
 
 A character value v, an integer in [0, E) for E the exponent of the group,
 stands for the root of unity e^(2*pi*i*v/E).  The Mackey rule in
-`afinv.bimodules.fuse` counts characters in this exact form, and the float
-oracle in `tests/fuse_oracle.py` embeds them into the complex numbers and
-projects with character sums.  These tests pin the root-of-unity facts both
-routes rest on.
+`afinv.bimodules.fuse` counts characters in this exact form, and the oracle
+in `tests/fuse_oracle.py` sends v to w^v in F_p, for w of order exactly E mod
+a prime p, and projects with character sums there.  These tests pin the
+root-of-unity facts both routes rest on.
 """
 
-import cmath
 from fractions import Fraction
 
 import pytest
@@ -19,7 +18,7 @@ from afinv.errors import InvalidInputError
 from afinv.groups import Subgroup, dual_characters, make_group
 from afinv.serialize import character_from_json
 
-from fuse_oracle import FLOAT_ORACLE_TOLERANCE
+from fuse_oracle import root_of_unity
 
 
 def cyclic(e):
@@ -46,7 +45,9 @@ def times(chi, k):
 
 
 def embed(v, E):
-    return cmath.exp(2j * cmath.pi * v / E)
+    """The root of unity e^(2*pi*i*v/E) as w^v in F_p."""
+    p, w = root_of_unity(E)
+    return pow(w, v, p)
 
 
 @pytest.mark.parametrize("e", range(2, 13))
@@ -56,10 +57,10 @@ def test_root_sums_vanish(e):
     # the generator character takes each e-th root of unity exactly once
     primitive = character_at_generator(H, Fraction(1, e))
     assert primitive.values == tuple(range(e))
+    p, _ = root_of_unity(e)
     for chi in chars[1:]:
-        total = sum(embed(chi(g), e) for g in H.elements)
-        assert abs(total) < FLOAT_ORACLE_TOLERANCE
-    assert abs(sum(embed(chars[0](g), e) for g in H.elements) - e) < FLOAT_ORACLE_TOLERANCE
+        assert sum(embed(chi(g), e) for g in H.elements) % p == 0
+    assert sum(embed(chars[0](g), e) for g in H.elements) % p == e
 
 
 def test_fourth_root_squares_to_minus_one():
@@ -89,15 +90,18 @@ def test_denominator_must_divide_order():
         character_at_generator(H, Fraction(1, 3))
 
 
-def test_complex_embedding():
-    for e in (3, 4, 5, 8, 12):
+def test_embedding_into_f_p():
+    for e in (1, 3, 4, 5, 8, 12):
+        p, w = root_of_unity(e)
+        # p is above 2^31 with e | p - 1 and passes a Fermat test, and w has order exactly e
+        assert p > 2**31 and (p - 1) % e == 0 and pow(3, p - 1, p) == 1
+        assert [pow(w, m, p) == 1 for m in range(1, e + 1)] == [False] * (e - 1) + [True]
         H = cyclic(e)
         for j in range(e):
             chi = character_at_generator(H, Fraction(j, e))
             for k in range(e):
                 assert chi((k,)) == j * k % e
-                expected = cmath.exp(2j * cmath.pi * j * k / e)
-                assert abs(embed(chi((k,)), e) - expected) < 1e-9
+                assert embed(chi((k,)), e) == pow(w, j * k, p)
 
 
 Z24 = cyclic(24)
