@@ -7,8 +7,10 @@ off the traces of the averaging idempotent e = |K|^-1 Σ_k right_k ⊗ left_-k,
 projected onto each character of H∩L.  Every action is monomial, so each trace
 is a count of fixed points weighted by roots of unity, and it is counted in F_p
 for a prime p with an element w of order exactly E, the exponent of G (Dixon's
-reduction mod p).  No matrix is built and no float is rounded.  No production
-code calls it; the tests compare `fuse` against it.
+reduction mod p).  No matrix is built and no float is rounded.  Only terms that
+can count are summed: the trace lives on t in H∩K∩L, the right actions carry
+no phase, and each component is built once, over the least member of its coset
+of H+L.  No production code calls it; the tests compare `fuse` against it.
 """
 
 from __future__ import annotations
@@ -56,18 +58,16 @@ def least_member(S: Subgroup, g: tuple) -> tuple:
 class ExplicitBimoduleModel:
     """A concrete graded unitary model of a simple bimodule.
 
-    ``basis[i]`` is the chosen section pair (h, k) over the grading value
-    ``grading[i]``; actions are monomial: ``left_action[h][i] = (j, v)`` sends
-    basis vector i to e^(2*pi*i*v/E) times basis vector j, for E the exponent
-    of G and v an integer mod E.
+    Basis vector i lies in degree ``grading[i]``, and ``index`` maps each degree
+    back to its i.  ``left_action[h][i] = (j, v)`` sends basis vector i to
+    e^(2*pi*i*v/E) times basis vector j, for E the exponent of G and v an
+    integer mod E.  The right action of k sends basis vector i to the one in
+    degree ``grading[i] + k``, with no phase (see `realize`).
     """
 
-    bimodule: SimpleBimodule
-    base_point: tuple
-    basis: tuple[tuple[tuple, tuple], ...]
     grading: tuple[tuple, ...]
+    index: dict
     left_action: dict
-    right_action: dict
 
 
 @functools.cache
@@ -75,10 +75,12 @@ def realize(S: SimpleBimodule, base_point: tuple | None = None) -> ExplicitBimod
     """Build the induced-module model of S, once per (S, base point).
 
     The basis is indexed by the grading values (the coset members); the
-    section picks, for each grading value, the lexicographically least pair
-    (h, k) with h + base_point + k equal to that value.  The pair (t, -t)
-    with t in H∩K then acts by the scalar character(t) on every basis vector.
-    Each phase is the character's integer value, mod the exponent of G.
+    section picks, for each grading value γ, the least h in H with
+    γ - base_point - h in K.  The right action carries no phase: for k in K,
+    γ + k has the same h as γ, so its phase character(h(γ) - h(γ + k)) is
+    character(0) = 0.  The pair (t, -t) with t in H∩K acts by the scalar
+    character(t) on every basis vector.  Each phase is the character's integer
+    value, mod the exponent of G.
     """
     G = S.group
     H, K = S.source, S.target
@@ -93,30 +95,19 @@ def realize(S: SimpleBimodule, base_point: tuple | None = None) -> ExplicitBimod
     section = {}
     for gamma in grading:
         delta = G.add(gamma, G.neg(base_point))
-        for h in H.elements:  # ascending, so the first hit is lex-least in (h, k)
-            k = G.add(delta, G.neg(h))
-            if K.contains(k):
-                section[gamma] = (h, k)
-                break
+        # ascending, so the first hit is the least h
+        section[gamma] = next(h for h in H.elements if K.contains(G.add(delta, G.neg(h))))
 
-    def action(x, a):
-        # x moves gamma to gamma2 = gamma + x; a is x's part in H (x itself on the left,
-        # 0 on the right), so the phase is character(a + h(gamma) - h(gamma2))
+    def left(a):
+        # a moves gamma to gamma2 = a + gamma with phase character(a + h(gamma) - h(gamma2))
         maps = []
         for gamma in grading:
-            gamma2 = G.add(x, gamma)
-            t = G.add(G.add(a, section[gamma][0]), G.neg(section[gamma2][0]))
+            gamma2 = G.add(a, gamma)
+            t = G.add(G.add(a, section[gamma]), G.neg(section[gamma2]))
             maps.append((index[gamma2], S.character(t)))
         return tuple(maps)
 
-    return ExplicitBimoduleModel(
-        bimodule=S,
-        base_point=base_point,
-        basis=tuple(section[g] for g in grading),
-        grading=grading,
-        left_action={a: action(a, a) for a in H.elements},
-        right_action={b: action(b, G.zero()) for b in K.elements},
-    )
+    return ExplicitBimoduleModel(grading, index, {a: left(a) for a in H.elements})
 
 
 def oracle_fuse(
@@ -130,6 +121,16 @@ def oracle_fuse(
     The base points pick the sections of the two induced-module models; the
     multiplicities must not depend on them.  A projected trace above its
     component's dimension is no multiplicity and raises OracleFailureError.
+
+    The trace of left_t ⊗ right_-t ∘ right_k ⊗ left_-k, for t in H∩L and k
+    in K, lives on t in H∩K∩L: it moves the degrees by (t + k, -t - k), so it
+    fixes a point only when k = -t, and then it fixes every point.
+
+    Each component is found from grading1[0]: every coset of H+L in the
+    support meets grading1[0] + grading2, since g1 = grading1[0] + h + k with
+    h in H and k in K, so g1 + g2 lies in the coset of grading1[0] + (g2 + k).
+    Only the component over each such coset's least member is built, in one
+    pass over grading1.
     """
     _composable(S1, S2)
     G = S1.group
@@ -140,31 +141,28 @@ def oracle_fuse(
     m1 = realize(S1, base_point1)
     m2 = realize(S2, base_point2)
     HL = subgroup_intersection(H, L)
+    HKL = subgroup_intersection(HL, K)
     sum_HL = subgroup_sum(H, L)
-    twists = [(m1.left_action[t], m2.right_action[G.neg(t)]) for t in HL.elements]
     scale = pow(K.order * HL.order, -1, p)
-
-    components: dict[tuple, list[tuple[int, int]]] = {}
-    for (i1, g1), (i2, g2) in itertools.product(enumerate(m1.grading), enumerate(m2.grading)):
-        components.setdefault(G.add(g1, g2), []).append((i1, i2))
+    # for each t in H∩K∩L, the phases that right_-t ⊗ left_t, then left_t ⊗ right_-t, put on
+    # each factor's basis vectors: right_-t carries no phase and undoes left_t's move of the
+    # degree, so on S1 the phase at i1 is left_t's at the vector it sends to i1
+    phases = [
+        (dict(m1.left_action[t]), [v for _, v in m2.left_action[t]]) for t in HKL.elements
+    ]
 
     result = {}
-    for g3, comp in components.items():
-        if g3 != least_member(sum_HL, g3):  # one component per coset of H+L
-            continue
-        # trace[j]: the points that right_k ⊗ left_-k, then the j-th left_t ⊗ right_-t,
-        # send back to themselves, summed over k, each weighted by its root of unity
-        trace = [0] * len(twists)
-        for k in K.elements:
-            r1, l2 = m1.right_action[k], m2.left_action[G.neg(k)]
-            for i1, i2 in comp:
-                (a1, v1), (a2, v2) = r1[i1], l2[i2]
-                for j, (lt, rt) in enumerate(twists):
-                    (b1, v3), (b2, v4) = lt[a1], rt[a2]
-                    if b1 == i1 and b2 == i2:
-                        trace[j] += power[(v1 + v2 + v3 + v4) % E]
+    g0 = m1.grading[0]
+    negs = [G.neg(g1) for g1 in m1.grading]
+    for g3 in dict.fromkeys(least_member(sum_HL, G.add(g0, g2)) for g2 in m2.grading):
+        # the points (i1, i2) of degree g1 + g2 = g3
+        comp = [
+            (i1, i2) for i1, neg in enumerate(negs)
+            if (i2 := m2.index.get(G.add(g3, neg))) is not None
+        ]
+        trace = [sum(power[(v1[i1] + v2[i2]) % E] for i1, i2 in comp) for v1, v2 in phases]
         for chi3 in dual_characters(HL):
-            total = sum(power[-chi3(t) % E] * tr for t, tr in zip(HL.elements, trace))
+            total = sum(power[-chi3(t) % E] * tr for t, tr in zip(HKL.elements, trace))
             mult = scale * total % p
             if mult > len(comp):
                 raise OracleFailureError(

@@ -41,6 +41,7 @@ from afinv.groups import (
     subgroups,
 )
 
+import fuse_oracle
 from fuse_oracle import coset_members, oracle_fuse
 from values import as_tuple, fields_of, is_value
 from z4_tables import ALL_TABLES, cell_multiset
@@ -261,6 +262,40 @@ def test_oracle_catches_products_moved_to_the_wrong_block(z4, monkeypatch):
     assert {pair for pair in pairs if oracle_fuse(*pair) != fuse(*pair)} == moved
 
 
+def _flat_realize(S, base_point=None, realize=fuse_oracle.realize):
+    """realize with every left phase set to 0; the default binds the unpatched realize."""
+    m = realize(S, base_point)
+    flat = {a: tuple((j, 0) for j, _ in row) for a, row in m.left_action.items()}
+    return fuse_oracle.ExplicitBimoduleModel(m.grading, m.index, flat)
+
+
+def _conjugating_dual_characters(H):
+    """dual_characters whose members keep their tables, and so their labels, but evaluate
+    as their conjugates: the oracle then projects with the wrong sign."""
+    mutants = []
+    for chi in dual_characters(H):
+        mutant = Character(H, chi.values)
+        object.__setattr__(mutant, "_table", dict(zip(H.elements, chi.conjugate().values)))
+        mutants.append(mutant)
+    return tuple(mutants)
+
+
+@pytest.mark.parametrize(
+    "name, mutant, wrong",
+    [
+        pytest.param("realize", _flat_realize, 40, id="no-left-phases"),
+        pytest.param("dual_characters", _conjugating_dual_characters, 8, id="conjugated-projection"),
+    ],
+)
+def test_oracle_mutants_disagree_with_fuse(z4, monkeypatch, name, mutant, wrong):
+    # the oracle's phases and the sign of its projection both count: a mutant of either
+    # disagrees with fuse on a fixed set of Z/4's 162 composable pairs
+    simples = simples_of(z4)
+    pairs = [(s1, s2) for s1 in simples for s2 in simples if s1.target == s2.source]
+    monkeypatch.setattr(fuse_oracle, name, mutant)
+    assert sum(oracle_fuse(*pair) != fuse(*pair) for pair in pairs) == wrong
+
+
 def test_dimension_conservation_spot_checks(z4_simples):
     for s1 in z4_simples.values():
         for s2 in z4_simples.values():
@@ -403,8 +438,8 @@ def pairwise_mackey_fuse(S1, S2):
 
 @pytest.mark.parametrize("factors", [[9], [12], [2, 6], [16], [4, 4]])
 def test_fusion_table_matches_pairwise_mackey_rule(factors):
-    # above order 8 the exact oracle covers every pair of Z/12 and Z/2 x Z/6 only, and samples
-    # Z/16 and Z/4 x Z/4 (criterion 7)
+    # above order 8 the exact oracle covers every pair of Z/12, Z/2 x Z/6 and Z/16 only, and
+    # samples Z/4 x Z/4 (criterion 7)
     G = make_group(factors)
     table = fusion_table(G)
     simples = simples_of(G)

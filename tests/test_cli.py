@@ -1,6 +1,5 @@
 """End-to-end command-line behavior, run in-process through main(argv)."""
 
-import gc
 import io
 import json
 import os
@@ -881,12 +880,6 @@ def test_console_script_runs_the_function_of_the_main_block():
         block = re.search(r'^if __name__ == "__main__":\n    (\w+)\(\)\n\Z', fh.read(), re.M)
     assert target and block and target.group(1) == block.group(1)
     assert callable(getattr(cli, target.group(1)))
-
-
-def test_in_process_main_freezes_no_objects(files, capsys):
-    before = gc.get_freeze_count()
-    code, _, _ = run(capsys, "invariant", files["F"])
-    assert code == 0 and gc.get_freeze_count() == before
 
 
 @pytest.mark.parametrize(
