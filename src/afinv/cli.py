@@ -6,9 +6,9 @@ comparing two diagrams, running the crossed-product consistency oracle, and
 identifying a single stationary matrix.
 
 Exit codes: 0 success (or verdict "equivalent"), 1 bad input, a usage error,
-a refused resource bound or a result too long to print, 2 internal
-consistency failure or a failed oracle, 3 verdict "inequivalent", 4 verdict
-"unknown".
+a refused resource bound, a result too long to print or a request that ran
+out of memory, 2 internal consistency failure or a failed oracle, 3 verdict
+"inequivalent", 4 verdict "unknown".
 
 The CLI alone bounds the order of the groups it reads (``--max-group-order``);
 the library functions take no bounds.
@@ -142,12 +142,15 @@ def _render_columns(header, rows) -> list[str]:
 def _cmd_fusion_table(args) -> int:
     G = _load_group(args, args.group)
     products = fusion_table(G)
+    # on both paths: qsystems warns when twisted Q-systems are left out
+    reps = qsystems(G)
+    if args.format == "json":
+        _emit(args, ser.fusion_table_to_json(G, products), ())
+        return 0
     simples = simples_of(G)
     labels = [bimodule_label(s) for s in simples]
-    doc = ser.fusion_table_to_json(G, products)
-
     lines = [f"simple bimodules of Hilb({G}): {len(labels)}"]
-    for mi, mid in enumerate(qsystems(G)):
+    for mi, mid in enumerate(reps):
         rows_of = [i for i, s in enumerate(simples) if s.target == mid]
         cols_of = [j for j, s in enumerate(simples) if s.source == mid]
         lines.append("")
@@ -160,7 +163,7 @@ def _cmd_fusion_table(args) -> int:
                 row.append(_fmt_terms(labels, products[i, j]))
             rows.append(row)
         lines.extend(_render_columns(header, rows))
-    _emit(args, doc, lines)
+    _emit(args, None, lines)
     return 0
 
 
@@ -427,6 +430,9 @@ def main(argv=None) -> int:
     except (InternalConsistencyError, OracleFailureError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
     except ValueError as exc:
         # a result too long to print: every renderer converts before anything is printed
         if "integer string conversion" not in str(exc):

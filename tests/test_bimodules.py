@@ -436,12 +436,18 @@ def pairwise_mackey_fuse(S1, S2):
     return result
 
 
+@functools.cache
+def _fusion_table(factors: tuple):
+    """``fusion_table`` of one group, built once for the tests that read it."""
+    return fusion_table(make_group(factors))
+
+
 @pytest.mark.parametrize("factors", [[9], [12], [2, 6], [16], [4, 4]])
 def test_fusion_table_matches_pairwise_mackey_rule(factors):
     # above order 8 the exact oracle covers every pair of Z/12, Z/2 x Z/6 and Z/16 only, and
     # samples Z/4 x Z/4 (criterion 7)
     G = make_group(factors)
-    table = fusion_table(G)
+    table = _fusion_table(tuple(factors))
     simples = simples_of(G)
     index = {s: i for i, s in enumerate(simples)}
     expected = tuple(
@@ -451,6 +457,66 @@ def test_fusion_table_matches_pairwise_mackey_rule(factors):
         if s1.target == s2.source
     )
     assert tuple(table.items()) == expected
+
+
+def _ring_axiom_failures(G, table):
+    """The pairs of ``table`` (a ``fusion_table(G)``) that break each of three axioms.
+
+    The simples of Hilb(G) form a based ring (Etingof, Gelfand, Nikshych and
+    Ostrik, *Tensor Categories*, ch. 3-4), and none of these reads the Mackey
+    rule.  For X: H -> K, Y: K -> L and Z: H -> L:
+    unit, 1_H X = X = X 1_K; Frobenius reciprocity, N_XY^Z = N_{Z,Y*}^X; and
+    dimension, dim X dim Y = |K| sum_Z N_XY^Z dim Z.  Reciprocity is checked
+    at every pair, (Z, Y*) among them, so a term missing from either side fails.
+    """
+    simples = simples_of(G)
+    index = {s: i for i, s in enumerate(simples)}
+    dual_of = [index[dual(s)] for s in simples]
+    N = {pair: dict(terms) for pair, terms in table.items()}
+    failures = {"unit": set(), "reciprocity": set(), "dimension": set()}
+    for i, X in enumerate(simples):
+        for pair in ((index[identity_bimodule(X.source)], i), (i, index[identity_bimodule(X.target)])):
+            if N[pair] != {i: 1}:
+                failures["unit"].add(pair)
+    for (i, j), terms in N.items():
+        X, Y = simples[i], simples[j]
+        if X.dimension * Y.dimension != X.target.order * sum(
+            m * simples[k].dimension for k, m in terms.items()
+        ):
+            failures["dimension"].add((i, j))
+        if any(N[k, dual_of[j]].get(i) != m for k, m in terms.items()):
+            failures["reciprocity"].add((i, j))
+    return failures
+
+
+# every group type of order at most 16 but Z/2 x Z/2 x Z/4 and (Z/2)^4, whose tables alone
+# take about 3 s and 44 s (ROADMAP item 13)
+@pytest.mark.parametrize(
+    "factors",
+    [
+        [1], [2], [3], [4], [2, 2], [5], [6], [7], [8], [2, 4], [2, 2, 2], [9], [3, 3],
+        [10], [11], [12], [2, 6], [13], [14], [15], [16], [2, 8], [4, 4],
+    ],
+    ids=str,
+)
+def test_fusion_table_satisfies_the_ring_axioms(factors):
+    G = make_group(factors)
+    failures = _ring_axiom_failures(G, _fusion_table(tuple(factors)))
+    assert failures == {"unit": set(), "reciprocity": set(), "dimension": set()}
+
+
+def test_ring_axiom_checks_reject_one_changed_multiplicity(z4, z4_simples):
+    simples = simples_of(z4)
+    X = z4_simples["M_{2-3}^sign"]
+    x, unit = simples.index(X), simples.index(identity_bimodule(X.source))
+    table = dict(_fusion_table((4,)))
+    assert table[unit, x] == ((x, 1),)
+    table[unit, x] = ((x, 2),)
+    assert _ring_axiom_failures(z4, table) == {
+        "unit": {(unit, x)},
+        "reciprocity": {(unit, x), (x, simples.index(dual(X)))},
+        "dimension": {(unit, x)},
+    }
 
 
 def test_simple_bimodules_are_the_index_tuples_read_only():

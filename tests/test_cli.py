@@ -1,9 +1,11 @@
 """End-to-end command-line behavior, run in-process through main(argv)."""
 
+import compileall
 import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -138,6 +140,23 @@ def test_fusion_table_warns_once_for_noncyclic_subgroups(files, capsys):
     assert code == 0
     assert err.count("warning:") == 1
     assert "not enumerated" in err
+    # the JSON path warns too, though it prints no Q-system
+    code, _, json_err = run(capsys, "fusion-table", files["klein"], "--format", "json")
+    assert (code, json_err) == (0, err)
+
+
+@pytest.mark.parametrize(
+    "fmt, unused",
+    [("text", "afinv.serialize.fusion_table_to_json"), ("json", "afinv.cli._render_columns")],
+)
+def test_fusion_table_builds_only_the_format_it_prints(fmt, unused, files, capsys, monkeypatch):
+    printed = run(capsys, "fusion-table", files["z4"], "--format", fmt)
+
+    def refuse(*args):
+        raise AssertionError(f"{unused} was called for --format {fmt}")
+
+    monkeypatch.setattr(unused, refuse)
+    assert run(capsys, "fusion-table", files["z4"], "--format", fmt) == printed
 
 
 def test_fusion_table_text_contains_published_cells(files, capsys):
@@ -207,11 +226,23 @@ def test_bimodules_listing(files, capsys):
     labels = [b["label"] for b in json.loads(out)["bimodules"]]
     assert labels == ["M_{3-3}^triv", "M_{3-3}^chi1", "M_{3-3}^chi2", "M_{3-3}^chi3"]
 
+    # Q2-Q2: two cosets of Q2 and two characters of it, each simple of dimension 2
+    code, out, _ = run(
+        capsys, "bimodules", files["z4"], "--source", "2", "--target", "2",
+        "--format", "json",
+    )
+    assert code == 0
+    assert [(b["label"], b["dimension"]) for b in json.loads(out)["bimodules"]] == [
+        (f"M_{{2-2,{c}}}^{x}", 2) for c in (0, 1) for x in ("triv", "sign")
+    ]
+
 
 def test_bimodules_index_bounds(files, capsys):
-    code, _, err = run(capsys, "bimodules", files["z4"], "--source", "9", "--target", "1")
-    assert code == 1
-    assert err.startswith("error:")
+    # Z/4 has three Q-systems, so 4 is the first index out of range
+    for source in ("4", "9"):
+        code, out, err = run(capsys, "bimodules", files["z4"], "--source", source, "--target", "1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 # ------------------------------------------------------------------- invariant
@@ -235,8 +266,10 @@ def test_invariant_of_noncyclic_group_prints_no_warning(files, capsys):
 def test_invariant_json_round_trips(files, capsys, z4_invariants):
     code, out, _ = run(capsys, "invariant", files["F"], "--format", "json")
     assert code == 0
+    doc = json.loads(out)
+    assert (doc["labels"], len(doc["morphisms"]), doc["pointed"]) == (["Q1", "Q2", "Q3"], 22, "1")
     # invariant documents are output only: the CLI prints the rendering, through real JSON text
-    assert json.loads(out) == json.loads(json.dumps(invariant_to_json(z4_invariants["F"])))
+    assert doc == json.loads(json.dumps(invariant_to_json(z4_invariants["F"])))
 
 
 def test_invariant_of_trivial_tail_shows_blocks(files, capsys):
@@ -365,6 +398,11 @@ def test_oracle_passes(files, capsys):
     assert out.count("PASS") == 10  # nine pairs plus the summary
     assert "oracle: PASS" in out
 
+    code, out, _ = run(capsys, "oracle", files["z4"], "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["all_ok"], len(doc["pairs"])) == (True, 9)
+
 
 def test_oracle_trivial_group_single_row(files, capsys):
     code, out, _ = run(capsys, "oracle", files["triv"])
@@ -430,9 +468,9 @@ def test_k0_prints_the_same_bytes_with_one_label_per_row(fmt, tmp_path, capsys):
     rows = [[2, 1], [1, 1]]
     bare = write_json(tmp_path, "bare.json", {"rows": rows})
     labelled = write_json(tmp_path, "labelled.json", {"rows": rows, "labels": ["a", 7]})
-    assert run(capsys, "k0", "--matrix", labelled, "--format", fmt) == run(
-        capsys, "k0", "--matrix", bare, "--format", fmt
-    )
+    printed = run(capsys, "k0", "--matrix", bare, "--format", fmt)
+    assert printed[0] == 0
+    assert run(capsys, "k0", "--matrix", labelled, "--format", fmt) == printed
 
 
 def test_k0_of_a_prime_eigenvalue_near_ten_to_the_twenty_is_quick(tmp_path):
@@ -474,6 +512,16 @@ def test_k0_refuses_a_result_longer_than_the_interpreter_prints(fmt, tmp_path, c
     assert (code, out) == (1, "")
     assert err.startswith("error:") and err.count("\n") == 1
     assert "sys.set_int_max_str_digits" in err
+
+
+def test_running_out_of_memory_is_one_error_line(files, capsys, monkeypatch):
+    def exhaust(G):
+        raise MemoryError
+
+    monkeypatch.setattr("afinv.cli.fusion_table", exhaust)
+    assert run(capsys, "fusion-table", files["z4"], "--format", "json") == (
+        1, "", "error: out of memory\n"
+    )
 
 
 def test_any_other_value_error_still_propagates(files, monkeypatch):
@@ -880,6 +928,56 @@ def test_console_script_runs_the_function_of_the_main_block():
         block = re.search(r'^if __name__ == "__main__":\n    (\w+)\(\)\n\Z', fh.read(), re.M)
     assert target and block and target.group(1) == block.group(1)
     assert callable(getattr(cli, target.group(1)))
+
+
+WORKFLOW = os.path.join(os.path.dirname(PYPROJECT), ".github", "workflows", "tests.yml")
+
+
+def test_a_compiled_copy_prints_what_the_source_tree_prints(tmp_path, z4_diagrams):
+    """CI's last step, with a bytecode-compiled copy of the package in place of ``pip install .``.
+
+    The step runs each request of its list on the installed ``afinv`` and on
+    ``python -m afinv.cli`` from the source tree, and requires the same exit
+    code, stdout and stderr.  Here the copy is imported from outside the tree,
+    with no ``src`` on the path, and run through ``afinv.cli.run`` as the
+    console script runs it.
+    """
+    with open(WORKFLOW, encoding="utf-8") as fh:
+        listed = re.search(r"<<'REQUESTS'\n(.*?)\n *REQUESTS\n", fh.read(), re.S).group(1)
+    requests = [line.split() for line in listed.splitlines()]
+    weighted = diagram_to_json(z4_diagrams["F"])
+    weighted["generator_weights"][0] = True
+    c = 6 * 10**4299
+    inputs = {
+        "z4.json": {"cyclic_factors": [4]},
+        "m.json": {"rows": [[2, 1], [1, 1]]},
+        "f.json": diagram_to_json(z4_diagrams["F"]),
+        "bool-weight.json": weighted,
+        "digits.json": {"rows": [[c, c], [c, c]]},
+    }
+    assert {a for argv in requests for a in argv if a.endswith(".json")} <= set(inputs)
+    work = tmp_path / "work"
+    work.mkdir()
+    for name, doc in inputs.items():
+        write_json(work, name, doc)
+
+    copy = tmp_path / "site"
+    shutil.copytree(os.path.dirname(os.path.abspath(afinv.__file__)), copy / "afinv")
+    assert compileall.compile_dir(str(copy), quiet=1)
+    installed = dict(child_env(), PYTHONPATH=str(copy))
+
+    def start(env, *argv):
+        return subprocess.Popen([sys.executable, *argv], cwd=work, env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+    where, _ = start(installed, "-c", "import afinv; print(afinv.__file__)").communicate(timeout=60)
+    assert where.decode().startswith(str(copy / "afinv") + os.sep)
+    for argv in requests:
+        # the two sides of a request run at once
+        both = (start(installed, "-c", "from afinv.cli import run; run()", *argv),
+                start(child_env(), "-m", "afinv.cli", *argv))
+        got, want = ((p.communicate(timeout=60), p.returncode) for p in both)
+        assert got == want, argv
 
 
 @pytest.mark.parametrize(
