@@ -13,6 +13,11 @@ out of memory, 2 internal consistency failure or a failed oracle, 3 verdict
 The CLI alone bounds the order of the groups it reads (``--max-group-order``);
 the library functions take no bounds.
 
+Each subcommand but ``fusion-table`` builds one document, the JSON it prints,
+and renders its text from that document alone, so the formats cannot drift
+and a JSON request builds no text.  ``fusion-table`` builds only the format it
+prints: its document for (Z/2)^4 is far larger than its text.
+
 Each request is one process, so the CLI loads only what its subcommand runs.
 Importing this module registers ``compare``, ``crossed``, ``diagrams`` and
 ``k0`` to be executed on their first attribute access; ``qsystems``,
@@ -90,11 +95,12 @@ def _load_json(path: str):
         raise InvalidInputError(f"{path}: {exc.strerror or exc}") from exc
 
 
-def _emit(args, doc, lines) -> None:
+def _emit(args, doc, render) -> None:
+    """Print ``doc`` as JSON, or the list of lines ``render(doc)`` builds before any is printed."""
     if args.format == "json":
         print(json.dumps(doc, indent=2))
     else:
-        for line in lines:
+        for line in render(doc):
             print(line)
 
 
@@ -144,8 +150,9 @@ def _cmd_fusion_table(args) -> int:
     products = fusion_table(G)
     # on both paths: qsystems warns when twisted Q-systems are left out
     reps = qsystems(G)
+    # no renderer here: for (Z/2)^4 the document is far larger than the text
     if args.format == "json":
-        _emit(args, ser.fusion_table_to_json(G, products), ())
+        _emit(args, ser.fusion_table_to_json(G, products), None)
         return 0
     simples = simples_of(G)
     labels = [bimodule_label(s) for s in simples]
@@ -163,97 +170,89 @@ def _cmd_fusion_table(args) -> int:
                 row.append(_fmt_terms(labels, products[i, j]))
             rows.append(row)
         lines.extend(_render_columns(header, rows))
-    _emit(args, None, lines)
+    _emit(args, None, lambda _: lines)
     return 0
+
+
+def _group_text(doc) -> str:
+    return str(ser.group_from_json(doc["group"]))
+
+
+def _k0_text(doc) -> str:
+    """A ``k0_to_json`` document as one line, without its label."""
+    def image(form):
+        return f"{form['scale']} * Z[1/{k0.prime_set_text(form['prime_set'])}]"
+
+    if doc["variant"] == "rank-one":
+        return f"rank 1, image {image(doc)} (eigenvalue {doc['eigenvalue']})"
+    if doc["variant"] == "direct-sum":
+        return f"rank {len(doc['blocks'])}, direct sum " + " + ".join(map(image, doc["blocks"]))
+    return f"rank {doc['rank']} (no closed identification)"
 
 
 def _cmd_qsystems(args) -> int:
     G = _load_group(args, args.group)
-    reps = qsystems(G)
-    entries = []
-    lines = [f"Q-systems of Hilb({G}): {len(reps)}"]
-    for k, H in enumerate(reps):
-        entry = {
-            "label": qsystem_label(k),
-            "subgroup": ser.subgroup_to_json(H),
-            "order": H.order,
-            "schur_trivial": H.is_cyclic(),
-        }
-        entries.append(entry)
-        gens = ", ".join(str(g) for g in entry["subgroup"]["generators"]) or "0"
-        lines.append(
-            f"  {entry['label']}: order {H.order}, generated by {gens}"
-            + ("" if entry["schur_trivial"] else "  [may admit nontrivial twists]")
-        )
-    doc = {"group": ser.group_to_json(G), "qsystems": entries}
-    _emit(args, doc, lines)
+    entries = [
+        {"label": qsystem_label(k), "subgroup": ser.subgroup_to_json(H), "order": H.order,
+         "schur_trivial": H.is_cyclic()}
+        for k, H in enumerate(qsystems(G))
+    ]
+    _emit(args, {"group": ser.group_to_json(G), "qsystems": entries}, _qsystems_text)
     return 0
+
+
+def _qsystems_text(doc) -> list[str]:
+    lines = [f"Q-systems of Hilb({_group_text(doc)}): {len(doc['qsystems'])}"]
+    for q in doc["qsystems"]:
+        gens = ", ".join(str(g) for g in q["subgroup"]["generators"]) or "0"
+        lines.append(
+            f"  {q['label']}: order {q['order']}, generated by {gens}"
+            + ("" if q["schur_trivial"] else "  [may admit nontrivial twists]")
+        )
+    return lines
 
 
 def _cmd_bimodules(args) -> int:
     G = _load_group(args, args.group)
     reps = qsystems(G)
     if not (1 <= args.source <= len(reps) and 1 <= args.target <= len(reps)):
-        raise InvalidInputError(
-            f"source/target must be between 1 and {len(reps)}"
-        )
-    P = reps[args.source - 1]
-    Q = reps[args.target - 1]
-    sims = simple_bimodules(P, Q)
-    source, target = qsystem_label(args.source - 1), qsystem_label(args.target - 1)
+        raise InvalidInputError(f"source/target must be between 1 and {len(reps)}")
+    sims = simple_bimodules(reps[args.source - 1], reps[args.target - 1])
     doc = {
         "group": ser.group_to_json(G),
-        "source": source,
-        "target": target,
+        "source": qsystem_label(args.source - 1),
+        "target": qsystem_label(args.target - 1),
         "bimodules": [
-            {
-                "label": bimodule_label(s),
-                "dimension": s.dimension,
-                **ser.bimodule_to_json(s),
-            }
+            {"label": bimodule_label(s), "dimension": s.dimension, **ser.bimodule_to_json(s)}
             for s in sims
         ],
     }
-    lines = [f"simple {source}-{target} bimodules: {len(sims)}"]
-    for s in sims:
-        lines.append(
-            f"  {bimodule_label(s)}: dimension {s.dimension}, "
-            f"coset rep {list(s.rep)}"
-        )
-    _emit(args, doc, lines)
+    _emit(args, doc, _bimodules_text)
     return 0
 
 
-def _describe_object(label, desc) -> str:
-    if isinstance(desc, k0.RankOneForm):
-        return (
-            f"  {label}: rank 1, image {desc.scale} * Z[1/{k0.prime_set_text(desc.prime_set)}] "
-            f"(eigenvalue {desc.eigenvalue})"
-        )
-    if isinstance(desc, k0.DirectSumForm):
-        parts = [f"{b.scale} * Z[1/{k0.prime_set_text(b.prime_set)}]" for b in desc.blocks]
-        return f"  {label}: rank {desc.rank}, direct sum " + " + ".join(parts)
-    return f"  {label}: rank {desc.rank} (no closed identification)"
+def _bimodules_text(doc) -> list[str]:
+    lines = [f"simple {doc['source']}-{doc['target']} bimodules: {len(doc['bimodules'])}"]
+    for b in doc["bimodules"]:
+        lines.append(f"  {b['label']}: dimension {b['dimension']}, coset rep {b['coset_rep']}")
+    return lines
 
 
 def _cmd_invariant(args) -> int:
     inv = diagrams.compute_invariant(_load_diagram(args, args.diagram))
-    doc = ser.invariant_to_json(inv)
-    lines = [f"invariant over Hilb({inv.group})", "objects:"]
-    for k, label in enumerate(inv.labels):
-        lines.append(_describe_object(label, inv.objects[k]))
-    lines.append("multipliers:")
-    for X, q in inv.morphisms:
-        shown = "undefined" if q is None else str(q)
-        lines.append(f"  {bimodule_label(X)}: {shown}")
-    pointed = doc["pointed"]
-    lines.append(
-        f"pointed class: {pointed}"
-        if isinstance(pointed, str)
-        else f"pointed class vector: {pointed}"
-    )
-    _emit(args, doc, lines)
+    _emit(args, ser.invariant_to_json(inv), _invariant_text)
     return 0
+
+
+def _invariant_text(doc) -> list[str]:
+    lines = [f"invariant over Hilb({_group_text(doc)})", "objects:"]
+    lines += [f"  {label}: {_k0_text(doc['objects'][label])}" for label in doc["labels"]]
+    lines.append("multipliers:")
+    for m in doc["morphisms"]:
+        shown = "undefined" if m["multiplier"] is None else m["multiplier"]
+        lines.append(f"  {m['label']}: {shown}")
+    pointed = "pointed class" if isinstance(doc["pointed"], str) else "pointed class vector"
+    return lines + [f"{pointed}: {doc['pointed']}"]
 
 
 def _cmd_compare(args) -> int:
@@ -262,63 +261,61 @@ def _cmd_compare(args) -> int:
     compare._check_preconditions(d1, d2)
     inv1, inv2 = diagrams.compute_invariant(d1), diagrams.compute_invariant(d2)
     verdict = compare.compare(inv1, inv2, se_lag=args.se_lag, se_entries=args.se_entries)
-    doc = ser.verdict_to_json(verdict)
-    lines = [f"verdict: {verdict.status}"]
-    if verdict.witness is not None:
-        lines.append("witness:")
-        for label, u in verdict.witness:
-            lines.append(f"  {label} -> {u}")
-    if verdict.certificate is not None:
-        c = verdict.certificate
-        lines.append(f"certificate: {c.kind} at {c.at}: {c.left} vs {c.right}")
-    if verdict.reason is not None:
-        lines.append(f"reason: {verdict.reason}")
-    _emit(args, doc, lines)
+    _emit(args, ser.verdict_to_json(verdict), _verdict_text)
     return verdict.exit_code
+
+
+def _verdict_text(doc) -> list[str]:
+    lines = [f"verdict: {doc['verdict']}"]
+    if "witness" in doc:
+        lines.append("witness:")
+        lines += [f"  {label} -> {u}" for label, u in doc["witness"].items()]
+    if "certificate" in doc:
+        c = doc["certificate"]
+        lines.append(f"certificate: {c['kind']} at {c['at']}: {c['left']} vs {c['right']}")
+    if "reason" in doc:
+        lines.append(f"reason: {doc['reason']}")
+    return lines
 
 
 def _cmd_oracle(args) -> int:
     G = _load_group(args, args.group)
     reps = qsystems(G)
-    pairs = []
-    lines = [f"crossed-product oracle over Hilb({G})"]
-    all_ok = True
     by_pair = simples_by_pair(G)
+    pairs = []
     for i, P in enumerate(reps):
         for j, Q in enumerate(reps):
             categorical = len(by_pair[P, Q])
             rank = len(crossed.crossed_product_blocks(G, Q, P))
-            ok = categorical == rank
-            all_ok = all_ok and ok
-            source, target = qsystem_label(i), qsystem_label(j)
-            pairs.append(
-                {
-                    "source": source,
-                    "target": target,
-                    "categorical": categorical,
-                    "crossed_rank": rank,
-                    "ok": ok,
-                }
-            )
-            lines.append(
-                f"  {source} -> {target}: bimodules {categorical}, "
-                f"crossed K0 rank {rank}: {'PASS' if ok else 'FAIL'}"
-            )
-    lines.append("oracle: " + ("PASS" if all_ok else "FAIL"))
-    doc = {"group": ser.group_to_json(G), "pairs": pairs, "all_ok": all_ok}
-    _emit(args, doc, lines)
+            pairs.append({"source": qsystem_label(i), "target": qsystem_label(j),
+                          "categorical": categorical, "crossed_rank": rank,
+                          "ok": categorical == rank})
+    all_ok = all(p["ok"] for p in pairs)
+    _emit(args, {"group": ser.group_to_json(G), "pairs": pairs, "all_ok": all_ok}, _oracle_text)
     if not all_ok:
         raise OracleFailureError("categorical and crossed-product counts disagree")
     return 0
 
 
+def _oracle_text(doc) -> list[str]:
+    lines = [f"crossed-product oracle over Hilb({_group_text(doc)})"]
+    for p in doc["pairs"]:
+        lines.append(
+            f"  {p['source']} -> {p['target']}: bimodules {p['categorical']}, "
+            f"crossed K0 rank {p['crossed_rank']}: {'PASS' if p['ok'] else 'FAIL'}"
+        )
+    lines.append("oracle: " + ("PASS" if doc["all_ok"] else "FAIL"))
+    return lines
+
+
 def _cmd_k0(args) -> int:
     sys_ = ser.matrix_from_json(_load_json(args.matrix))
-    desc = k0.stationary_k0(sys_)
-    doc = ser.k0_to_json(desc)
-    lines = [_describe_object("matrix", desc).strip()]
-    _emit(args, doc, lines)
+    _emit(args, ser.k0_to_json(k0.stationary_k0(sys_)), _matrix_text)
     return 0
+
+
+def _matrix_text(doc) -> list[str]:
+    return [f"matrix: {_k0_text(doc)}"]
 
 
 class _Parser(argparse.ArgumentParser):

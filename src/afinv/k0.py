@@ -437,11 +437,20 @@ def shift_equivalent_bounded(A, B, lag_bound: int, entry_bound: int):
     B = _as_matrix(B)
     a, b = len(A), len(B)
     cells = a * b
-    if (entry_bound + 1) ** cells > SHIFT_SEARCH_BUDGET:
+    choices = range(entry_bound + 1)
+    # len(choices) ** cells candidates per side, multiplied out one factor at a
+    # time (len() overflows on a huge bound): once past the budget, after at
+    # most 18 factors of 2 or more, or stuck at 0 or 1, the rest cannot change
+    # the outcome
+    space = 1
+    for _ in range(cells):
+        space *= max(entry_bound + 1, 0)
+        if not 1 < space <= SHIFT_SEARCH_BUDGET:
+            break
+    if space > SHIFT_SEARCH_BUDGET:
         raise ResourceLimitError(
             f"shift-equivalence search space ({entry_bound + 1}^{cells}) too large"
         )
-    choices = range(entry_bound + 1)
 
     def candidates(rows: int, cols: int, left, right):
         """All nonneg matrices M with left*M == M*right, entries bounded."""

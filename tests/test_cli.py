@@ -533,6 +533,64 @@ def test_any_other_value_error_still_propagates(files, monkeypatch):
         main(["k0", "--matrix", files["mat"]])
 
 
+# ------------------------------------------------------ text from the document
+
+
+@pytest.fixture()
+def rendered_inputs(files, tmp_path):
+    """``files`` and the inputs that reach the renderers' other branches."""
+    Q1 = qsystems(make_group(2))[0]
+    flip = next(b for b in simple_bimodules(Q1, Q1) if b.rep == (1,))
+    # an opaque unit object, so the pointed class is a vector
+    flipdiag = EnrichedBratteliDiagram.homogeneous(Q1, {flip: 1})
+    return dict(
+        files,
+        flip=write_json(tmp_path, "flip.json", diagram_to_json(flipdiag)),
+        sum=write_json(tmp_path, "sum.json", {"rows": [[2, 0], [0, 3]]}),
+        opaque=write_json(tmp_path, "opaque.json", {"rows": [[2, 1], [1, 1]]}),
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["qsystems", "klein"], id="qsystems-twists"),
+        pytest.param(["bimodules", "z4", "--source", "2", "--target", "2"], id="bimodules"),
+        pytest.param(["invariant", "E"], id="invariant-direct-sum"),
+        pytest.param(["invariant", "flip"], id="invariant-opaque-pointed-vector"),
+        pytest.param(["compare", "F", "G"], id="compare-witness"),
+        pytest.param(["compare", "E", "F"], id="compare-certificate"),
+        pytest.param(["compare", "E", "E"], id="compare-reason"),
+        pytest.param(["oracle", "z4"], id="oracle"),
+        pytest.param(["k0", "--matrix", "mat"], id="k0-rank-one"),
+        pytest.param(["k0", "--matrix", "sum"], id="k0-direct-sum"),
+        pytest.param(["k0", "--matrix", "opaque"], id="k0-opaque"),
+    ],
+)
+def test_text_is_rendered_from_the_json_document_alone(argv, rendered_inputs, capsys, monkeypatch):
+    argv = [rendered_inputs.get(a, a) for a in argv]
+    emit, passed = cli._emit, []
+
+    def capture(args, doc, render):
+        passed.append((doc, render))
+        if args.format == "json":
+            # a JSON request renders no text
+            render = None
+        emit(args, doc, render)
+
+    monkeypatch.setattr(cli, "_emit", capture)
+    code, text, err = run(capsys, *argv)
+    [(doc, render)] = passed
+    # a module-level function of its argument: it closes over no library object
+    assert getattr(cli, render.__name__) is render and render.__closure__ is None
+    wire = json.loads(json.dumps(doc))
+    assert "".join(line + "\n" for line in render(wire)) == text
+    # --format json prints that same document, with the same exit code and stderr
+    code_json, out, err_json = run(capsys, *argv, "--format", "json")
+    assert (code_json, json.loads(out), err_json) == (code, wire, err)
+    assert passed[1][1] is render
+
+
 # ------------------------------------------------------------- error handling
 
 

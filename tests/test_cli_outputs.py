@@ -1,12 +1,15 @@
 """CLI output bytes on the benchmark's requests must not drift.
 
 ``bench/gen.py`` builds the documents and requests of the three CLI
-workloads.  This loads it by path, unchanged, writes the seed-1 manifests of
-``cli-cold``, ``k0-wide`` and ``lattice``, runs ``afinv.cli.main``
-in-process on every request (the set-up probe included) in text and in
-JSON, and compares the sha256 of (exit code, stdout, stderr) with the
-committed table ``cli_output_digests.json``.  A change to the documents
-``gen.py`` writes, or a deliberate change of output, regenerates the table:
+workloads.  This loads it by path, unchanged, writes the seed-1 and seed-2
+manifests of ``cli-cold``, ``k0-wide`` and ``lattice``, runs
+``afinv.cli.main`` in-process on every request (the set-up probe included) in
+text and in JSON, and compares the sha256 of (exit code, stdout, stderr) with
+the committed table of its seed, ``cli_output_digests.json`` for seed 1 and
+``cli_output_digests_seed2.json`` for seed 2.  At seed 2, ``cli-cold`` and
+``k0-wide`` draw other subgroups, primes and permutations.  A change to the
+documents ``gen.py`` writes, or a deliberate change of output, regenerates
+both tables:
 
     PYTHONPATH=src python tests/test_cli_outputs.py --write    # from the repository root
 
@@ -28,7 +31,8 @@ from afinv.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 GEN = ROOT / "bench" / "gen.py"
-TABLE = pathlib.Path(__file__).resolve().parent / "cli_output_digests.json"
+HERE = pathlib.Path(__file__).resolve().parent
+TABLES = {1: HERE / "cli_output_digests.json", 2: HERE / "cli_output_digests_seed2.json"}
 WORKLOADS = ("cli-cold", "k0-wide", "lattice")
 
 
@@ -64,21 +68,25 @@ def digests(seed, out_dir):
 
 
 def test_cli_output_bytes_match_the_committed_digests(tmp_path):
-    expected = json.loads(TABLE.read_text())
-    got = digests(1, tmp_path)
-    assert sorted(got) == sorted(expected)
-    assert [name for name in sorted(got) if got[name] != expected[name]] == []
+    for seed, table in TABLES.items():
+        expected = json.loads(table.read_text())
+        got = digests(seed, tmp_path / str(seed))
+        assert sorted(got) == sorted(expected), seed
+        assert [name for name in sorted(got) if got[name] != expected[name]] == [], seed
+
+
+def _table_text(table) -> str:
+    return json.dumps(table, indent=1, sort_keys=True) + "\n"
 
 
 if __name__ == "__main__":
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--write", action="store_true", help="rewrite the committed seed-1 table")
+    ap.add_argument("--write", action="store_true", help="rewrite the committed seed-1 and seed-2 tables")
     args = ap.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
-        table = digests(1 if args.write else args.seed, tmp)
-    text = json.dumps(table, indent=1, sort_keys=True) + "\n"
-    if args.write:
-        TABLE.write_text(text)
-    else:
-        sys.stdout.write(text)
+        if args.write:
+            for seed, table in TABLES.items():
+                table.write_text(_table_text(digests(seed, pathlib.Path(tmp) / str(seed))))
+        else:
+            sys.stdout.write(_table_text(digests(args.seed, tmp)))

@@ -640,3 +640,13 @@ def test_outer_product_systems_identify_as_rank_one(u, data):
     # left vector is v up to the positive scalar removed by normalization
     ratios = {Fraction(a, b) for a, b in zip(v, desc.left_vector)}
     assert len(ratios) == 1
+
+
+def test_shift_equivalence_refuses_a_huge_entry_bound_before_sizing_its_space():
+    # (10^3999 + 1)^4096 has about 16 million digits; the refusal may compute
+    # no more of it than the factors that pass the budget
+    A = [[1] * 64] * 64
+    start = time.process_time()
+    with pytest.raises(ResourceLimitError, match=r"search space \(10{3998}1\^4096\) too large"):
+        shift_equivalent_bounded(A, A, lag_bound=1, entry_bound=10**3999)
+    assert time.process_time() - start < 0.5
