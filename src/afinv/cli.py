@@ -326,21 +326,26 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _order_bound(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
+def _int_at_least(minimum: int):
+    """The argparse type of an integer option that refuses values below ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if n < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {n}")
+        return n
+
+    return parse
 
 
 def _add_order_bound(p, default: int) -> None:
     # Declared per subparser: argparse shares a parent parser's actions
     # between subparsers, so one default set there would leak into all.
     p.add_argument(
-        "--max-group-order", type=_order_bound, default=default, metavar="N",
+        "--max-group-order", type=_int_at_least(1), default=default, metavar="N",
         help=f"refuse groups with more than N elements (default {default})",
     )
 
@@ -390,9 +395,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="decide equivalence of two diagrams")
     p.add_argument("first")
     p.add_argument("second")
-    p.add_argument("--se-lag", type=int, default=0, metavar="L",
+    p.add_argument("--se-lag", type=_int_at_least(0), default=0, metavar="L",
                    help="probe bounded shift equivalence up to this lag")
-    p.add_argument("--se-entries", type=int, default=0, metavar="E",
+    p.add_argument("--se-entries", type=_int_at_least(0), default=0, metavar="E",
                    help="entry bound for the shift-equivalence probe")
     _add_order_bound(p, DEFAULT_ORDER_BOUND)
     p.set_defaults(handler=_cmd_compare)

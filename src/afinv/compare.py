@@ -56,9 +56,12 @@ class Certificate(_Value):
 
 class Verdict(_Value):
     status: str
-    witness: tuple[tuple[str, Fraction], ...] | None = None
-    certificate: Certificate | None = None
-    reason: str | None = None
+    witness: tuple[tuple[str, Fraction], ...] | None
+    certificate: Certificate | None
+    reason: str | None
+
+    def __init__(self, status, witness=None, certificate=None, reason=None) -> None:
+        super().__init__(status, witness, certificate, reason)
 
     @property
     def exit_code(self) -> int:

@@ -84,7 +84,10 @@ class DiagramEdge(_Value):
     source: int  # vertex index at the lower level
     target: int  # vertex index at the upper level
     bimodule: SimpleBimodule
-    multiplicity: int = 1
+    multiplicity: int
+
+    def __init__(self, source, target, bimodule, multiplicity=1) -> None:
+        super().__init__(source, target, bimodule, multiplicity)
 
 
 class EnrichedBratteliDiagram(_Value):

@@ -55,15 +55,16 @@ def _is_int(x) -> bool:
 class _Value:
     """A frozen value, equal and hashed by its annotated fields in order.
 
-    A subclass annotates its fields, and a field given a value in the class
-    body takes that value as its default.  The one ``__init__`` binds its
-    arguments to the fields as a function of that signature would, and a
-    subclass that checks or derives something calls it first.  Two values
-    are equal when they have the same class and equal field tuples; the hash
-    is the hash of the field tuple, computed on first use and then stored,
-    which spares every later dict and cache lookup a walk over the nested
-    element tuples.  Assigning or deleting an attribute raises
-    ``AttributeError``.
+    A subclass annotates its fields, and the one ``__init__`` takes exactly
+    those fields, in order, by position: any other count is a ``TypeError``,
+    and it takes no keyword and fills no default.  A subclass whose callers
+    name or omit a field declares that signature in an ``__init__`` of its
+    own, as does one that checks or derives something; each passes the
+    fields on by position.  Two values are equal when they have the same class and
+    equal field tuples; the hash is the hash of the field tuple, computed on
+    first use and then stored, which spares every later dict and cache lookup
+    a walk over the nested element tuples.  Assigning or deleting an
+    attribute raises ``AttributeError``.
     """
 
     def __init_subclass__(cls, **kwargs) -> None:
@@ -73,35 +74,11 @@ class _Value:
         # attrgetter of one name returns the bare value, not a 1-tuple
         cls._fields = get if len(names) > 1 else staticmethod(lambda self: (get(self),))
 
-    def __init__(self, *args, **kwargs) -> None:
+    def __init__(self, *args) -> None:
         names = self.__match_args__
-        if kwargs or len(args) != len(names):
-            args = self._bind(args, kwargs)
+        if len(args) != len(names):
+            raise TypeError(f"{type(self).__name__}() takes {len(names)} fields, got {len(args)}")
         self.__dict__.update(zip(names, args))
-
-    @classmethod
-    def _bind(cls, args: tuple, kwargs: dict) -> list:
-        """The field values in order, or the ``TypeError`` a signature would raise."""
-        names = cls.__match_args__
-        if len(args) > len(names):
-            raise TypeError(
-                f"{cls.__name__}() takes {len(names)} positional arguments "
-                f"but {len(args)} were given"
-            )
-        values = dict(zip(names, args))
-        for name, value in kwargs.items():
-            if name not in names:
-                raise TypeError(f"{cls.__name__}() got an unexpected keyword argument {name!r}")
-            if name in values:
-                raise TypeError(f"{cls.__name__}() got multiple values for argument {name!r}")
-            values[name] = value
-        defaults = vars(cls)
-        for name in names:
-            if name not in values:
-                if name not in defaults:
-                    raise TypeError(f"{cls.__name__}() missing required argument {name!r}")
-                values[name] = defaults[name]
-        return [values[name] for name in names]
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -207,7 +184,7 @@ class Subgroup(_Value):
     def __init__(self, group: FiniteAbelianGroup, elements: tuple[Element, ...]) -> None:
         super().__init__(group, elements)
         object.__setattr__(self, "_member_set", frozenset(elements))
-        if tuple(sorted(elements)) != elements:
+        if tuple(sorted(elements)) != elements or len(self._member_set) != len(elements):
             raise InvalidInputError("subgroup elements must be sorted and duplicate-free")
         if group.zero() not in self._member_set:
             raise InvalidInputError("subgroup must contain the identity")

@@ -309,7 +309,7 @@ def test_dimension_conservation_spot_checks(z4_simples):
 def rebuilt(x):
     """A fresh copy of x: each value and tuple inside it built anew from its fields."""
     if is_value(x):
-        return type(x)(**{name: rebuilt(v) for name, v in fields_of(x).items()})
+        return type(x)(*map(rebuilt, fields_of(x).values()))
     if isinstance(x, tuple):
         return tuple(rebuilt(y) for y in x)
     return x

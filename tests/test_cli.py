@@ -332,6 +332,27 @@ def test_compare_unknown_with_probe(files, capsys):
 
 
 @pytest.mark.parametrize(
+    "option, flags",
+    [
+        ("--se-entries", ["--se-lag", "1", "--se-entries", "-3"]),
+        ("--se-lag", ["--se-lag", "-3", "--se-entries", "2"]),
+    ],
+    ids=["se-entries", "se-lag"],
+)
+def test_a_negative_probe_bound_is_a_usage_error(option, flags, files, capsys):
+    # it used to skip the probe without a word and print the plain UNKNOWN, exit 4
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", files["E"], files["E"], *flags])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (1, "")
+    assert err.startswith("usage: afinv compare")
+    assert err.endswith(f"afinv compare: error: argument {option}: must be at least 0, got -3\n")
+    # zero is a bound too: it turns the probe off
+    code, out, _ = run(capsys, "compare", files["E"], files["E"], "--se-lag", "0")
+    assert code == 4 and "verdict: unknown" in out and "witness at lag" not in out
+
+
+@pytest.mark.parametrize(
     "second, message",
     [
         ("trivdiag", "invariants live over different groups"),

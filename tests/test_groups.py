@@ -440,6 +440,22 @@ def test_group_constructor_refuses_a_list_of_factors():
         FiniteAbelianGroup([2])
 
 
+@pytest.mark.parametrize(
+    "elements, message",
+    [
+        (((0,), (0,), (2,)), "sorted and duplicate-free"),  # sorted, so only the count shows it
+        (((0,), (2,), (0,)), "sorted and duplicate-free"),
+        (((2,), (0,)), "sorted and duplicate-free"),
+        (((1,), (2,)), "must contain the identity"),
+    ],
+    ids=["repeated", "repeated-unsorted", "unsorted", "no-identity"],
+)
+def test_subgroup_constructor_refuses_a_bad_element_tuple(elements, message):
+    with pytest.raises(InvalidInputError, match=message):
+        Subgroup(make_group([4]), elements)
+    assert Subgroup(make_group([4]), ((0,), (2,))).order == 2
+
+
 @pytest.mark.parametrize("factors", [[4], [2, 4], [2, 2, 2]])
 def test_conjugate_characters_are_the_lattice_members(factors):
     for H in subgroups(make_group(factors)):

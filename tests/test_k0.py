@@ -1,5 +1,7 @@
 """Stationary limit-group identification, value maps, and multipliers."""
 
+import importlib.util
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from afinv import k0 as k0_module
+from afinv.diagrams import object_diagram
 from afinv.errors import InternalConsistencyError, InvalidInputError, ResourceLimitError
+from afinv.groups import subgroups
 from afinv.k0 import (
     DirectSumForm,
     OpaquePresentation,
@@ -26,7 +30,9 @@ from afinv.k0 import (
     stationary_k0,
     strip_primes,
     value_map,
+    vec_mat,
 )
+from afinv.serialize import diagram_from_json
 
 
 def k0(matrix):
@@ -650,3 +656,119 @@ def test_shift_equivalence_refuses_a_huge_entry_bound_before_sizing_its_space():
     with pytest.raises(ResourceLimitError, match=r"search space \(10{3998}1\^4096\) too large"):
         shift_equivalent_bounded(A, A, lag_bound=1, entry_bound=10**3999)
     assert time.process_time() - start < 0.5
+
+
+# ------------------------------------------------------- forms against F_p
+#
+# Tensoring with F_p commutes with direct limits, so lim(Z^n, A) / p is
+# lim(F_p^n, A mod p) = F_p^{r_p}, r_p the eventual rank of A mod p.  Each
+# form predicts r_p: Z[1/S] / p is 0 for p in S and F_p otherwise, a direct
+# sum adds its blocks, and a torsion-free group of rank r has r_p <= r.
+
+GEN = pathlib.Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+
+
+def load_gen():
+    spec = importlib.util.spec_from_file_location("bench_gen", GEN)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def row_basis_mod(rows, p) -> list[list[int]]:
+    """An echelon basis of the row space of ``rows`` over F_p."""
+    basis: dict[int, list[int]] = {}  # pivot column -> a row that is 1 there
+    for row in rows:
+        row = [x % p for x in row]
+        for col, b in basis.items():  # each later row is 0 at every earlier pivot
+            if row[col]:
+                c = row[col]
+                row = [(x - c * y) % p for x, y in zip(row, b)]
+        lead = next((i for i, x in enumerate(row) if x), None)
+        if lead is not None:
+            inv = pow(row[lead], -1, p)
+            basis[lead] = [x * inv % p for x in row]
+    return list(basis.values())
+
+
+def eventual_rank_mod(A, p) -> int:
+    """r_p by Fitting iteration: the row spaces of A, A^2, ... over F_p shrink
+    until one step keeps the dimension, and from there on they stay put."""
+    basis = row_basis_mod(A, p)
+    while True:
+        image = row_basis_mod([vec_mat(v, A) for v in basis], p)
+        if len(image) == len(basis):
+            return len(basis)
+        basis = image
+
+
+def check_forms_mod_p(A):
+    """The form of A, after checking its r_p at each small prime and each prime in S."""
+    desc = k0(A)
+    if isinstance(desc, OpaquePresentation):
+        blocks = None
+    else:
+        blocks = desc.blocks if isinstance(desc, DirectSumForm) else (desc,)
+    primes = set(SMALL_PRIMES).union(*(b.prime_set for b in blocks or ()))
+    for p in sorted(primes):
+        r_p = eventual_rank_mod(A, p)
+        if blocks is None:
+            assert r_p <= desc.rank, (A, p)
+        else:
+            assert r_p == sum(p not in b.prime_set for b in blocks), (A, p)
+    return desc
+
+
+def test_forms_predict_the_eventual_rank_mod_p_on_the_bench_tails():
+    gen = load_gen()
+    docs = gen.build("k0-wide", 1)["docs"]
+    matrices = [doc["rows"] for name, doc in docs.items() if name.startswith("matrix-")]
+    assert len(matrices) == 4
+    docs = gen.build("cli-cold", 1)["docs"]
+    diagrams = [diagram_from_json(doc) for doc in docs.values() if "generator_weights" in doc]
+    tails = [object_diagram(d, P)[-1] for d in diagrams for P in subgroups(d.group)]
+    assert len(tails) > len(diagrams)
+    # a prime factor above the trial-division bound, and a nilpotent tail
+    fixed = [[[2 * 65537]], [[0, 1], [0, 0]]]
+    forms = {type(check_forms_mod_p(A)) for A in matrices + tails + fixed}
+    assert forms == {RankOneForm, DirectSumForm, OpaquePresentation}
+
+
+def _drawn_rank_one(draw, size):
+    u = draw(st.lists(st.integers(1, 6), min_size=size, max_size=size))
+    v = draw(st.lists(st.integers(1, 6), min_size=size, max_size=size))
+    return [[a * b for b in v] for a in u]
+
+
+def _permuted(draw, A):
+    perm = draw(st.permutations(range(len(A))))
+    return [[A[perm[i]][perm[j]] for j in range(len(A))] for i in range(len(A))]
+
+
+@st.composite
+def tails(draw):
+    """A rank-one, direct-sum or nilpotent tail, with the rank its form must have."""
+    kind = draw(st.sampled_from(("rank-one", "direct-sum", "nilpotent")))
+    if kind == "rank-one":
+        return _drawn_rank_one(draw, draw(st.integers(1, 5))), 1
+    if kind == "direct-sum":
+        count = draw(st.integers(2, 3))
+        blocks = [_drawn_rank_one(draw, draw(st.integers(1, 3))) for _ in range(count)]
+        n = sum(map(len, blocks))
+        A, at = [[0] * n for _ in range(n)], 0
+        for block in blocks:
+            for i, row in enumerate(block):
+                A[at + i][at : at + len(row)] = row
+            at += len(block)
+        return _permuted(draw, A), len(blocks)
+    n = draw(st.integers(1, 5))
+    A = [[draw(st.integers(0, 3)) if j > i else 0 for j in range(n)] for i in range(n)]
+    return _permuted(draw, A), 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(tails())
+def test_forms_predict_the_eventual_rank_mod_p_on_drawn_tails(tail):
+    A, rank = tail
+    assert check_forms_mod_p(A).rank == rank

@@ -144,31 +144,44 @@ def test_pinned_reprs(examples):
     )
 
 
+# the fields each declared signature requires; every other type requires all of them
+REQUIRED = {Verdict: 1, DiagramEdge: 3}
+# the types with no ``__init__`` of their own: the shared one takes their fields by position only
+FIELD_ONLY = (SimpleBimodule, Certificate, RankOneForm, DirectSumForm, OpaquePresentation)
+
+
 def test_defaults_and_keywords(examples):
+    # every type takes its fields by position, and a wrong count is a TypeError
+    for cls, x in examples.items():
+        args = tuple(fields_of(x).values())
+        assert cls(*args) == x
+        for bad in (args[: REQUIRED.get(cls, len(args)) - 1], (*args, None)):
+            with pytest.raises(TypeError):
+                cls(*bad)
+    with pytest.raises(TypeError, match=r"Certificate\(\) takes 4 fields, got 3"):
+        Certificate("rank", "Q1", "1")
+    # the two declared signatures take keywords and fill their defaults
     S = examples[SimpleBimodule]
-    assert DiagramEdge(0, 0, S).multiplicity == 1
+    assert DiagramEdge(0, 0, S) == DiagramEdge(0, 0, S, 1)
     assert DiagramEdge(source=0, target=0, bimodule=S, multiplicity=3).multiplicity == 3
     v = Verdict("equivalent")
     assert (v.status, v.witness, v.certificate, v.reason) == ("equivalent", None, None, None)
     assert v.exit_code == 0 and v.witness_map() is None
-    assert Verdict(status="unknown", reason="r").exit_code == 4
+    assert Verdict(status="unknown", reason="r") == Verdict("unknown", None, None, "r")
+    # a checking type's own __init__ names its fields
     assert StationarySystem(matrix=[[2]]) == StationarySystem([[2]])
     assert StationarySystem(matrix=[[2]]).matrix == ((2,),)
-    assert Certificate(kind="rank", at="Q1", left="1", right="2") == examples[Certificate]
-    # the arguments bind as a signature binds them, and a wrong call is a TypeError
-    G, H = examples[FiniteAbelianGroup], examples[Subgroup]
-    for cls, args in ((DiagramEdge, (0, 0, S, 1)), (Subgroup, (G, H.elements))):
-        by_name = dict(zip(cls.__match_args__, args))
-        first = cls.__match_args__[0]
-        for bad_args, bad_kwargs in (
-            ((*args, None), {}),  # too many positionals
-            (args, {"extra": None}),  # an unknown keyword
-            (args, {first: args[0]}),  # a field by position and by keyword
-            ((), {k: v for k, v in by_name.items() if k != first}),  # a field with no default
+    # a keyword to any other field-only type is a TypeError, whether it names a field or not
+    for cls in FIELD_ONLY:
+        fields = fields_of(examples[cls])
+        *first, last = fields.values()
+        for args, kwargs in (
+            ((), fields),  # every field by keyword
+            (first, {cls.__match_args__[-1]: last}),  # the last field by keyword
+            (first + [last], {"extra": None}),  # a keyword that names no field
         ):
             with pytest.raises(TypeError):
-                cls(*bad_args, **bad_kwargs)
-        assert cls(**by_name) == cls(*args)
+                cls(*args, **kwargs)
 
 
 def test_values_match_by_position_and_keyword(examples):

@@ -1,9 +1,11 @@
 """Field-level helpers over afinv's frozen value types, read off ``__match_args__``.
 
-Every value type lists its fields, in order, in ``__match_args__``.  Its
-constructor, the one ``__init__`` of ``afinv.groups._Value`` or a checking
-type's own, takes them by position or under the same names as keywords, and
-an omitted field takes the default its class body gives it.
+Every value type lists its fields, in order, in ``__match_args__``, and its
+constructor takes them in that order by position: the one ``__init__`` of
+``afinv.groups._Value`` takes exactly those fields, and a type with an
+``__init__`` of its own (a checking type, ``Verdict`` or ``DiagramEdge``)
+takes them in the same order.  So these helpers build every value by
+position.
 """
 
 
@@ -13,8 +15,8 @@ def fields_of(x) -> dict:
 
 
 def replace(x, **changes):
-    """A new value of x's type with some fields changed, built through its ``__init__``."""
-    return type(x)(**{**fields_of(x), **changes})
+    """A new value of x's type with some fields changed, built by position."""
+    return type(x)(*{**fields_of(x), **changes}.values())
 
 
 def is_value(x) -> bool:
