@@ -25,12 +25,7 @@ import itertools
 import warnings
 from functools import reduce
 
-from .errors import (
-    InternalConsistencyError,
-    InvalidCompositionError,
-    InvalidInputError,
-    _cut,
-)
+from .errors import InternalConsistencyError, InvalidInputError, _cut
 from .groups import (
     Character,
     FiniteAbelianGroup,
@@ -168,9 +163,7 @@ def dual(S: SimpleBimodule) -> SimpleBimodule:
 
 def _composable(S1: SimpleBimodule, S2: SimpleBimodule) -> None:
     if S1.target != S2.source:
-        raise InvalidCompositionError(
-            f"middle Q-systems differ: Q({S1.target}) vs Q({S2.source})"
-        )
+        raise InvalidInputError(f"middle Q-systems differ: Q({S1.target}) vs Q({S2.source})")
 
 
 def _mackey_blocks(H: Subgroup, K: Subgroup, L: Subgroup):

@@ -67,12 +67,7 @@ from .bimodules import (
     simples_by_pair,
     simples_of,
 )
-from .errors import (
-    InternalConsistencyError,
-    InvalidInputError,
-    OracleFailureError,
-    ResourceLimitError,
-)
+from .errors import InternalConsistencyError, InvalidInputError, ResourceLimitError
 
 __all__ = ["main", "run"]
 
@@ -293,7 +288,7 @@ def _cmd_oracle(args) -> int:
     all_ok = all(p["ok"] for p in pairs)
     _emit(args, {"group": ser.group_to_json(G), "pairs": pairs, "all_ok": all_ok}, _oracle_text)
     if not all_ok:
-        raise OracleFailureError("categorical and crossed-product counts disagree")
+        raise InternalConsistencyError("categorical and crossed-product counts disagree")
     return 0
 
 
@@ -429,7 +424,7 @@ def main(argv=None) -> int:
     except (InvalidInputError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (InternalConsistencyError, OracleFailureError) as exc:
+    except InternalConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

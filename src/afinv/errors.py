@@ -1,4 +1,9 @@
-"""Exception hierarchy shared across the toolkit, and how much of an input a message repeats."""
+"""Exception hierarchy shared across the toolkit, and how much of an input a message repeats.
+
+Each error type is one exit code of ``afinv.cli.main``: ``InvalidInputError``
+and ``ResourceLimitError`` exit with 1, and ``InternalConsistencyError`` exits
+with 2, a failed oracle included.
+"""
 
 from __future__ import annotations
 
@@ -20,13 +25,5 @@ class ResourceLimitError(AfinvError):
     """An enumeration or search would exceed the configured bound."""
 
 
-class InvalidCompositionError(AfinvError):
-    """Attempt to compose bimodules whose middle Q-systems do not match."""
-
-
 class InternalConsistencyError(AfinvError):
     """An exactness invariant failed mid-computation; results would be unsound."""
-
-
-class OracleFailureError(AfinvError):
-    """The crossed-product oracle's block counts disagree with the simple-bimodule counts."""

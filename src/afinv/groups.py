@@ -122,6 +122,10 @@ class FiniteAbelianGroup(_Value):
         factors = self.cyclic_factors
         if not isinstance(factors, tuple):
             raise InvalidInputError(f"cyclic factors must be a tuple, got {_cut(repr(factors))}")
+        if not factors:
+            raise InvalidInputError(
+                "need at least one cyclic factor (use [1] for the trivial group)"
+            )
         if any(not _is_int(n) or n < 1 for n in factors):
             raise InvalidInputError(
                 f"cyclic factors {_cut(repr(factors))} must be positive integers"
@@ -133,7 +137,7 @@ class FiniteAbelianGroup(_Value):
 
     @property
     def exponent(self) -> int:
-        return math.lcm(*self.cyclic_factors) if self.cyclic_factors else 1
+        return math.lcm(*self.cyclic_factors)
 
     def zero(self) -> Element:
         return (0,) * len(self.cyclic_factors)
@@ -167,11 +171,9 @@ class FiniteAbelianGroup(_Value):
         >>> make_group([4]).element_order((2,))
         2
         """
-        return math.lcm(*(n // math.gcd(x, n) for x, n in zip(a, self.cyclic_factors))) if a else 1
+        return math.lcm(*(n // math.gcd(x, n) for x, n in zip(a, self.cyclic_factors)))
 
     def __str__(self) -> str:
-        if not self.cyclic_factors:
-            return "Z/1"
         return " x ".join(f"Z/{n}" for n in self.cyclic_factors)
 
 
@@ -245,8 +247,6 @@ def make_group(cyclic_factors) -> FiniteAbelianGroup:
         raise InvalidInputError(
             f"cyclic factors must be positive integers, got {_cut(repr(cyclic_factors))}"
         ) from None
-    if not factors:
-        raise InvalidInputError("need at least one cyclic factor (use [1] for the trivial group)")
     return FiniteAbelianGroup(factors)
 
 

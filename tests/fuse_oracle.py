@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from afinv.bimodules import SimpleBimodule, _composable
-from afinv.errors import InvalidInputError, OracleFailureError
+from afinv.errors import InternalConsistencyError, InvalidInputError
 from afinv.groups import Subgroup, dual_characters, subgroup_intersection, subgroup_sum
 
 
@@ -120,7 +120,7 @@ def oracle_fuse(
 
     The base points pick the sections of the two induced-module models; the
     multiplicities must not depend on them.  A projected trace above its
-    component's dimension is no multiplicity and raises OracleFailureError.
+    component's dimension is no multiplicity and raises InternalConsistencyError.
 
     The trace of left_t ⊗ right_-t ∘ right_k ⊗ left_-k, for t in H∩L and k
     in K, lives on t in H∩K∩L: it moves the degrees by (t + k, -t - k), so it
@@ -165,7 +165,7 @@ def oracle_fuse(
             total = sum(power[-chi3(t) % E] * tr for t, tr in zip(HKL.elements, trace))
             mult = scale * total % p
             if mult > len(comp):
-                raise OracleFailureError(
+                raise InternalConsistencyError(
                     f"projected trace {mult} mod {p} exceeds the dimension {len(comp)} "
                     f"for {S1} ⊗ {S2}"
                 )

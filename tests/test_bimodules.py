@@ -29,7 +29,7 @@ from afinv.bimodules import (
     simple_bimodules,
     simples_of,
 )
-from afinv.errors import InternalConsistencyError, InvalidCompositionError, InvalidInputError
+from afinv.errors import InternalConsistencyError, InvalidInputError
 from afinv.diagrams import DiagramEdge, EnrichedBratteliDiagram
 from afinv.groups import (
     Character,
@@ -223,7 +223,7 @@ def test_composition_requires_matching_middle(z4_reps):
     Q1, Q2, Q3 = z4_reps
     a = simple_bimodules(Q1, Q2)[0]
     b = simple_bimodules(Q1, Q3)[0]
-    with pytest.raises(InvalidCompositionError):
+    with pytest.raises(InvalidInputError, match="middle Q-systems differ"):
         fuse(a, b)
 
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 
 import afinv
-from afinv import cli
+from afinv import cli, errors
 from afinv.bimodules import (
     bimodule_label,
     identity_bimodule,
@@ -545,6 +545,27 @@ def test_running_out_of_memory_is_one_error_line(files, capsys, monkeypatch):
     )
 
 
+@pytest.mark.parametrize(
+    "error, code, prefix",
+    [
+        (errors.InvalidInputError, 1, "error:"),
+        (errors.ResourceLimitError, 1, "error:"),
+        (errors.InternalConsistencyError, 2, "internal error:"),
+    ],
+)
+def test_each_error_type_is_one_exit_code(error, code, prefix, files, capsys, monkeypatch):
+    # these are all of afinv's error types, so none leaves main as a traceback
+    assert set(errors.AfinvError.__subclasses__()) == {
+        errors.InvalidInputError, errors.ResourceLimitError, errors.InternalConsistencyError
+    }
+
+    def fail(G):
+        raise error("raised")
+
+    monkeypatch.setattr("afinv.cli.qsystems", fail)
+    assert run(capsys, "qsystems", files["z4"]) == (code, "", f"{prefix} raised\n")
+
+
 def test_any_other_value_error_still_propagates(files, monkeypatch):
     def fail(*args):
         raise ValueError("not a digit limit")
@@ -1033,6 +1054,7 @@ def test_a_compiled_copy_prints_what_the_source_tree_prints(tmp_path, z4_diagram
         "f.json": diagram_to_json(z4_diagrams["F"]),
         "bool-weight.json": weighted,
         "digits.json": {"rows": [[c, c], [c, c]]},
+        "empty.json": {"cyclic_factors": []},
     }
     assert {a for argv in requests for a in argv if a.endswith(".json")} <= set(inputs)
     work = tmp_path / "work"
@@ -1057,6 +1079,9 @@ def test_a_compiled_copy_prints_what_the_source_tree_prints(tmp_path, z4_diagram
                 start(child_env(), "-m", "afinv.cli", *argv))
         got, want = ((p.communicate(timeout=60), p.returncode) for p in both)
         assert got == want, argv
+        if argv == ["qsystems", "empty.json"]:
+            assert want == ((b"", b"error: need at least one cyclic factor "
+                                  b"(use [1] for the trivial group)\n"), 1)
 
 
 @pytest.mark.parametrize(

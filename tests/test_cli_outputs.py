@@ -19,7 +19,6 @@ checkouts can be compared by hand.
 
 import argparse
 import hashlib
-import importlib.util
 import io
 import json
 import pathlib
@@ -29,18 +28,11 @@ from contextlib import redirect_stderr, redirect_stdout
 
 from afinv.cli import main
 
-ROOT = pathlib.Path(__file__).resolve().parents[1]
-GEN = ROOT / "bench" / "gen.py"
+from gen_loader import load_gen
+
 HERE = pathlib.Path(__file__).resolve().parent
 TABLES = {1: HERE / "cli_output_digests.json", 2: HERE / "cli_output_digests_seed2.json"}
 WORKLOADS = ("cli-cold", "k0-wide", "lattice")
-
-
-def load_gen():
-    spec = importlib.util.spec_from_file_location("bench_gen", GEN)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _run(argv):

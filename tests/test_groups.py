@@ -1,6 +1,4 @@
-import importlib.util
 import itertools
-import pathlib
 import time
 from collections.abc import Mapping
 from fractions import Fraction
@@ -23,7 +21,7 @@ from afinv.groups import (
 )
 from afinv.serialize import character_from_json
 
-GEN = pathlib.Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+from gen_loader import load_gen
 
 
 def brute_force_subgroups(G):
@@ -107,13 +105,6 @@ def test_subgroups_match_generator_closure(factors, count):
     got = [H.elements for H in subgroups(G)]
     assert got == [H.elements for H in generator_closure_subgroups(G)]
     assert count is None or len(got) == count
-
-
-def load_gen():
-    spec = importlib.util.spec_from_file_location("bench_gen", GEN)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_subgroup_counts_of_large_lattices():
@@ -473,3 +464,9 @@ def test_make_group_rejects_bad_factors():
         make_group([-3])
     with pytest.raises(InvalidInputError):
         make_group([])
+
+
+def test_a_group_needs_a_cyclic_factor():
+    with pytest.raises(InvalidInputError) as caught:
+        FiniteAbelianGroup(())
+    assert str(caught.value) == "need at least one cyclic factor (use [1] for the trivial group)"

@@ -1,7 +1,5 @@
 """Stationary limit-group identification, value maps, and multipliers."""
 
-import importlib.util
-import pathlib
 from fractions import Fraction
 
 import pytest
@@ -33,6 +31,8 @@ from afinv.k0 import (
     vec_mat,
 )
 from afinv.serialize import diagram_from_json
+
+from gen_loader import load_gen
 
 
 def k0(matrix):
@@ -665,15 +665,7 @@ def test_shift_equivalence_refuses_a_huge_entry_bound_before_sizing_its_space():
 # form predicts r_p: Z[1/S] / p is 0 for p in S and F_p otherwise, a direct
 # sum adds its blocks, and a torsion-free group of rank r has r_p <= r.
 
-GEN = pathlib.Path(__file__).resolve().parents[1] / "bench" / "gen.py"
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
-
-
-def load_gen():
-    spec = importlib.util.spec_from_file_location("bench_gen", GEN)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def row_basis_mod(rows, p) -> list[list[int]]:

@@ -1,0 +1,119 @@
+"""Verdicts form an equivalence relation, and witnesses compose as isomorphisms.
+
+The invariant is complete, so "equivalent" is an equivalence relation and a
+witness is an isomorphism of invariants: the inverse of a witness, and the
+product of two, are witnesses too.  ``compare`` anchors at the unit object
+and propagates ratios along the simples, so a slip in that propagation, such
+as a dropped reciprocal, can make a verdict depend on the order of the pair.
+On these inputs only the forward step runs, from a simple's source to its
+target; ``tests/test_compare.py`` reaches the backward step.
+
+The inputs are the README diagrams F, G, H and E and every diagram of the
+seed-1 ``cli-cold`` and ``sweep-warm`` documents of ``bench/gen.py``, compared
+pair by pair within each group.
+"""
+
+import inspect
+import itertools
+from functools import cache
+
+from afinv import compare as compare_module
+from afinv.compare import EQUIVALENT, INEQUIVALENT, UNKNOWN, compare, verify_witness
+from afinv.diagrams import compute_invariant
+from afinv.serialize import diagram_from_json
+
+from gen_loader import load_gen
+
+# the certificates whose two sides are the two invariants' own values, in order
+SWAPPED_KINDS = ("rank", "prime-set", "pointed-obstruction")
+
+
+@cache
+def bench_invariants():
+    """{group: {name: invariant}} over the seed-1 ``cli-cold`` and ``sweep-warm`` diagrams."""
+    gen = load_gen()
+    pools = {}
+    for workload in ("cli-cold", "sweep-warm"):
+        for name, doc in gen.build(workload, 1)["docs"].items():
+            if "group" in doc:  # the others are group documents
+                inv = compute_invariant(diagram_from_json(doc))
+                pools.setdefault(inv.group, {})[f"{workload}/{name}"] = inv
+    return pools
+
+
+def pools_with_readme(z4_invariants):
+    pools = {G: dict(invs) for G, invs in bench_invariants().items()}
+    G = z4_invariants["F"].group
+    pools[G].update((f"README {name}", inv) for name, inv in z4_invariants.items())
+    return pools
+
+
+def inverse(witness):
+    return tuple((label, 1 / u) for label, u in witness)
+
+
+def product(w1, w2):
+    return tuple((label, u * v) for (label, u), (_, v) in zip(w1, w2))
+
+
+def relation_faults(pools, compare=compare) -> list[str]:
+    """Each place where the verdicts of ``compare`` on ``pools`` are no equivalence relation."""
+    faults = []
+    for G, invs in pools.items():
+        names = list(invs)
+        v = {(a, b): compare(invs[a], invs[b]) for a in names for b in names}
+        for (a, b), ab in v.items():
+            ba = v[b, a]
+            where = f"{G}: {a} vs {b}"
+            if ab.status != ba.status:
+                faults.append(f"{where}: {ab.status}, but {ba.status} swapped")
+            elif ab.status == EQUIVALENT:
+                if ba.witness != inverse(ab.witness):
+                    faults.append(f"{where}: the swapped witness is no inverse")
+                if not verify_witness(invs[b], invs[a], dict(inverse(ab.witness))):
+                    faults.append(f"{where}: the inverse witness fails verify_witness")
+            elif ab.status == INEQUIVALENT:
+                c1, c2 = ab.certificate, ba.certificate
+                if (c1.kind, c1.at) != (c2.kind, c2.at):
+                    faults.append(f"{where}: certificate {c1.kind} at {c1.at}, "
+                                  f"but {c2.kind} at {c2.at} swapped")
+                elif c1.kind in SWAPPED_KINDS and (c1.left, c1.right) != (c2.right, c2.left):
+                    faults.append(f"{where}: {c1.kind} certificate sides not swapped")
+            elif ab.status == UNKNOWN and ab.reason != ba.reason:
+                faults.append(f"{where}: unknown for another reason swapped")
+        for a, b, c in itertools.product(names, repeat=3):
+            if v[a, b].status == v[b, c].status == EQUIVALENT:
+                where = f"{G}: {a} ~ {b} ~ {c}"
+                composed = product(v[a, b].witness, v[b, c].witness)
+                if v[a, c].status != EQUIVALENT:
+                    faults.append(f"{where}, but {v[a, c].status}")
+                elif v[a, c].witness != composed:
+                    faults.append(f"{where}: the witnesses do not compose")
+                elif not verify_witness(invs[a], invs[c], dict(composed)):
+                    faults.append(f"{where}: the composed witness fails verify_witness")
+    return faults
+
+
+def test_verdicts_form_an_equivalence_relation(z4_invariants):
+    pools = pools_with_readme(z4_invariants)
+    assert relation_faults(pools) == []
+    # so that no branch above is vacuous, every status occurs
+    statuses = {compare(a, b).status for invs in pools.values()
+                for a, b in itertools.product(invs.values(), repeat=2)}
+    assert statuses == {EQUIVALENT, INEQUIVALENT, UNKNOWN}
+
+
+def compare_dropping_a_reciprocal():
+    """``compare`` whose forward propagation step multiplies by f2 but does not divide by f1."""
+    source = inspect.getsource(compare_module)
+    honest = "c[j] = c[k] * f2 / f1"
+    assert source.count(honest) == 1
+    namespace = {"__name__": compare_module.__name__, "__package__": "afinv"}
+    exec(compile(source.replace(honest, "c[j] = c[k] * f2"), "<tampered compare>", "exec"),
+         namespace)
+    return namespace["compare"]
+
+
+def test_a_compare_that_drops_one_reciprocal_breaks_the_relation(z4_invariants):
+    faults = relation_faults(pools_with_readme(z4_invariants), compare_dropping_a_reciprocal())
+    assert any("swapped" in fault for fault in faults)
