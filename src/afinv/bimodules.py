@@ -7,14 +7,14 @@ with a character of H∩K.
 Composition reads the relative tensor product off the closed-form Mackey rule
 for module categories over Vec_G (Ostrik's (H, ψ) classification, untwisted
 abelian case), in integers only: character phases are integers mod the
-exponent of G.  ``fuse``, ``fusion_table`` and the fusion check
-``_check_fusion_consistency`` read one block table per subgroup triple
-(``_mackey_blocks``), which takes only the triple.  The group's lattice index
-owns each pair's simples: ``_enumerate_simples`` builds them once, and the
-table and every layer list the same objects.  ``simple_bimodule`` is the one
-lookup of a simple by its coset and character, and ``identity_bimodule`` and
-``dual`` return the index's members through it; characters are looked up in
-``afinv.groups``.
+exponent of G.  ``fuse``, ``fusion_table`` and ``_check_fusion_consistency``
+read one block table per subgroup triple (``_mackey_blocks``), which takes
+only the triple and reads a character only at generators of H∩K∩L, where its
+values fix it.  The group's lattice index owns each pair's simples:
+``_enumerate_simples`` builds them once, and the table and every layer list
+the same objects.  ``simple_bimodule`` is the one lookup of a simple by its
+coset and character, and ``identity_bimodule`` and ``dual`` return the
+index's members through it; characters are looked up in ``afinv.groups``.
 The tests compare it with an independent exact trace over explicit induced
 modules.
 """
@@ -170,10 +170,10 @@ def _mackey_blocks(H: Subgroup, K: Subgroup, L: Subgroup):
     """The Mackey rule of the subgroup triple (H, K, L), as (m, key, blocks).
 
     ``blocks`` groups the H-L simples (d, ψ) of ``simple_bimodules(H, L)``, in
-    its order, by ``key``: the coset of H+K+L through d, and ψ on H∩K∩L; each
-    block keeps that order.  An H-K simple S1 = (c1, χ1) fused with a K-L
-    simple S2 = (c2, χ2) is m copies of the block key(S1, S2) of c1+c2 and
-    χ1+χ2, where m = |H||K||L||H∩K∩L| / (|H∩K||K∩L||H+K+L||H∩L|).  A
+    its order, by ``key``: the coset of H+K+L through d, and ψ at the
+    generators of H∩K∩L, whose values fix ψ there.  An H-K simple S1 = (c1, χ1)
+    fused with a K-L simple S2 = (c2, χ2) is m copies of the block key(S1, S2)
+    of c1+c2 and χ1+χ2, m = |H||K||L||H∩K∩L| / (|H∩K||K∩L||H+K+L||H∩L|).  A
     non-integral m, a wrong block count or a wrong block dimension aborts.
     """
     G = H.group
@@ -193,9 +193,10 @@ def _mackey_blocks(H: Subgroup, K: Subgroup, L: Subgroup):
 
     E = G.exponent
     span_rep = coset_space(span)
+    gens = HKL.minimal_generators()
 
     def key(*terms):
-        phases = (sum(S.character(t) for S in terms) % E for t in HKL.elements)
+        phases = (sum(S.character(t) for S in terms) % E for t in gens)
         return span_rep[reduce(G.add, (S.rep for S in terms))], tuple(phases)
 
     blocks: dict[tuple, list[SimpleBimodule]] = {}

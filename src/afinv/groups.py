@@ -178,17 +178,17 @@ class FiniteAbelianGroup(_Value):
 
 
 class Subgroup(_Value):
-    """A subgroup, stored as its full sorted element tuple (always contains 0)."""
+    """A subgroup: its sorted element tuple, holding 0, and each element's index there."""
 
     group: FiniteAbelianGroup
     elements: tuple[Element, ...]
 
     def __init__(self, group: FiniteAbelianGroup, elements: tuple[Element, ...]) -> None:
         super().__init__(group, elements)
-        object.__setattr__(self, "_member_set", frozenset(elements))
-        if tuple(sorted(elements)) != elements or len(self._member_set) != len(elements):
+        object.__setattr__(self, "_position", {e: i for i, e in enumerate(elements)})
+        if tuple(sorted(elements)) != elements or len(self._position) != len(elements):
             raise InvalidInputError("subgroup elements must be sorted and duplicate-free")
-        if group.zero() not in self._member_set:
+        if group.zero() not in self._position:
             raise InvalidInputError("subgroup must contain the identity")
 
     @classmethod
@@ -204,7 +204,7 @@ class Subgroup(_Value):
         return cls(group, tuple(sorted(closure)))
 
     def contains(self, a: Element) -> bool:
-        return a in self._member_set  # type: ignore[attr-defined]
+        return a in self._position  # type: ignore[attr-defined]
 
     @property
     def order(self) -> int:
@@ -379,7 +379,7 @@ def subgroup_intersection(H: Subgroup, K: Subgroup) -> Subgroup:
 
 
 class Character(_Value):
-    """A homomorphism from a subgroup to Q/Z, tabulated on sorted elements.
+    """A homomorphism from a subgroup to Q/Z: its value table, read by element position.
 
     ``values[i]`` is an integer v in [0, E), E the exponent of the ambient
     group, standing for the phase v/E at ``domain.elements[i]``.  The table
@@ -390,12 +390,8 @@ class Character(_Value):
     domain: Subgroup
     values: tuple[int, ...]
 
-    def __init__(self, domain: Subgroup, values: tuple[int, ...]) -> None:
-        super().__init__(domain, values)
-        object.__setattr__(self, "_table", dict(zip(domain.elements, values)))
-
     def __call__(self, element: Element) -> int:
-        return self._table[element]  # type: ignore[attr-defined]
+        return self.values[self.domain._position[element]]  # type: ignore[attr-defined]
 
     def conjugate(self) -> "Character":
         """The pointwise negative, as the member of ``dual_characters(domain)``."""

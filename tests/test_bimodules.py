@@ -6,6 +6,7 @@ Together they cover all 162 composable pairs of simples.
 """
 
 import functools
+import inspect
 import itertools
 import random
 import re
@@ -202,10 +203,11 @@ def _fuse_cache():
     return cached
 
 
-def test_associativity_random_z6():
-    G = make_group(6)
-    reps = qsystems(G)
-    simples = [s for P in reps for Q in reps for s in simple_bimodules(P, Q)]
+@pytest.mark.parametrize("factors", [[6], [2, 2], [2, 4], [2, 2, 2], [16], [4, 4], [2, 2, 4]],
+                         ids=str)
+def test_associativity_on_seeded_triples(factors):
+    G = make_group(factors)
+    simples = simples_of(G)
     by_source = {}
     for s in simples:
         by_source.setdefault(s.source, []).append(s)
@@ -269,22 +271,28 @@ def _flat_realize(S, base_point=None, realize=fuse_oracle.realize):
     return fuse_oracle.ExplicitBimoduleModel(m.grading, m.index, flat)
 
 
-def _conjugating_dual_characters(H):
-    """dual_characters whose members keep their tables, and so their labels, but evaluate
-    as their conjugates: the oracle then projects with the wrong sign."""
-    mutants = []
-    for chi in dual_characters(H):
-        mutant = Character(H, chi.values)
-        object.__setattr__(mutant, "_table", dict(zip(H.elements, chi.conjugate().values)))
-        mutants.append(mutant)
-    return tuple(mutants)
+@functools.cache
+def _oracle_projecting_with_the_wrong_sign():
+    """``oracle_fuse`` built from its own module's source with the sign of its projection
+    flipped: it weighs each trace by χ3(t) where the oracle weighs it by -χ3(t)."""
+    source = inspect.getsource(fuse_oracle)
+    honest = "power[-chi3(t) % E]"
+    assert source.count(honest) == 1
+    namespace = {"__name__": fuse_oracle.__name__}
+    exec(compile(source.replace(honest, "power[chi3(t) % E]"), "<tampered oracle>", "exec"),
+         namespace)
+    return namespace["oracle_fuse"]
+
+
+def _conjugated_projection(S1, S2):
+    return _oracle_projecting_with_the_wrong_sign()(S1, S2)
 
 
 @pytest.mark.parametrize(
     "name, mutant, wrong",
     [
         pytest.param("realize", _flat_realize, 40, id="no-left-phases"),
-        pytest.param("dual_characters", _conjugating_dual_characters, 8, id="conjugated-projection"),
+        pytest.param("oracle_fuse", _conjugated_projection, 8, id="conjugated-projection"),
     ],
 )
 def test_oracle_mutants_disagree_with_fuse(z4, monkeypatch, name, mutant, wrong):
@@ -293,7 +301,7 @@ def test_oracle_mutants_disagree_with_fuse(z4, monkeypatch, name, mutant, wrong)
     simples = simples_of(z4)
     pairs = [(s1, s2) for s1 in simples for s2 in simples if s1.target == s2.source]
     monkeypatch.setattr(fuse_oracle, name, mutant)
-    assert sum(oracle_fuse(*pair) != fuse(*pair) for pair in pairs) == wrong
+    assert sum(fuse_oracle.oracle_fuse(*pair) != fuse(*pair) for pair in pairs) == wrong
 
 
 def test_dimension_conservation_spot_checks(z4_simples):
@@ -608,12 +616,40 @@ def test_a_block_table_without_the_pair_s_block_is_an_internal_error(z4_simples,
 
 def test_a_simple_outside_the_index_is_labelled_by_its_values(z4, z4_reps):
     # character tables that are no homomorphisms: only a direct constructor call builds them
-    Q1, Q3 = z4_reps[0], z4_reps[2]
+    Q1, Q2, Q3 = z4_reps
     S = SimpleBimodule(Q3, Q3, (0,), Character(Q3, (0, 1, 0, 0)))
     assert str(S) == "M_{3-3}^(0,1,0,0)"
     assert bimodule_label(SimpleBimodule(Q1, Q1, (0,), Character(Q1, (1,)))) == "M_{1-1,0}^(1)"
-    # so the messages that name such a simple are the errors they report
-    with pytest.raises(InternalConsistencyError, match="has no Mackey block"):
-        fuse(S, identity_bimodule(Q3))
+    # so the messages that name such a simple are the errors they report; a Mackey key reads
+    # a character at generators only, so the table's value at Q2's generator 2 matches none
+    T = SimpleBimodule(Q2, Q2, (0,), Character(Q2, (0, 1)))
+    with pytest.raises(InternalConsistencyError,
+                       match=r"M_\{2-2,0\}\^\(0,1\) ⊗ M_\{2-2,0\}\^triv has no Mackey block"):
+        fuse(T, identity_bimodule(Q2))
     with pytest.raises(InvalidInputError, match=r"M_\{3-3\}\^\(0,1,0,0\) must be a Q\("):
         EnrichedBratteliDiagram(z4, ((Q1,),), ((DiagramEdge(0, 0, S),),), (1, 1, 1, 1))
+
+
+def test_a_mackey_key_reads_characters_only_at_generators_of_the_triple_meet(monkeypatch):
+    # a character is fixed by its values on a generating set, so on Z/64 the triple G-G-G
+    # reads each of its 64 simples at one generator, not at all 64 elements of G∩G∩G
+    G = subgroups(make_group(64))[-1]
+    honest = Character.__call__
+    calls = []
+
+    def counted(chi, element):
+        calls.append(element)
+        return honest(chi, element)
+
+    monkeypatch.setattr(Character, "__call__", counted)
+    bimodules._mackey_blocks(G, G, G)
+    bound = len(simple_bimodules(G, G)) * len(G.minimal_generators())
+    assert 0 < len(calls) <= bound == 64
+
+
+def test_a_mackey_key_read_on_too_few_generators_is_an_internal_error(monkeypatch):
+    # a key that misses a generator of H∩K∩L merges blocks, which the block count catches
+    honest = Subgroup.minimal_generators
+    monkeypatch.setattr(Subgroup, "minimal_generators", lambda H: honest(H)[:-1])
+    with pytest.raises(InternalConsistencyError, match="dimension mismatch"):
+        fusion_table(make_group([2, 2]))

@@ -1050,6 +1050,7 @@ def test_a_compiled_copy_prints_what_the_source_tree_prints(tmp_path, z4_diagram
     c = 6 * 10**4299
     inputs = {
         "z4.json": {"cyclic_factors": [4]},
+        "z22.json": {"cyclic_factors": [2, 2]},
         "m.json": {"rows": [[2, 1], [1, 1]]},
         "f.json": diagram_to_json(z4_diagrams["F"]),
         "bool-weight.json": weighted,

@@ -49,11 +49,12 @@ from afinv.serialize import diagram_from_json
 from gen_loader import load_gen
 from values import replace
 
-# every group type of order at most 16 but Z/2 x Z/2 x Z/4 and (Z/2)^4, whose
-# regular actions take 5.5 s and about 40 s
+# every group type of order at most 16 but (Z/2)^4, whose regular action takes about
+# 40 s, and Z/32: a cyclic group past the pairwise references' reach, and with
+# Z/2 x Z/2 x Z/4 a group whose subgroup intersections need up to three generators
 REGULAR_GROUPS = [
     [1], [2], [3], [4], [2, 2], [5], [6], [7], [8], [2, 4], [2, 2, 2], [9], [3, 3],
-    [10], [11], [12], [2, 6], [13], [14], [15], [16], [2, 8], [4, 4],
+    [10], [11], [12], [2, 6], [13], [14], [15], [16], [2, 8], [4, 4], [2, 2, 4], [32],
 ]
 TRANSLATION_GROUPS = [[2], [3], [4], [2, 2], [5], [6], [8], [2, 4]]
 
