@@ -8,8 +8,8 @@ Composition reads the relative tensor product off the closed-form Mackey rule
 for module categories over Vec_G (Ostrik's (H, ψ) classification, untwisted
 abelian case), in integers only: character phases are integers mod the
 exponent of G.  ``fuse``, ``fusion_table`` and ``_check_fusion_consistency``
-read one block table per subgroup triple (``_mackey_blocks``), which takes
-only the triple and reads a character only at generators of H∩K∩L, where its
+read one block table per subgroup triple (``_mackey_blocks``), kept in the
+lattice index; it reads a character only at generators of H∩K∩L, where its
 values fix it.  The group's lattice index owns each pair's simples:
 ``_enumerate_simples`` builds them once, and the table and every layer list
 the same objects.  ``simple_bimodule`` is the one lookup of a simple by its
@@ -167,6 +167,14 @@ def _composable(S1: SimpleBimodule, S2: SimpleBimodule) -> None:
 
 
 def _mackey_blocks(H: Subgroup, K: Subgroup, L: Subgroup):
+    """``_build_mackey_blocks(H, K, L)``, built once per triple and kept in the lattice index."""
+    tables = _lattice_index(H.group).mackey
+    if (H, K, L) not in tables:
+        tables[H, K, L] = _build_mackey_blocks(H, K, L)
+    return tables[H, K, L]
+
+
+def _build_mackey_blocks(H: Subgroup, K: Subgroup, L: Subgroup):
     """The Mackey rule of the subgroup triple (H, K, L), as (m, key, blocks).
 
     ``blocks`` groups the H-L simples (d, ψ) of ``simple_bimodules(H, L)``, in

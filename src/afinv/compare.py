@@ -144,13 +144,6 @@ def compare(
     position = {P: k for k, P in enumerate(inv1.representatives)}
     pending: list[tuple[int, int, object, Fraction, Fraction]] = []
     for X, f1, f2 in zip(inv1.simples, inv1.multipliers, inv2.multipliers):
-        # compute_invariant gives every simple between rank-one objects a
-        # multiplier; only an invariant built by hand can lack one here
-        if f1 is None or f2 is None:
-            which = bimodule_label(X)
-            return Verdict(
-                UNKNOWN, reason=f"no scalar multiplier recorded for {which}"
-            )
         if (f1 == 0) != (f2 == 0):
             return Verdict(
                 INEQUIVALENT,
@@ -195,8 +188,6 @@ def compare(
             )
 
     p1, p2 = inv1.pointed, inv2.pointed
-    if not isinstance(p1, Fraction) or not isinstance(p2, Fraction):
-        return Verdict(UNKNOWN, reason="pointed class is not a rational value")
     if (p1 == 0) != (p2 == 0):
         return Verdict(
             INEQUIVALENT,
@@ -251,13 +242,9 @@ def verify_witness(inv1: InvariantData, inv2: InvariantData, witness) -> bool:
 
     position = {P: k for k, P in enumerate(inv1.representatives)}
     for X, f1, f2 in zip(inv1.simples, inv1.multipliers, inv2.multipliers):
-        if f1 is None or f2 is None:
-            return False
         if u[position[X.target]] * f1 != f2 * u[position[X.source]]:
             return False
 
     p1, p2 = inv1.pointed, inv2.pointed
-    if not isinstance(p1, Fraction) or not isinstance(p2, Fraction):
-        return False
     return u[0] * p1 == p2
 

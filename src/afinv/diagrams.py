@@ -250,6 +250,14 @@ class InvariantData(_Value):
         for name, desc, scale in zip(self.labels, self.objects, self.scales):
             if isinstance(desc, RankOneForm) != (scale is not None and scale > 0):
                 raise InvalidInputError(f"scale of {name} must be positive if rank-one, else null")
+        ends = dict(zip(self.representatives, self.objects))
+        for X, q in self.morphisms:
+            if (q is None) == all(isinstance(ends[P], RankOneForm) for P in (X.source, X.target)):
+                raise InvalidInputError(f"multiplier of {X} must be rational "
+                                        "if both ends are rank-one, else null")
+        if isinstance(self.pointed, Fraction) != isinstance(self.objects[0], RankOneForm):
+            raise InvalidInputError("pointed class must be rational if Q1 is rank-one, "
+                                    "else a vector")
 
     @cached_property
     def representatives(self) -> tuple[Subgroup, ...]:

@@ -271,10 +271,10 @@ class _LatticeIndex:
     table is filled on first use and then shared: ``sums[H, K]`` and
     ``meets[H, K]`` are lattice members, ``coset_maps[D]`` is one read-only
     ``coset_space`` map and ``characters[H]`` one tuple of characters per
-    subgroup, and ``simples[H, K]`` is the slot where ``afinv.bimodules``
-    keeps each pair's simples.  The public functions return these tuples and
-    maps themselves; neither takes item assignment, so no caller can change
-    the index.
+    subgroup; ``simples[H, K]`` and ``mackey[H, K, L]`` are the slots where
+    ``afinv.bimodules`` keeps each pair's simples and each triple's Mackey
+    table.  The public functions return these tuples and maps themselves;
+    neither takes item assignment, so no caller can change the index.
     """
 
     def __init__(self, group: FiniteAbelianGroup) -> None:
@@ -285,6 +285,7 @@ class _LatticeIndex:
         self.coset_maps: dict[Subgroup, Mapping[Element, Element]] = {}
         self.characters: dict[Subgroup, tuple[Character, ...]] = {}
         self.simples: dict[tuple[Subgroup, Subgroup], tuple] = {}
+        self.mackey: dict[tuple[Subgroup, Subgroup, Subgroup], tuple] = {}
 
     def member(self, H: Subgroup) -> Subgroup:
         """The member of the lattice equal to H."""

@@ -86,12 +86,6 @@ def mat_vec(A, x):
     return tuple(sum(a * xi for a, xi in zip(row, x)) for row in A)
 
 
-def vec_mat(v, A):
-    if len(v) != len(A):
-        raise InvalidInputError("shape mismatch in vector-matrix product")
-    return tuple(sum(v[i] * A[i][j] for i in range(len(v))) for j in range(len(A[0])))
-
-
 def mat_pow(A, n: int):
     size = len(A)
     result = tuple(tuple(int(i == j) for j in range(size)) for i in range(size))
@@ -325,7 +319,7 @@ def _try_rank_one(A: Matrix, rows) -> RankOneForm | None:
     if len(rows) != 1:
         return None
     (v,) = rows
-    w = vec_mat(v, A)
+    w = mat_mul((v,), A)[0]
     nz = next(i for i, x in enumerate(v) if x)
     lam = w[nz] // v[nz]
     if lam <= 0 or w != tuple(lam * x for x in v):
@@ -413,7 +407,7 @@ def _multiplier(descP: RankOneForm, descQ: RankOneForm, M: Matrix) -> Fraction:
     w = c·v_P and λ_Q = λ_P.  A nonzero w not proportional to v_P is a
     failed self-check and raises ``InternalConsistencyError``.
     """
-    w = vec_mat(descQ.left_vector, M)
+    w = mat_mul((descQ.left_vector,), M)[0]
     vP = descP.left_vector
     if all(x == 0 for x in w):
         return Fraction(0)

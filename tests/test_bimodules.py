@@ -15,7 +15,7 @@ from collections import Counter
 
 import pytest
 
-from afinv import bimodules
+from afinv import bimodules, diagrams
 from afinv.bimodules import (
     CompletenessWarning,
     SimpleBimodule,
@@ -31,7 +31,7 @@ from afinv.bimodules import (
     simples_of,
 )
 from afinv.errors import InternalConsistencyError, InvalidInputError
-from afinv.diagrams import DiagramEdge, EnrichedBratteliDiagram
+from afinv.diagrams import DiagramEdge, EnrichedBratteliDiagram, compute_invariant
 from afinv.groups import (
     Character,
     Subgroup,
@@ -574,7 +574,9 @@ def test_fuse_returns_the_enumerated_simples(factors):
 
 
 @pytest.mark.parametrize("drop", [0, -1])
-def test_fuse_with_a_missing_simple_is_an_internal_error(z4_simples, drop, monkeypatch):
+def test_fuse_with_a_missing_simple_is_an_internal_error(
+    fresh_lattice_index, z4_simples, drop, monkeypatch
+):
     real = bimodules.simple_bimodules
 
     def one_short(P, Q):
@@ -590,7 +592,9 @@ def test_fuse_with_a_missing_simple_is_an_internal_error(z4_simples, drop, monke
                 fuse(s1, s2)
 
 
-def test_a_fractional_triple_multiplicity_is_an_internal_error(z4_reps, monkeypatch):
+def test_a_fractional_triple_multiplicity_is_an_internal_error(
+    fresh_lattice_index, z4_reps, monkeypatch
+):
     # every meet read as all of Z/4: m = 2·2·2·4 / (4·4·2·4) for the triple Q2-Q2-Q2
     Q2, Q3 = z4_reps[1], z4_reps[2]
     S = identity_bimodule(Q2)
@@ -630,7 +634,9 @@ def test_a_simple_outside_the_index_is_labelled_by_its_values(z4, z4_reps):
         EnrichedBratteliDiagram(z4, ((Q1,),), ((DiagramEdge(0, 0, S),),), (1, 1, 1, 1))
 
 
-def test_a_mackey_key_reads_characters_only_at_generators_of_the_triple_meet(monkeypatch):
+def test_a_mackey_key_reads_characters_only_at_generators_of_the_triple_meet(
+    fresh_lattice_index, monkeypatch
+):
     # a character is fixed by its values on a generating set, so on Z/64 the triple G-G-G
     # reads each of its 64 simples at one generator, not at all 64 elements of G∩G∩G
     G = subgroups(make_group(64))[-1]
@@ -647,9 +653,33 @@ def test_a_mackey_key_reads_characters_only_at_generators_of_the_triple_meet(mon
     assert 0 < len(calls) <= bound == 64
 
 
-def test_a_mackey_key_read_on_too_few_generators_is_an_internal_error(monkeypatch):
+def test_a_mackey_key_read_on_too_few_generators_is_an_internal_error(
+    fresh_lattice_index, monkeypatch
+):
     # a key that misses a generator of H∩K∩L merges blocks, which the block count catches
     honest = Subgroup.minimal_generators
     monkeypatch.setattr(Subgroup, "minimal_generators", lambda H: honest(H)[:-1])
     with pytest.raises(InternalConsistencyError, match="dimension mismatch"):
         fusion_table(make_group([2, 2]))
+
+
+def test_each_subgroup_triple_builds_its_mackey_table_once(
+    fresh_lattice_index, z4_diagrams, monkeypatch
+):
+    # the lattice index keeps each triple's table, so the fuse calls of two invariants
+    # and their fusion checks build the 27 triples of Z/4 once each; the builder reads
+    # the generators of H∩K∩L once per table
+    honest = Subgroup.minimal_generators
+    builds = []
+
+    def counted(H):
+        builds.append(H)
+        return honest(H)
+
+    monkeypatch.setattr(Subgroup, "minimal_generators", counted)
+    monkeypatch.setattr(diagrams, "_fuse_cached",
+                        functools.lru_cache(maxsize=None)(diagrams._fuse_cached.__wrapped__))
+    for name in ("G", "H"):
+        compute_invariant(z4_diagrams[name])
+    G = z4_diagrams["G"].group
+    assert len(builds) == len(bimodules._lattice_index(G).mackey) == len(subgroups(G)) ** 3 == 27

@@ -1053,6 +1053,7 @@ def test_a_compiled_copy_prints_what_the_source_tree_prints(tmp_path, z4_diagram
         "z22.json": {"cyclic_factors": [2, 2]},
         "m.json": {"rows": [[2, 1], [1, 1]]},
         "f.json": diagram_to_json(z4_diagrams["F"]),
+        "e.json": diagram_to_json(z4_diagrams["E"]),
         "bool-weight.json": weighted,
         "digits.json": {"rows": [[c, c], [c, c]]},
         "empty.json": {"cyclic_factors": []},
@@ -1083,6 +1084,15 @@ def test_a_compiled_copy_prints_what_the_source_tree_prints(tmp_path, z4_diagram
         if argv == ["qsystems", "empty.json"]:
             assert want == ((b"", b"error: need at least one cyclic factor "
                                   b"(use [1] for the trivial group)\n"), 1)
+        # E's objects at Q2 and Q3 are not rank-one: a direct-sum form, null multipliers, the probe
+        if argv == ["invariant", "e.json", "--format", "json"]:
+            assert want[1] == 0
+            assert b'"variant": "direct-sum"' in want[0][0] and b'"multiplier": null' in want[0][0]
+        if argv == ["compare", "e.json", "f.json"]:
+            assert want == ((b"verdict: inequivalent\ncertificate: rank at Q2: 2 vs 1\n", b""), 3)
+        if argv[:3] == ["compare", "e.json", "e.json"]:
+            assert want[1] == 4 and all(f"{q}: bounded shift".encode() in want[0][0]
+                                        for q in ("Q2", "Q3"))
 
 
 @pytest.mark.parametrize(

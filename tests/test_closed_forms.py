@@ -31,6 +31,11 @@ V+P and character of V∩P, so |Γ_P| = [G : V+P]·|V∩P|.
 * So the translation action at V and the regular action are EQUIVALENT with
   witness u_P = |V∩P|: u_Q·q_V(X) = |V∩Q|·[Q : P∩Q]·|V∩P|/|V∩Q| =
   q_{0}(X)·u_P, and u_{0} = 1 carries the pointed class 1 to 1.
+* Every V–V simple n times, with any positive weights w.  The tail at P is n
+  times the translation action's, (n·|G|/|Γ_P|)·J, so v_P is still all ones
+  and the eigenvalue is n·|G| = n·|simples(V, V)|.  The morphism matrices do
+  not read the edges, so q(X) is the translation action's.  The pointed
+  class is the value of w at the trivial Q-system, (v·w)/Σv = Σw/len(w).
 """
 
 import random
@@ -38,11 +43,19 @@ from fractions import Fraction
 from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from afinv.bimodules import qsystems, simple_bimodules
 from afinv.compare import EQUIVALENT, compare
 from afinv.diagrams import EnrichedBratteliDiagram, compute_invariant
-from afinv.groups import Subgroup, lattice_member, make_group, subgroup_intersection
+from afinv.groups import (
+    Subgroup,
+    lattice_member,
+    make_group,
+    subgroup_intersection,
+    subgroups,
+)
 from afinv.k0 import RankOneForm
 from afinv.serialize import diagram_from_json
 
@@ -57,6 +70,8 @@ REGULAR_GROUPS = [
     [10], [11], [12], [2, 6], [13], [14], [15], [16], [2, 8], [4, 4], [2, 2, 4], [32],
 ]
 TRANSLATION_GROUPS = [[2], [3], [4], [2, 2], [5], [6], [8], [2, 4]]
+# every group type of order at most 12, for the drawn single-vertex diagrams
+SMALL_GROUPS = [factors for factors in REGULAR_GROUPS if make_group(factors).order <= 12]
 
 
 def closed_form(V: Subgroup):
@@ -138,3 +153,27 @@ def test_one_tampered_multiplier_or_eigenvalue_departs_from_the_closed_form():
     desc = inv.objects[3]
     objects = inv.objects[:3] + (replace(desc, eigenvalue=desc.eigenvalue + 1),) + inv.objects[4:]
     assert departures(replace(inv, objects=objects), V) == [inv.labels[3]]
+
+
+@st.composite
+def uniform_single_vertex_diagrams(draw):
+    """A vertex V, one drawn multiplicity n on every V–V simple, and positive weights."""
+    V = draw(st.sampled_from(subgroups(make_group(draw(st.sampled_from(SMALL_GROUPS))))))
+    n = draw(st.integers(1, 6))
+    size = V.group.order // V.order
+    weights = draw(st.lists(st.integers(1, 9), min_size=size, max_size=size))
+    d = EnrichedBratteliDiagram.homogeneous(V, dict.fromkeys(simple_bimodules(V, V), n), weights)
+    return V, n, weights, d
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(uniform_single_vertex_diagrams())
+def test_a_uniform_single_vertex_diagram_has_the_closed_form(drawn):
+    V, n, weights, d = drawn
+    inv = compute_invariant(d)
+    _, _, multiplier = closed_form(V)
+    eigenvalue = n * len(simple_bimodules(V, V))
+    assert all(isinstance(desc, RankOneForm) and desc.eigenvalue == eigenvalue
+               for desc in inv.objects)
+    assert inv.multipliers == tuple(multiplier(X.source, X.target) for X in inv.simples)
+    assert inv.pointed == Fraction(sum(weights), len(weights))

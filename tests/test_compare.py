@@ -209,18 +209,16 @@ def test_shift_equivalence_diagnostics(z4_invariants, monkeypatch):
     assert "Q2: bounded shift equivalence search too large" in verdict.reason
 
 
-def test_a_pointed_class_that_is_no_rational_is_unknown(z4_invariants):
-    vector = replace(z4_invariants["F"], pointed=(1, 1, 1, 1))
-    verdict = compare(vector, vector)
-    assert verdict.status == UNKNOWN
-    assert verdict.reason == "pointed class is not a rational value"
+def test_a_pointed_class_that_is_no_rational_is_refused(z4_invariants):
+    # Q1 of F is rank-one, so no invariant compare could read has a vector there
+    with pytest.raises(InvalidInputError, match="pointed class must be rational if Q1 is"):
+        replace(z4_invariants["F"], pointed=(1, 1, 1, 1))
 
 
-def test_missing_multiplier_is_unknown(z4_invariants):
-    bad = _with_multiplier(z4_invariants["G"], "M_{2-3}^triv", None)
-    verdict = compare(z4_invariants["F"], bad)
-    assert verdict.status == UNKNOWN
-    assert "M_{2-3}^triv" in verdict.reason
+def test_missing_multiplier_is_refused(z4_invariants):
+    # both ends of M_{2-3}^triv are rank-one in G, so its multiplier cannot be null
+    with pytest.raises(InvalidInputError, match=r"multiplier of M_\{2-3\}\^triv must be rational"):
+        _with_multiplier(z4_invariants["G"], "M_{2-3}^triv", None)
 
 
 def test_disconnected_naturality_graph_is_unknown(z4_invariants):

@@ -385,26 +385,33 @@ def test_fused_term_outside_the_basis_is_an_error(z4_diagrams, z4_reps, z4_simpl
 
 
 def test_invariant_checks_each_tail_intertwining_once(z4_diagrams, monkeypatch):
-    """Two products per simple bimodule, A_Q M and M A_P, outside object identification."""
+    """Two products per simple bimodule, A_Q M and M A_P, outside ``afinv.k0``'s own steps.
+
+    Object identification and the multiplier's v_Q·M are products of ``k0``
+    itself, so they are not counted.
+    """
     products = []
     inside_k0 = []
-    mat_mul, stationary_k0 = k0.mat_mul, k0.stationary_k0
+    mat_mul = k0.mat_mul
 
     def counting_mat_mul(A, B):
         if not inside_k0:
             products.append((A, B))
         return mat_mul(A, B)
 
-    def flagged_stationary_k0(sys):
-        inside_k0.append(sys)
-        try:
-            return stationary_k0(sys)
-        finally:
-            inside_k0.pop()
+    def flagged(step):
+        def run(*args):
+            inside_k0.append(step)
+            try:
+                return step(*args)
+            finally:
+                inside_k0.pop()
+        return run
 
     for module in (diagrams, k0):
         monkeypatch.setattr(module, "mat_mul", counting_mat_mul)
-    monkeypatch.setattr(diagrams, "stationary_k0", flagged_stationary_k0)
+    for name in ("stationary_k0", "_multiplier"):
+        monkeypatch.setattr(diagrams, name, flagged(getattr(diagrams, name)))
     for name, d in z4_diagrams.items():
         products.clear()
         inv = compute_invariant(d)

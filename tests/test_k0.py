@@ -28,7 +28,6 @@ from afinv.k0 import (
     stationary_k0,
     strip_primes,
     value_map,
-    vec_mat,
 )
 from afinv.serialize import diagram_from_json
 
@@ -689,7 +688,7 @@ def eventual_rank_mod(A, p) -> int:
     until one step keeps the dimension, and from there on they stay put."""
     basis = row_basis_mod(A, p)
     while True:
-        image = row_basis_mod([vec_mat(v, A) for v in basis], p)
+        image = row_basis_mod([mat_mul((v,), A)[0] for v in basis], p)
         if len(image) == len(basis):
             return len(basis)
         basis = image

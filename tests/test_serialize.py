@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -496,14 +497,29 @@ def test_scales_are_positive_exactly_on_rank_one_objects(z4_invariants, build, i
 
 
 def test_scales_multipliers_and_pointed_class_are_free_data(z4_invariants):
+    # free: a positive scale, any rational pointed class over a rank-one Q1, and
+    # any multiplier between rank-one objects; a null one only off them
     inv = z4_invariants["F"]
-    inv = _with(
-        inv,
-        scales=(inv.scales[0], Fraction(7, 3), *inv.scales[2:]),
-        multipliers=(None, *inv.multipliers[1:]),
-        pointed=Fraction(5),
-    )
-    assert (inv.scales[1], inv.morphisms[0][1], inv.pointed) == (Fraction(7, 3), None, 5)
+    inv = _with(inv, scales=(inv.scales[0], Fraction(7, 3), *inv.scales[2:]), pointed=Fraction(5))
+    assert (inv.scales[1], inv.pointed) == (Fraction(7, 3), 5)
+    identity = _identity_action_invariant()
+    rescaled = _with(identity, multipliers=(None,) * 18 + (Fraction(3),) * 4)
+    assert [q for _, q in rescaled.morphisms] == [None] * 18 + [3] * 4
+
+
+def test_a_multiplier_where_an_end_object_is_not_rank_one_is_refused(z4_invariants):
+    inv = z4_invariants["E"]
+    k = inv.multipliers.index(None)
+    multipliers = inv.multipliers[:k] + (Fraction(1),) + inv.multipliers[k + 1:]
+    message = f"multiplier of {inv.simples[k]} must be rational if both ends are rank-one"
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        _with(inv, multipliers=multipliers)
+
+
+def test_a_rational_pointed_class_is_refused_when_q1_is_not_rank_one():
+    with pytest.raises(InvalidInputError,
+                       match="pointed class must be rational if Q1 is rank-one, else a vector"):
+        _with(_identity_action_invariant(), pointed=Fraction(1))
 
 
 # -------------------------------------------------------------------- verdicts

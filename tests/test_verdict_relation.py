@@ -10,12 +10,20 @@ target; ``tests/test_compare.py`` reaches the backward step.
 
 The inputs are the README diagrams F, G, H and E and every diagram of the
 seed-1 ``cli-cold`` and ``sweep-warm`` documents of ``bench/gen.py``, compared
-pair by pair within each group.
+pair by pair within each group.  A renormalization of the value maps, drawn
+by hypothesis and applied through ``test_compare.rescaled_invariant``,
+presents the same invariant, so it keeps the relation, and the factors
+themselves are its witness whenever the original compares EQUIVALENT to
+itself.
 """
 
 import inspect
 import itertools
+from fractions import Fraction
 from functools import cache
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from afinv import compare as compare_module
 from afinv.compare import EQUIVALENT, INEQUIVALENT, UNKNOWN, compare, verify_witness
@@ -23,6 +31,7 @@ from afinv.diagrams import compute_invariant
 from afinv.serialize import diagram_from_json
 
 from gen_loader import load_gen
+from test_compare import rescaled_invariant
 
 # the certificates whose two sides are the two invariants' own values, in order
 SWAPPED_KINDS = ("rank", "prime-set", "pointed-obstruction")
@@ -117,3 +126,31 @@ def compare_dropping_a_reciprocal():
 def test_a_compare_that_drops_one_reciprocal_breaks_the_relation(z4_invariants):
     faults = relation_faults(pools_with_readme(z4_invariants), compare_dropping_a_reciprocal())
     assert any("swapped" in fault for fault in faults)
+
+
+@st.composite
+def renormalized_pools(draw):
+    """One group's pool: a few of its bench invariants, each beside a drawn renormalization."""
+    pools = bench_invariants()
+    invs = pools[draw(st.sampled_from(list(pools)))]
+    factor = st.fractions(min_value=Fraction(1, 30), max_value=30, max_denominator=30)
+    pool, renormalized = {}, []
+    for k, name in enumerate(draw(st.lists(st.sampled_from(list(invs)), min_size=1, max_size=3))):
+        inv = invs[name]
+        factors = {label: draw(factor) for label in inv.labels}
+        scaled = rescaled_invariant(inv, factors)
+        pool[f"{k} {name}"], pool[f"{k} {name} renormalized"] = inv, scaled
+        renormalized.append((inv, scaled, factors))
+    return {inv.group: pool}, renormalized
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(renormalized_pools())
+def test_renormalized_invariants_keep_the_relation(drawn):
+    pools, renormalized = drawn
+    assert relation_faults(pools) == []
+    for inv, scaled, factors in renormalized:
+        if compare(inv, inv).status == EQUIVALENT:
+            verdict = compare(inv, scaled)
+            assert verdict.status == EQUIVALENT
+            assert verdict.witness_map() == factors
