@@ -235,18 +235,24 @@ def fusion_table(G: FiniteAbelianGroup) -> dict[tuple[int, int], tuple[tuple[int
     """Every composition of two simples, as ((index, multiplicity), ...) per (i, j).
 
     Indices are positions in ``simples_of(G)``, and the keys are the composable
-    pairs in ascending order.  Quadratic in the simple count.
+    pairs in ascending order, the order they are built in: P, Q, each s1 of
+    (P, Q), R, each s2 of (Q, R).  Quadratic in the simple count.
     """
     by_pair = simples_by_pair(G)
     index = {s: i for i, s in enumerate(simples_of(G))}
+    reps = subgroups(G)
     products = {}
-    for P, Q, R in itertools.product(subgroups(G), repeat=3):
-        mult, key, blocks = _mackey_blocks(P, Q, R)
-        entries = {k: tuple((index[Z], mult) for Z in b) for k, b in blocks.items()}
+    for P, Q in itertools.product(reps, repeat=2):
+        row = []  # per R: the key rule, one entry per block, and the simples of (Q, R)
+        for R in reps:
+            mult, key, blocks = _mackey_blocks(P, Q, R)
+            entries = {k: tuple((index[Z], mult) for Z in b) for k, b in blocks.items()}
+            row.append((key, entries, by_pair[Q, R]))
         for s1 in by_pair[P, Q]:
-            for s2 in by_pair[Q, R]:
-                products[index[s1], index[s2]] = entries[key(s1, s2)]
-    return dict(sorted(products.items()))
+            for key, entries, rights in row:
+                for s2 in rights:
+                    products[index[s1], index[s2]] = entries[key(s1, s2)]
+    return products
 
 
 def _check_fusion_consistency(G: FiniteAbelianGroup, morphisms) -> None:

@@ -10,7 +10,8 @@ localization r*Z[1/S] of the rationals via the normative value map
 where v is the primitive nonnegative left eigenvector.  Morphism matrices
 that intertwine two identified systems act as multiplication by a single
 rational, the multiplier.  The eventual row space is found by integer
-elimination on A alone, never on a power of A; values are exact Fractions.
+elimination on the block of each connected component of A, once per block
+and never on a power of A; values are exact Fractions.
 """
 
 from __future__ import annotations
@@ -308,17 +309,14 @@ def prime_set_text(primes) -> str:
     return "{" + ",".join(map(str, sorted(primes))) + "}"
 
 
-def _try_rank_one(A: Matrix, rows) -> RankOneForm | None:
-    """The rank-one form of A, given the echelon rows of its eventual row space.
+def _try_rank_one(A: Matrix, v: tuple[int, ...]) -> RankOneForm:
+    """The rank-one form of A, given the one echelon row v of its eventual row space.
 
-    None unless that space is one row v.  Q*v holds a nonnegative row of a
-    power of A, so v, whose pivot is positive, is nonnegative and primitive;
-    as the space W has W*A = W, vA = lambda*v for a positive integer lambda.
-    A v that fails this is a failed self-check: InternalConsistencyError.
+    Q*v holds a nonnegative row of a power of A, so v, whose pivot is positive,
+    is nonnegative and primitive; as the space W has W*A = W, vA = lambda*v for
+    a positive integer lambda.  A v that fails this is a failed self-check:
+    InternalConsistencyError.
     """
-    if len(rows) != 1:
-        return None
-    (v,) = rows
     w = mat_mul((v,), A)[0]
     nz = next(i for i, x in enumerate(v) if x)
     lam = w[nz] // v[nz]
@@ -351,26 +349,26 @@ def _components(A: Matrix) -> list[list[int]]:
 def stationary_k0(sys: StationarySystem) -> K0Description:
     """Identify the limit group of a stationary system, degrading gracefully.
 
-    A rank-one form is read off the eventual row space of A, a direct sum off
-    those of the component blocks; otherwise the rank is the dimension of A's.
+    Each component of A is eliminated once, on its own block; the eventual row
+    space of A is the direct sum of the blocks' spaces.  One row in all gives
+    the rank-one form of A, one row in each of several components a direct sum
+    of the blocks' rank-one forms; otherwise the rank is the number of rows.
     """
     A = sys.matrix
-    rows = _eventual_rows(A)
-    form = _try_rank_one(A, rows)
-    if form is not None:
-        return form
     comps = _components(A)
-    if len(comps) > 1:
-        blocks = []
-        for comp in comps:
-            block = tuple(tuple(A[i][j] for j in comp) for i in comp)
-            form = _try_rank_one(block, _eventual_rows(block))
-            if form is None:
-                break
-            blocks.append(form)
-        else:
-            return DirectSumForm(A, tuple(blocks), tuple(tuple(c) for c in comps))
-    return OpaquePresentation(A, len(rows))
+    blocks = [A] if len(comps) == 1 else [
+        tuple(tuple(A[i][j] for j in comp) for i in comp) for comp in comps
+    ]
+    rows = [_eventual_rows(block) for block in blocks]
+    rank = sum(map(len, rows))
+    if rank == 1:
+        comp, (r,) = next((comp, rs) for comp, rs in zip(comps, rows) if rs)
+        at = dict(zip(comp, r))
+        return _try_rank_one(A, tuple(at.get(i, 0) for i in range(len(A))))
+    if all(len(rs) == 1 for rs in rows):
+        forms = tuple(_try_rank_one(block, r) for block, (r,) in zip(blocks, rows))
+        return DirectSumForm(A, forms, tuple(map(tuple, comps)))
+    return OpaquePresentation(A, rank)
 
 
 def value_map(desc: RankOneForm, n: int, x) -> Fraction:

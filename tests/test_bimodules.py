@@ -561,6 +561,14 @@ def test_simple_bimodule_finds_the_least_coset_member():
         (chi,) = dual_characters(trivial)
         with pytest.raises(InvalidInputError, match=re.escape(repr(x))):
             simple_bimodule(trivial, trivial, x, chi)
+    # a character of a subgroup other than H∩K names no simple
+    H = Subgroup.generated(G, [(0, 2)])
+    chi = dual_characters(H)[1]
+    with pytest.raises(InvalidInputError, match=r"no simple Q\(.*\) bimodule has coset rep"):
+        simple_bimodule(subgroups(G)[0], subgroups(G)[0], (0, 0), chi)
+    # simples of two subgroups of different groups
+    with pytest.raises(InvalidInputError, match="Q-systems live over different groups"):
+        simple_bimodules(subgroups(G)[0], subgroups(make_group(4))[0])
 
 
 @pytest.mark.parametrize("factors", [[4], [2, 4], [2, 2]], ids=str)

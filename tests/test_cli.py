@@ -352,6 +352,15 @@ def test_a_negative_probe_bound_is_a_usage_error(option, flags, files, capsys):
     assert code == 4 and "verdict: unknown" in out and "witness at lag" not in out
 
 
+def test_a_probe_bound_that_is_no_integer_is_a_usage_error(files, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", files["E"], files["E"], "--se-lag", "abc"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (1, "")
+    assert err.startswith("usage: afinv compare")
+    assert err.endswith("afinv compare: error: argument --se-lag: invalid int value: 'abc'\n")
+
+
 @pytest.mark.parametrize(
     "second, message",
     [
@@ -1057,6 +1066,8 @@ def test_a_compiled_copy_prints_what_the_source_tree_prints(tmp_path, z4_diagram
         "bool-weight.json": weighted,
         "digits.json": {"rows": [[c, c], [c, c]]},
         "empty.json": {"cyclic_factors": []},
+        "ds.json": {"rows": [[2, 0, 0], [0, 1, 1], [0, 1, 1]]},
+        "nil.json": {"rows": [[1, 1, 0], [1, 1, 0], [0, 0, 0]]},
     }
     assert {a for argv in requests for a in argv if a.endswith(".json")} <= set(inputs)
     work = tmp_path / "work"
@@ -1081,6 +1092,13 @@ def test_a_compiled_copy_prints_what_the_source_tree_prints(tmp_path, z4_diagram
                 start(child_env(), "-m", "afinv.cli", *argv))
         got, want = ((p.communicate(timeout=60), p.returncode) for p in both)
         assert got == want, argv
+        # a component per block: a direct sum of two, and a rank-one block beside a zero vertex
+        if argv == ["k0", "--matrix", "ds.json", "--format", "json"]:
+            form = json.loads(want[0][0])
+            assert want[1] == 0 and form["variant"] == "direct-sum"
+            assert form["partition"] == [[0], [1, 2]]
+        if argv == ["k0", "--matrix", "nil.json"]:
+            assert want == ((b"matrix: rank 1, image 1 * Z[1/{2}] (eigenvalue 2)\n", b""), 0)
         if argv == ["qsystems", "empty.json"]:
             assert want == ((b"", b"error: need at least one cyclic factor "
                                   b"(use [1] for the trivial group)\n"), 1)

@@ -188,6 +188,15 @@ def test_pointed_obstruction(z4_invariants):
     assert "degenerate" in both.reason
 
 
+def test_pointed_classes_of_opposite_sign_are_an_obstruction(z4_invariants):
+    F = z4_invariants["F"]
+    verdict = compare(F, replace(F, pointed=-F.pointed))
+    assert verdict.status == INEQUIVALENT
+    cert = verdict.certificate
+    assert (cert.kind, cert.at) == ("pointed-obstruction", "Q1")
+    assert (cert.left, cert.right) == (str(F.pointed), str(-F.pointed))
+
+
 # -------------------------------------------------------------------- unknowns
 
 
@@ -270,6 +279,18 @@ def test_verify_witness_accepts_and_rejects(z4_invariants):
     # a 3 on the unit breaks the 2-unit requirement even though 3 > 0
     assert not verify_witness(F, F, {"Q1": 3, "Q2": 3, "Q3": 3})
     assert not verify_witness(E, E, {"Q1": 1, "Q2": 1, "Q3": 1})
+
+
+def test_verify_witness_refuses_objects_of_different_prime_sets(z4_reps, z4_invariants):
+    # every multiplicity tripled: the eigenvalue 12 has the prime set {2, 3}, F's 4 has {2}
+    Q1 = z4_reps[0]
+    tripled = compute_invariant(EnrichedBratteliDiagram.homogeneous(
+        Q1, {b: 3 for b in simple_bimodules(Q1, Q1)}
+    ))
+    F = z4_invariants["F"]
+    assert (F.objects[0].prime_set, tripled.objects[0].prime_set) == ({2}, {2, 3})
+    assert not verify_witness(F, tripled, {"Q1": 1, "Q2": 1, "Q3": 1})
+    assert compare(F, tripled).certificate.kind == "prime-set"
 
 
 def test_a_witness_that_fails_its_replay_is_an_internal_error(z4_invariants, monkeypatch):

@@ -357,6 +357,10 @@ def test_sum_and_intersection():
     assert S.order == 4 and I.order == 1
     assert all(S.contains(x) for x in A.elements)
     assert I.elements == (G.zero(),)
+    other = subgroups(make_group(4))[1]
+    for op in (subgroup_sum, subgroup_intersection):
+        with pytest.raises(InvalidInputError, match="subgroups live in different groups"):
+            op(A, other)
 
 
 def pairwise_closure(G, generators):
@@ -464,6 +468,8 @@ def test_make_group_rejects_bad_factors():
         make_group([-3])
     with pytest.raises(InvalidInputError):
         make_group([])
+    with pytest.raises(InvalidInputError, match=r"must be positive integers, got 2\.5"):
+        make_group(2.5)
 
 
 def test_a_group_needs_a_cyclic_factor():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 import random
 import time
-from math import gcd
+from math import gcd, isqrt
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -292,6 +292,56 @@ def test_every_form_matches_the_a_power_b_reference(monkeypatch):
     assert most_products >= 4  # some matrices need several steps to settle
 
 
+def test_each_component_is_eliminated_once_on_its_own_block(monkeypatch):
+    calls = []
+    original = k0_module._eventual_rows
+
+    def counted(M):
+        calls.append(M)
+        return original(M)
+
+    monkeypatch.setattr(k0_module, "_eventual_rows", counted)
+    # three rank-one blocks on the vertices {0, 3}, {1, 4} and {2}
+    A = ((1, 0, 0, 1, 0), (0, 2, 0, 0, 2), (0, 0, 3, 0, 0), (1, 0, 0, 1, 0), (0, 2, 0, 0, 2))
+    assert isinstance(k0(A), DirectSumForm)
+    comps = ((0, 3), (1, 4), (2,))
+    assert calls == [tuple(tuple(A[i][j] for j in c) for i in c) for c in comps]
+    # one component: its block is A itself, not a copy
+    calls.clear()
+    system = StationarySystem(((1, 1), (1, 0)))
+    stationary_k0(system)
+    assert len(calls) == 1 and calls[0] is system.matrix
+
+
+def test_a_rank_one_block_beside_a_nilpotent_one_is_the_rank_one_form_of_a():
+    # the rank-one block [[1, 1], [2, 2]] on {0, 2}, the nilpotent [[0, 1], [0, 0]] on {1, 3}
+    A = ((1, 0, 1, 0), (0, 0, 0, 1), (2, 0, 2, 0), (0, 0, 0, 0))
+    desc = k0(A)
+    assert summary(desc) == two_power_summary(A)
+    assert isinstance(desc, RankOneForm) and desc.matrix == A
+    assert (desc.eigenvalue, desc.left_vector, desc.prime_set) == (3, (1, 0, 1, 0), {3})
+
+
+def test_blocks_with_one_one_and_no_rows_are_an_opaque_limit_of_rank_two():
+    # rank-one blocks on {0, 3} and {1}, the nilpotent [[0, 1], [0, 0]] on {2, 4}
+    A = ((1, 0, 0, 1, 0), (0, 2, 0, 0, 0), (0, 0, 0, 0, 1), (1, 0, 0, 1, 0), (0, 0, 0, 0, 0))
+    desc = k0(A)
+    assert summary(desc) == two_power_summary(A)
+    assert isinstance(desc, OpaquePresentation) and desc.rank == 2
+
+
+def test_two_rank_one_blocks_are_a_direct_sum_in_ascending_component_order():
+    # [[2, 2], [2, 2]] on {0, 2} and [[1, 2], [1, 2]] on {1, 3}
+    A = ((2, 0, 2, 0), (0, 1, 0, 2), (2, 0, 2, 0), (0, 1, 0, 2))
+    desc = k0(A)
+    assert summary(desc) == two_power_summary(A)
+    assert isinstance(desc, DirectSumForm) and desc.partition == ((0, 2), (1, 3))
+    assert [(b.eigenvalue, b.left_vector, b.prime_set) for b in desc.blocks] == [
+        (4, (1, 1), {2}), (3, (1, 2), {3})
+    ]
+    assert [b.matrix for b in desc.blocks] == [((2, 2), (2, 2)), ((1, 2), (1, 2))]
+
+
 def triple_sum_product(A, B):
     """Reference product: entry (i, j) is the sum over k of A[i][k] * B[k][j]."""
     return tuple(
@@ -350,13 +400,24 @@ def test_sixty_four_vertex_opaque_tail_is_identified_within_seconds():
 
 
 @pytest.mark.parametrize(
-    "matrix",
-    [((1.5, 0.7), (2, "3")), ((True, 1), (1, 1))],
-    ids=["float-and-string-entries", "bool-entry"],
+    "matrix, message",
+    [
+        (((1.5, 0.7), (2, "3")), "matrix entries must be integers"),
+        (((True, 1), (1, 1)), "matrix entries must be integers"),
+        (((1, 2), (3,)), "ragged matrix"),
+    ],
+    ids=["float-and-string-entries", "bool-entry", "ragged"],
 )
-def test_stationary_system_refuses_what_it_would_have_to_convert(matrix):
-    with pytest.raises(InvalidInputError):
+def test_stationary_system_refuses_what_it_would_have_to_convert(matrix, message):
+    with pytest.raises(InvalidInputError, match=message):
         StationarySystem(matrix)
+
+
+def test_products_refuse_mismatched_shapes():
+    with pytest.raises(InvalidInputError, match="shape mismatch: 2 columns vs 3 rows"):
+        mat_mul(((1, 2),), ((1,), (2,), (3,)))
+    with pytest.raises(InvalidInputError, match="shape mismatch in matrix-vector product"):
+        mat_vec(((1, 2),), (1, 2, 3))
 
 
 def test_stationary_system_validation():
@@ -604,6 +665,16 @@ def test_prime_factors_split_powers_of_primes_above_the_trial_bound():
     assert k0_module._prime_factors(100003**5) == {100003}
     assert k0_module._prime_factors(12 * 65537**3 * 100003**4) == {2, 3, 65537, 100003}
     assert k0_module._prime_factors(4 * (2**61 - 1) * (2**31 - 1)) == {2, 2**31 - 1, 2**61 - 1}
+
+
+def test_prime_factors_square_through_miller_rabin_for_a_prime_one_mod_eight():
+    # p - 1 = d * 2**s with s = 4, so a base that starts at neither 1 nor p - 1
+    # reaches p - 1 only by squaring; the primes above 2**32 of the other tests
+    # are 3 mod 4 (s = 1) and never square
+    p = 4294967377
+    assert p % 8 == 1 and p > k0_module._TRIAL_BOUND**2
+    assert all(p % d for d in range(2, isqrt(p) + 1))
+    assert k0_module._prime_factors(6 * p) == {2, 3, p}
 
 
 def test_prime_factors_refuse_what_they_cannot_prove_within_budget(monkeypatch):
