@@ -9,12 +9,14 @@ positive rationals u_Q, one per representative Q-system, such that
   u_Q * f1(X) == f2(X) * u_P, and
 * the unit component maps the distinguished class: u_unit * p1 == p2.
 
-When every object is rank-one identified, naturality pins the family up to
-one global scalar and pointedness pins that scalar, so the search is exact:
-either a witness exists (returned, and replayed through verify_witness) or a
-specific violated constraint is returned as a certificate.  Objects that
-resist rank-one identification make the outcome UNKNOWN, optionally with
-bounded shift-equivalence diagnostics.
+When every object is rank-one identified, every multiplier is positive
+(``InvariantData`` refuses any other), so the family is read off the unit's
+simples: the first simple from the unit into Q fixes u_Q / u_unit.  Pointedness
+pins the remaining scalar, so the decision is exact: either a witness exists
+(returned, and replayed through verify_witness) or a specific violated
+constraint is returned as a certificate.  Objects that resist rank-one
+identification, or a pointed class of 0 on both sides, make the outcome
+UNKNOWN, the former optionally with bounded shift-equivalence diagnostics.
 """
 
 from __future__ import annotations
@@ -140,50 +142,23 @@ def compare(
             reason += "; " + "; ".join(notes)
         return Verdict(UNKNOWN, reason=reason)
 
-    # Every object is rank-one: solve the naturality system exactly.
-    position = {P: k for k, P in enumerate(inv1.representatives)}
-    pending: list[tuple[int, int, object, Fraction, Fraction]] = []
+    # Every object is rank-one, so every multiplier is positive: the first simple
+    # from the unit into Q gives Q's ratio c, and naturality is checked at every
+    # simple.  The unit's simples come first in simples_of, so every ratio is set
+    # before a simple out of another object reads it.
+    unit = inv1.representatives[0]
+    c = {unit: Fraction(1)}
     for X, f1, f2 in zip(inv1.simples, inv1.multipliers, inv2.multipliers):
-        if (f1 == 0) != (f2 == 0):
-            return Verdict(
-                INEQUIVALENT,
-                certificate=Certificate(
-                    "constraint-inconsistency", bimodule_label(X), str(f1), str(f2)
-                ),
-            )
-        pending.append((position[X.source], position[X.target], X, f1, f2))
-
-    # Spanning-tree propagation of the ratios c, anchored at the unit object.
-    c: list[Fraction | None] = [None] * len(labels)
-    c[0] = Fraction(1)
-    frontier = [0]
-    while frontier:
-        k = frontier.pop()
-        for i, j, X, f1, f2 in pending:
-            if f1 == 0:
-                continue
-            if i == k and c[j] is None:
-                c[j] = c[k] * f2 / f1
-                frontier.append(j)
-            elif j == k and c[i] is None:
-                c[i] = c[k] * f1 / f2
-                frontier.append(i)
-    if any(ci is None for ci in c):
-        missing = [labels[k] for k, ci in enumerate(c) if ci is None]
-        return Verdict(
-            UNKNOWN,
-            reason="naturality constraints do not reach: " + ", ".join(missing),
-        )
-
-    for i, j, X, f1, f2 in pending:
-        if c[j] * f1 != f2 * c[i]:
+        if X.source == unit:
+            c.setdefault(X.target, f2 / f1)
+        if c[X.target] * f1 != f2 * c[X.source]:
             return Verdict(
                 INEQUIVALENT,
                 certificate=Certificate(
                     "constraint-inconsistency",
                     bimodule_label(X),
-                    str(c[j] * f1),
-                    str(f2 * c[i]),
+                    str(c[X.target] * f1),
+                    str(f2 * c[X.source]),
                 ),
             )
 
@@ -196,13 +171,8 @@ def compare(
     if p1 == 0:
         return Verdict(UNKNOWN, reason="degenerate pointed class on both sides")
     t = p2 / p1
-    if t <= 0:
-        return Verdict(
-            INEQUIVALENT,
-            certificate=Certificate("pointed-obstruction", labels[0], str(p1), str(p2)),
-        )
 
-    witness = tuple((labels[k], t * c[k]) for k in range(len(labels)))
+    witness = tuple((label, t * c[P]) for label, P in zip(labels, inv1.representatives))
     for k, (label, u) in enumerate(witness):
         ratio = u * inv1.scales[k] / inv2.scales[k]
         S = inv1.objects[k].prime_set

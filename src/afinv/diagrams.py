@@ -224,6 +224,11 @@ def morphism_matrices(d: EnrichedBratteliDiagram, X: SimpleBimodule):
     ]
 
 
+def _positive_or_null(value, rank_one: bool) -> bool:
+    """The rule of a scale or a multiplier: a positive rational where rank-one, else null."""
+    return (isinstance(value, Fraction) and value > 0) if rank_one else value is None
+
+
 class InvariantData(_Value):
     """The computed pointed invariant of a diagram, restricted to representatives.
 
@@ -247,17 +252,20 @@ class InvariantData(_Value):
         ):
             if len(values) != count:
                 raise InvalidInputError(f"{field} must list each of the {count} {what} once")
-        for name, desc, scale in zip(self.labels, self.objects, self.scales):
-            if isinstance(desc, RankOneForm) != (scale is not None and scale > 0):
+        rank_one = [isinstance(desc, RankOneForm) for desc in self.objects]
+        for name, r, scale in zip(self.labels, rank_one, self.scales):
+            if not _positive_or_null(scale, r):
                 raise InvalidInputError(f"scale of {name} must be positive if rank-one, else null")
-        ends = dict(zip(self.representatives, self.objects))
+        ends = dict(zip(self.representatives, rank_one))
         for X, q in self.morphisms:
-            if (q is None) == all(isinstance(ends[P], RankOneForm) for P in (X.source, X.target)):
-                raise InvalidInputError(f"multiplier of {X} must be rational "
+            if not _positive_or_null(q, ends[X.source] and ends[X.target]):
+                raise InvalidInputError(f"multiplier of {X} must be positive "
                                         "if both ends are rank-one, else null")
-        if isinstance(self.pointed, Fraction) != isinstance(self.objects[0], RankOneForm):
+        if isinstance(self.pointed, Fraction) != rank_one[0]:
             raise InvalidInputError("pointed class must be rational if Q1 is rank-one, "
                                     "else a vector")
+        if isinstance(self.pointed, Fraction) and self.pointed < 0:
+            raise InvalidInputError("pointed class must not be negative")
 
     @cached_property
     def representatives(self) -> tuple[Subgroup, ...]:

@@ -150,32 +150,38 @@ def test_odd_weight_fails_the_unit_check(z4_reps, z4_invariants):
     assert verdict.certificate.left == "3/2"
 
 
-def test_tampered_multiplier_is_certified(z4_invariants):
-    bad = _with_multiplier(z4_invariants["G"], "M_{1-2,0}", Fraction(3))
+@pytest.mark.parametrize(
+    "tampered, left, right",
+    [("M_{1-2,0}", "3", "1"), ("M_{1-2,1}", "1", "3")],
+    ids=["first-simple-into-Q2", "second-simple-into-Q2"],
+)
+def test_tampered_multiplier_is_certified(z4_invariants, tampered, left, right):
+    # G's multiplier is 1 at both simples from Q1 into Q2, and F's is 2.  Q2's
+    # ratio is read off M_{1-2,0}, the first of them, so the fault shows at
+    # M_{1-2,1} whichever of the two is tripled.
+    bad = _with_multiplier(z4_invariants["G"], tampered, Fraction(3))
     verdict = compare(z4_invariants["F"], bad)
     assert verdict.status == INEQUIVALENT
-    assert verdict.certificate.kind == "constraint-inconsistency"
+    cert = verdict.certificate
+    assert (cert.kind, cert.at) == ("constraint-inconsistency", "M_{1-2,1}")
+    assert (cert.left, cert.right) == (left, right)
 
 
 def test_zero_nonzero_multiplier_mismatch(z4_invariants):
-    bad = _with_multiplier(z4_invariants["G"], "M_{1-1,1}", Fraction(0))
-    verdict = compare(z4_invariants["F"], bad)
-    assert verdict.status == INEQUIVALENT
-    assert verdict.certificate.kind == "constraint-inconsistency"
-    assert verdict.certificate.at == "M_{1-1,1}"
+    # both ends of M_{1-1,1} are rank-one, so its multiplier must be positive
+    with pytest.raises(InvalidInputError, match=r"multiplier of M_\{1-1,1\} must be positive"):
+        _with_multiplier(z4_invariants["G"], "M_{1-1,1}", Fraction(0))
 
 
-def test_propagation_reaches_objects_through_simples_into_the_unit(z4_invariants):
-    # every simple out of Q1 into Q2 or Q3 is zero, so Q2 and Q3 are reached
-    # only backwards, through the simples from them into Q1
+def test_zero_multipliers_out_of_the_unit_are_refused(z4_invariants):
+    # every simple out of Q1 into Q2 or Q3 zeroed: no action's invariant has
+    # a zero multiplier between rank-one objects
     inv = z4_invariants["F"]
     Q1 = inv.representatives[0]
-    one_way = replace(inv, multipliers=tuple(
-        Fraction(0) if X.source == Q1 != X.target else q for X, q in inv.morphisms
-    ))
-    verdict = compare(one_way, one_way)
-    assert verdict.status == EQUIVALENT
-    assert verdict.witness_map() == {"Q1": 1, "Q2": 1, "Q3": 1}
+    with pytest.raises(InvalidInputError, match=r"multiplier of M_\{1-2,0\} must be positive"):
+        replace(inv, multipliers=tuple(
+            Fraction(0) if X.source == Q1 != X.target else q for X, q in inv.morphisms
+        ))
 
 
 def test_pointed_obstruction(z4_invariants):
@@ -188,13 +194,10 @@ def test_pointed_obstruction(z4_invariants):
     assert "degenerate" in both.reason
 
 
-def test_pointed_classes_of_opposite_sign_are_an_obstruction(z4_invariants):
+def test_a_negative_pointed_class_is_refused(z4_invariants):
     F = z4_invariants["F"]
-    verdict = compare(F, replace(F, pointed=-F.pointed))
-    assert verdict.status == INEQUIVALENT
-    cert = verdict.certificate
-    assert (cert.kind, cert.at) == ("pointed-obstruction", "Q1")
-    assert (cert.left, cert.right) == (str(F.pointed), str(-F.pointed))
+    with pytest.raises(InvalidInputError, match="pointed class must not be negative"):
+        replace(F, pointed=-F.pointed)
 
 
 # -------------------------------------------------------------------- unknowns
@@ -226,19 +229,18 @@ def test_a_pointed_class_that_is_no_rational_is_refused(z4_invariants):
 
 def test_missing_multiplier_is_refused(z4_invariants):
     # both ends of M_{2-3}^triv are rank-one in G, so its multiplier cannot be null
-    with pytest.raises(InvalidInputError, match=r"multiplier of M_\{2-3\}\^triv must be rational"):
+    with pytest.raises(InvalidInputError, match=r"multiplier of M_\{2-3\}\^triv must be positive"):
         _with_multiplier(z4_invariants["G"], "M_{2-3}^triv", None)
 
 
-def test_disconnected_naturality_graph_is_unknown(z4_invariants):
+def test_disconnected_naturality_graph_is_refused(z4_invariants):
+    # every simple between two distinct Q-systems zeroed
     inv = z4_invariants["F"]
     crossless = tuple(
         Fraction(0) if X.source != X.target else q for X, q in inv.morphisms
     )
-    silent = replace(inv, multipliers=crossless)
-    verdict = compare(silent, silent)
-    assert verdict.status == UNKNOWN
-    assert "Q2" in verdict.reason and "Q3" in verdict.reason
+    with pytest.raises(InvalidInputError, match="must be positive if both ends are rank-one"):
+        replace(inv, multipliers=crossless)
 
 
 # --------------------------------------------------------------- preconditions

@@ -13,11 +13,13 @@ from afinv.bimodules import (
     CompletenessWarning,
     _check_fusion_consistency,
     bimodule_label,
+    dual,
     fuse,
     fusion_table,
     identity_bimodule,
     qsystems,
     simple_bimodules,
+    simples_of,
 )
 from afinv.diagrams import (
     DiagramEdge,
@@ -36,6 +38,7 @@ from afinv.k0 import (
     strip_primes,
     value_map,
 )
+from test_verdict_relation import pools_with_readme
 from values import replace
 
 FAMILY_ORDER = ("1-1", "1-2", "1-3", "2-1", "2-2", "2-3", "3-1", "3-2", "3-3")
@@ -467,6 +470,71 @@ def test_equal_vertices_share_their_hom_basis_simples(z4, z4_reps, z4_simples):
     assert compute_invariant(d) == compute_invariant(
         EnrichedBratteliDiagram(z4, ((Q2, Q2),), d.edges, d.generator_weights)
     )
+
+
+# ---------------------------------- reciprocity and positivity of invariants
+
+
+def seeded_diagrams(count):
+    """``random_diagram`` at seeds 0..count-1, over Z/3, Z/4, Z/6, Z/8 and Z/2×Z/2 in turn."""
+    return [random_diagram(random.Random(seed), [[3], [4], [6], [8], [2, 2]][seed % 5])
+            for seed in range(count)]
+
+
+def reciprocity_faults(diagrams, dual=dual) -> list[str]:
+    """Each simple X whose morphism matrices are not the transposes of ``dual(X)``'s."""
+    faults = []
+    for d in diagrams:
+        for X in simples_of(d.group):
+            transposed = [tuple(zip(*M)) for M in morphism_matrices(d, X)]
+            if morphism_matrices(d, dual(X)) != transposed:
+                faults.append(f"{d.group}: {bimodule_label(X)}")
+    return faults
+
+
+def test_morphism_matrices_of_a_dual_are_the_transposes(z4_diagrams, two_level_diagram):
+    # Frobenius reciprocity, level by level: y in x ⊗ X as often as x in y ⊗ X*
+    diagrams = [*z4_diagrams.values(), two_level_diagram, *seeded_diagrams(10)]
+    assert reciprocity_faults(diagrams) == []
+    # pairing X with itself instead of its dual breaks it
+    assert reciprocity_faults(diagrams, dual=lambda X: X) != []
+
+
+def positivity_faults(inv) -> list[str]:
+    """Each place where ``inv`` breaks a fact that every computed invariant has.
+
+    A multiplier between rank-one objects is positive, 1 at an identity
+    simple, and at least 1 times its dual's; a rank-one pointed class is not
+    negative; and rank-one objects share one eigenvalue, since a nonzero
+    multiplier forces equal eigenvalues.
+    """
+    faults = []
+    q = dict(inv.morphisms)
+    for X, f in inv.morphisms:
+        if f is None:
+            continue
+        label = bimodule_label(X)
+        if f <= 0:
+            faults.append(f"{label}: multiplier {f}")
+        if X == identity_bimodule(X.source) and f != 1:
+            faults.append(f"{label}: identity multiplier {f}")
+        g = q[dual(X)]
+        if g is not None and f * g < 1:
+            faults.append(f"{label}: times its dual's, {f * g}")
+    if isinstance(inv.pointed, Fraction) and inv.pointed < 0:
+        faults.append(f"pointed class {inv.pointed}")
+    if len({d.eigenvalue for d in inv.objects if isinstance(d, RankOneForm)}) > 1:
+        faults.append("rank-one objects of two eigenvalues")
+    return faults
+
+
+def test_computed_invariants_are_positive(z4_invariants):
+    invs = [inv for pool in pools_with_readme(z4_invariants).values() for inv in pool.values()]
+    invs += map(compute_invariant, seeded_diagrams(24))
+    assert [(k, fault) for k, inv in enumerate(invs) for fault in positivity_faults(inv)] == []
+    # so that no fact above is vacuous
+    assert any(isinstance(inv.pointed, Fraction) for inv in invs)
+    assert any(sum(isinstance(d, RankOneForm) for d in inv.objects) > 1 for inv in invs)
 
 
 # ------------------------------------- pairwise fusion-consistency reference

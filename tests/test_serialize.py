@@ -485,8 +485,11 @@ def test_invariant_documents_list_one_morphism_per_simple(z4_invariants, keep):
         (lambda invs: invs["F"], 1, Fraction(0)),
         (lambda invs: invs["F"], 1, Fraction(-1, 2)),
         (lambda invs: _identity_action_invariant(), 0, Fraction(1)),
+        (lambda invs: _identity_action_invariant(), 0, Fraction(0)),
+        (lambda invs: _identity_action_invariant(), 0, Fraction(-1, 2)),
     ],
-    ids=["rank-one-null", "rank-one-zero", "rank-one-negative", "not-rank-one-with-a-scale"],
+    ids=["rank-one-null", "rank-one-zero", "rank-one-negative", "not-rank-one-with-a-scale",
+         "not-rank-one-zero", "not-rank-one-negative"],
 )
 def test_scales_are_positive_exactly_on_rank_one_objects(z4_invariants, build, index, scale):
     inv = build(z4_invariants)
@@ -497,8 +500,8 @@ def test_scales_are_positive_exactly_on_rank_one_objects(z4_invariants, build, i
 
 
 def test_scales_multipliers_and_pointed_class_are_free_data(z4_invariants):
-    # free: a positive scale, any rational pointed class over a rank-one Q1, and
-    # any multiplier between rank-one objects; a null one only off them
+    # free: a positive scale, any rational pointed class >= 0 over a rank-one Q1,
+    # and any positive multiplier between rank-one objects; a null one only off them
     inv = z4_invariants["F"]
     inv = _with(inv, scales=(inv.scales[0], Fraction(7, 3), *inv.scales[2:]), pointed=Fraction(5))
     assert (inv.scales[1], inv.pointed) == (Fraction(7, 3), 5)
@@ -511,9 +514,21 @@ def test_a_multiplier_where_an_end_object_is_not_rank_one_is_refused(z4_invarian
     inv = z4_invariants["E"]
     k = inv.multipliers.index(None)
     multipliers = inv.multipliers[:k] + (Fraction(1),) + inv.multipliers[k + 1:]
-    message = f"multiplier of {inv.simples[k]} must be rational if both ends are rank-one"
+    message = f"multiplier of {inv.simples[k]} must be positive if both ends are rank-one"
     with pytest.raises(InvalidInputError, match=re.escape(message)):
         _with(inv, multipliers=multipliers)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("multipliers", 1.5), ("multipliers", "1"), ("scales", "1")],
+    ids=["float-multiplier", "str-multiplier", "str-scale"],
+)
+def test_a_multiplier_or_scale_that_is_no_fraction_is_refused(z4_invariants, field, value):
+    # a positive value is not enough: every computed one is a Fraction, so compare stays exact
+    inv = z4_invariants["F"]
+    with pytest.raises(InvalidInputError, match="must be positive if"):
+        _with(inv, **{field: (value,) + getattr(inv, field)[1:]})
 
 
 def test_a_rational_pointed_class_is_refused_when_q1_is_not_rank_one():

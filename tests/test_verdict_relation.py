@@ -3,10 +3,8 @@
 The invariant is complete, so "equivalent" is an equivalence relation and a
 witness is an isomorphism of invariants: the inverse of a witness, and the
 product of two, are witnesses too.  ``compare`` anchors at the unit object
-and propagates ratios along the simples, so a slip in that propagation, such
+and reads each ratio off a simple from the unit, so a slip in that read, such
 as a dropped reciprocal, can make a verdict depend on the order of the pair.
-On these inputs only the forward step runs, from a simple's source to its
-target; ``tests/test_compare.py`` reaches the backward step.
 
 The inputs are the README diagrams F, G, H and E and every diagram of the
 seed-1 ``cli-cold`` and ``sweep-warm`` documents of ``bench/gen.py``, compared
@@ -113,12 +111,13 @@ def test_verdicts_form_an_equivalence_relation(z4_invariants):
 
 
 def compare_dropping_a_reciprocal():
-    """``compare`` whose forward propagation step multiplies by f2 but does not divide by f1."""
+    """``compare`` whose read of a ratio off a unit simple takes f2 but does not divide by f1."""
     source = inspect.getsource(compare_module)
-    honest = "c[j] = c[k] * f2 / f1"
+    honest = "c.setdefault(X.target, f2 / f1)"
     assert source.count(honest) == 1
     namespace = {"__name__": compare_module.__name__, "__package__": "afinv"}
-    exec(compile(source.replace(honest, "c[j] = c[k] * f2"), "<tampered compare>", "exec"),
+    exec(compile(source.replace(honest, "c.setdefault(X.target, f2)"), "<tampered compare>",
+                 "exec"),
          namespace)
     return namespace["compare"]
 
