@@ -7,14 +7,16 @@ with a character of H∩K.
 Composition reads the relative tensor product off the closed-form Mackey rule
 for module categories over Vec_G (Ostrik's (H, ψ) classification, untwisted
 abelian case), in integers only: character phases are integers mod the
-exponent of G.  ``fuse``, ``fusion_table`` and ``_check_fusion_consistency``
-read one block table per subgroup triple (``_mackey_blocks``), kept in the
+exponent of G.  ``fuse`` and ``fusion_table`` read one block table per
+subgroup triple (``_mackey_blocks``), built on first use and kept in the
 lattice index; it reads a character only at generators of H∩K∩L, where its
-values fix it.  The group's lattice index owns each pair's simples:
-``_enumerate_simples`` builds them once, and the table and every layer list
-the same objects.  ``simple_bimodule`` is the one lookup of a simple by its
-coset and character, and ``identity_bimodule`` and ``dual`` return the
-index's members through it; characters are looked up in ``afinv.groups``.
+values fix it.  Multiplier tables are checked by ``InvariantData``, whose
+gauge rule is the fusion rule (its docstring has the proof).  The group's
+lattice index owns each pair's simples: ``_enumerate_simples`` builds them
+once, and the table and every layer list the same objects.
+``simple_bimodule`` is the one lookup of a simple by its coset and
+character, and ``identity_bimodule`` and ``dual`` return the index's members
+through it; characters are looked up in ``afinv.groups``.
 The tests compare it with an independent exact trace over explicit induced
 modules.
 """
@@ -253,37 +255,6 @@ def fusion_table(G: FiniteAbelianGroup) -> dict[tuple[int, int], tuple[tuple[int
                 for s2 in rights:
                     products[index[s1], index[s2]] = entries[key(s1, s2)]
     return products
-
-
-def _check_fusion_consistency(G: FiniteAbelianGroup, morphisms) -> None:
-    """Multiplier of a composite must equal the multiplicity-weighted product.
-
-    ``morphisms`` pairs simples of G with their multipliers, None where an
-    end object is not rank-one.  Per triple of ``subgroups(G)``, m times the
-    multiplier sum of the Mackey block of X ∘ Y must equal q_X · q_Y; a block
-    holding an undefined multiplier is skipped.  Each block is summed once
-    per triple.
-    """
-    defined = {X: q for X, q in morphisms if q is not None}
-    by_pair = {pair: [(X, defined[X]) for X in simples if X in defined]
-               for pair, simples in simples_by_pair(G).items()}
-    reps = subgroups(G)
-    for (P, Q), lefts in by_pair.items():
-        for R in reps:
-            rights = by_pair[Q, R]
-            if not (lefts and rights):
-                continue
-            mult, key, blocks = _mackey_blocks(P, Q, R)
-            qs = {k: [defined.get(Z) for Z in block] for k, block in blocks.items()}
-            totals = {k: mult * sum(v) for k, v in qs.items() if None not in v}
-            for X, qx in lefts:
-                for Y, qy in rights:
-                    total = totals.get(key(X, Y))
-                    if total is not None and total != qx * qy:
-                        raise InternalConsistencyError(
-                            f"multiplier table violates fusion: "
-                            f"{bimodule_label(X)} ∘ {bimodule_label(Y)}: {total} != {qx * qy}"
-                        )
 
 
 def _format_rep(rep: tuple) -> str:

@@ -9,12 +9,13 @@ positive rationals u_Q, one per representative Q-system, such that
   u_Q * f1(X) == f2(X) * u_P, and
 * the unit component maps the distinguished class: u_unit * p1 == p2.
 
-When every object is rank-one identified, every multiplier is positive
-(``InvariantData`` refuses any other), so the family is read off the unit's
-simples: the first simple from the unit into Q fixes u_Q / u_unit.  Pointedness
-pins the remaining scalar, so the decision is exact: either a witness exists
-(returned, and replayed through verify_witness) or a specific violated
-constraint is returned as a certificate.  Objects that resist rank-one
+When every object is rank-one identified, each side's multipliers are one
+gauge per object, q(X) = (dim X/|P|)·g_Q/g_P with g 1 at the unit
+(``InvariantData`` refuses any other table), so naturality holds exactly
+when u_Q / u_unit = g2_Q / g1_Q: the family is read off the gauges.
+Pointedness pins the remaining scalar, so the decision is exact: either a
+witness exists (returned, and replayed through verify_witness) or a specific
+violated constraint is returned as a certificate.  Objects that resist rank-one
 identification, or a pointed class of 0 on both sides, make the outcome
 UNKNOWN, the former optionally with bounded shift-equivalence diagnostics.
 """
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .bimodules import bimodule_label
 from .diagrams import InvariantData
 from .errors import InternalConsistencyError, InvalidInputError, ResourceLimitError
 from .groups import _Value
@@ -50,7 +50,7 @@ UNKNOWN = "unknown"
 class Certificate(_Value):
     """A violated constraint, pinned to the object or bimodule where it fails."""
 
-    kind: str  # rank, prime-set, constraint-inconsistency, unit-obstruction, pointed-obstruction
+    kind: str  # rank, prime-set, unit-obstruction, pointed-obstruction
     at: str
     left: str
     right: str
@@ -142,26 +142,6 @@ def compare(
             reason += "; " + "; ".join(notes)
         return Verdict(UNKNOWN, reason=reason)
 
-    # Every object is rank-one, so every multiplier is positive: the first simple
-    # from the unit into Q gives Q's ratio c, and naturality is checked at every
-    # simple.  The unit's simples come first in simples_of, so every ratio is set
-    # before a simple out of another object reads it.
-    unit = inv1.representatives[0]
-    c = {unit: Fraction(1)}
-    for X, f1, f2 in zip(inv1.simples, inv1.multipliers, inv2.multipliers):
-        if X.source == unit:
-            c.setdefault(X.target, f2 / f1)
-        if c[X.target] * f1 != f2 * c[X.source]:
-            return Verdict(
-                INEQUIVALENT,
-                certificate=Certificate(
-                    "constraint-inconsistency",
-                    bimodule_label(X),
-                    str(c[X.target] * f1),
-                    str(f2 * c[X.source]),
-                ),
-            )
-
     p1, p2 = inv1.pointed, inv2.pointed
     if (p1 == 0) != (p2 == 0):
         return Verdict(
@@ -172,7 +152,10 @@ def compare(
         return Verdict(UNKNOWN, reason="degenerate pointed class on both sides")
     t = p2 / p1
 
-    witness = tuple((label, t * c[P]) for label, P in zip(labels, inv1.representatives))
+    # every object is rank-one, so both gauges are 1 at the unit and naturality fixes
+    # u_Q = t·g2_Q/g1_Q
+    gauges = zip(labels, inv1.gauges, inv2.gauges)
+    witness = tuple((label, t * g2 / g1) for label, g1, g2 in gauges)
     for k, (label, u) in enumerate(witness):
         ratio = u * inv1.scales[k] / inv2.scales[k]
         S = inv1.objects[k].prime_set

@@ -21,7 +21,6 @@ from functools import cached_property, lru_cache
 
 from .bimodules import (
     SimpleBimodule,
-    _check_fusion_consistency,
     fuse,
     qsystem_label,
     simple_bimodules,
@@ -235,6 +234,27 @@ class InvariantData(_Value):
     The group fixes everything but the values: ``objects`` and ``scales`` run
     over the representatives ``subgroups(group)``, labelled Q1, Q2, ..., and
     ``multipliers`` over ``simples_of(group)``.
+
+    Between rank-one objects the multipliers are one gauge per object: a
+    simple X: P -> Q has q(X) = (dim X/|P|)·g_Q/g_P for one positive g per
+    rank-one object (``gauges``), and a table of any other shape is refused.
+    This is exactly the fusion rule q(X)·q(Y) = m·Σ_block q(Z), where X ⊗ Y
+    is m copies of one Mackey block of P–R simples Z:
+
+    * A gauge obeys the rule.  ``_build_mackey_blocks`` asserts
+      m·|Q|·Σ_block dim Z = |P+Q|·|Q+R| = dim X·dim Y on every triple, so
+      m·Σ_block q(Z) = (g_R/g_P)·dim X·dim Y/(|P|·|Q|) = q(X)·q(Y).
+    * The rule forces a gauge.  On the Q–Q simples of a rank-one Q, q is a
+      character of the based ring End(Q), positive on its basis, so it is the
+      Frobenius–Perron dimension dim Y/|Q|, the one such character (Etingof,
+      Gelfand, Nikshych and Ostrik, *Tensor Categories*, §3.3).  On the P–Q
+      simples, X ↦ q(X) is then a positive eigenvector of right fusion with
+      each Y, with eigenvalue dim Y/|Q|, and so is X ↦ dim X/|P|, by the
+      first point.  Fusion with the sum of the Q–Q simples has a positive
+      matrix (Z ⊂ X ⊗ Y for some simple Y ⊂ X̄ ⊗ Z, by Frobenius
+      reciprocity), so by Perron–Frobenius (§4.5) q(X) = c(P, Q)·dim X/|P|.
+      The rule on X: P -> Q and Y: Q -> R gives c(P, R) = c(P, Q)·c(Q, R),
+      and End(P) gives c(P, P) = 1, so c(P, Q) = g_Q/g_P with g_Q = c(P0, Q).
     """
 
     group: FiniteAbelianGroup
@@ -261,10 +281,21 @@ class InvariantData(_Value):
             if not _positive_or_null(q, ends[X.source] and ends[X.target]):
                 raise InvalidInputError(f"multiplier of {X} must be positive "
                                         "if both ends are rank-one, else null")
-        if isinstance(self.pointed, Fraction) != rank_one[0]:
+        g = dict(zip(self.representatives, self.gauges))
+        for X, q in self.morphisms:
+            if q is None:
+                continue
+            gauge = X.dimension * g[X.target] / (X.source.order * g[X.source])
+            if q != gauge:
+                raise InvalidInputError(f"multiplier of {X} is {q}, not its gauge value {gauge}")
+        size = len(self.objects[0].matrix)
+        if not (isinstance(self.pointed, Fraction) if rank_one[0] else
+                isinstance(self.pointed, tuple) and len(self.pointed) == size
+                and all(map(_is_int, self.pointed))):
             raise InvalidInputError("pointed class must be rational if Q1 is rank-one, "
-                                    "else a vector")
-        if isinstance(self.pointed, Fraction) and self.pointed < 0:
+                                    f"else a vector of {size} integers")
+        entries = self.pointed if isinstance(self.pointed, tuple) else (self.pointed,)
+        if any(x < 0 for x in entries):
             raise InvalidInputError("pointed class must not be negative")
 
     @cached_property
@@ -283,6 +314,20 @@ class InvariantData(_Value):
     def morphisms(self) -> tuple[tuple[SimpleBimodule, Fraction | None], ...]:
         """Each simple with its multiplier."""
         return tuple(zip(self.simples, self.multipliers))
+
+    @cached_property
+    def gauges(self) -> tuple[Fraction | None, ...]:
+        """g per representative: None off the rank-one objects, 1 at the first rank-one P0.
+
+        g_Q is r(X) = q(X)·|P0|/dim X of the first simple X from P0 into Q.
+        """
+        P0 = next((P for P, d in zip(self.representatives, self.objects)
+                   if isinstance(d, RankOneForm)), None)
+        g = {P0: Fraction(1)}
+        for X, q in self.morphisms:
+            if X.source == P0 and q is not None:
+                g.setdefault(X.target, q * P0.order / X.dimension)
+        return tuple(g.get(P) for P in self.representatives)
 
 
 def compute_invariant(d: EnrichedBratteliDiagram) -> InvariantData:
@@ -313,16 +358,17 @@ def compute_invariant(d: EnrichedBratteliDiagram) -> InvariantData:
     else:
         pointed = tuple(w)
 
-    inv = InvariantData(
-        group=d.group,
-        objects=tuple(descs.values()),
-        scales=tuple(desc.scale if isinstance(desc, RankOneForm) else None
-                     for desc in descs.values()),
-        multipliers=tuple(multipliers),
-        pointed=pointed,
-    )
-    _check_fusion_consistency(inv.group, inv.morphisms)
-    return inv
+    try:
+        return InvariantData(
+            group=d.group,
+            objects=tuple(descs.values()),
+            scales=tuple(desc.scale if isinstance(desc, RankOneForm) else None
+                         for desc in descs.values()),
+            multipliers=tuple(multipliers),
+            pointed=pointed,
+        )
+    except InvalidInputError as refusal:  # a computed table must have the invariant's shape
+        raise InternalConsistencyError(f"computed invariant refused: {refusal}") from None
 
 
 def _transpose(A):

@@ -675,19 +675,28 @@ def test_each_subgroup_triple_builds_its_mackey_table_once(
     fresh_lattice_index, z4_diagrams, monkeypatch
 ):
     # the lattice index keeps each triple's table, so the fuse calls of two invariants
-    # and their fusion checks build the 27 triples of Z/4 once each; the builder reads
-    # the generators of H∩K∩L once per table
+    # build each triple they read once, and no other; the builder reads the generators
+    # of H∩K∩L once per table
     honest = Subgroup.minimal_generators
-    builds = []
+    honest_build = bimodules._build_mackey_blocks
+    builds, built = [], Counter()
 
     def counted(H):
         builds.append(H)
         return honest(H)
 
+    def counted_build(H, K, L):
+        built[H, K, L] += 1
+        return honest_build(H, K, L)
+
     monkeypatch.setattr(Subgroup, "minimal_generators", counted)
+    monkeypatch.setattr(bimodules, "_build_mackey_blocks", counted_build)
     monkeypatch.setattr(diagrams, "_fuse_cached",
                         functools.lru_cache(maxsize=None)(diagrams._fuse_cached.__wrapped__))
     for name in ("G", "H"):
         compute_invariant(z4_diagrams[name])
     G = z4_diagrams["G"].group
-    assert len(builds) == len(bimodules._lattice_index(G).mackey) == len(subgroups(G)) ** 3 == 27
+    assert set(built.values()) == {1}
+    assert len(builds) == len(built) == len(bimodules._lattice_index(G).mackey)
+    # of the 27 triples of Z/4, those whose tables fuse never reads are not built
+    assert len(built) < len(subgroups(G)) ** 3 == 27

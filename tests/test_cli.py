@@ -1062,6 +1062,7 @@ def test_a_compiled_copy_prints_what_the_source_tree_prints(tmp_path, z4_diagram
         "z22.json": {"cyclic_factors": [2, 2]},
         "m.json": {"rows": [[2, 1], [1, 1]]},
         "f.json": diagram_to_json(z4_diagrams["F"]),
+        "g.json": diagram_to_json(z4_diagrams["G"]),
         "e.json": diagram_to_json(z4_diagrams["E"]),
         "bool-weight.json": weighted,
         "digits.json": {"rows": [[c, c], [c, c]]},
@@ -1106,6 +1107,10 @@ def test_a_compiled_copy_prints_what_the_source_tree_prints(tmp_path, z4_diagram
         if argv == ["invariant", "e.json", "--format", "json"]:
             assert want[1] == 0
             assert b'"variant": "direct-sum"' in want[0][0] and b'"multiplier": null' in want[0][0]
+        # the witness between the translation actions at Q1 and Q2, read off their gauges
+        if argv == ["compare", "f.json", "g.json"]:
+            assert want == ((b"verdict: equivalent\nwitness:\n  Q1 -> 1\n  Q2 -> 1/2\n"
+                             b"  Q3 -> 1/2\n", b""), 0)
         if argv == ["compare", "e.json", "f.json"]:
             assert want == ((b"verdict: inequivalent\ncertificate: rank at Q2: 2 vs 1\n", b""), 3)
         if argv[:3] == ["compare", "e.json", "e.json"]:

@@ -49,6 +49,7 @@ from hypothesis import strategies as st
 from afinv.bimodules import qsystems, simple_bimodules
 from afinv.compare import EQUIVALENT, compare
 from afinv.diagrams import EnrichedBratteliDiagram, compute_invariant
+from afinv.errors import InvalidInputError
 from afinv.groups import (
     Subgroup,
     lattice_member,
@@ -62,12 +63,13 @@ from afinv.serialize import diagram_from_json
 from gen_loader import load_gen
 from values import replace
 
-# every group type of order at most 16 but (Z/2)^4, whose regular action takes about
-# 40 s, and Z/32: a cyclic group past the pairwise references' reach, and with
-# Z/2 x Z/2 x Z/4 a group whose subgroup intersections need up to three generators
+# every group type of order at most 16, and Z/32, Z/64 and Z/128: cyclic groups past
+# the pairwise references' reach, and with Z/2 x Z/2 x Z/4 and (Z/2)^4 groups whose
+# subgroup intersections need up to three and four generators
 REGULAR_GROUPS = [
     [1], [2], [3], [4], [2, 2], [5], [6], [7], [8], [2, 4], [2, 2, 2], [9], [3, 3],
-    [10], [11], [12], [2, 6], [13], [14], [15], [16], [2, 8], [4, 4], [2, 2, 4], [32],
+    [10], [11], [12], [2, 6], [13], [14], [15], [16], [2, 8], [4, 4], [2, 2, 4],
+    [2, 2, 2, 2], [32], [64], [128],
 ]
 TRANSLATION_GROUPS = [[2], [3], [4], [2, 2], [5], [6], [8], [2, 4]]
 # every group type of order at most 12, for the drawn single-vertex diagrams
@@ -93,8 +95,11 @@ def closed_form(V: Subgroup):
     return n, primes, multiplier
 
 
-def departures(inv, V: Subgroup) -> list[str]:
-    """Where ``inv`` departs from the closed form of the translation action at V."""
+def departures(inv, V: Subgroup, morphisms=None) -> list[str]:
+    """Where ``inv`` departs from the closed form of the translation action at V.
+
+    ``morphisms`` stands in for ``inv.morphisms``: a table that ``InvariantData`` may refuse.
+    """
     eigenvalue, primes, multiplier = closed_form(V)
     found = [
         label
@@ -102,7 +107,7 @@ def departures(inv, V: Subgroup) -> list[str]:
         if not isinstance(desc, RankOneForm)
         or (desc.eigenvalue, desc.prime_set, scale) != (eigenvalue, primes, 1)
     ]
-    found += [str(X) for X, f in inv.morphisms if f != multiplier(X.source, X.target)]
+    found += [str(X) for X, f in morphisms or inv.morphisms if f != multiplier(X.source, X.target)]
     if inv.pointed != 1:
         found.append("pointed")
     return found
@@ -149,7 +154,10 @@ def test_one_tampered_multiplier_or_eigenvalue_departs_from_the_closed_form():
     k = 17
     X, f = inv.morphisms[k]
     multipliers = inv.multipliers[:k] + (2 * f,) + inv.multipliers[k + 1:]
-    assert departures(replace(inv, multipliers=multipliers), V) == [str(X)]
+    assert departures(inv, V, tuple(zip(inv.simples, multipliers))) == [str(X)]
+    # the gauge rule refuses that table before any invariant holds it
+    with pytest.raises(InvalidInputError, match="not its gauge value"):
+        replace(inv, multipliers=multipliers)
     desc = inv.objects[3]
     objects = inv.objects[:3] + (replace(desc, eigenvalue=desc.eigenvalue + 1),) + inv.objects[4:]
     assert departures(replace(inv, objects=objects), V) == [inv.labels[3]]

@@ -7,11 +7,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from afinv import bimodules, diagrams, groups, k0
 from afinv.bimodules import (
     CompletenessWarning,
-    _check_fusion_consistency,
     bimodule_label,
     dual,
     fuse,
@@ -48,11 +49,6 @@ MULTIPLIER_ROWS = {
     "G": (1, 1, 2, 2, 1, 2, 2, 1, 1),
     "H": (1, 1, 1, 2, 1, 1, 4, 2, 1),
 }
-
-
-def fusion_check(inv):
-    """The fusion-consistency check on an invariant, as ``compute_invariant`` calls it."""
-    _check_fusion_consistency(inv.group, inv.morphisms)
 
 
 # ------------------------------------------------------------- object diagrams
@@ -170,9 +166,11 @@ def test_tampered_multipliers_are_caught(z4_invariants, z4_simples):
         Fraction(7) if X == z4_simples["M_{1-2,0}"] else q
         for X, q in inv.morphisms
     )
-    tampered = replace(inv, multipliers=bad)
-    with pytest.raises(InternalConsistencyError):
-        fusion_check(tampered)
+    # M_{1-2,0} is the first simple from Q1 into Q2, so it sets Q2's gauge to 7/2, and
+    # the next one, M_{1-2,1} at F's 2 = dim/|Q1|, departs from it
+    with pytest.raises(InvalidInputError,
+                       match=r"^multiplier of M_\{1-2,1\} is 2, not its gauge value 7$"):
+        replace(inv, multipliers=bad)
 
 
 # ------------------------------------------------------------- pointed classes
@@ -540,9 +538,13 @@ def test_computed_invariants_are_positive(z4_invariants):
 # ------------------------------------- pairwise fusion-consistency reference
 
 
-def pairwise_fusion_consistency(inv):
-    """Reference check: fuse every composable pair of defined multipliers."""
-    defined = {X: q for X, q in inv.morphisms if q is not None}
+def pairwise_fusion_consistency(group, morphisms):
+    """Reference check: fuse every composable pair of defined multipliers.
+
+    It reads a table of (simple, multiplier) pairs over ``group`` as given,
+    so it judges tables that ``InvariantData`` refuses too.
+    """
+    defined = {X: q for X, q in morphisms if q is not None}
     for X, qx in defined.items():
         for Y, qy in defined.items():
             if X.target != Y.source:
@@ -562,8 +564,9 @@ def pairwise_fusion_consistency(inv):
 
 
 def both_consistency_routes(inv):
-    fusion_check(inv)
-    pairwise_fusion_consistency(inv)
+    """The gauge rule, which ``InvariantData`` applies on every construction, and the reference."""
+    replace(inv)
+    pairwise_fusion_consistency(inv.group, inv.morphisms)
 
 
 def regular_action(factors):
@@ -598,12 +601,19 @@ def test_both_consistency_routes_accept_regular_actions(factors):
     both_consistency_routes(compute_invariant(regular_action(factors)))
 
 
-def _rejects(check, inv):
+def refusals(inv, multipliers) -> tuple[bool, bool]:
+    """Whether ``InvariantData``'s gauge rule and the pair reference refuse ``multipliers``."""
     try:
-        check(inv)
+        replace(inv, multipliers=multipliers)
+        gauge = False
+    except InvalidInputError:
+        gauge = True
+    try:
+        pairwise_fusion_consistency(inv.group, zip(inv.simples, multipliers))
+        pairwise = False
     except InternalConsistencyError:
-        return True
-    return False
+        pairwise = True
+    return gauge, pairwise
 
 
 @pytest.mark.parametrize("name", ["F", "G", "H"])
@@ -614,11 +624,39 @@ def test_consistency_routes_agree_on_every_single_tampered_multiplier(z4_invaria
         if q is None:
             continue
         bad = inv.multipliers[:k] + (Fraction(7),) + inv.multipliers[k + 1 :]
-        table = replace(inv, multipliers=bad)
-        verdict = _rejects(fusion_check, table)
-        assert verdict == _rejects(pairwise_fusion_consistency, table), bimodule_label(X)
-        tampered += verdict
+        gauge, pairwise = refusals(inv, bad)
+        assert gauge == pairwise, bimodule_label(X)
+        tampered += gauge
     assert tampered == len(inv.morphisms) == 22
+
+
+# every group type of order at most 8
+SMALL_GROUPS = [[1], [2], [3], [4], [2, 2], [5], [6], [7], [8], [2, 4], [2, 2, 2]]
+
+
+@lru_cache(maxsize=None)
+def drawn_invariant(seed, factors):
+    return compute_invariant(random_diagram(random.Random(seed), list(factors)))
+
+
+@st.composite
+def tampered_tables(draw):
+    """A computed invariant, and its multipliers with 0-2 defined ones scaled by drawn rationals."""
+    factors = tuple(draw(st.sampled_from(SMALL_GROUPS)))
+    inv = drawn_invariant(draw(st.integers(0, 9)), factors)
+    multipliers = list(inv.multipliers)
+    defined = [k for k, q in enumerate(multipliers) if q is not None]
+    factor = st.fractions(min_value=Fraction(1, 6), max_value=6, max_denominator=6)
+    for k in draw(st.lists(st.sampled_from(defined), max_size=2) if defined else st.just([])):
+        multipliers[k] *= draw(factor)
+    return inv, tuple(multipliers)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(tampered_tables())
+def test_the_gauge_rule_and_the_pair_reference_refuse_the_same_tables(drawn):
+    gauge, pairwise = refusals(*drawn)
+    assert gauge == pairwise
 
 
 def test_consistency_check_fuses_no_pair(z4_invariants, two_level_diagram, monkeypatch):
@@ -630,8 +668,12 @@ def test_consistency_check_fuses_no_pair(z4_invariants, two_level_diagram, monke
     monkeypatch.setattr(bimodules, "fuse", refuse)
     monkeypatch.setattr(diagrams, "fuse", refuse)
     monkeypatch.setattr(diagrams, "_fuse_cached", refuse)
+    # InvariantData's gauge rule, on accepted tables and on a refused one
     for checked in (*z4_invariants.values(), inv):
-        fusion_check(checked)
+        replace(checked)
+    tripled = (3 * inv.multipliers[0],) + inv.multipliers[1:]
+    with pytest.raises(InvalidInputError, match="not its gauge value"):
+        replace(inv, multipliers=tripled)
 
 
 def test_invariant_builds_each_pair_of_simples_and_coset_map_at_most_once(
@@ -669,39 +711,32 @@ def test_consistency_check_enumerates_no_simples(monkeypatch):
 
     # the check lists the simples the lattice index already holds and builds none
     monkeypatch.setattr(bimodules, "_enumerate_simples", counted)
-    fusion_check(inv)
+    replace(inv)
+    tripled = inv.multipliers[:-1] + (3 * inv.multipliers[-1],)
+    with pytest.raises(InvalidInputError, match="not its gauge value"):
+        replace(inv, multipliers=tripled)
     assert calls == []
 
 
-FIRST_FAILURES = {
-    (8,): (
-        "M_{1-1,0} ∘ M_{1-1,0}: 3 != 9",
-        "M_{1-3,0} ∘ M_{3-1,0}: 4 != 12",
-        "M_{1-4} ∘ M_{4-4}^chi7: 8 != 24",
-    ),
-    (2, 4): (
-        "M_{1-1,(0,0)} ∘ M_{1-1,(0,0)}: 3 != 9",
-        "M_{1-5,(0,0)} ∘ M_{5-1,(0,0)}: 4 != 12",
-        "M_{1-8} ∘ M_{8-8}^chi7: 8 != 24",
-    ),
-    (2, 2, 2): (
-        "M_{1-1,(0,0,0)} ∘ M_{1-1,(0,0,0)}: 3 != 9",
-        "M_{1-9,(0,0,0)} ∘ M_{9-1,(0,0,0)}: 4 != 12",
-        "M_{1-16} ∘ M_{16-16}^chi7: 8 != 24",
-    ),
+FIRST_DEPARTURES = {
+    (8,): ("M_{1-1,0}", "M_{3-1,0}", "M_{4-4}^chi7"),
+    (2, 4): ("M_{1-1,(0,0)}", "M_{5-1,(0,0)}", "M_{8-8}^chi7"),
+    (2, 2, 2): ("M_{1-1,(0,0,0)}", "M_{9-1,(0,0,0)}", "M_{16-16}^chi7"),
 }
 
 
-@pytest.mark.parametrize("factors", list(FIRST_FAILURES))
-def test_consistency_check_reports_the_first_violated_pair(factors):
-    # one multiplier tripled at the first, middle and last simple of a regular action
+@pytest.mark.parametrize("factors", list(FIRST_DEPARTURES))
+def test_gauge_check_reports_the_first_departing_simple(factors):
+    # one multiplier tripled at the first, middle and last simple of a regular action,
+    # whose gauge is 1 everywhere: none of the three is the first simple from Q1 into
+    # another object, which sets that object's gauge, so each departs itself
     inv = compute_invariant(regular_action(list(factors)))
     n = len(inv.multipliers)
-    for k, message in zip((0, n // 2, n - 1), FIRST_FAILURES[factors]):
+    for k, label in zip((0, n // 2, n - 1), FIRST_DEPARTURES[factors]):
         bad = inv.multipliers[:k] + (3 * inv.multipliers[k],) + inv.multipliers[k + 1 :]
-        with pytest.raises(InternalConsistencyError) as caught:
-            fusion_check(replace(inv, multipliers=bad))
-        assert str(caught.value) == f"multiplier table violates fusion: {message}"
+        with pytest.raises(InvalidInputError) as caught:
+            replace(inv, multipliers=bad)
+        assert str(caught.value) == f"multiplier of {label} is 3, not its gauge value 1"
 
 
 # ------------------------------------------------------------------ validation

@@ -499,15 +499,22 @@ def test_scales_are_positive_exactly_on_rank_one_objects(z4_invariants, build, i
         _with(inv, scales=tuple(scales))
 
 
-def test_scales_multipliers_and_pointed_class_are_free_data(z4_invariants):
-    # free: a positive scale, any rational pointed class >= 0 over a rank-one Q1,
-    # and any positive multiplier between rank-one objects; a null one only off them
+def test_scales_pointed_class_and_gauges_are_free_data(z4_invariants):
+    # free: a positive scale, any rational pointed class >= 0 over a rank-one Q1, and
+    # any positive gauge per rank-one object; a null multiplier only off them
     inv = z4_invariants["F"]
     inv = _with(inv, scales=(inv.scales[0], Fraction(7, 3), *inv.scales[2:]), pointed=Fraction(5))
     assert (inv.scales[1], inv.pointed) == (Fraction(7, 3), 5)
+    g = dict(zip(inv.representatives, (1, Fraction(7), 1)))
+    regauged = _with(inv, multipliers=tuple(q * g[X.target] / g[X.source] for X, q in inv.morphisms))
+    assert regauged.gauges == (1, 7, 1)
+    # the identity action's one rank-one object is Q3, whose own simples the gauge fixes
+    # at dim/|Q3| = 1
     identity = _identity_action_invariant()
-    rescaled = _with(identity, multipliers=(None,) * 18 + (Fraction(3),) * 4)
-    assert [q for _, q in rescaled.morphisms] == [None] * 18 + [3] * 4
+    assert [q for _, q in identity.morphisms] == [None] * 18 + [1] * 4
+    with pytest.raises(InvalidInputError,
+                       match=re.escape("multiplier of M_{3-3}^triv is 3, not its gauge value 1")):
+        _with(identity, multipliers=(None,) * 18 + (Fraction(3),) * 4)
 
 
 def test_a_multiplier_where_an_end_object_is_not_rank_one_is_refused(z4_invariants):
@@ -535,6 +542,23 @@ def test_a_rational_pointed_class_is_refused_when_q1_is_not_rank_one():
     with pytest.raises(InvalidInputError,
                        match="pointed class must be rational if Q1 is rank-one, else a vector"):
         _with(_identity_action_invariant(), pointed=Fraction(1))
+
+
+@pytest.mark.parametrize(
+    "pointed, message",
+    [
+        ((1,), "must be rational if Q1 is rank-one, else a vector of 4 integers"),
+        ((-5, "x"), "must be rational if Q1 is rank-one, else a vector of 4 integers"),
+        ((), "must be rational if Q1 is rank-one, else a vector of 4 integers"),
+        ((1, 1, 1.0, 1), "must be rational if Q1 is rank-one, else a vector of 4 integers"),
+        ((1, -1, 1, 1), "must not be negative"),
+    ],
+    ids=["short", "negative-and-no-number", "empty", "float-entry", "negative-entry"],
+)
+def test_a_pointed_vector_is_one_nonnegative_integer_per_tail_basis_element(pointed, message):
+    # Q1 of the identity action is not rank-one, and its tail basis has 4 elements
+    with pytest.raises(InvalidInputError, match=f"^pointed class {message}$"):
+        _with(_identity_action_invariant(), pointed=pointed)
 
 
 # -------------------------------------------------------------------- verdicts

@@ -2,9 +2,9 @@
 
 The invariant is complete, so "equivalent" is an equivalence relation and a
 witness is an isomorphism of invariants: the inverse of a witness, and the
-product of two, are witnesses too.  ``compare`` anchors at the unit object
-and reads each ratio off a simple from the unit, so a slip in that read, such
-as a dropped reciprocal, can make a verdict depend on the order of the pair.
+product of two, are witnesses too.  ``compare`` reads each ratio off the two
+invariants' gauges, so a slip in that read, such as a dropped reciprocal,
+can make a verdict depend on the order of the pair.
 
 The inputs are the README diagrams F, G, H and E and every diagram of the
 seed-1 ``cli-cold`` and ``sweep-warm`` documents of ``bench/gen.py``, compared
@@ -111,14 +111,19 @@ def test_verdicts_form_an_equivalence_relation(z4_invariants):
 
 
 def compare_dropping_a_reciprocal():
-    """``compare`` whose read of a ratio off a unit simple takes f2 but does not divide by f1."""
+    """``compare`` whose read of a ratio off the gauges takes g2 but does not divide by g1.
+
+    Its own replay of the witness is dropped too, as that replay alone would
+    refuse the wrong witness; what is left to catch the slip is the relation.
+    """
     source = inspect.getsource(compare_module)
-    honest = "c.setdefault(X.target, f2 / f1)"
-    assert source.count(honest) == 1
+    edits = {"t * g2 / g1": "t * g2",
+             "if not verify_witness(inv1, inv2, dict(witness)):": "if False:"}
+    for honest, tampered in edits.items():
+        assert source.count(honest) == 1
+        source = source.replace(honest, tampered)
     namespace = {"__name__": compare_module.__name__, "__package__": "afinv"}
-    exec(compile(source.replace(honest, "c.setdefault(X.target, f2)"), "<tampered compare>",
-                 "exec"),
-         namespace)
+    exec(compile(source, "<tampered compare>", "exec"), namespace)
     return namespace["compare"]
 
 
