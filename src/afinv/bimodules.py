@@ -7,11 +7,12 @@ with a character of H∩K.
 Composition reads the relative tensor product off the closed-form Mackey rule
 for module categories over Vec_G (Ostrik's (H, ψ) classification, untwisted
 abelian case), in integers only: character phases are integers mod the
-exponent of G.  ``fuse`` and ``fusion_table`` read one block table per
-subgroup triple (``_mackey_blocks``), built on first use and kept in the
-lattice index; it reads a character only at generators of H∩K∩L, where its
-values fix it.  Multiplier tables are checked by ``InvariantData``, whose
-gauge rule is the fusion rule (its docstring has the proof).  The group's
+exponent of G.  ``fuse`` reads one block table per subgroup triple
+(``_mackey_blocks``), built on first use and kept in the lattice index;
+``fusion_table`` builds each triple's table once per call and keeps none.  A
+table reads a character only at generators of H∩K∩L, where its values fix
+it.  Multiplier tables are checked by ``InvariantData``, whose gauge rule is
+the fusion rule (its docstring has the proof).  The group's
 lattice index owns each pair's simples: ``_enumerate_simples`` builds them
 once, and the table and every layer list the same objects.
 ``simple_bimodule`` is the one lookup of a simple by its coset and
@@ -23,7 +24,6 @@ modules.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from functools import reduce
 
@@ -169,7 +169,11 @@ def _composable(S1: SimpleBimodule, S2: SimpleBimodule) -> None:
 
 
 def _mackey_blocks(H: Subgroup, K: Subgroup, L: Subgroup):
-    """``_build_mackey_blocks(H, K, L)``, built once per triple and kept in the lattice index."""
+    """``_build_mackey_blocks(H, K, L)``, built once per triple and kept in the lattice index.
+
+    ``fuse`` is its one caller: ``fusion_table`` reads every triple once and
+    builds its tables itself, so it leaves none in the index.
+    """
     tables = _lattice_index(H.group).mackey
     if (H, K, L) not in tables:
         tables[H, K, L] = _build_mackey_blocks(H, K, L)
@@ -238,16 +242,18 @@ def fusion_table(G: FiniteAbelianGroup) -> dict[tuple[int, int], tuple[tuple[int
 
     Indices are positions in ``simples_of(G)``, and the keys are the composable
     pairs in ascending order, the order they are built in: P, Q, each s1 of
-    (P, Q), R, each s2 of (Q, R).  Quadratic in the simple count.
+    (P, Q), R, each s2 of (Q, R).  Each (P, Q, R) table is built once, with
+    the row of (P, Q), and dropped with it; none enters the lattice index.
+    Quadratic in the simple count.
     """
     by_pair = simples_by_pair(G)
     index = {s: i for i, s in enumerate(simples_of(G))}
     reps = subgroups(G)
     products = {}
-    for P, Q in itertools.product(reps, repeat=2):
+    for P, Q in by_pair:
         row = []  # per R: the key rule, one entry per block, and the simples of (Q, R)
         for R in reps:
-            mult, key, blocks = _mackey_blocks(P, Q, R)
+            mult, key, blocks = _build_mackey_blocks(P, Q, R)
             entries = {k: tuple((index[Z], mult) for Z in b) for k, b in blocks.items()}
             row.append((key, entries, by_pair[Q, R]))
         for s1 in by_pair[P, Q]:

@@ -272,9 +272,11 @@ class _LatticeIndex:
     ``meets[H, K]`` are lattice members, ``coset_maps[D]`` is one read-only
     ``coset_space`` map and ``characters[H]`` one tuple of characters per
     subgroup; ``simples[H, K]`` and ``mackey[H, K, L]`` are the slots where
-    ``afinv.bimodules`` keeps each pair's simples and each triple's Mackey
-    table.  The public functions return these tuples and maps themselves;
-    neither takes item assignment, so no caller can change the index.
+    ``afinv.bimodules`` keeps each pair's simples and the Mackey table of
+    each triple that ``fuse`` reads (``fusion_table`` builds its own tables
+    and keeps none).  The public functions return these tuples and maps
+    themselves; neither takes item assignment, so no caller can change the
+    index.
     """
 
     def __init__(self, group: FiniteAbelianGroup) -> None:

@@ -36,6 +36,7 @@ from . import diagrams, k0
 from .bimodules import (
     SimpleBimodule,
     bimodule_label,
+    fusion_table,
     simple_bimodule,
     simples_of,
 )
@@ -197,17 +198,23 @@ def bimodule_from_json(G: FiniteAbelianGroup, doc) -> SimpleBimodule:
 
 # -- fusion tables ----------------------------------------------------------
 
-def fusion_table_to_json(G: FiniteAbelianGroup, products: dict) -> dict:
-    """The document of ``fusion_table(G)``, whose indices are positions in ``simples_of(G)``."""
+def fusion_table_to_json(G: FiniteAbelianGroup) -> dict:
+    """The document of ``fusion_table(G)``, whose indices are positions in ``simples_of(G)``.
+
+    It builds the table itself and keeps it no longer than the document takes
+    to build.  Each distinct product is one list of terms, which every pair
+    with that product shares: far fewer lists than pairs, and ``json.dumps``
+    prints a shared list in full at each key, as it would print one list per
+    pair.
+    """
     simples = simples_of(G)
+    table = fusion_table(G)
+    terms_of = {t: [{"index": k, "multiplicity": m} for k, m in t] for t in set(table.values())}
     return {
         "group": group_to_json(G),
         "simples": [bimodule_to_json(s) for s in simples],
         "labels": [bimodule_label(s) for s in simples],
-        "products": {
-            f"{i},{j}": [{"index": k, "multiplicity": m} for k, m in terms]
-            for (i, j), terms in products.items()
-        },
+        "products": {f"{i},{j}": terms_of[terms] for (i, j), terms in table.items()},
     }
 
 

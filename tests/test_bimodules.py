@@ -392,6 +392,28 @@ def test_fusion_table_enumerates_each_pair_of_simples_once(fresh_lattice_index, 
         assert indices == sorted(set(indices))
 
 
+def test_fusion_table_builds_each_triple_once_and_keeps_none(fresh_lattice_index, monkeypatch):
+    honest = bimodules._build_mackey_blocks
+    built = Counter()
+
+    def counted(H, K, L):
+        built[H, K, L] += 1
+        return honest(H, K, L)
+
+    monkeypatch.setattr(bimodules, "_build_mackey_blocks", counted)
+    G = make_group([2, 4])
+    subs = subgroups(G)
+    fusion_table(G)
+    assert built == Counter(itertools.product(subs, repeat=3))
+    assert bimodules._lattice_index(G).mackey == {}
+    # fuse still builds the one triple it reads, once, and the index keeps it
+    S = identity_bimodule(subs[1])
+    for _ in range(2):
+        assert fuse(S, S) == {S: 1}
+    assert built[subs[1], subs[1], subs[1]] == 2
+    assert list(bimodules._lattice_index(G).mackey) == [(subs[1],) * 3]
+
+
 # memoized only to keep the Z/4 x Z/4 sweep short; the characters are the same
 _characters = functools.lru_cache(maxsize=None)(dual_characters)
 
@@ -497,13 +519,13 @@ def _ring_axiom_failures(G, table):
     return failures
 
 
-# every group type of order at most 16 but Z/2 x Z/2 x Z/4 and (Z/2)^4, whose tables alone
-# take about 3 s and 44 s (ROADMAP item 13)
+# every group type of order at most 16 but (Z/2)^4, whose table alone takes about 44 s
+# (ROADMAP item 13); Z/2 x Z/2 x Z/4 takes about 4.5 s, its table half of it
 @pytest.mark.parametrize(
     "factors",
     [
         [1], [2], [3], [4], [2, 2], [5], [6], [7], [8], [2, 4], [2, 2, 2], [9], [3, 3],
-        [10], [11], [12], [2, 6], [13], [14], [15], [16], [2, 8], [4, 4],
+        [10], [11], [12], [2, 6], [13], [14], [15], [16], [2, 8], [4, 4], [2, 2, 4],
     ],
     ids=str,
 )
@@ -524,6 +546,25 @@ def test_ring_axiom_checks_reject_one_changed_multiplicity(z4, z4_simples):
         "unit": {(unit, x)},
         "reciprocity": {(unit, x), (x, simples.index(dual(X)))},
         "dimension": {(unit, x)},
+    }
+
+
+def test_ring_axiom_checks_reject_one_swapped_block_member(z4, z4_simples):
+    # M_{3-3}^chi1 has the pair and dimension of the member M_{3-3}^chi2 it replaces, so
+    # only reciprocity can see the swap: at the pair itself and at (M_{3-3}^chi2, Y*)
+    simples = simples_of(z4)
+    x, y, triv, chi1, chi2 = (
+        simples.index(z4_simples[label])
+        for label in ("M_{3-2}^triv", "M_{2-3}^triv", "M_{3-3}^triv", "M_{3-3}^chi1",
+                      "M_{3-3}^chi2")
+    )
+    table = dict(_fusion_table((4,)))
+    assert table[x, y] == ((triv, 1), (chi2, 1))
+    table[x, y] = ((triv, 1), (chi1, 1))
+    assert _ring_axiom_failures(z4, table) == {
+        "unit": set(),
+        "reciprocity": {(x, y), (chi2, simples.index(dual(simples[y])))},
+        "dimension": set(),
     }
 
 

@@ -147,7 +147,8 @@ def test_fusion_table_warns_once_for_noncyclic_subgroups(files, capsys):
 
 @pytest.mark.parametrize(
     "fmt, unused",
-    [("text", "afinv.serialize.fusion_table_to_json"), ("json", "afinv.cli._render_columns")],
+    [("text", "afinv.serialize.fusion_table_to_json"), ("json", "afinv.cli._render_columns"),
+     ("json", "afinv.cli.fusion_table")],
 )
 def test_fusion_table_builds_only_the_format_it_prints(fmt, unused, files, capsys, monkeypatch):
     printed = run(capsys, "fusion-table", files["z4"], "--format", fmt)
@@ -548,7 +549,7 @@ def test_running_out_of_memory_is_one_error_line(files, capsys, monkeypatch):
     def exhaust(G):
         raise MemoryError
 
-    monkeypatch.setattr("afinv.cli.fusion_table", exhaust)
+    monkeypatch.setattr("afinv.serialize.fusion_table", exhaust)
     assert run(capsys, "fusion-table", files["z4"], "--format", "json") == (
         1, "", "error: out of memory\n"
     )

@@ -186,7 +186,7 @@ SMALL_GROUPS = [[1], [2], [3], [4], [2, 2], [5], [6], [7], [8], [2, 4], [2, 2, 2
 def test_every_small_fusion_table_renders_its_table(factors):
     G = make_group(factors)
     table = fusion_table(G)
-    doc = through_json(fusion_table_to_json(G, table))
+    doc = through_json(fusion_table_to_json(G))
     assert doc["group"] == {"cyclic_factors": factors}
     assert doc["simples"] == [bimodule_to_json(s) for s in simples_of(G)]
     assert doc["labels"] == [bimodule_label(s) for s in simples_of(G)]
@@ -198,6 +198,21 @@ def test_every_small_fusion_table_renders_its_table(factors):
     }
     assert products == table
     assert list(products) == list(table)
+
+
+@pytest.mark.parametrize("factors", [[4], [2, 2], [2, 4]], ids=str)
+def test_a_fusion_table_document_holds_one_list_per_distinct_product(factors):
+    G = make_group(factors)
+    table = fusion_table(G)
+    doc = fusion_table_to_json(G)
+    lists = {id(terms) for terms in doc["products"].values()}
+    assert len(lists) == len(set(table.values())) < len(table)
+    # json.dumps prints a shared list in full at each of its keys: the text of one list per pair
+    per_pair = dict(doc, products={
+        f"{i},{j}": [{"index": k, "multiplicity": m} for k, m in terms]
+        for (i, j), terms in table.items()
+    })
+    assert json.dumps(doc, indent=2) == json.dumps(per_pair, indent=2)
 
 
 # ------------------------------------------------------------ matrices and K0
