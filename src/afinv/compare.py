@@ -13,11 +13,12 @@ When every object is rank-one identified, each side's multipliers are one
 gauge per object, q(X) = (dim X/|P|)·g_Q/g_P with g 1 at the unit
 (``InvariantData`` refuses any other table), so naturality holds exactly
 when u_Q / u_unit = g2_Q / g1_Q: the family is read off the gauges.
-Pointedness pins the remaining scalar, so the decision is exact: either a
-witness exists (returned, and replayed through verify_witness) or a specific
-violated constraint is returned as a certificate.  Objects that resist rank-one
-identification, or a pointed class of 0 on both sides, make the outcome
-UNKNOWN, the former optionally with bounded shift-equivalence diagnostics.
+Pointedness pins the remaining scalar, t = p2/p1 (``InvariantData`` refuses a
+rational pointed class of 0, and none is computed), so the decision is exact:
+either a witness exists (returned, and replayed through verify_witness) or a
+specific violated constraint is returned as a certificate.  Only objects that
+resist rank-one identification make the outcome UNKNOWN, optionally with
+bounded shift-equivalence diagnostics.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ UNKNOWN = "unknown"
 class Certificate(_Value):
     """A violated constraint, pinned to the object or bimodule where it fails."""
 
-    kind: str  # rank, prime-set, unit-obstruction, pointed-obstruction
+    kind: str  # rank, prime-set, unit-obstruction
     at: str
     left: str
     right: str
@@ -142,18 +143,9 @@ def compare(
             reason += "; " + "; ".join(notes)
         return Verdict(UNKNOWN, reason=reason)
 
-    p1, p2 = inv1.pointed, inv2.pointed
-    if (p1 == 0) != (p2 == 0):
-        return Verdict(
-            INEQUIVALENT,
-            certificate=Certificate("pointed-obstruction", labels[0], str(p1), str(p2)),
-        )
-    if p1 == 0:
-        return Verdict(UNKNOWN, reason="degenerate pointed class on both sides")
-    t = p2 / p1
-
-    # every object is rank-one, so both gauges are 1 at the unit and naturality fixes
-    # u_Q = t·g2_Q/g1_Q
+    # every object is rank-one, so both pointed classes are positive, both gauges are 1 at
+    # the unit, and naturality fixes u_Q = t·g2_Q/g1_Q
+    t = inv2.pointed / inv1.pointed
     gauges = zip(labels, inv1.gauges, inv2.gauges)
     witness = tuple((label, t * g2 / g1) for label, g1, g2 in gauges)
     for k, (label, u) in enumerate(witness):

@@ -255,6 +255,30 @@ class InvariantData(_Value):
       reciprocity), so by Perron–Frobenius (§4.5) q(X) = c(P, Q)·dim X/|P|.
       The rule on X: P -> Q and Y: Q -> R gives c(P, R) = c(P, Q)·c(Q, R),
       and End(P) gives c(P, P) = 1, so c(P, Q) = g_Q/g_P with g_Q = c(P0, Q).
+
+    ``gauges`` holds g per representative: None off the rank-one objects, 1 at
+    the first rank-one object P0, and g_Q = q(X)·|P0|/dim X for the first
+    simple X from P0 into Q.  ``simples_of`` lists P0's simples before those
+    of every later source, so one walk over ``morphisms`` reads the gauges
+    and checks each multiplier against them.
+
+    A rational pointed class is positive, and 0 is refused.  Let Q1 be
+    rank-one, v the left vector of its tail and w the generator weights
+    pushed to the tail start, so that the pointed class is v·w/Σv:
+
+    * v is constant on each vertex block of the tail basis.  The Q1–Q1
+      simples are the translations g ∈ G, and right fusion with g permutes
+      the cosets at each vertex transitively.  ``compute_invariant`` checks
+      A·M_g = M_g·A, so v·M_g lies in the one-dimensional eventual row space
+      of A: v·M_g = c·v.  As M_g is a permutation of finite order and v ≥ 0
+      is nonzero, c = 1.
+    * w has a positive entry in each vertex block.  At level 0 the weight
+      rule says so.  Every upper vertex is the target of some edge, and a
+      fusion product is a nonempty nonnegative sum (``_build_mackey_blocks``
+      asserts m ≥ 1 and a positive dimension for every block), so each
+      connecting matrix carries the property up a level.
+
+    So v·w > 0: v is positive on some block, where w has a positive entry.
     """
 
     group: FiniteAbelianGroup
@@ -277,17 +301,21 @@ class InvariantData(_Value):
             if not _positive_or_null(scale, r):
                 raise InvalidInputError(f"scale of {name} must be positive if rank-one, else null")
         ends = dict(zip(self.representatives, rank_one))
+        # P0's simples come before those of every later source: g_Q is read before it is used
+        P0 = next((P for P, r in ends.items() if r), None)
+        g = {P0: Fraction(1)}
         for X, q in self.morphisms:
             if not _positive_or_null(q, ends[X.source] and ends[X.target]):
                 raise InvalidInputError(f"multiplier of {X} must be positive "
                                         "if both ends are rank-one, else null")
-        g = dict(zip(self.representatives, self.gauges))
-        for X, q in self.morphisms:
             if q is None:
                 continue
+            if X.source == P0:
+                g.setdefault(X.target, q * P0.order / X.dimension)
             gauge = X.dimension * g[X.target] / (X.source.order * g[X.source])
             if q != gauge:
                 raise InvalidInputError(f"multiplier of {X} is {q}, not its gauge value {gauge}")
+        object.__setattr__(self, "gauges", tuple(g.get(P) for P in self.representatives))
         size = len(self.objects[0].matrix)
         if not (isinstance(self.pointed, Fraction) if rank_one[0] else
                 isinstance(self.pointed, tuple) and len(self.pointed) == size
@@ -297,6 +325,8 @@ class InvariantData(_Value):
         entries = self.pointed if isinstance(self.pointed, tuple) else (self.pointed,)
         if any(x < 0 for x in entries):
             raise InvalidInputError("pointed class must not be negative")
+        if self.pointed == 0:
+            raise InvalidInputError("pointed class must not be 0 if rational")
 
     @cached_property
     def representatives(self) -> tuple[Subgroup, ...]:
@@ -314,20 +344,6 @@ class InvariantData(_Value):
     def morphisms(self) -> tuple[tuple[SimpleBimodule, Fraction | None], ...]:
         """Each simple with its multiplier."""
         return tuple(zip(self.simples, self.multipliers))
-
-    @cached_property
-    def gauges(self) -> tuple[Fraction | None, ...]:
-        """g per representative: None off the rank-one objects, 1 at the first rank-one P0.
-
-        g_Q is r(X) = q(X)·|P0|/dim X of the first simple X from P0 into Q.
-        """
-        P0 = next((P for P, d in zip(self.representatives, self.objects)
-                   if isinstance(d, RankOneForm)), None)
-        g = {P0: Fraction(1)}
-        for X, q in self.morphisms:
-            if X.source == P0 and q is not None:
-                g.setdefault(X.target, q * P0.order / X.dimension)
-        return tuple(g.get(P) for P in self.representatives)
 
 
 def compute_invariant(d: EnrichedBratteliDiagram) -> InvariantData:

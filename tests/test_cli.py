@@ -1057,6 +1057,11 @@ def test_a_compiled_copy_prints_what_the_source_tree_prints(tmp_path, z4_diagram
     requests = [line.split() for line in listed.splitlines()]
     weighted = diagram_to_json(z4_diagrams["F"])
     weighted["generator_weights"][0] = True
+    tripled_edges = diagram_to_json(z4_diagrams["F"])
+    for edge in tripled_edges["edge"]:
+        edge["multiplicity"] = 3
+    tripled_weights = diagram_to_json(z4_diagrams["F"])
+    tripled_weights["generator_weights"] = [3, 3, 3, 3]
     c = 6 * 10**4299
     inputs = {
         "z4.json": {"cyclic_factors": [4]},
@@ -1066,6 +1071,8 @@ def test_a_compiled_copy_prints_what_the_source_tree_prints(tmp_path, z4_diagram
         "g.json": diagram_to_json(z4_diagrams["G"]),
         "e.json": diagram_to_json(z4_diagrams["E"]),
         "bool-weight.json": weighted,
+        "f3m.json": tripled_edges,
+        "f3w.json": tripled_weights,
         "digits.json": {"rows": [[c, c], [c, c]]},
         "empty.json": {"cyclic_factors": []},
         "ds.json": {"rows": [[2, 0, 0], [0, 1, 1], [0, 1, 1]]},
@@ -1114,6 +1121,13 @@ def test_a_compiled_copy_prints_what_the_source_tree_prints(tmp_path, z4_diagram
                              b"  Q3 -> 1/2\n", b""), 0)
         if argv == ["compare", "e.json", "f.json"]:
             assert want == ((b"verdict: inequivalent\ncertificate: rank at Q2: 2 vs 1\n", b""), 3)
+        # with e.json's rank certificate, the three kinds compare issues
+        if argv == ["compare", "f.json", "f3m.json"]:
+            assert want == ((b"verdict: inequivalent\n"
+                             b"certificate: prime-set at Q1: {2} vs {2,3}\n", b""), 3)
+        if argv == ["compare", "f.json", "f3w.json"]:
+            assert want == ((b"verdict: inequivalent\n"
+                             b"certificate: unit-obstruction at Q1: 3 vs S={2}\n", b""), 3)
         if argv[:3] == ["compare", "e.json", "e.json"]:
             assert want[1] == 4 and all(f"{q}: bounded shift".encode() in want[0][0]
                                         for q in ("Q2", "Q3"))

@@ -71,7 +71,12 @@ REGULAR_GROUPS = [
     [10], [11], [12], [2, 6], [13], [14], [15], [16], [2, 8], [4, 4], [2, 2, 4],
     [2, 2, 2, 2], [32], [64], [128],
 ]
-TRANSLATION_GROUPS = [[2], [3], [4], [2, 2], [5], [6], [8], [2, 4]]
+# every group type of order at most 16 but Z/2 x Z/8, Z/4 x Z/4 and (Z/2)^3 and up,
+# whose many subgroups make their translation actions the slowest to compute
+TRANSLATION_GROUPS = [
+    [2], [3], [4], [2, 2], [5], [6], [7], [8], [2, 4], [9], [3, 3],
+    [10], [11], [12], [2, 6], [13], [14], [15], [16],
+]
 # every group type of order at most 12, for the drawn single-vertex diagrams
 SMALL_GROUPS = [factors for factors in REGULAR_GROUPS if make_group(factors).order <= 12]
 

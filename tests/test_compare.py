@@ -181,14 +181,11 @@ def test_zero_multipliers_out_of_the_unit_are_refused(z4_invariants):
         ))
 
 
-def test_pointed_obstruction(z4_invariants):
-    zeroed = replace(z4_invariants["F"], pointed=Fraction(0))
-    verdict = compare(z4_invariants["F"], zeroed)
-    assert verdict.status == INEQUIVALENT
-    assert verdict.certificate.kind == "pointed-obstruction"
-    both = compare(zeroed, zeroed)
-    assert both.status == UNKNOWN
-    assert "degenerate" in both.reason
+def test_a_zero_pointed_class_is_refused(z4_invariants):
+    # no computed pointed class is 0 (the InvariantData docstring proves it), so
+    # compare issues no certificate and no unknown for one
+    with pytest.raises(InvalidInputError, match="^pointed class must not be 0 if rational$"):
+        replace(z4_invariants["F"], pointed=Fraction(0))
 
 
 def test_a_negative_pointed_class_is_refused(z4_invariants):

@@ -502,8 +502,8 @@ def positivity_faults(inv) -> list[str]:
     """Each place where ``inv`` breaks a fact that every computed invariant has.
 
     A multiplier between rank-one objects is positive, 1 at an identity
-    simple, and at least 1 times its dual's; a rank-one pointed class is not
-    negative; and rank-one objects share one eigenvalue, since a nonzero
+    simple, and at least 1 times its dual's; a rank-one pointed class is
+    positive; and rank-one objects share one eigenvalue, since a nonzero
     multiplier forces equal eigenvalues.
     """
     faults = []
@@ -519,7 +519,7 @@ def positivity_faults(inv) -> list[str]:
         g = q[dual(X)]
         if g is not None and f * g < 1:
             faults.append(f"{label}: times its dual's, {f * g}")
-    if isinstance(inv.pointed, Fraction) and inv.pointed < 0:
+    if isinstance(inv.pointed, Fraction) and inv.pointed <= 0:
         faults.append(f"pointed class {inv.pointed}")
     if len({d.eigenvalue for d in inv.objects if isinstance(d, RankOneForm)}) > 1:
         faults.append("rank-one objects of two eigenvalues")

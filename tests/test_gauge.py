@@ -29,10 +29,15 @@ It needs no hypothesis on the diagram beyond both ends being rank-one; in
 particular q is never 0, so rank-one objects share one eigenvalue.  The same
 q is what ``InvariantData``'s gauge rule accepts, with g scaled to 1 at its
 first rank-one object.
+
+The unit's Perron vector also pins the pointed class: ``pointed_faults``
+checks the lemma of the ``InvariantData`` docstring, by which a rational
+pointed class is never 0.
 """
 
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
@@ -96,14 +101,52 @@ def drawn_diagrams():
             for factors in SMALL_GROUPS for seed in range(4)]
 
 
+@cache
+def bench_and_drawn_invariants():
+    """(diagram, invariant) over ``bench_diagrams`` and ``drawn_diagrams``."""
+    return [(d, compute_invariant(d)) for d in bench_diagrams() + drawn_diagrams()]
+
+
+def pointed_faults(d, inv) -> list[str]:
+    """Each place where the pointed class of ``inv`` breaks the lemma of ``InvariantData``.
+
+    Over a rank-one Q1 the pointed class is positive and the unit's left
+    vector is constant on each vertex block of the tail basis
+    ``d.level_bases(Q1)[-1]``; otherwise the pointed vector has a positive
+    entry in each block.
+    """
+    blocks = {}
+    for k, (vi, _) in enumerate(d.level_bases(inv.representatives[0])[-1]):
+        blocks.setdefault(vi, []).append(k)
+    unit = inv.objects[0]
+    if isinstance(unit, RankOneForm):
+        faults = [] if inv.pointed > 0 else [f"pointed class {inv.pointed}"]
+        return faults + [f"left vector varies on block {vi}" for vi, ks in blocks.items()
+                         if len({unit.left_vector[k] for k in ks}) > 1]
+    return [f"no positive pointed entry on block {vi}" for vi, ks in blocks.items()
+            if not any(inv.pointed[k] > 0 for k in ks)]
+
+
 def test_readme_multipliers_are_the_perron_gauges(z4_diagrams, z4_invariants, two_level_diagram):
     for name, d in z4_diagrams.items():
         assert gauge_faults(d, z4_invariants[name]) == [], name
     assert gauge_faults(two_level_diagram, compute_invariant(two_level_diagram)) == []
 
 
+def test_computed_pointed_classes_are_positive(z4_diagrams, z4_invariants, two_level_diagram):
+    checked = [(d, z4_invariants[name]) for name, d in z4_diagrams.items()]
+    checked += [(two_level_diagram, compute_invariant(two_level_diagram))]
+    checked += bench_and_drawn_invariants()
+    assert [(str(d.group), fault) for d, inv in checked for fault in pointed_faults(d, inv)] == []
+    # so that neither branch is vacuous: both kinds of Q1 occur, and some unit's left
+    # vector is constant per block but not overall
+    rank_one = [inv for _, inv in checked if isinstance(inv.objects[0], RankOneForm)]
+    assert 0 < len(rank_one) < len(checked)
+    assert any(len(set(inv.objects[0].left_vector)) > 1 for inv in rank_one)
+
+
 def test_bench_and_drawn_multipliers_are_the_perron_gauges():
-    checked = [(d, compute_invariant(d)) for d in bench_diagrams() + drawn_diagrams()]
+    checked = bench_and_drawn_invariants()
     assert [(str(d.group), fault) for d, inv in checked for fault in gauge_faults(d, inv)] == []
     # so that the check is not vacuous: the gauges vary, within and across invariants
     assert len({g for _, inv in checked for g in inv.gauges if g is not None}) > 2

@@ -515,7 +515,7 @@ def test_scales_are_positive_exactly_on_rank_one_objects(z4_invariants, build, i
 
 
 def test_scales_pointed_class_and_gauges_are_free_data(z4_invariants):
-    # free: a positive scale, any rational pointed class >= 0 over a rank-one Q1, and
+    # free: a positive scale, any positive rational pointed class over a rank-one Q1, and
     # any positive gauge per rank-one object; a null multiplier only off them
     inv = z4_invariants["F"]
     inv = _with(inv, scales=(inv.scales[0], Fraction(7, 3), *inv.scales[2:]), pointed=Fraction(5))

@@ -6,9 +6,10 @@ product of two, are witnesses too.  ``compare`` reads each ratio off the two
 invariants' gauges, so a slip in that read, such as a dropped reciprocal,
 can make a verdict depend on the order of the pair.
 
-The inputs are the README diagrams F, G, H and E and every diagram of the
-seed-1 ``cli-cold`` and ``sweep-warm`` documents of ``bench/gen.py``, compared
-pair by pair within each group.  A renormalization of the value maps, drawn
+The inputs are the README diagrams F, G, H and E, F with each edge tripled
+and F with generator weights 3, and every diagram of the seed-1 ``cli-cold``
+and ``sweep-warm`` documents of ``bench/gen.py``, compared pair by pair within
+each group.  A renormalization of the value maps, drawn
 by hypothesis and applied through ``test_compare.rescaled_invariant``,
 presents the same invariant, so it keeps the relation, and the factors
 themselves are its witness whenever the original compares EQUIVALENT to
@@ -24,15 +25,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from afinv import compare as compare_module
+from afinv.bimodules import qsystems, simple_bimodules
 from afinv.compare import EQUIVALENT, INEQUIVALENT, UNKNOWN, compare, verify_witness
-from afinv.diagrams import compute_invariant
+from afinv.diagrams import EnrichedBratteliDiagram, compute_invariant
+from afinv.groups import make_group
 from afinv.serialize import diagram_from_json
 
 from gen_loader import load_gen
 from test_compare import rescaled_invariant
 
 # the certificates whose two sides are the two invariants' own values, in order
-SWAPPED_KINDS = ("rank", "prime-set", "pointed-obstruction")
+SWAPPED_KINDS = ("rank", "prime-set")
 
 
 @cache
@@ -48,10 +51,27 @@ def bench_invariants():
     return pools
 
 
+@cache
+def tripled_readme_f():
+    """README F with each edge three times (eigenvalue 12), and with generator weights 3.
+
+    Against F, the first has the prime set {2, 3} at Q1 and the second the
+    pointed class 3, no unit of Z[1/2].
+    """
+    Q1 = qsystems(make_group(4))[0]
+    translations = simple_bimodules(Q1, Q1)
+    homogeneous = EnrichedBratteliDiagram.homogeneous
+    return {
+        "README F, multiplicity 3": homogeneous(Q1, dict.fromkeys(translations, 3)),
+        "README F, weights 3": homogeneous(Q1, dict.fromkeys(translations, 1), (3, 3, 3, 3)),
+    }
+
+
 def pools_with_readme(z4_invariants):
     pools = {G: dict(invs) for G, invs in bench_invariants().items()}
     G = z4_invariants["F"].group
     pools[G].update((f"README {name}", inv) for name, inv in z4_invariants.items())
+    pools[G].update((name, compute_invariant(d)) for name, d in tripled_readme_f().items())
     return pools
 
 
@@ -104,10 +124,12 @@ def relation_faults(pools, compare=compare) -> list[str]:
 def test_verdicts_form_an_equivalence_relation(z4_invariants):
     pools = pools_with_readme(z4_invariants)
     assert relation_faults(pools) == []
-    # so that no branch above is vacuous, every status occurs
-    statuses = {compare(a, b).status for invs in pools.values()
-                for a, b in itertools.product(invs.values(), repeat=2)}
-    assert statuses == {EQUIVALENT, INEQUIVALENT, UNKNOWN}
+    # so that no branch above is vacuous, every status and every certificate kind occurs,
+    # and no other kind
+    verdicts = [compare(a, b) for invs in pools.values()
+                for a, b in itertools.product(invs.values(), repeat=2)]
+    kinds = {v.certificate.kind if v.status == INEQUIVALENT else v.status for v in verdicts}
+    assert kinds == {"rank", "prime-set", "unit-obstruction", EQUIVALENT, UNKNOWN}
 
 
 def compare_dropping_a_reciprocal():
